@@ -11,7 +11,7 @@
 //	      -models local,nocd -algos auto -trials 1000 \
 //	      [-workload broadcast] [-wparam key=value]... \
 //	      [-fault kind:rates[:w=window]]... \
-//	      [-seed 1] [-source 0] [-workers 0] [-lean] [-batchw 0] \
+//	      [-seed 1] [-source 0] [-workers 0] [-lean] \
 //	      [-json out.json] [-csv out.csv] [-raw trials.csv] [-progress] \
 //	      [-status :8080] [-manifest run.manifest.json] \
 //	      [-cpuprofile cpu.out] [-memprofile mem.out] [-trace trace.out]
@@ -25,7 +25,7 @@
 // matrix cell. Fault decisions come from a positional hash stream
 // disjoint from every protocol RNG stream, so a rate-0 spec reproduces
 // the fault-free report byte for byte and results stay bit-identical
-// for any -workers or -batchw. Faulted cells gain graceful-degradation
+// for any -workers. Faulted cells gain graceful-degradation
 // columns (success, informedFrac, energyOverhead, wastedAwake) that
 // adaptive runs can target with -ci-measure.
 //
@@ -38,7 +38,7 @@
 // address is printed to stderr (useful with ":0"). -progress prints a
 // periodic one-line stderr report with an ETA extrapolated from the
 // trial-commit rate. -manifest writes a run manifest (spec, seed,
-// worker/batch config, counters, per-cell trials and timings, phase
+// worker count, counters, per-cell trials and timings, phase
 // timings); with -json but no -manifest, the manifest is derived next
 // to the report as <report>.manifest.json (-manifest none disables
 // the default). Telemetry counters live in
@@ -150,7 +150,6 @@ func main() {
 	source := flag.Int("source", 0, "broadcast source vertex")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	lean := flag.Bool("lean", false, "experiment-scale constants for heavy algorithms")
-	batchW := flag.Int("batchw", 0, "trial-batching width: run up to this many consecutive trials of a cell in lockstep on one batch engine (0/1 = solo; results identical at any width)")
 	jsonPath := flag.String("json", "", "write aggregate JSON to this file")
 	csvPath := flag.String("csv", "", "write aggregate CSV to this file")
 	rawPath := flag.String("raw", "", "stream per-trial raw CSV (cell, trial, seed, slots, energy, informed, ...) to this file")
@@ -303,7 +302,7 @@ func main() {
 		os.Exit(2)
 	}
 	spec := sweep.Spec{Trials: *trials, MasterSeed: *seed, Source: *source, Lean: *lean,
-		Workload: *wl, BatchW: *batchW}
+		Workload: *wl}
 	for _, s := range topos {
 		ts, err := sweep.ParseTopology(s)
 		if err != nil {
@@ -406,7 +405,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	writeManifest(rec, manifest, spec, nil, *workers, *batchW)
+	writeManifest(rec, manifest, spec, nil, *workers)
 }
 
 // matrixFlags define the experiment; -resume takes the definition from
@@ -523,11 +522,11 @@ type adaptiveMeta struct {
 
 // writeManifest builds and writes the run manifest; a no-op when no
 // manifest was requested (path empty, rec nil).
-func writeManifest(rec *telemetry.Recorder, path string, spec, adaptive any, workers, batchw int) {
+func writeManifest(rec *telemetry.Recorder, path string, spec, adaptive any, workers int) {
 	if path == "" || rec == nil {
 		return
 	}
-	m := rec.BuildManifest("sweep", spec, adaptive, workers, batchw)
+	m := rec.BuildManifest("sweep", spec, adaptive, workers)
 	if err := m.WriteFile(path); err != nil {
 		fatal(err)
 	}
@@ -573,7 +572,7 @@ func runAdaptive(cfg experiment.Config, jsonPath, manifest string, progress bool
 	writeManifest(cfg.Telemetry, manifest, cfg.Spec, adaptiveMeta{
 		BatchSize: cfg.BatchSize, MinTrials: cfg.MinTrials, MaxTrials: cfg.MaxTrials,
 		TargetRelCI: cfg.TargetRelCI, Confidence: cfg.Confidence, Measures: cfg.Measures,
-	}, cfg.Workers, cfg.Spec.BatchW)
+	}, cfg.Workers)
 }
 
 // runWorker joins the fabric coordinator at addr as a worker. The
@@ -633,7 +632,7 @@ func runResume(path string, workers int, jsonPath, manifest string, progress boo
 	}
 	rec.Phase("output")
 	finishAdaptive(rep, jsonPath)
-	writeManifest(rec, manifest, nil, adaptiveMeta{ResumedFrom: path}, workers, 0)
+	writeManifest(rec, manifest, nil, adaptiveMeta{ResumedFrom: path}, workers)
 }
 
 func writeFile(path string, write func(w io.Writer) error) error {

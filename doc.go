@@ -38,16 +38,6 @@
 // the event stream is deterministic and pinned byte-for-byte by the
 // golden trace test in internal/radio/testdata.
 //
-// Because every device is a pure step function, one scheduler can also
-// advance W independent trials of the same topology in lockstep:
-// radio.BatchSimulator runs W lanes over one shared CSR graph, each
-// lane's slot sequence byte-identical to a solo run. The batch path
-// surfaces as core.BroadcastBatch (one plan — diameter, protocol
-// constants, validation — shared across all W lanes), the
-// workload.BatchRunner interface, and the sweep engine's Spec.BatchW
-// knob (CLI -batchw): a pure throughput dial, bit-identical at every
-// width.
-//
 // Transmit payloads are interned in per-device mailbox cells for exactly
 // one slot (listeners resolve them at delivery; the cells are cleared
 // when the slot completes, so large payloads are collectable mid-run),
@@ -61,13 +51,13 @@
 // Run/RunDevices resets everything per run, allocating only the Result.
 // The sweep engine keeps one radio.SimCache per worker (threaded
 // through core.WithSimCache), so thousands of Monte-Carlo trials on
-// one topology stop churning the allocator. BENCH_pr4.json records
-// the step-ABI reference measurement (5.6-6.3x over the deleted PR-3
-// goroutine engine with -97% to -99% allocations); BENCH_pr6.json
-// adds the batching point — 2.2x trials/s on the plan-heavy Theorem
-// 16 workload at BatchW=16 (BenchmarkBroadcastTrials), with the
-// substrate itself at parity (BenchmarkBatchSimulatorThroughput) and
-// the solo hot loop at 0 allocs/op.
+// one topology stop churning the allocator. The topology's diameter —
+// a fixed parameter of Theorem 16 and the decay comparator — is
+// computed once per graph and cached (graph.Graph.Diameter), so a trial
+// of a diameter-aware algorithm pays only for its own slots.
+// BENCH_pr4.json records the step-ABI reference measurement (5.6-6.3x
+// over the deleted PR-3 goroutine engine with -97% to -99%
+// allocations).
 //
 // # Monte-Carlo sweeps
 //
@@ -95,10 +85,9 @@
 // every device stream, and consume no protocol randomness: a plan at
 // rate 0 reproduces the golden slot trace and golden sweep report byte
 // for byte, and at any rate the injected fault set is a pure function
-// of (seed, device, slot) — bit-identical between the solo and batch
-// engines at every -batchw, and for any worker count. The awake-slot
-// invariant MaxEnergy() <= Slots survives injection, since faults only
-// ever remove awake slots.
+// of (seed, device, slot) — bit-identical for any worker count. The
+// awake-slot invariant MaxEnergy() <= Slots survives injection, since
+// faults only ever remove awake slots.
 //
 // Faulted broadcast and msrc cells additionally run a same-seed
 // fault-free twin and report graceful-degradation columns — success,
@@ -145,7 +134,7 @@
 // # Observability
 //
 // internal/telemetry instruments the sweep worker pool, the adaptive
-// controller, and the batch engine without perturbing either results
+// controller, and the fabric without perturbing either results
 // or performance: a nil *telemetry.Recorder no-ops every hook, and a
 // live one is touched once per trial batch — per-worker padded shards
 // of atomic counters merged only on read, never on the per-slot path
@@ -164,12 +153,12 @@
 // — cell start/stop with reason, batch commits, checkpoint fsyncs,
 // phase transitions, and on a coordinator worker join/leave and lease
 // grant/steal/release — appended as it happens), and a run manifest —
-// spec, seeds, worker/batch config, per-cell trials, wall-clock and
+// spec, seeds, worker count, per-cell trials, wall-clock and
 // stop reasons, phase timings — written next to every -json report as
 // <report>.manifest.json (or to -manifest; "none" disables). The
 // manifest's deterministic fields (committed counts, labels, stop
-// reasons, traces) are bit-identical for any worker count and batch
-// width, like the reports they describe; timings, speculation
+// reasons, traces) are bit-identical for any worker count, like the
+// reports they describe; timings, speculation
 // counters, latency histograms, and the fleet table are explicitly
 // excluded from that pin. scripts/status_smoke.sh exercises the whole
 // surface end to end in CI, including a mid-run /metrics scrape,
@@ -262,6 +251,6 @@
 //   - bench_test.go: testing.B benchmarks, one per experiment, plus
 //     scheduler and sweep-scaling microbenchmarks.
 //
-// See DESIGN.md for the system inventory and the per-experiment index,
-// and EXPERIMENTS.md for measured results against the paper's claims.
+// See bench/README.md for the repository's benchmark: its workloads,
+// metrics and recorded measurements.
 package repro

@@ -30,10 +30,10 @@ func sameCoreResult(a, b *Result) error {
 	return nil
 }
 
-// TestBroadcastBatchMatchesSolo pins BroadcastBatch's contract: lane i
+// TestBroadcastBatchMatchesSolo pins BroadcastBatch's contract: result i
 // equals Broadcast(WithSeed(seeds[i])) exactly, for every algorithm and
-// for widths 1, 4, and 16 — the invariant that lets the sweep layer
-// batch at any width without perturbing results.
+// for widths 1, 4, and 16 — sharing one plan across seeds never perturbs
+// a trial.
 func TestBroadcastBatchMatchesSolo(t *testing.T) {
 	cases := []struct {
 		name string

@@ -157,9 +157,8 @@ func WithSources(sources ...int) Option {
 // sleep windows, or lossy slots — at the given spec's rate. Fault
 // decisions come from a positional hash stream independent of every
 // protocol coin flip, so an inactive spec (the zero value, or rate 0)
-// leaves the run byte-identical to an unfaulted one, and results are
-// bit-identical between Broadcast and BroadcastBatch at any width. See
-// internal/fault for the determinism contract.
+// leaves the run byte-identical to an unfaulted one. See internal/fault
+// for the determinism contract.
 func WithFault(s fault.Spec) Option { return func(c *config) { c.fault = s } }
 
 // Result reports one Broadcast run.
@@ -255,8 +254,8 @@ func IsPath(g *graph.Graph) bool {
 
 // resolveCall validates the graph, options and source set, and resolves
 // AlgoAuto to a concrete algorithm — every check both Broadcast entry
-// points share, factored so the solo and batch paths reject identical
-// inputs with identical errors.
+// points share, factored so Broadcast and BroadcastBatch reject
+// identical inputs with identical errors.
 func resolveCall(g *graph.Graph, source int, opts []Option) (config, []int, Algorithm, error) {
 	cfg := config{model: radio.NoCD, algo: AlgoAuto, seed: 1, msg: "m", eps: 0.5, xi: 0.5}
 	if g == nil || g.N() == 0 {
@@ -306,23 +305,41 @@ func resolveCall(g *graph.Graph, source int, opts []Option) (config, []int, Algo
 }
 
 // plan is one Broadcast call's seed-independent preparation: parameter
-// validation, diameter computation, and protocol-constant construction
-// hoisted out of the per-seed work. build creates one run's fresh device
-// population plus the collector that maps the raw radio result to the
-// public Result; the returned radio.Config wants only its Seed filled.
-// A seed enters a trial solely through radio.Config.Seed, so one plan
-// serves any number of trials — the hoisting BroadcastBatch amortizes.
+// validation and protocol-constant construction hoisted out of the
+// per-seed work. build creates one run's fresh device population plus
+// the collector that maps the raw radio result to the public Result;
+// the returned radio.Config wants only its Seed filled. A seed enters a
+// trial solely through radio.Config.Seed, so one plan serves any number
+// of trials — the hoisting BroadcastBatch amortizes.
 type plan struct {
 	rcfg  radio.Config
 	build func() (pop []radio.Device, collect func(*radio.Result) *Result)
 }
 
-// buildPlan dispatches to the single- or multi-source planner.
+// buildPlan dispatches to the single- or multi-source planner and
+// attaches the call's fault spec.
 func buildPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan, error) {
+	var pl plan
+	var err error
 	if len(sources) > 1 {
-		return multiPlan(g, sources, algo, cfg)
+		pl, err = multiPlan(g, sources, algo, cfg)
+	} else {
+		pl, err = singlePlan(g, sources[0], algo, cfg)
 	}
-	return singlePlan(g, sources[0], algo, cfg)
+	pl.rcfg.Fault = cfg.fault
+	return pl, err
+}
+
+// run executes one seeded trial of the plan on a fresh device population.
+func (pl plan) run(seed uint64) (*Result, error) {
+	pop, collect := pl.build()
+	rcfg := pl.rcfg
+	rcfg.Seed = seed
+	res, err := radio.RunDevices(rcfg, pop)
+	if err != nil {
+		return nil, err
+	}
+	return collect(res), nil
 }
 
 // Broadcast runs the selected algorithm on g from source and returns the
@@ -337,26 +354,15 @@ func Broadcast(g *graph.Graph, source int, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pop, collect := pl.build()
-	rcfg := pl.rcfg
-	rcfg.Seed = cfg.seed
-	rcfg.Fault = cfg.fault
-	res, err := radio.RunDevices(rcfg, pop)
-	if err != nil {
-		return nil, err
-	}
-	return collect(res), nil
+	return pl.run(cfg.seed)
 }
 
 // BroadcastBatch runs one trial per seed — same topology, same options,
-// positional seeds — in lockstep on one radio.BatchSimulator, sharing
-// the plan's seed-independent work (diameter, protocol constants,
-// validation) across the whole batch. Lane i's result and error are
-// exactly what Broadcast with WithSeed(seeds[i]) returns, so callers
-// may batch at any width without perturbing measurements; the final
-// error reports whole-call problems (bad graph, bad options, WithTrace).
-// Traced runs must use Broadcast: lanes interleave by slot time, so no
-// merged event stream would be any single trial's trace.
+// positional seeds — building the call's plan once and running each seed
+// on it in turn. Result i and error i are exactly what Broadcast with
+// WithSeed(seeds[i]) returns; the final error reports whole-call problems
+// (bad graph, bad options, a plan error, WithTrace). Traced runs must use
+// Broadcast, one trial per trace sink.
 func BroadcastBatch(g *graph.Graph, source int, seeds []uint64, opts ...Option) ([]*Result, []error, error) {
 	cfg, sources, algo, err := resolveCall(g, source, opts)
 	if err != nil {
@@ -369,25 +375,10 @@ func BroadcastBatch(g *graph.Graph, source int, seeds []uint64, opts ...Option) 
 	if err != nil {
 		return nil, nil, err
 	}
-	w := len(seeds)
-	pops := make([][]radio.Device, w)
-	collects := make([]func(*radio.Result) *Result, w)
-	for i := 0; i < w; i++ {
-		pops[i], collects[i] = pl.build()
-	}
-	pl.rcfg.Fault = cfg.fault
-	rress, rerrs, err := radio.RunBatchDevices(pl.rcfg, seeds, pops)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]*Result, w)
-	errs := make([]error, w)
-	for i := 0; i < w; i++ {
-		if rerrs[i] != nil {
-			errs[i] = rerrs[i]
-			continue
-		}
-		results[i] = collects[i](rress[i])
+	results := make([]*Result, len(seeds))
+	errs := make([]error, len(seeds))
+	for i, seed := range seeds {
+		results[i], errs[i] = pl.run(seed)
 	}
 	return results, errs, nil
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -182,6 +183,64 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if got := reportJSON(t, rep); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: resumed report diverges from uninterrupted run", workers)
 		}
+	}
+}
+
+// TestResumeLegacyBatchWidthHeader pins resume compatibility with
+// journals written before the lockstep batch engine was removed: their
+// header spec carries the retired trial-batching width, which decoding
+// ignores, so the resumed report is byte-identical to an uninterrupted
+// run's.
+func TestResumeLegacyBatchWidthHeader(t *testing.T) {
+	rep, err := Run(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportJSON(t, rep)
+
+	path := filepath.Join(t.TempDir(), "legacy.ckpt")
+	cfg := testConfig()
+	cfg.Checkpoint = path
+	cfg.Workers = 2
+	cfg.Interrupt, cfg.Progress = interruptAfter(3)
+	if _, err := Run(cfg); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupt returned %v, want ErrInterrupted", err)
+	}
+	// Re-frame the header as `sweep -batchw 16 -checkpoint` wrote it: the
+	// width sat between Lean and Faults in the spec.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, next, ok := nextFrame(raw, 0)
+	if !ok {
+		t.Fatal("journal has no intact header frame")
+	}
+	legacy := bytes.Replace(payload, []byte(`"Lean":false`), []byte(`"Lean":false,"BatchW":16`), 1)
+	if bytes.Equal(legacy, payload) {
+		t.Fatalf("header spec has no Lean field to anchor on: %s", payload)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw := &journalWriter{f: f}
+	if err := jw.append(json.RawMessage(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(raw[next:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err = Resume(path, ResumeConfig{Workers: 2})
+	if err != nil {
+		t.Fatalf("resume of legacy journal: %v", err)
+	}
+	if got := reportJSON(t, rep); !bytes.Equal(got, want) {
+		t.Fatal("resumed legacy journal's report diverges from uninterrupted run")
 	}
 }
 

@@ -25,12 +25,16 @@ type Graph struct {
 	m    int
 	name string
 
-	// csrMu guards the lazily built CSR mirror below. Construction
-	// (AddEdge) is single-threaded by contract; CSR may be called
+	// cacheMu guards the lazily computed caches below: the CSR mirror
+	// and the diameter. Construction (AddEdge, which invalidates both) is
+	// single-threaded by contract; CSR and Diameter may be called
 	// concurrently once the graph is built.
-	csrMu  sync.Mutex
-	csrOff []int32
-	csrAdj []int32
+	cacheMu sync.Mutex
+	csrOff  []int32
+	csrAdj  []int32
+	diamOK  bool // diam and diamErr hold the current graph's diameter
+	diam    int
+	diamErr error
 }
 
 // New returns a graph with n isolated vertices.
@@ -73,6 +77,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	g.adj[v] = insertSorted(g.adj[v], u)
 	g.m++
 	g.csrOff, g.csrAdj = nil, nil // invalidate the CSR mirror
+	g.diamOK = false              // and the diameter
 	return nil
 }
 
@@ -149,8 +154,8 @@ func (g *Graph) SortAdjacency() {
 // CSR is safe for concurrent use once construction is finished; it must
 // not race with AddEdge (which invalidates the cache).
 func (g *Graph) CSR() (off, adj []int32) {
-	g.csrMu.Lock()
-	defer g.csrMu.Unlock()
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
 	if g.csrOff == nil {
 		n := g.N()
 		g.csrOff = make([]int32, n+1)
@@ -223,10 +228,23 @@ func (g *Graph) Eccentricity(v int) (int, error) {
 // Diameter returns the exact diameter D = max_{u,v} dist(u,v) by running a
 // BFS from every vertex. It errors on disconnected graphs. Intended for
 // the n <= a-few-thousand graphs used in experiments.
+//
+// The result is computed on first call and cached like the CSR mirror:
+// repeated calls (one per Monte-Carlo trial of a diameter-aware
+// algorithm) cost a lock, and AddEdge invalidates the cache. Diameter is
+// safe for concurrent use once construction is finished.
 func (g *Graph) Diameter() (int, error) {
-	if g.N() == 0 {
-		return 0, nil
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
+	if !g.diamOK {
+		g.diam, g.diamErr = g.diameter()
+		g.diamOK = true
 	}
+	return g.diam, g.diamErr
+}
+
+// diameter computes the diameter with one BFS per vertex.
+func (g *Graph) diameter() (int, error) {
 	diam := 0
 	for v := 0; v < g.N(); v++ {
 		ecc, err := g.Eccentricity(v)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -361,6 +362,79 @@ func TestCSR(t *testing.T) {
 	off3, _ := g.CSR()
 	if int(off3[g.N()]) != 2*g.M() {
 		t.Fatalf("CSR stale after AddEdge: off[n]=%d, want %d", off3[g.N()], 2*g.M())
+	}
+}
+
+// TestDiameterCached checks that a repeated Diameter is served from the
+// cache: same value, and none of the computation's allocations.
+func TestDiameterCached(t *testing.T) {
+	g := Grid(5, 7)
+	d, err := g.Diameter()
+	if err != nil || d != 10 {
+		t.Fatalf("grid-5x7 diameter = %d, %v", d, err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if d2, err := g.Diameter(); err != nil || d2 != d {
+			t.Fatalf("repeated diameter = %d, %v; want %d", d2, err, d)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("repeated Diameter allocates %v per call; not cached", allocs)
+	}
+}
+
+// TestDiameterInvalidatedByAddEdge checks that AddEdge drops the cached
+// diameter and the cached disconnection error alike.
+func TestDiameterInvalidatedByAddEdge(t *testing.T) {
+	g := Path(10)
+	if d, _ := g.Diameter(); d != 9 {
+		t.Fatalf("path-10 diameter = %d, want 9", d)
+	}
+	if err := g.AddEdge(0, 9); err != nil { // close the path into a cycle
+		t.Fatal(err)
+	}
+	if d, err := g.Diameter(); err != nil || d != 5 {
+		t.Fatalf("diameter after chord = %d, %v; want 5", d, err)
+	}
+
+	h := New(3)
+	if err := h.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Diameter(); err == nil {
+		t.Fatal("Diameter on disconnected graph should error")
+	}
+	if err := h.AddEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := h.Diameter(); err != nil || d != 2 {
+		t.Fatalf("diameter after connecting = %d, %v; want 2", d, err)
+	}
+}
+
+// TestDiameterConcurrent races first Diameter calls (and CSR, which
+// shares the cache mutex) on one graph; run under -race.
+func TestDiameterConcurrent(t *testing.T) {
+	g := Hypercube(6)
+	var wg sync.WaitGroup
+	ds := make([]int, 8)
+	for i := range ds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g.CSR()
+			d, err := g.Diameter()
+			if err != nil {
+				t.Error(err)
+			}
+			ds[i] = d
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range ds {
+		if d != 6 {
+			t.Fatalf("goroutine %d: hypercube-6 diameter = %d, want 6", i, d)
+		}
 	}
 }
 

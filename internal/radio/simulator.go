@@ -44,11 +44,6 @@ type Simulator struct {
 	maxDeg int
 	base   Config // template captured by NewSimulator (Seed overridden per run)
 
-	// diameter cache for Config.KnowDiameter runs.
-	diamComputed bool
-	diamCached   int
-	diamErr      error
-
 	// per-run binding (scalars from the run's Config).
 	model     Model
 	trace     func(Event)
@@ -92,9 +87,8 @@ type Simulator struct {
 
 	res *Result // current run's result, owned by the scheduler loop
 
-	// loop state, held on the struct so a BatchSimulator can drive the
-	// run one scheduler round at a time (gather / resolveSlot) and park
-	// the lane between rounds.
+	// loop state, shared by the two halves of a scheduler round (gather
+	// and resolveSlot).
 	live     int   // devices not yet halted
 	firstErr error // first device error, reported when the run ends
 
@@ -182,14 +176,10 @@ func (s *Simulator) bind(cfg Config) error {
 	if cfg.KnowDiameter {
 		d := cfg.Diameter
 		if d == 0 {
-			if !s.diamComputed {
-				s.diamCached, s.diamErr = s.g.Diameter()
-				s.diamComputed = true
+			var err error
+			if d, err = s.g.Diameter(); err != nil {
+				return fmt.Errorf("radio: KnowDiameter: %w", err)
 			}
-			if s.diamErr != nil {
-				return fmt.Errorf("radio: KnowDiameter: %w", s.diamErr)
-			}
-			d = s.diamCached
 		}
 		s.diam = d
 	}
@@ -353,14 +343,12 @@ func clearAny(buf []any) {
 
 // loop is the scheduler: it steps every awaited device to its next
 // channel action, advances to the minimum requested slot, resolves the
-// channel there in ascending device order — the exact order the
-// pre-batching engine used, which the golden trace test pins — and
-// hands each cohort member its feedback for the next round's step.
+// channel there in ascending device order, and hands each cohort member
+// its feedback for the next round's step.
 //
-// The two halves, gather and resolveSlot, are separate methods so a
-// BatchSimulator can drive W lanes through the identical round sequence
-// in lockstep, parking each lane between its gather and the moment the
-// batch clock reaches its requested slot.
+// A round has two halves: gather steps the awaited devices and picks the
+// next slot's cohort, then resolveSlot resolves the channel at that
+// slot. The golden trace test pins this round order.
 func (s *Simulator) loop() error {
 	for {
 		t, done := s.gather()
@@ -838,20 +826,17 @@ const simCacheCap = 4
 // then serves same-graph runs from the cache instead of rebuilding envs,
 // random streams, and scheduler scratch per run.
 type SimCache struct {
-	sims    []*Simulator      // MRU order, most recent first
-	batches []*BatchSimulator // MRU order, most recent first
-	stats   CacheStats
+	sims  []*Simulator // MRU order, most recent first
+	stats CacheStats
 }
 
-// CacheStats counts a SimCache's lookups, split by MRU list. A hit
-// serves the run from a resident simulator; a miss pays a full
-// NewSimulator/NewBatchSimulator build. Plain (non-atomic) counters:
-// the cache itself is single-goroutine, and telemetry publishes a copy.
+// CacheStats counts a SimCache's lookups. A hit serves the run from a
+// resident simulator; a miss pays a full NewSimulator build. Plain
+// (non-atomic) counters: the cache itself is single-goroutine, and
+// telemetry publishes a copy.
 type CacheStats struct {
-	SoloHits    uint64
-	SoloMisses  uint64
-	BatchHits   uint64
-	BatchMisses uint64
+	Hits   uint64
+	Misses uint64
 }
 
 // Stats returns the cache's lookup counters so far.
@@ -866,11 +851,11 @@ func (c *SimCache) get(g *graph.Graph) (*Simulator, error) {
 				copy(c.sims[1:i+1], c.sims[:i])
 				c.sims[0] = s
 			}
-			c.stats.SoloHits++
+			c.stats.Hits++
 			return s, nil
 		}
 	}
-	c.stats.SoloMisses++
+	c.stats.Misses++
 	s, err := NewSimulator(g, Config{Graph: g})
 	if err != nil {
 		return nil, err
@@ -882,35 +867,6 @@ func (c *SimCache) get(g *graph.Graph) (*Simulator, error) {
 		c.sims = c.sims[:simCacheCap]
 	}
 	return s, nil
-}
-
-// getBatch returns the cached BatchSimulator for g, creating and
-// caching it on a miss (same MRU policy as get, separate list: a cell's
-// batched trials and an algorithm's solo derived-graph runs do not
-// evict each other).
-func (c *SimCache) getBatch(g *graph.Graph) (*BatchSimulator, error) {
-	for i, b := range c.batches {
-		if b.g == g {
-			if i != 0 {
-				copy(c.batches[1:i+1], c.batches[:i])
-				c.batches[0] = b
-			}
-			c.stats.BatchHits++
-			return b, nil
-		}
-	}
-	c.stats.BatchMisses++
-	b, err := NewBatchSimulator(g)
-	if err != nil {
-		return nil, err
-	}
-	c.batches = append(c.batches, nil)
-	copy(c.batches[1:], c.batches)
-	c.batches[0] = b
-	if len(c.batches) > simCacheCap {
-		c.batches = c.batches[:simCacheCap]
-	}
-	return b, nil
 }
 
 // Len reports the number of cached simulators (for tests).

@@ -8,61 +8,54 @@ import (
 	"repro/internal/telemetry"
 )
 
-func telemetrySpec(batchw int) Spec {
+func telemetrySpec() Spec {
 	return Spec{
 		Topologies: []Topology{{Kind: "clique", N: 6}, {Kind: "path", N: 8}},
 		Trials:     24,
 		MasterSeed: 7,
-		BatchW:     batchw,
 	}
 }
 
 // The manifest's deterministic fields — committed counts, labels, stop
-// reasons — must be bit-identical for every worker count and batching
-// width, and the report must be byte-identical with telemetry on or off
-// (the attached event log is provenance, never part of the contract).
-func TestTelemetryDeterministicAcrossWorkersAndBatchW(t *testing.T) {
+// reasons — must be bit-identical for every worker count, and the report
+// must be byte-identical with telemetry on or off (the attached event
+// log is provenance, never part of the contract).
+func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	var wantDet []byte
 	var wantReport []byte
-	for _, batchw := range []int{1, 16} {
-		for _, workers := range []int{1, 4, 8} {
-			rec := telemetry.New()
-			lg, err := telemetry.CreateEventLog(filepath.Join(t.TempDir(), "events.jsonl"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.SetEventLog(lg)
-			rep, err := Run(telemetrySpec(batchw), Options{Workers: workers, Telemetry: rec})
-			if err != nil {
-				t.Fatalf("workers=%d batchw=%d: %v", workers, batchw, err)
-			}
-			if err := lg.Close(); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := rep.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if wantReport == nil {
-				wantReport = buf.Bytes()
-			} else if !bytes.Equal(wantReport, buf.Bytes()) {
-				t.Errorf("workers=%d batchw=%d: report differs from workers=1 batchw=1", workers, batchw)
-			}
-			// BatchW is deliberately excluded from the pinned spec echo: it
-			// is a throughput knob, not part of the experiment's identity.
-			spec := telemetrySpec(batchw)
-			spec.BatchW = 0
-			m := rec.BuildManifest("sweep", spec, nil, workers, batchw)
-			det, err := m.DeterministicJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantDet == nil {
-				wantDet = det
-			} else if !bytes.Equal(wantDet, det) {
-				t.Errorf("workers=%d batchw=%d: deterministic manifest differs:\n%s\nvs\n%s",
-					workers, batchw, wantDet, det)
-			}
+	for _, workers := range []int{1, 4, 8} {
+		rec := telemetry.New()
+		lg, err := telemetry.CreateEventLog(filepath.Join(t.TempDir(), "events.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.SetEventLog(lg)
+		rep, err := Run(telemetrySpec(), Options{Workers: workers, Telemetry: rec})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if wantReport == nil {
+			wantReport = buf.Bytes()
+		} else if !bytes.Equal(wantReport, buf.Bytes()) {
+			t.Errorf("workers=%d: report differs from workers=1", workers)
+		}
+		m := rec.BuildManifest("sweep", telemetrySpec(), nil, workers)
+		det, err := m.DeterministicJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantDet == nil {
+			wantDet = det
+		} else if !bytes.Equal(wantDet, det) {
+			t.Errorf("workers=%d: deterministic manifest differs:\n%s\nvs\n%s",
+				workers, wantDet, det)
 		}
 	}
 }
@@ -71,7 +64,7 @@ func TestTelemetryDeterministicAcrossWorkersAndBatchW(t *testing.T) {
 // counters must agree with the matrix size.
 func TestTelemetryCountsFixedSweep(t *testing.T) {
 	rec := telemetry.New()
-	spec := telemetrySpec(8)
+	spec := telemetrySpec()
 	if _, err := Run(spec, Options{Workers: 3, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +82,8 @@ func TestTelemetryCountsFixedSweep(t *testing.T) {
 	if s.CellsDone != 2 || s.CellsTotal != 2 {
 		t.Fatalf("cells %d/%d, want 2/2", s.CellsDone, s.CellsTotal)
 	}
-	// BatchW=8 on a batchable workload runs through the batch MRU.
-	if s.SimCache.BatchHits+s.SimCache.BatchMisses == 0 {
-		t.Fatal("no batch-cache traffic counted")
+	if s.SimCache.Hits == 0 || s.SimCache.Misses == 0 {
+		t.Fatalf("simulator-cache traffic not counted: %+v", s.SimCache)
 	}
 	for _, c := range rec.Cells() {
 		if c.Trials != uint64(spec.Trials) || c.Stop != "done" {

@@ -149,7 +149,7 @@ func TestFleetAggregation(t *testing.T) {
 		h.Observe(time.Millisecond)
 		return Snapshot{
 			TrialsRun: run, SlotsSimulated: slots, BatchesInFlight: inflight,
-			SimCache:  CacheCounts{SoloHits: run},
+			SimCache:  CacheCounts{Hits: run},
 			Latencies: map[string]HistogramSnapshot{LatencyBatch: h.Snapshot()},
 		}
 	}
@@ -165,8 +165,8 @@ func TestFleetAggregation(t *testing.T) {
 	if s.TrialsCommitted != 30 {
 		t.Fatalf("committed = %d, want 30 (coordinator-side only)", s.TrialsCommitted)
 	}
-	if s.SimCache.SoloHits != 30 {
-		t.Fatalf("cache hits = %d, want 30", s.SimCache.SoloHits)
+	if s.SimCache.Hits != 30 {
+		t.Fatalf("cache hits = %d, want 30", s.SimCache.Hits)
 	}
 	if s.Latencies[LatencyBatch].Count != 2 {
 		t.Fatalf("merged batch histogram count = %d, want 2", s.Latencies[LatencyBatch].Count)

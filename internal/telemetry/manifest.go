@@ -7,7 +7,7 @@ import (
 )
 
 // Manifest is the provenance record written next to every report: what
-// was run (spec, seed, worker/batch config), what it cost (counters,
+// was run (spec, seed, worker count), what it cost (counters,
 // phase and per-cell timings), and how each cell stopped. It is the
 // record a content-addressable result store would key on (ROADMAP item
 // 5): DeterministicJSON extracts the subset that is a pure function of
@@ -34,7 +34,6 @@ type Manifest struct {
 	Adaptive any `json:"adaptive,omitempty"`
 
 	Workers int `json:"workers,omitempty"`
-	BatchW  int `json:"batchw,omitempty"`
 
 	Snapshot      Snapshot     `json:"snapshot"`
 	Phases        []Phase      `json:"phases,omitempty"`
@@ -59,9 +58,8 @@ type deterministicCell struct {
 
 // BuildManifest closes the recorder's current phase and assembles the
 // manifest. spec and adaptive are echoed verbatim (either may be nil).
-func (r *Recorder) BuildManifest(tool string, spec, adaptive any, workers, batchw int) Manifest {
-	m := Manifest{Tool: tool, Version: CodeVersion(), Spec: spec, Adaptive: adaptive,
-		Workers: workers, BatchW: batchw}
+func (r *Recorder) BuildManifest(tool string, spec, adaptive any, workers int) Manifest {
+	m := Manifest{Tool: tool, Version: CodeVersion(), Spec: spec, Adaptive: adaptive, Workers: workers}
 	if r == nil {
 		return m
 	}
@@ -102,8 +100,9 @@ func (m Manifest) WriteFile(path string) error {
 // function of the spec and the code version — committed trial counts,
 // injected-fault counts, stop reasons, cell labels, and convergence
 // traces — excluding every timing and every scheduling-dependent
-// counter (trials run, slots, cache traffic, fsyncs, status address). Two runs of the same spec at any -workers / -batchw produce
-// identical bytes; the determinism tests pin exactly this.
+// counter (trials run, slots, cache traffic, fsyncs, status address).
+// Two runs of the same spec at any -workers produce identical bytes;
+// the determinism tests pin exactly this.
 func (m Manifest) DeterministicJSON() ([]byte, error) {
 	cells := make([]deterministicCell, len(m.Cells))
 	for i, c := range m.Cells {

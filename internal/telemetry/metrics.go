@@ -62,14 +62,10 @@ func (r *Recorder) WriteMetrics(w io.Writer) {
 	writeSample(w, "sweep_faults_injected_total", `kind="crash"`, float64(s.FaultCrashes))
 	writeSample(w, "sweep_faults_injected_total", `kind="sleep"`, float64(s.FaultSleeps))
 	writeSample(w, "sweep_faults_injected_total", `kind="erasure"`, float64(s.FaultErasures))
-	writeHeader(w, "sweep_simcache_hits_total", "counter",
-		"Simulator-cache hits, by engine list (solo simulators vs batch engines).")
-	writeSample(w, "sweep_simcache_hits_total", `engine="solo"`, float64(s.SimCache.SoloHits))
-	writeSample(w, "sweep_simcache_hits_total", `engine="batch"`, float64(s.SimCache.BatchHits))
-	writeHeader(w, "sweep_simcache_misses_total", "counter",
-		"Simulator-cache misses, by engine list.")
-	writeSample(w, "sweep_simcache_misses_total", `engine="solo"`, float64(s.SimCache.SoloMisses))
-	writeSample(w, "sweep_simcache_misses_total", `engine="batch"`, float64(s.SimCache.BatchMisses))
+	writeMetric(w, "sweep_simcache_hits_total", "counter",
+		"Simulator-cache hits.", float64(s.SimCache.Hits))
+	writeMetric(w, "sweep_simcache_misses_total", "counter",
+		"Simulator-cache misses.", float64(s.SimCache.Misses))
 
 	keys := make([]string, 0, len(s.Latencies))
 	for k := range s.Latencies {

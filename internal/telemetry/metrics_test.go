@@ -22,7 +22,7 @@ func TestMetricsExposition(t *testing.T) {
 	sh := r.Shard(0)
 	sh.BatchStart()
 	sh.BatchDone(0, 10, 1000, time.Millisecond)
-	sh.SetCache(CacheCounts{SoloHits: 3, BatchMisses: 2})
+	sh.SetCache(CacheCounts{Hits: 3, Misses: 2})
 	r.CommitTrials(0, 42)
 	r.CommitFaults(1, 2, 3)
 	r.JournalFsync(time.Microsecond)
@@ -113,6 +113,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v := values[`sweep_faults_injected_total{kind="sleep"}`]; v != 2 {
 		t.Fatalf("sleep faults = %v, want 2", v)
+	}
+	if h, m := values["sweep_simcache_hits_total"], values["sweep_simcache_misses_total"]; h != 3 || m != 2 {
+		t.Fatalf("simcache hits/misses = %v/%v, want 3/2", h, m)
 	}
 	if v := values["sweep_fabric_workers"]; v != 2 {
 		t.Fatalf("appender gauge = %v, want 2", v)

@@ -36,7 +36,7 @@
 //
 // Committed-trial counts, stop reasons, and convergence traces are pure
 // functions of the spec and controller parameters — bit-identical for
-// any worker count, batching width, interruption or resume — and are
+// any worker count, interruption or resume — and are
 // what Manifest.DeterministicJSON pins. Wall-clock figures (phase and
 // per-cell timings, elapsed seconds) and scheduling-dependent counters
 // (speculative trials, cache hits, fsyncs, batches in flight) are
@@ -52,15 +52,12 @@ import (
 	"time"
 )
 
-// CacheCounts mirrors radio.SimCache's hit/miss counters, split by the
-// cache's two MRU lists (solo simulators and batch engines). Counts are
+// CacheCounts mirrors radio.SimCache's hit/miss counters. Counts are
 // scheduling-dependent: which worker's cache serves a trial depends on
 // job distribution.
 type CacheCounts struct {
-	SoloHits    uint64 `json:"soloHits"`
-	SoloMisses  uint64 `json:"soloMisses"`
-	BatchHits   uint64 `json:"batchHits"`
-	BatchMisses uint64 `json:"batchMisses"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 }
 
 // Snapshot is one immutable aggregate of the recorder's counters, merged
@@ -157,12 +154,12 @@ type Shard struct {
 	slots     atomic.Uint64
 	inflight  atomic.Int64
 	// cache holds the owner worker's SimCache counters as absolute
-	// values (Store, not Add): solo hits/misses, batch hits/misses.
-	cache [4]atomic.Uint64
+	// values (Store, not Add): hits, misses.
+	cache [2]atomic.Uint64
 	// batch is the shard-local batch-latency histogram (one Observe per
 	// BatchDone, merged into Snapshot.Latencies[LatencyBatch] on read).
 	batch Histogram
-	_     [40]byte
+	_     [56]byte
 }
 
 // BatchStart marks one trial batch as in flight.
@@ -194,10 +191,8 @@ func (s *Shard) SetCache(c CacheCounts) {
 	if s == nil {
 		return
 	}
-	s.cache[0].Store(c.SoloHits)
-	s.cache[1].Store(c.SoloMisses)
-	s.cache[2].Store(c.BatchHits)
-	s.cache[3].Store(c.BatchMisses)
+	s.cache[0].Store(c.Hits)
+	s.cache[1].Store(c.Misses)
 }
 
 // Recorder is the run-wide collector. The zero value is unusable; New
@@ -306,7 +301,7 @@ func (r *Recorder) Shard(i int) *Shard {
 // CommitTrials folds n committed trials into cell's count, returning
 // the cell's new committed total. Committed counts are the
 // deterministic spine of the telemetry: for a fixed spec they are
-// bit-identical for any worker count or batching width.
+// bit-identical for any worker count.
 func (r *Recorder) CommitTrials(cell, n int) uint64 {
 	if r == nil {
 		return 0
@@ -558,10 +553,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.TrialsRun += sh.trialsRun.Load()
 		s.SlotsSimulated += sh.slots.Load()
 		s.BatchesInFlight += sh.inflight.Load()
-		s.SimCache.SoloHits += sh.cache[0].Load()
-		s.SimCache.SoloMisses += sh.cache[1].Load()
-		s.SimCache.BatchHits += sh.cache[2].Load()
-		s.SimCache.BatchMisses += sh.cache[3].Load()
+		s.SimCache.Hits += sh.cache[0].Load()
+		s.SimCache.Misses += sh.cache[1].Load()
 		addLat(LatencyBatch, sh.batch.Snapshot())
 	}
 	addLat(LatencyJournalFsync, r.fsyncLat.Snapshot())
@@ -571,10 +564,8 @@ func (r *Recorder) Snapshot() Snapshot {
 	for _, w := range r.workers {
 		s.TrialsRun += w.Snapshot.TrialsRun
 		s.SlotsSimulated += w.Snapshot.SlotsSimulated
-		s.SimCache.SoloHits += w.Snapshot.SimCache.SoloHits
-		s.SimCache.SoloMisses += w.Snapshot.SimCache.SoloMisses
-		s.SimCache.BatchHits += w.Snapshot.SimCache.BatchHits
-		s.SimCache.BatchMisses += w.Snapshot.SimCache.BatchMisses
+		s.SimCache.Hits += w.Snapshot.SimCache.Hits
+		s.SimCache.Misses += w.Snapshot.SimCache.Misses
 		if !w.Stale {
 			s.BatchesInFlight += w.Snapshot.BatchesInFlight
 		}

@@ -134,46 +134,6 @@ func (broadcastWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options)
 	return m, nil
 }
 
-// RunBatch implements BatchRunner: one core.BroadcastBatch call covers
-// all seeds, sharing the plan work (diameter, protocol constants) and
-// the lockstep batch engine across the chunk. With an active fault spec
-// a second, fault-free batch over the same seeds supplies the
-// energy-overhead twins, keeping batch rows bit-identical to solo runs.
-func (broadcastWorkload) RunBatch(g *graph.Graph, pt Point, seeds []uint64, opt Options) ([]Measures, []error) {
-	opts := broadcastOptions(pt.Value.(broadcastPoint), opt)
-	ress, errs, err := core.BroadcastBatch(g, opt.Source, seeds, append(opts, core.WithFault(opt.Fault))...)
-	if err != nil {
-		// Whole-batch failures are seed-independent validation or plan
-		// errors: every solo trial would report the same error.
-		return fanError(len(seeds), err)
-	}
-	var twins []*core.Result
-	if opt.Fault.Active() {
-		var terrs []error
-		var terr error
-		twins, terrs, terr = core.BroadcastBatch(g, opt.Source, seeds, opts...)
-		if terr != nil {
-			return fanError(len(seeds), twinErr(terr))
-		}
-		for i, e := range terrs {
-			if errs[i] == nil && e != nil {
-				errs[i] = twinErr(e)
-			}
-		}
-	}
-	ms := make([]Measures, len(seeds))
-	for i, res := range ress {
-		if errs[i] != nil {
-			continue
-		}
-		ms[i] = broadcastMeasures(res)
-		if twins != nil {
-			ms[i].Extra = faultExtras(g.N(), res, twins[i])
-		}
-	}
-	return ms, errs
-}
-
 // faultExtras computes the graceful-degradation columns of a faulted
 // trial from its result and its same-seed fault-free twin. The overhead
 // column is signed: crash faults can finish cheaper than the twin.
@@ -190,20 +150,9 @@ func faultExtras(n int, res, twin *core.Result) []Sample {
 	}
 }
 
-// twinErr labels a fault-free twin run's failure, keeping solo and batch
-// error strings identical.
+// twinErr labels a fault-free twin run's failure.
 func twinErr(err error) error {
 	return fmt.Errorf("workload: fault-free twin: %w", err)
-}
-
-// fanError reports one seed-independent error for every trial of a
-// batch, preserving the exact error string a solo Run would produce.
-func fanError(w int, err error) ([]Measures, []error) {
-	errs := make([]error, w)
-	for i := range errs {
-		errs[i] = err
-	}
-	return make([]Measures, w), errs
 }
 
 // countInformed counts the true entries of an informed vector.
@@ -330,47 +279,6 @@ func (msrcWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options) (Mea
 	m := msrcMeasures(g, res)
 	m.Extra = append(m.Extra, faultExtras(g.N(), res, twin)...)
 	return m, nil
-}
-
-// RunBatch implements BatchRunner for the k-source workload; see the
-// broadcast RunBatch for the fault-free twin batch.
-func (msrcWorkload) RunBatch(g *graph.Graph, pt Point, seeds []uint64, opt Options) ([]Measures, []error) {
-	mp := pt.Value.(msrcPoint)
-	if mp.k > g.N() {
-		return fanError(len(seeds),
-			fmt.Errorf("workload msrc: k=%d exceeds n=%d of %s", mp.k, g.N(), g.Name()))
-	}
-	srcs := SpreadSources(g.N(), mp.k, opt.Source)
-	opts := msrcOptions(srcs, opt)
-	ress, errs, err := core.BroadcastBatch(g, srcs[0], seeds, append(opts, core.WithFault(opt.Fault))...)
-	if err != nil {
-		return fanError(len(seeds), err)
-	}
-	var twins []*core.Result
-	if opt.Fault.Active() {
-		var terrs []error
-		var terr error
-		twins, terrs, terr = core.BroadcastBatch(g, srcs[0], seeds, opts...)
-		if terr != nil {
-			return fanError(len(seeds), twinErr(terr))
-		}
-		for i, e := range terrs {
-			if errs[i] == nil && e != nil {
-				errs[i] = twinErr(e)
-			}
-		}
-	}
-	ms := make([]Measures, len(seeds))
-	for i, res := range ress {
-		if errs[i] != nil {
-			continue
-		}
-		ms[i] = msrcMeasures(g, res)
-		if twins != nil {
-			ms[i].Extra = append(ms[i].Extra, faultExtras(g.N(), res, twins[i])...)
-		}
-	}
-	return ms, errs
 }
 
 // msrcMeasures maps one k-source result to its measurement row,

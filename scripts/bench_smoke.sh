@@ -21,7 +21,7 @@ out="${1:-bench-smoke.json}"
 baseline="${2:-BENCH_pr4.json}"
 
 go test -run '^$' \
-  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBatchSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$' \
+  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$' \
   -benchmem -benchtime=100x . |
   awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     /^Benchmark/ {
@@ -29,7 +29,7 @@ go test -run '^$' \
       sub(/^Benchmark/, "", name)
       sub(/-[0-9]+$/, "", name)
       # Measurements are keyed by their unit token, not column position:
-      # benchmarks with custom metrics (runs/s, trials/s) interleave extra
+      # benchmarks with custom metrics (trials/s) interleave extra
       # value/unit pairs between ns/op and the -benchmem columns.
       ns = by = al = "null"
       for (i = 3; i < NF; i += 2) {

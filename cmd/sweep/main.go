@@ -80,11 +80,9 @@
 // redial window. The coordinator side guarantees report bytes
 // identical to a single-machine run at any worker count.
 //
-// -raw streams one CSV row per trial (cell id, trial index, seed,
+// -raw writes one CSV row per trial (cell id, trial index, seed,
 // slots, max/total energy, events, informed count, completion, error)
-// as trials finish, in deterministic (cell, trial) order — million-trial
-// sweeps write to disk incrementally instead of buffering rows in
-// memory.
+// once the sweep's trials finish, in deterministic (cell, trial) order.
 //
 // -cpuprofile / -memprofile / -trace write pprof profiles and a
 // runtime/trace of the sweep itself, so engine performance work can
@@ -121,38 +119,19 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
-type topoFlags []string
-
-func (t *topoFlags) String() string { return fmt.Sprint(*t) }
-func (t *topoFlags) Set(s string) error {
-	*t = append(*t, s)
-	return nil
-}
-
 func main() {
-	var topos, wparams, faults topoFlags
-	flag.Var(&topos, "topo", "topology spec kind:sizes[:opts] (repeatable)")
-	flag.Var(&faults, "fault", "fault-injection spec kind:rates[:w=window] with kinds crash, sleep, loss; comma-separated rates expand into a grid (repeatable)")
-	models := flag.String("models", "nocd", "comma-separated models: nocd,cd,cdstar,local")
-	algos := flag.String("algos", "auto", "comma-separated algorithms (core.Algorithm names)")
-	wl := flag.String("workload", "broadcast",
-		"workload scenario: "+strings.Join(workload.Names(), ", "))
-	flag.Var(&wparams, "wparam", "workload parameter key=value; comma-separated values expand into a grid (repeatable)")
-	trials := flag.Int("trials", 100, "trials per matrix cell")
-	seed := flag.Uint64("seed", 1, "master seed for per-trial seed derivation")
-	source := flag.Int("source", 0, "broadcast source vertex")
+	m := cli.Register(flag.CommandLine)
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	lean := flag.Bool("lean", false, "experiment-scale constants for heavy algorithms")
 	jsonPath := flag.String("json", "", "write aggregate JSON to this file")
 	csvPath := flag.String("csv", "", "write aggregate CSV to this file")
-	rawPath := flag.String("raw", "", "stream per-trial raw CSV (cell, trial, seed, slots, energy, informed, ...) to this file")
+	rawPath := flag.String("raw", "", "write per-trial raw CSV (cell, trial, seed, slots, energy, informed, ...) to this file")
 	progress := flag.Bool("progress", false, "print a periodic one-line progress report with ETA to stderr")
 	eventsPath := flag.String("events", "", "append one JSON line per lifecycle event (cell start/stop, batch commits, checkpoint fsyncs, phase transitions) to this file")
 	status := flag.String("status", "", "serve live run status and pprof over HTTP on this address (e.g. :8080 or 127.0.0.1:0; resolved address printed to stderr)")
@@ -160,14 +139,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the sweep) to this file")
 	tracePath := flag.String("trace", "", "write a runtime/trace of the sweep to this file (view with go tool trace)")
-	ci := flag.Float64("ci", 0, "adaptive stop: target relative CI half-width per cell (0 = fixed -trials; requires -max-trials)")
-	ciMeasure := flag.String("ci-measure", "slots,maxEnergy", "comma-separated measures the -ci rule targets")
-	ciConf := flag.Float64("ci-conf", 0.95, "confidence level of the Student-t intervals")
-	minTrials := flag.Int("min-trials", 0, "adaptive runs: trials before a cell may stop on CI grounds (0 = 2 batches)")
-	maxTrials := flag.Int("max-trials", 0, "adaptive runs: per-cell trial cap (required with -ci)")
-	batch := flag.Int("batch", 0, "adaptive runs: trials per scheduling batch (0 = 100)")
-	checkpoint := flag.String("checkpoint", "", "journal completed batches to this file (implies the adaptive engine; an existing journal is refused, not overwritten — use -resume)")
-	resume := flag.String("resume", "", "continue a checkpointed run from this journal (conflicts with matrix flags)")
 	worker := flag.String("worker", "", "run as a fabric worker for the coordinator (cmd/sweepd) at this host:port; conflicts with every flag except -workers")
 	flag.Parse()
 
@@ -193,10 +164,10 @@ func main() {
 	// reason before any graph is built or file touched.
 	outputs := [][2]string{
 		{"json", *jsonPath}, {"csv", *csvPath}, {"raw", *rawPath},
-		{"checkpoint", *checkpoint}, {"manifest", manifest}, {"events", *eventsPath},
+		{"checkpoint", m.Checkpoint}, {"manifest", manifest}, {"events", *eventsPath},
 		{"cpuprofile", *cpuProfile}, {"memprofile", *memProfile}, {"trace", *tracePath},
 	}
-	if err := validateFlags(*trials, *ci, *maxTrials, *resume, *checkpoint, *rawPath, *csvPath, outputs); err != nil {
+	if err := validateFlags(m, *rawPath, *csvPath, outputs); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
@@ -291,74 +262,31 @@ func main() {
 	}
 
 	// Resume: the journal holds the whole experiment definition.
-	if *resume != "" {
-		runResume(*resume, *workers, *jsonPath, manifest, *progress, rec)
+	if m.Resume != "" {
+		runResume(m.Resume, *workers, *jsonPath, manifest, *progress, rec)
 		return
 	}
 
-	if len(topos) == 0 {
-		fmt.Fprintln(os.Stderr, "sweep: at least one -topo is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	spec := sweep.Spec{Trials: *trials, MasterSeed: *seed, Source: *source, Lean: *lean,
-		Workload: *wl}
-	for _, s := range topos {
-		ts, err := sweep.ParseTopology(s)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Topologies = append(spec.Topologies, ts...)
-	}
-	var err error
-	if spec.Models, err = sweep.ParseModels(*models); err != nil {
+	// The same spec and controller config sweepd builds from these flags;
+	// an unknown workload name or bad grid exits here, before any graph
+	// is built, listing the valid names.
+	cfg, err := m.Build()
+	if err != nil {
 		fatal(err)
 	}
-	if spec.Algorithms, err = sweep.ParseAlgorithms(*algos); err != nil {
-		fatal(err)
-	}
-	if spec.WorkloadParams, err = sweep.ParseWorkloadParams(wparams); err != nil {
-		fatal(err)
-	}
-	for _, s := range faults {
-		fs, err := sweep.ParseFault(s)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Faults = append(spec.Faults, fs...)
-	}
-	// Resolve the workload and its parameter grid up front so an unknown
-	// name or bad grid exits before any graph is built, listing the valid
-	// names.
-	if _, err = spec.Expand(); err != nil {
-		fatal(err)
-	}
+	spec := cfg.Spec
 
 	// Adaptive / checkpointed runs go through the experiment controller.
-	if *ci > 0 || *checkpoint != "" {
-		mt := *maxTrials
-		if mt == 0 {
-			mt = *trials // -checkpoint without -ci: journaled fixed sweep
-		}
-		runAdaptive(experiment.Config{
-			Spec:        spec,
-			BatchSize:   *batch,
-			MinTrials:   *minTrials,
-			MaxTrials:   mt,
-			TargetRelCI: *ci,
-			Confidence:  *ciConf,
-			Measures:    splitMeasures(*ciMeasure),
-			Workers:     *workers,
-			Checkpoint:  *checkpoint,
-			Telemetry:   rec,
-		}, *jsonPath, manifest, *progress)
+	if m.Controlled() {
+		cfg.Workers, cfg.Telemetry = *workers, rec
+		runAdaptive(cfg, *jsonPath, manifest, *progress)
 		return
 	}
 
 	opt := sweep.Options{Workers: *workers, Telemetry: rec}
 	if *rawPath != "" {
-		// The raw export streams trial rows as they complete; buffer the
-		// file writes so million-trial sweeps don't pay a syscall per row.
+		// Buffer the raw export so million-trial sweeps don't pay a
+		// syscall per row.
 		f, err := os.Create(*rawPath)
 		if err != nil {
 			fatal(err)
@@ -384,7 +312,7 @@ func main() {
 		// spec.Expand already validated above, so the error is impossible
 		// here; the cell count sizes the ETA's trial total.
 		cells, _ := spec.Expand()
-		stopProgress = rec.StartProgress(os.Stderr, time.Second, uint64(len(cells))*uint64(*trials), false)
+		stopProgress = rec.StartProgress(os.Stderr, time.Second, uint64(len(cells))*uint64(spec.Trials), false)
 	}
 	rep, err := sweep.Run(spec, opt)
 	if stopProgress != nil {
@@ -408,55 +336,15 @@ func main() {
 	writeManifest(rec, manifest, spec, nil, *workers)
 }
 
-// matrixFlags define the experiment; -resume takes the definition from
-// the journal, so combining them is a conflict.
-var matrixFlags = map[string]bool{
-	"topo": true, "models": true, "algos": true, "workload": true,
-	"wparam": true, "fault": true, "trials": true, "seed": true, "source": true,
-	"lean": true, "ci": true, "ci-measure": true, "ci-conf": true,
-	"min-trials": true, "max-trials": true, "batch": true, "checkpoint": true,
-}
-
-// validateFlags rejects invalid flag combinations up front, before any
-// graph is built or file touched. outputs lists every file-writing flag
-// with its (possibly derived) path so collisions are caught before one
-// output truncates another.
-func validateFlags(trials int, ci float64, maxTrials int, resume, checkpoint, rawPath, csvPath string, outputs [][2]string) error {
-	if trials <= 0 {
-		return fmt.Errorf("-trials must be positive, got %d", trials)
+// validateFlags adds cmd/sweep's own rules to the shared matrix-flag
+// validation: the fixed-sweep-only outputs are refused for runs that go
+// through the experiment controller — the same test main routes on, so
+// validation and execution can never disagree about which engine runs.
+func validateFlags(m *cli.Matrix, rawPath, csvPath string, outputs [][2]string) error {
+	if err := m.Validate(outputs); err != nil {
+		return err
 	}
-	seen := map[string]string{}
-	for _, o := range outputs {
-		name, path := o[0], o[1]
-		if path == "" {
-			continue
-		}
-		if prev, dup := seen[path]; dup {
-			return fmt.Errorf("-%s and -%s both write to %s", prev, name, path)
-		}
-		seen[path] = name
-	}
-	if ci < 0 {
-		return fmt.Errorf("-ci must be non-negative, got %v", ci)
-	}
-	if ci > 0 && maxTrials <= 0 {
-		return errors.New("-ci requires -max-trials (the per-cell cap that bounds a never-converging cell)")
-	}
-	if resume != "" {
-		var conflicts []string
-		flag.Visit(func(f *flag.Flag) {
-			if matrixFlags[f.Name] {
-				conflicts = append(conflicts, "-"+f.Name)
-			}
-		})
-		if len(conflicts) > 0 {
-			return fmt.Errorf("-resume takes the experiment definition from the journal; drop the conflicting flags: %s",
-				strings.Join(conflicts, " "))
-		}
-	}
-	// The same value test main routes on, so validation and execution
-	// can never disagree about which engine runs.
-	if adaptive := ci > 0 || resume != "" || checkpoint != ""; adaptive {
+	if m.Controlled() {
 		if rawPath != "" {
 			return errors.New("-raw is only available for fixed (non-adaptive, non-checkpointed) sweeps")
 		}
@@ -465,17 +353,6 @@ func validateFlags(trials int, ci float64, maxTrials int, resume, checkpoint, ra
 		}
 	}
 	return nil
-}
-
-// splitMeasures parses the -ci-measure list.
-func splitMeasures(s string) []string {
-	var out []string
-	for _, tok := range strings.Split(s, ",") {
-		if tok = strings.TrimSpace(tok); tok != "" {
-			out = append(out, tok)
-		}
-	}
-	return out
 }
 
 // interruptChannel converts the first SIGINT or SIGTERM into a graceful
@@ -506,18 +383,6 @@ func finishAdaptive(rep *experiment.Report, jsonPath string) {
 			fatal(err)
 		}
 	}
-}
-
-// adaptiveMeta is the manifest's record of the controller parameters,
-// as invoked (pre-normalization: zeros mean defaults).
-type adaptiveMeta struct {
-	BatchSize   int      `json:"batchSize,omitempty"`
-	MinTrials   int      `json:"minTrials,omitempty"`
-	MaxTrials   int      `json:"maxTrials"`
-	TargetRelCI float64  `json:"targetRelCI,omitempty"`
-	Confidence  float64  `json:"confidence,omitempty"`
-	Measures    []string `json:"measures,omitempty"`
-	ResumedFrom string   `json:"resumedFrom,omitempty"`
 }
 
 // writeManifest builds and writes the run manifest; a no-op when no
@@ -569,10 +434,7 @@ func runAdaptive(cfg experiment.Config, jsonPath, manifest string, progress bool
 	}
 	cfg.Telemetry.Phase("output")
 	finishAdaptive(rep, jsonPath)
-	writeManifest(cfg.Telemetry, manifest, cfg.Spec, adaptiveMeta{
-		BatchSize: cfg.BatchSize, MinTrials: cfg.MinTrials, MaxTrials: cfg.MaxTrials,
-		TargetRelCI: cfg.TargetRelCI, Confidence: cfg.Confidence, Measures: cfg.Measures,
-	}, cfg.Workers)
+	writeManifest(cfg.Telemetry, manifest, cfg.Spec, cli.MetaOf(cfg), cfg.Workers)
 }
 
 // runWorker joins the fabric coordinator at addr as a worker. The
@@ -632,7 +494,7 @@ func runResume(path string, workers int, jsonPath, manifest string, progress boo
 	}
 	rec.Phase("output")
 	finishAdaptive(rep, jsonPath)
-	writeManifest(rec, manifest, nil, adaptiveMeta{ResumedFrom: path}, workers)
+	writeManifest(rec, manifest, nil, cli.Meta{ResumedFrom: path}, workers)
 }
 
 func writeFile(path string, write func(w io.Writer) error) error {

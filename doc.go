@@ -119,7 +119,11 @@
 // identity is just its trial range, so resuming after a crash (even a
 // SIGKILL that tears the trailing record) re-runs only unjournaled
 // batches and produces aggregate JSON byte-identical to an
-// uninterrupted run. The CLI spelling is
+// uninterrupted run. Local runs are in-process clients of the same
+// lease API the distributed fabric uses (experiment.LeaseController:
+// Next, Admit, Done, Report), and every scheduler — fixed sweeps,
+// local workers, fabric workers — executes batches through one
+// function, sweep.Runner.RunBatch. The CLI spelling is
 //
 //	sweep -topo path:128,256 -models nocd,cd \
 //	      -ci 0.01 -ci-measure slots,maxEnergy \
@@ -136,8 +140,9 @@
 // internal/telemetry instruments the sweep worker pool, the adaptive
 // controller, and the fabric without perturbing either results
 // or performance: a nil *telemetry.Recorder no-ops every hook, and a
-// live one is touched once per trial batch — per-worker padded shards
-// of atomic counters merged only on read, never on the per-slot path
+// live one is touched once per trial batch (in sweep.Runner.RunBatch) —
+// per-worker padded shards of atomic counters merged only on read,
+// never on the per-slot path
 // (BenchmarkSweepTelemetry pins on/off parity; the simulator hot loop
 // stays 0 allocs/op either way). On top of the counters the recorder
 // keeps per-cell convergence traces (relative CI half-width per
@@ -176,11 +181,11 @@
 // positional, so both sides resolve the identical trial stream), fold
 // executed batches into records (experiment.FoldBatch) with moment
 // state in a stable binary encoding (stats wire codec), and stream
-// them back; the coordinator admits results through the same
-// batch-ordered prefix-merge rule the local drive loop uses
-// (experiment.LeaseController). Report JSON and the manifest's
-// deterministic section are byte-identical to a single-machine run at
-// any worker count. Fault tolerance is lease-based: workers silent
+// them back; the coordinator admits results through the
+// batch-ordered prefix-merge rule of experiment.LeaseController, the
+// lease API local runs drive too with in-process workers. Report JSON
+// and the manifest's deterministic section are byte-identical to a
+// single-machine run at any worker count. Fault tolerance is lease-based: workers silent
 // past the lease timeout are evicted and their batches reissued, a
 // SIGKILLed worker's dead socket returns its leases immediately,
 // outstanding batches are duplicated to idle workers near the end of a

@@ -43,10 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-
 	"strings"
-
-	"time"
 
 	"repro/internal/radio"
 	"repro/internal/stats"
@@ -178,94 +175,15 @@ type cellState struct {
 	reason  string
 }
 
-// controller owns one run.
-type controller struct {
-	cfg    Config
-	runner *sweep.Runner
-	// tracked[i] lists cell i's journaled measure columns: the four core
-	// columns then the cell's CI-eligible extras, in column order.
-	tracked [][]workload.MeasureInfo
-	// ciIdx[i] indexes tracked[i] at the Config.Measures targets.
-	ciIdx [][]int
-	cells []*cellState
-	jw    *journalWriter
-	rec   *telemetry.Recorder
-}
-
-// newController resolves the spec and validates the CI measures against
-// every cell's eligibility metadata.
-func newController(cfg Config) (*controller, error) {
-	runner, err := sweep.NewRunner(cfg.Spec)
-	if err != nil {
-		return nil, err
-	}
-	cells := runner.Cells()
-	c := &controller{
-		cfg:     cfg,
-		runner:  runner,
-		tracked: make([][]workload.MeasureInfo, len(cells)),
-		ciIdx:   make([][]int, len(cells)),
-		cells:   make([]*cellState, len(cells)),
-		rec:     cfg.Telemetry,
-	}
-	c.rec.StartCells(runner.CellLabels())
-	c.rec.TraceMeasures(cfg.Measures)
-	maxBatches := (cfg.MaxTrials + cfg.BatchSize - 1) / cfg.BatchSize
-	for i := range cells {
-		// Every measure column is tracked, journaled and reported —
-		// conditional extras (leader's success-only election columns)
-		// simply accumulate fewer samples. Eligibility only restricts
-		// which measures the stopping rule may target. Cells with an
-		// active fault spec also track the graceful-degradation columns
-		// (workload.FaultMeasures), so -ci-measure success works.
-		tracked := workload.CIMeasuresWith(runner.Workload(), cells[i].Point, cells[i].Fault)
-		c.tracked[i] = tracked
-		for _, name := range cfg.Measures {
-			idx := -1
-			for j, m := range tracked {
-				if m.Name == name {
-					if !m.CI {
-						return nil, fmt.Errorf("experiment: measure %q of cell %d (%s) is not CI-eligible (%s); eligible: %s",
-							name, i, runner.Graph(i).Name(), m.Doc, strings.Join(eligibleNames(tracked), ", "))
-					}
-					idx = j
-					break
-				}
-			}
-			if idx < 0 {
-				return nil, fmt.Errorf("experiment: unknown measure %q for cell %d (%s); eligible: %s",
-					name, i, runner.Graph(i).Name(), strings.Join(eligibleNames(tracked), ", "))
-			}
-			c.ciIdx[i] = append(c.ciIdx[i], idx)
-		}
-		c.cells[i] = &cellState{
-			maxBatches: maxBatches,
-			done:       map[int]*BatchRecord{},
-			inflight:   map[int]bool{},
-			moments:    make([]stats.Moments, len(tracked)),
-		}
-	}
-	return c, nil
-}
-
-func eligibleNames(ms []workload.MeasureInfo) []string {
+// eligibleNames lists the CI-eligible measures, for error messages.
+func eligibleNames(ms []workload.MeasureInfo) string {
 	var names []string
 	for _, m := range ms {
 		if m.CI {
 			names = append(names, m.Name)
 		}
 	}
-	return names
-}
-
-// batchBounds returns batch b's trial range.
-func (c *controller) batchBounds(b int) (lo, hi int) {
-	lo = b * c.cfg.BatchSize
-	hi = lo + c.cfg.BatchSize
-	if hi > c.cfg.MaxTrials {
-		hi = c.cfg.MaxTrials
-	}
-	return lo, hi
+	return strings.Join(names, ", ")
 }
 
 // TrackedMeasures lists one cell's tracked measure columns — the four
@@ -320,398 +238,126 @@ func FoldBatch(tracked []workload.MeasureInfo, cell, lo, hi int, trials []sweep.
 	return rec
 }
 
-// record folds one batch's trials into a journal record.
-func (c *controller) record(cell, lo, hi int, trials []sweep.Trial) *BatchRecord {
-	return FoldBatch(c.tracked[cell], cell, lo, hi, trials)
-}
-
-// admit stores a completed batch and advances the cell's committed
-// prefix as far as it now reaches, evaluating the stop rule once per
-// merged batch — the deterministic heart of the controller. Batches
-// landing past a stop point are discarded.
-func (c *controller) admit(cs *cellState, cell int, rec *BatchRecord) error {
-	delete(cs.inflight, rec.Lo/c.cfg.BatchSize)
-	if cs.stopped {
-		return nil
-	}
-	b := rec.Lo / c.cfg.BatchSize
-	if lo, hi := c.batchBounds(b); lo != rec.Lo || hi != rec.Hi {
-		return fmt.Errorf("experiment: batch record [%d,%d) of cell %d off the batch grid", rec.Lo, rec.Hi, cell)
-	}
-	if len(rec.Moments) != len(c.tracked[cell]) {
-		return fmt.Errorf("experiment: batch record of cell %d tracks %d measures, want %d",
-			cell, len(rec.Moments), len(c.tracked[cell]))
-	}
-	if _, dup := cs.done[b]; dup || b < cs.prefix {
-		return nil // replayed duplicate (possible after a torn-tail resume)
-	}
-	cs.done[b] = rec
-	cs.doneCount++
-	for {
-		next, ok := cs.done[cs.prefix]
-		if !ok {
-			break
-		}
-		delete(cs.done, cs.prefix)
-		cs.prefix++
-		cs.trials += next.Hi - next.Lo
-		cs.errors += next.Errors
-		cs.completed += next.Completed
-		for i := range cs.moments {
-			cs.moments[i].Merge(next.Moments[i])
-		}
-		c.rec.CommitTrials(cell, next.Hi-next.Lo)
-		// Fault counts commit with their batch — only on prefix merge,
-		// never for speculative batches — so the manifest totals are as
-		// deterministic as the committed trial counts, and journal replay
-		// rebuilds them identically.
-		c.rec.CommitFaults(uint64(next.Crashes), uint64(next.Sleeps), uint64(next.Erasures))
-		if c.rec.Enabled() {
-			// One convergence-trace point per merged batch: the committed
-			// prefix's relative CI half-width for each targeted measure.
-			// Pure prefix state — identical for any worker count.
-			relCI := make([]float64, len(c.ciIdx[cell]))
-			for i, idx := range c.ciIdx[cell] {
-				relCI[i] = cs.moments[idx].RelCIHalfWidth(c.cfg.Confidence)
-			}
-			c.rec.Trace(cell, cs.prefix-1, cs.trials, relCI)
-		}
-		if c.converged(cell, cs) {
-			cs.stopped, cs.reason = true, "ci"
-		} else if cs.trials >= c.cfg.MaxTrials {
-			cs.stopped, cs.reason = true, "max-trials"
-		}
-		if cs.stopped {
-			c.rec.CellDone(cell, cs.reason)
-			// Anything completed past the stop point is speculation waste;
-			// drop it so the report sees only committed state.
-			for k := range cs.done {
-				delete(cs.done, k)
-			}
-			break
-		}
-	}
-	return nil
-}
-
-// converged evaluates the stopping rule on the committed prefix.
-func (c *controller) converged(cell int, cs *cellState) bool {
-	if c.cfg.TargetRelCI <= 0 || cs.trials < c.cfg.MinTrials {
-		return false
-	}
-	for _, idx := range c.ciIdx[cell] {
-		m := &cs.moments[idx]
-		if m.N < 2 {
-			return false
-		}
-		if m.RelCIHalfWidth(c.cfg.Confidence) > c.cfg.TargetRelCI {
-			return false
-		}
-	}
-	return true
-}
-
-// nextJob picks the next batch to issue: the lowest missing batch of
-// the unstopped cell with the fewest batches in progress or done —
-// which is what reallocates workers from converged cells to the
-// unconverged long tail. Returns ok=false when nothing is issuable.
-func (c *controller) nextJob() (job, bool) {
-	best, bestCount := -1, 0
-	for i, cs := range c.cells {
-		if cs.stopped {
-			continue
-		}
-		count := cs.doneCount + len(cs.inflight)
-		if count >= cs.maxBatches {
-			continue // everything issued already
-		}
-		if best < 0 || count < bestCount {
-			best, bestCount = i, count
-		}
-	}
-	if best < 0 {
-		return job{}, false
-	}
-	cs := c.cells[best]
-	b := cs.prefix
-	for cs.done[b] != nil || cs.inflight[b] {
-		b++
-	}
-	if b >= cs.maxBatches {
-		return job{}, false
-	}
-	cs.inflight[b] = true
-	lo, hi := c.batchBounds(b)
-	return job{cell: best, lo: lo, hi: hi}, true
-}
-
-func (c *controller) allStopped() bool {
-	for _, cs := range c.cells {
-		if !cs.stopped {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *controller) emitProgress() {
-	if c.cfg.Progress == nil {
-		return
-	}
-	p := Progress{Cells: len(c.cells)}
-	for _, cs := range c.cells {
-		if cs.stopped {
-			p.StoppedCells++
-		}
-		p.CommittedTrials += cs.trials
-	}
-	c.cfg.Progress(p)
-}
-
-type job struct {
-	cell, lo, hi int
-}
-
-type result struct {
-	job job
-	rec *BatchRecord
-}
-
-// Run executes the adaptive experiment and returns its report. With
-// Config.Checkpoint set, a fresh journal is written alongside;
-// interruption through Config.Interrupt flushes it and returns
-// ErrInterrupted.
+// Run executes the adaptive experiment on a local worker pool and
+// returns its report. With Config.Checkpoint set, a fresh journal is
+// written alongside; interruption through Config.Interrupt flushes it
+// and returns ErrInterrupted.
 func Run(cfg Config) (*Report, error) {
-	c, err := prepare(cfg)
+	lc, err := NewLeaseController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return c.drive()
+	return runLocal(lc)
 }
 
-// prepare normalizes the configuration, resolves the controller, and —
-// with Config.Checkpoint set — starts a fresh journal. It is the shared
-// setup of Run (local worker pool) and NewLeaseController (fabric
-// coordinator).
-func prepare(cfg Config) (*controller, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	cfg.Telemetry.Phase("resolve")
-	c, err := newController(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Checkpoint != "" {
-		h := header{
-			Magic:       journalMagic,
-			Spec:        cfg.Spec,
-			BatchSize:   cfg.BatchSize,
-			MinTrials:   cfg.MinTrials,
-			MaxTrials:   cfg.MaxTrials,
-			TargetRelCI: cfg.TargetRelCI,
-			Confidence:  cfg.Confidence,
-			Measures:    cfg.Measures,
-		}
-		jw, err := createJournal(cfg.Checkpoint, h)
-		if err != nil {
-			return nil, err
-		}
-		jw.rec = cfg.Telemetry
-		c.jw = jw
-	}
-	return c, nil
-}
-
-// Resume continues a checkpointed run: the journal header reconstructs
-// the configuration, intact batch records replay through the same
-// prefix-merge rule, and only unjournaled batches are re-run. The
-// resulting report is byte-identical to an uninterrupted run's.
+// Resume continues a checkpointed run on a local worker pool: only
+// unjournaled batches are re-run, and the resulting report is
+// byte-identical to an uninterrupted run's.
 func Resume(path string, rc ResumeConfig) (*Report, error) {
-	c, err := prepareResume(path, rc)
+	lc, err := ResumeLeaseController(path, rc)
 	if err != nil {
 		return nil, err
 	}
-	return c.drive()
+	return runLocal(lc)
 }
 
-// prepareResume rebuilds a controller from a checkpoint journal:
-// header to configuration, intact batch records replayed through the
-// prefix-merge rule, journal reopened for appending past the last
-// intact record. Shared by Resume (local) and ResumeLeaseController
-// (fabric coordinator restart).
-func prepareResume(path string, rc ResumeConfig) (*controller, error) {
-	jc, err := journalRead(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := Config{
-		Spec:        jc.header.Spec,
-		BatchSize:   jc.header.BatchSize,
-		MinTrials:   jc.header.MinTrials,
-		MaxTrials:   jc.header.MaxTrials,
-		TargetRelCI: jc.header.TargetRelCI,
-		Confidence:  jc.header.Confidence,
-		Measures:    jc.header.Measures,
-		Workers:     rc.Workers,
-		Interrupt:   rc.Interrupt,
-		Progress:    rc.Progress,
-		Telemetry:   rc.Telemetry,
-	}
-	// Header values were normalized when written; normalize again only
-	// to validate (it is idempotent on normalized input).
-	if err := cfg.normalize(); err != nil {
-		return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
-	}
-	cfg.Telemetry.Phase("resolve")
-	c, err := newController(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
-	}
-	// Journal replay goes through the same prefix-merge rule as live
-	// results, so committed counts and convergence traces rebuild
-	// bit-identically to the uninterrupted run's.
-	cfg.Telemetry.Phase("replay")
-	for i := range jc.batches {
-		rec := &jc.batches[i]
-		if rec.Cell >= len(c.cells) {
-			return nil, fmt.Errorf("experiment: checkpoint %s: batch for cell %d of %d", path, rec.Cell, len(c.cells))
-		}
-		if err := c.admit(c.cells[rec.Cell], rec.Cell, rec); err != nil {
-			return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
-		}
-	}
-	jw, err := openJournalAppend(path, jc.trusted)
-	if err != nil {
-		return nil, err
-	}
-	jw.rec = cfg.Telemetry
-	c.jw = jw
-	return c, nil
-}
-
-// drive is the coordinator loop: issue jobs, collect batch records,
-// journal and merge them. All controller state is touched only here.
-func (c *controller) drive() (*Report, error) {
-	if c.jw != nil {
-		defer c.jw.close()
-	}
-	workers := c.cfg.Workers
+// runLocal drives a lease controller with Config.Workers in-process
+// workers. The calling goroutine is the coordinator — the only one
+// touching lc, through the same Next/Admit/Done/Report calls a fabric
+// coordinator makes — and each worker executes leases with
+// Runner.RunBatch and folds them with FoldBatch, exactly as a remote
+// fabric worker does.
+func runLocal(lc *LeaseController) (*Report, error) {
+	defer lc.Close()
+	cfg, runner := lc.Config(), lc.Runner()
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	c.rec.Shards(workers)
-	c.rec.Phase("trials")
-	jobs := make(chan job)
-	results := make(chan result, workers)
+	cfg.Telemetry.Shards(workers)
+	cfg.Telemetry.Phase("trials")
+	leases := make(chan Lease)
+	// One slot per worker: each holds at most one unadmitted result.
+	results := make(chan *BatchRecord, workers)
+	defer close(leases)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func(sh *telemetry.Shard) {
 			sims := &radio.SimCache{}
-			// sh is nil when telemetry is disabled; updates are per-batch.
-			sh := c.rec.Shard(w)
-			for j := range jobs {
-				buf := make([]sweep.Trial, j.hi-j.lo)
-				var t0 time.Time
-				if sh != nil {
-					sh.BatchStart()
-					t0 = time.Now()
-				}
-				c.runner.RunTrials(j.cell, j.lo, j.hi, sims, buf)
-				if sh != nil {
-					var slots uint64
-					for i := range buf {
-						slots += buf[i].Slots
-					}
-					sh.BatchDone(j.cell, j.hi-j.lo, slots, time.Since(t0))
-					sh.SetCache(telemetry.CacheCounts(sims.Stats()))
-				}
-				results <- result{job: j, rec: c.record(j.cell, j.lo, j.hi, buf)}
+			for l := range leases {
+				buf := make([]sweep.Trial, l.Hi-l.Lo)
+				runner.RunBatch(l.Cell, l.Lo, l.Hi, sims, sh, buf)
+				results <- FoldBatch(lc.tracked[l.Cell], l.Cell, l.Lo, l.Hi, buf)
 			}
-		}(w)
+		}(cfg.Telemetry.Shard(w))
 	}
 
 	outstanding := 0
 	interrupted := false
 	var firstErr error
-	intr := c.cfg.Interrupt
-	pending, havePending := c.nextJob()
+	intr := cfg.Interrupt
+	pending, havePending := lc.Next()
 	for {
-		if (c.allStopped() || interrupted || firstErr != nil) && outstanding == 0 {
+		draining := interrupted || firstErr != nil
+		if (lc.Done() || draining) && outstanding == 0 {
 			break
 		}
-		var jch chan job
-		if havePending && !interrupted && firstErr == nil {
-			jch = jobs
+		var out chan Lease
+		if havePending && !draining {
+			out = leases
 		}
-		if jch == nil && outstanding == 0 {
+		if out == nil && outstanding == 0 {
 			// Nothing issuable and nothing running: cells must be blocked
 			// on stop decisions that will never change. This state is
-			// unreachable when allStopped is false — guard anyway.
+			// unreachable while a cell is unstopped — guard anyway.
 			break
 		}
 		select {
-		case jch <- pending:
+		case out <- pending:
 			outstanding++
-			pending, havePending = c.nextJob()
-		case r := <-results:
+			pending, havePending = lc.Next()
+		case rec := <-results:
 			outstanding--
-			if err := c.handleResult(r); err != nil && firstErr == nil {
+			if _, err := lc.Admit(rec); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			if !havePending {
-				pending, havePending = c.nextJob()
+				pending, havePending = lc.Next()
 			}
 		case <-intr:
 			// A closed Interrupt channel stays receivable; nil it so the
 			// drain loop doesn't spin on it.
-			interrupted = true
-			intr = nil
+			interrupted, intr = true, nil
 		}
 	}
-	close(jobs)
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	if interrupted {
 		return nil, ErrInterrupted
 	}
-	return c.report(), nil
+	return lc.Report(), nil
 }
 
-// handleResult journals and merges one completed batch.
-func (c *controller) handleResult(r result) error {
-	cs := c.cells[r.job.cell]
-	if c.jw != nil && !cs.stopped {
-		if err := c.jw.append(r.rec); err != nil {
-			return err
-		}
-	}
-	if err := c.admit(cs, r.job.cell, r.rec); err != nil {
-		return err
-	}
-	c.emitProgress()
-	return nil
-}
-
-// report assembles the committed state. Everything here derives from
-// prefix merges in batch order, so the serialization is bit-identical
-// for any worker count, interruption pattern, or resume.
-func (c *controller) report() *Report {
+// Report assembles the committed state — call after Done. Everything
+// here derives from prefix merges in batch order, so the serialization
+// is bit-identical for any worker count, fabric size, interruption
+// pattern, or resume.
+func (lc *LeaseController) Report() *Report {
 	rep := &Report{
-		MasterSeed:  c.cfg.Spec.MasterSeed,
-		BatchSize:   c.cfg.BatchSize,
-		MinTrials:   c.cfg.MinTrials,
-		MaxTrials:   c.cfg.MaxTrials,
-		TargetRelCI: c.cfg.TargetRelCI,
-		Confidence:  c.cfg.Confidence,
-		CIMeasures:  c.cfg.Measures,
+		MasterSeed:  lc.cfg.Spec.MasterSeed,
+		BatchSize:   lc.cfg.BatchSize,
+		MinTrials:   lc.cfg.MinTrials,
+		MaxTrials:   lc.cfg.MaxTrials,
+		TargetRelCI: lc.cfg.TargetRelCI,
+		Confidence:  lc.cfg.Confidence,
+		CIMeasures:  lc.cfg.Measures,
 	}
-	if name := c.runner.Workload().Name(); name != "broadcast" {
+	if name := lc.runner.Workload().Name(); name != "broadcast" {
 		rep.Workload = name
 	}
-	cells := c.runner.Cells()
-	for i, cs := range c.cells {
-		g := c.runner.Graph(i)
+	cells := lc.runner.Cells()
+	for i, cs := range lc.cells {
+		g := lc.runner.Graph(i)
 		cr := CellResult{
 			Graph:     g.Name(),
 			N:         g.N(),
@@ -725,9 +371,9 @@ func (c *controller) report() *Report {
 			Errors:    cs.errors,
 			Stop:      cs.reason,
 		}
-		for j, m := range c.tracked[i] {
+		for j, m := range lc.tracked[i] {
 			mm := cs.moments[j]
-			rel := mm.RelCIHalfWidth(c.cfg.Confidence)
+			rel := mm.RelCIHalfWidth(lc.cfg.Confidence)
 			if rel != rel || rel > 1e300 { // NaN-free JSON: +Inf -> -1 sentinel
 				rel = -1
 			}
@@ -738,7 +384,7 @@ func (c *controller) report() *Report {
 				StdDev: mm.StdDev(),
 				Min:    mm.Min,
 				Max:    mm.Max,
-				CI:     mm.CIHalfWidth(c.cfg.Confidence),
+				CI:     mm.CIHalfWidth(lc.cfg.Confidence),
 				RelCI:  rel,
 			})
 		}

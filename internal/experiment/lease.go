@@ -1,19 +1,23 @@
 package experiment
 
-// The lease controller is the adaptive controller's batch-granular face
-// for the distributed sweep fabric (internal/fabric): instead of
-// driving a local worker pool, a coordinator asks for (cell, lo, hi)
-// leases one at a time, hands them to remote workers, and feeds the
-// returned batch records back through Admit — the exact prefix-merge
-// admission the local drive loop uses, which is what makes the fabric's
-// report, committed trial counts and convergence traces byte-identical
-// to a single-machine run at any worker count, lease reassignment
-// pattern, or coordinator restart.
+// The lease controller is the adaptive controller's batch-granular
+// API: a coordinator asks for (cell, lo, hi) leases one at a time, hands
+// them to workers, and feeds the returned batch records back through
+// Admit — the one prefix-merge admission rule. Run and Resume drive it
+// with an in-process worker pool; the distributed sweep fabric
+// (internal/fabric) drives it with remote workers. Both make the same
+// calls, which is what makes the fabric's report, committed trial
+// counts and convergence traces byte-identical to a single-machine run
+// at any worker count, lease reassignment pattern, or coordinator
+// restart.
 
 import (
 	"fmt"
 
+	"repro/internal/stats"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // Lease identifies one batch-granular work assignment: trials [Lo, Hi)
@@ -26,60 +30,161 @@ type Lease struct {
 	Hi   int `json:"hi"`
 }
 
-// LeaseController exposes the adaptive controller to a coordinator one
-// lease at a time. All methods must be called from a single goroutine
-// (the coordinator's event loop) — the controller has no internal
-// locking, exactly like the local drive loop.
+// LeaseController owns one adaptive run and exposes it to a
+// coordinator one lease at a time. All methods must be called from a
+// single goroutine (the coordinator's event loop): the controller has
+// no internal locking.
 type LeaseController struct {
-	c *controller
+	cfg    Config
+	runner *sweep.Runner
+	// tracked[i] lists cell i's journaled measure columns: the four core
+	// columns then the cell's CI-eligible extras, in column order.
+	// Read-only after construction.
+	tracked [][]workload.MeasureInfo
+	// ciIdx[i] indexes tracked[i] at the Config.Measures targets.
+	ciIdx [][]int
+	cells []*cellState
+	jw    *journalWriter
+	rec   *telemetry.Recorder
 }
 
-// NewLeaseController builds a lease controller for a fresh run. The
-// configuration is normalized and validated exactly as Run's is, and
-// Config.Checkpoint behaves identically (fresh journal, existing file
-// refused). Config.Workers and Config.Interrupt are ignored — pool size
-// and interruption are the coordinator's concern.
+// NewLeaseController builds a lease controller for a fresh run: the
+// configuration is normalized and validated, the spec resolved, and —
+// with Config.Checkpoint set — a fresh journal started (an existing
+// file is refused). Config.Workers and Config.Interrupt are read only
+// by Run's local pool; a fabric coordinator sizes and interrupts its
+// own.
 func NewLeaseController(cfg Config) (*LeaseController, error) {
-	c, err := prepare(cfg)
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	cfg.Telemetry.Phase("resolve")
+	lc, err := newLeaseController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &LeaseController{c: c}, nil
+	if cfg.Checkpoint != "" {
+		h := header{
+			Magic:       journalMagic,
+			Spec:        cfg.Spec,
+			BatchSize:   cfg.BatchSize,
+			MinTrials:   cfg.MinTrials,
+			MaxTrials:   cfg.MaxTrials,
+			TargetRelCI: cfg.TargetRelCI,
+			Confidence:  cfg.Confidence,
+			Measures:    cfg.Measures,
+		}
+		jw, err := createJournal(cfg.Checkpoint, h)
+		if err != nil {
+			return nil, err
+		}
+		jw.rec = cfg.Telemetry
+		lc.jw = jw
+	}
+	return lc, nil
 }
 
 // ResumeLeaseController rebuilds a lease controller from a checkpoint
-// journal — the coordinator-restart path: journaled batches replay
-// through the prefix-merge rule, so a coordinator that crashed mid-run
-// re-issues only the batches that were in flight, and the final report
-// stays byte-identical to an uninterrupted run's.
+// journal: the header reconstructs the configuration, intact batch
+// records replay through the prefix-merge rule, and the journal is
+// reopened for appending past the last intact record. A resumed run —
+// local or a restarted fabric coordinator — re-issues only the batches
+// that were in flight, and its report stays byte-identical to an
+// uninterrupted run's.
 func ResumeLeaseController(path string, rc ResumeConfig) (*LeaseController, error) {
-	c, err := prepareResume(path, rc)
+	jc, err := journalRead(path)
 	if err != nil {
 		return nil, err
 	}
-	return &LeaseController{c: c}, nil
+	cfg := Config{
+		Spec:        jc.header.Spec,
+		BatchSize:   jc.header.BatchSize,
+		MinTrials:   jc.header.MinTrials,
+		MaxTrials:   jc.header.MaxTrials,
+		TargetRelCI: jc.header.TargetRelCI,
+		Confidence:  jc.header.Confidence,
+		Measures:    jc.header.Measures,
+		Workers:     rc.Workers,
+		Interrupt:   rc.Interrupt,
+		Progress:    rc.Progress,
+		Telemetry:   rc.Telemetry,
+	}
+	// Header values were normalized when written; normalize again only
+	// to validate (it is idempotent on normalized input).
+	if err := cfg.normalize(); err != nil {
+		return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
+	}
+	cfg.Telemetry.Phase("resolve")
+	lc, err := newLeaseController(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
+	}
+	// Journal replay goes through the same admission check and
+	// prefix-merge rule as live results, so committed counts and
+	// convergence traces rebuild bit-identically to the uninterrupted
+	// run's.
+	cfg.Telemetry.Phase("replay")
+	for i := range jc.batches {
+		rec := &jc.batches[i]
+		fresh, err := lc.check(rec)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
+		}
+		if fresh {
+			lc.merge(rec)
+		}
+	}
+	jw, err := openJournalAppend(path, jc.trusted)
+	if err != nil {
+		return nil, err
+	}
+	jw.rec = cfg.Telemetry
+	lc.jw = jw
+	return lc, nil
 }
 
 // Config returns the normalized configuration (spec, batch size, trial
 // bounds, CI target) — what a coordinator ships to workers in the
 // handshake so both sides resolve the identical Runner and batch grid.
-func (lc *LeaseController) Config() Config { return lc.c.cfg }
+func (lc *LeaseController) Config() Config { return lc.cfg }
 
 // Runner returns the resolved spec runner (for cell labels and counts).
-func (lc *LeaseController) Runner() *sweep.Runner { return lc.c.runner }
+func (lc *LeaseController) Runner() *sweep.Runner { return lc.runner }
 
 // Next issues the next lease: the lowest missing batch of the unstopped
-// cell with the fewest batches done or in flight — the same fairness
-// rule that reallocates local workers to the unconverged long tail.
-// ok is false when every outstanding batch is already leased (or every
-// cell has stopped); admitting or releasing can make Next issuable
-// again.
+// cell with the fewest batches done or in flight — which is what
+// reallocates workers from converged cells to the unconverged long
+// tail. ok is false when every outstanding batch is already leased (or
+// every cell has stopped); admitting or releasing can make Next
+// issuable again.
 func (lc *LeaseController) Next() (l Lease, ok bool) {
-	j, ok := lc.c.nextJob()
-	if !ok {
+	best, bestCount := -1, 0
+	for i, cs := range lc.cells {
+		if cs.stopped {
+			continue
+		}
+		count := cs.doneCount + len(cs.inflight)
+		if count >= cs.maxBatches {
+			continue // everything issued already
+		}
+		if best < 0 || count < bestCount {
+			best, bestCount = i, count
+		}
+	}
+	if best < 0 {
 		return Lease{}, false
 	}
-	return Lease{Cell: j.cell, Lo: j.lo, Hi: j.hi}, true
+	cs := lc.cells[best]
+	b := cs.prefix
+	for cs.done[b] != nil || cs.inflight[b] {
+		b++
+	}
+	if b >= cs.maxBatches {
+		return Lease{}, false
+	}
+	cs.inflight[b] = true
+	lo, hi := lc.batchBounds(b)
+	return Lease{Cell: best, Lo: lo, Hi: hi}, true
 }
 
 // Release returns an unfinished lease to the issuable pool — the
@@ -88,57 +193,54 @@ func (lc *LeaseController) Next() (l Lease, ok bool) {
 // a lease whose result later arrives anyway is safe: Admit deduplicates
 // on the batch grid, so a twice-run batch merges exactly once.
 func (lc *LeaseController) Release(l Lease) {
-	if l.Cell < 0 || l.Cell >= len(lc.c.cells) {
+	if l.Cell < 0 || l.Cell >= len(lc.cells) {
 		return
 	}
-	delete(lc.c.cells[l.Cell].inflight, l.Lo/lc.c.cfg.BatchSize)
+	delete(lc.cells[l.Cell].inflight, l.Lo/lc.cfg.BatchSize)
 }
 
 // Admit journals and merges one completed batch record through the
-// prefix-merge admission rule. fresh is false for a record the
-// committed state no longer wants — a duplicate of an admitted batch, a
-// batch past its cell's stop point, or a replay race after a lease was
-// stolen and re-run — which is dropped without touching the journal.
-// The error is fatal (journal write failure or a record that violates
-// the batch grid); a coordinator should validate worker-supplied
-// records with BatchRecord.Validate before admitting, and treat
-// validation failure as the worker's fault, not the run's.
+// prefix-merge admission rule, then reports progress to
+// Config.Progress. fresh is false for a record the committed state no
+// longer wants — a duplicate of an admitted batch, a batch past its
+// cell's stop point, or a replay race after a lease was stolen and
+// re-run — which is dropped without touching the journal. The error is
+// fatal (journal write failure or a record that violates the batch
+// grid); a coordinator should validate worker-supplied records with
+// BatchRecord.Validate before admitting, and treat validation failure
+// as the worker's fault, not the run's.
 func (lc *LeaseController) Admit(rec *BatchRecord) (fresh bool, err error) {
-	c := lc.c
-	if rec.Cell < 0 || rec.Cell >= len(c.cells) {
-		return false, fmt.Errorf("experiment: batch record for cell %d of %d", rec.Cell, len(c.cells))
+	if fresh, err = lc.check(rec); !fresh {
+		return false, err
 	}
-	cs := c.cells[rec.Cell]
-	b := rec.Lo / c.cfg.BatchSize
-	if cs.stopped || b < cs.prefix {
-		delete(cs.inflight, b)
-		return false, nil
-	}
-	if _, dup := cs.done[b]; dup {
-		delete(cs.inflight, b)
-		return false, nil
-	}
-	if c.jw != nil {
-		if err := c.jw.append(rec); err != nil {
+	if lc.jw != nil {
+		if err := lc.jw.append(rec); err != nil {
 			return false, err
 		}
 	}
-	if err := c.admit(cs, rec.Cell, rec); err != nil {
-		return false, err
+	lc.merge(rec)
+	if lc.cfg.Progress != nil {
+		lc.cfg.Progress(lc.Progress())
 	}
-	c.emitProgress()
 	return true, nil
 }
 
 // Done reports whether every cell has stopped (converged or capped) —
 // the coordinator's termination condition.
-func (lc *LeaseController) Done() bool { return lc.c.allStopped() }
+func (lc *LeaseController) Done() bool {
+	for _, cs := range lc.cells {
+		if !cs.stopped {
+			return false
+		}
+	}
+	return true
+}
 
 // Progress returns the coarse run progress (cells stopped, committed
 // trials).
 func (lc *LeaseController) Progress() Progress {
-	p := Progress{Cells: len(lc.c.cells)}
-	for _, cs := range lc.c.cells {
+	p := Progress{Cells: len(lc.cells)}
+	for _, cs := range lc.cells {
 		if cs.stopped {
 			p.StoppedCells++
 		}
@@ -147,14 +249,170 @@ func (lc *LeaseController) Progress() Progress {
 	return p
 }
 
-// Report assembles the committed state — call after Done. Byte-identical
-// to the local drive loop's report for the same configuration.
-func (lc *LeaseController) Report() *Report { return lc.c.report() }
-
 // Close flushes and closes the checkpoint journal, if any.
 func (lc *LeaseController) Close() error {
-	if lc.c.jw == nil {
+	if lc.jw == nil {
 		return nil
 	}
-	return lc.c.jw.close()
+	return lc.jw.close()
+}
+
+// check is the one admission pre-check of live results (Admit) and
+// journal replay. It clears the batch's in-flight mark and reports
+// whether the committed state still wants the record: fresh is false
+// for a duplicate of an admitted batch or a batch at or past its cell's
+// stop point. A wanted record off the batch grid, or tracking the wrong
+// number of measures, is an error.
+func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
+	if rec.Cell < 0 || rec.Cell >= len(lc.cells) {
+		return false, fmt.Errorf("experiment: batch record for cell %d of %d", rec.Cell, len(lc.cells))
+	}
+	cs := lc.cells[rec.Cell]
+	b := rec.Lo / lc.cfg.BatchSize
+	delete(cs.inflight, b)
+	if _, dup := cs.done[b]; dup || cs.stopped || b < cs.prefix {
+		return false, nil
+	}
+	if lo, hi := lc.batchBounds(b); lo != rec.Lo || hi != rec.Hi {
+		return false, fmt.Errorf("experiment: batch record [%d,%d) of cell %d off the batch grid", rec.Lo, rec.Hi, rec.Cell)
+	}
+	if len(rec.Moments) != len(lc.tracked[rec.Cell]) {
+		return false, fmt.Errorf("experiment: batch record of cell %d tracks %d measures, want %d",
+			rec.Cell, len(rec.Moments), len(lc.tracked[rec.Cell]))
+	}
+	return true, nil
+}
+
+// merge stores a checked, fresh batch and advances its cell's committed
+// prefix as far as it now reaches, evaluating the stop rule once per
+// merged batch — the deterministic heart of the controller. Batches
+// completed past a stop point are discarded.
+func (lc *LeaseController) merge(rec *BatchRecord) {
+	cell := rec.Cell
+	cs := lc.cells[cell]
+	cs.done[rec.Lo/lc.cfg.BatchSize] = rec
+	cs.doneCount++
+	for {
+		next, ok := cs.done[cs.prefix]
+		if !ok {
+			break
+		}
+		delete(cs.done, cs.prefix)
+		cs.prefix++
+		cs.trials += next.Hi - next.Lo
+		cs.errors += next.Errors
+		cs.completed += next.Completed
+		for i := range cs.moments {
+			cs.moments[i].Merge(next.Moments[i])
+		}
+		lc.rec.CommitTrials(cell, next.Hi-next.Lo)
+		// Fault counts commit with their batch — only on prefix merge,
+		// never for speculative batches — so the manifest totals are as
+		// deterministic as the committed trial counts, and journal replay
+		// rebuilds them identically.
+		lc.rec.CommitFaults(uint64(next.Crashes), uint64(next.Sleeps), uint64(next.Erasures))
+		if lc.rec.Enabled() {
+			// One convergence-trace point per merged batch: the committed
+			// prefix's relative CI half-width for each targeted measure.
+			// Pure prefix state — identical for any worker count.
+			relCI := make([]float64, len(lc.ciIdx[cell]))
+			for i, idx := range lc.ciIdx[cell] {
+				relCI[i] = cs.moments[idx].RelCIHalfWidth(lc.cfg.Confidence)
+			}
+			lc.rec.Trace(cell, cs.prefix-1, cs.trials, relCI)
+		}
+		if lc.converged(cell, cs) {
+			cs.stopped, cs.reason = true, "ci"
+		} else if cs.trials >= lc.cfg.MaxTrials {
+			cs.stopped, cs.reason = true, "max-trials"
+		}
+		if cs.stopped {
+			lc.rec.CellDone(cell, cs.reason)
+			// Anything completed past the stop point is speculation waste;
+			// drop it so the report sees only committed state.
+			for k := range cs.done {
+				delete(cs.done, k)
+			}
+			break
+		}
+	}
+}
+
+// converged evaluates the stopping rule on the committed prefix.
+func (lc *LeaseController) converged(cell int, cs *cellState) bool {
+	if lc.cfg.TargetRelCI <= 0 || cs.trials < lc.cfg.MinTrials {
+		return false
+	}
+	for _, idx := range lc.ciIdx[cell] {
+		m := &cs.moments[idx]
+		if m.N < 2 {
+			return false
+		}
+		if m.RelCIHalfWidth(lc.cfg.Confidence) > lc.cfg.TargetRelCI {
+			return false
+		}
+	}
+	return true
+}
+
+// newLeaseController resolves the spec and validates the CI measures
+// against every cell's eligibility metadata.
+func newLeaseController(cfg Config) (*LeaseController, error) {
+	runner, err := sweep.NewRunner(cfg.Spec)
+	if err != nil {
+		return nil, err
+	}
+	cells := runner.Cells()
+	lc := &LeaseController{
+		cfg:     cfg,
+		runner:  runner,
+		tracked: make([][]workload.MeasureInfo, len(cells)),
+		ciIdx:   make([][]int, len(cells)),
+		cells:   make([]*cellState, len(cells)),
+		rec:     cfg.Telemetry,
+	}
+	lc.rec.StartCells(runner.CellLabels())
+	lc.rec.TraceMeasures(cfg.Measures)
+	maxBatches := (cfg.MaxTrials + cfg.BatchSize - 1) / cfg.BatchSize
+	for i := range cells {
+		// Every measure column is tracked, journaled and reported —
+		// conditional extras (leader's success-only election columns)
+		// simply accumulate fewer samples. Eligibility only restricts
+		// which measures the stopping rule may target. Cells with an
+		// active fault spec also track the graceful-degradation columns
+		// (workload.FaultMeasures), so -ci-measure success works.
+		tracked := TrackedMeasures(runner, i)
+		lc.tracked[i] = tracked
+		for _, name := range cfg.Measures {
+			idx := -1
+			for j, m := range tracked {
+				if m.Name == name {
+					if !m.CI {
+						return nil, fmt.Errorf("experiment: measure %q of cell %d (%s) is not CI-eligible (%s); eligible: %s",
+							name, i, runner.Graph(i).Name(), m.Doc, eligibleNames(tracked))
+					}
+					idx = j
+					break
+				}
+			}
+			if idx < 0 {
+				return nil, fmt.Errorf("experiment: unknown measure %q for cell %d (%s); eligible: %s",
+					name, i, runner.Graph(i).Name(), eligibleNames(tracked))
+			}
+			lc.ciIdx[i] = append(lc.ciIdx[i], idx)
+		}
+		lc.cells[i] = &cellState{
+			maxBatches: maxBatches,
+			done:       map[int]*BatchRecord{},
+			inflight:   map[int]bool{},
+			moments:    make([]stats.Moments, len(tracked)),
+		}
+	}
+	return lc, nil
+}
+
+// batchBounds returns batch b's trial range.
+func (lc *LeaseController) batchBounds(b int) (lo, hi int) {
+	lo = b * lc.cfg.BatchSize
+	return lo, min(lo+lc.cfg.BatchSize, lc.cfg.MaxTrials)
 }

@@ -8,8 +8,8 @@
 // internal/experiment intact: workers only ever execute (cell, lo, hi)
 // batches with positional seeds and fold them into BatchRecords
 // (experiment.FoldBatch), while the coordinator admits records through
-// the same prefix-merge rule the local drive loop uses
-// (experiment.LeaseController). Report JSON, committed trial counts,
+// experiment.LeaseController — the same lease API a local run drives
+// with in-process workers. Report JSON, committed trial counts,
 // convergence traces, and the manifest's deterministic section are
 // byte-identical to a single-machine run at any worker count, any
 // lease-reassignment pattern, and across coordinator restarts.

@@ -181,17 +181,9 @@ func workerSession(conn net.Conn, cfg WorkerConfig, rec *telemetry.Recorder, log
 				case <-stop:
 					return
 				}
-				sh.BatchStart()
-				t0 := time.Now()
 				buf := make([]sweep.Trial, l.Hi-l.Lo)
-				runner.RunTrials(l.Cell, l.Lo, l.Hi, sims, buf)
+				slots := runner.RunBatch(l.Cell, l.Lo, l.Hi, sims, sh, buf)
 				br := experiment.FoldBatch(tracked[l.Cell], l.Cell, l.Lo, l.Hi, buf)
-				var slots uint64
-				for i := range buf {
-					slots += buf[i].Slots
-				}
-				sh.BatchDone(l.Cell, l.Hi-l.Lo, slots, time.Since(t0))
-				sh.SetCache(telemetry.CacheCounts(sims.Stats()))
 				rm := &resultMsg{Lease: l,
 					Errors: br.Errors, Completed: br.Completed,
 					Crashes: br.Crashes, Sleeps: br.Sleeps, Erasures: br.Erasures,

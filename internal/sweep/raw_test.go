@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/radio"
+	"repro/internal/telemetry"
 )
 
 func rawSpec() Spec {
@@ -23,22 +24,27 @@ func rawSpec() Spec {
 }
 
 // TestRawExportDeterministicAcrossWorkers pins the raw export contract:
-// the streamed per-trial CSV is byte-identical for every worker count,
-// because the writer goroutine restores (cell, trial) order.
+// the per-trial CSV is byte-identical for every worker count, and with
+// telemetry on or off, because rows are written from the (cell, trial)
+// result matrix after the pool finishes.
 func TestRawExportDeterministicAcrossWorkers(t *testing.T) {
 	spec := rawSpec()
 	var want []byte
-	for _, workers := range []int{1, 2, 7} {
+	for _, run := range []struct {
+		workers int
+		rec     *telemetry.Recorder
+	}{{1, nil}, {2, nil}, {7, nil}, {3, telemetry.New()}} {
 		var buf bytes.Buffer
-		if _, err := Run(spec, Options{Workers: workers, Raw: &buf}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if _, err := Run(spec, Options{Workers: run.workers, Raw: &buf, Telemetry: run.rec}); err != nil {
+			t.Fatalf("workers=%d: %v", run.workers, err)
 		}
 		if want == nil {
 			want = buf.Bytes()
 			continue
 		}
 		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("workers=%d: raw export differs from single-worker export", workers)
+			t.Fatalf("workers=%d telemetry=%v: raw export differs from single-worker export",
+				run.workers, run.rec != nil)
 		}
 	}
 }
@@ -90,7 +96,7 @@ func TestRawExportContent(t *testing.T) {
 }
 
 // brokenSink always errors, exercising the raw writer's error
-// propagation (workers must not block on a broken sink).
+// propagation.
 type brokenSink struct{}
 
 func (brokenSink) Write([]byte) (int, error) {

@@ -238,20 +238,11 @@ type Options struct {
 	// Workers is the pool size (default GOMAXPROCS). The report is
 	// identical for every value.
 	Workers int
-	// Progress, if non-nil, is called after each completed trial with
-	// (done, total). It may be called concurrently from worker
-	// goroutines.
-	Progress func(done, total int)
 	// Raw, if non-nil, receives one CSV row per trial (cell id, trial
 	// index, seed, slots, energies, events, informed count, completion,
-	// error). Rows are streamed as trials complete — a dedicated writer
-	// goroutine reorders them into deterministic (cell, trial) order, so
-	// the export is bit-identical for any worker count while buffering
-	// only a bounded reorder window: job issuance is gated on the writer
-	// having flushed all but the last rawWindow(workers) rows, so one
-	// pathologically slow trial stalls the pool instead of letting
-	// completed rows pile up in memory. Million-trial raw exports
-	// therefore stream to disk instead of accumulating in memory.
+	// error). Rows are written once every trial has finished, in
+	// (cell, trial) order, from the same per-trial results the report
+	// aggregates — so the export is bit-identical for any worker count.
 	Raw io.Writer
 	// Telemetry, if non-nil, receives run counters, per-cell progress,
 	// and phase timings (see internal/telemetry). Workers update their
@@ -261,70 +252,33 @@ type Options struct {
 	Telemetry *telemetry.Recorder
 }
 
-// rawWindow bounds the raw export's reorder buffer: at most this many
-// trial rows may be issued beyond the oldest unwritten row, so the
-// writer's pending map never exceeds it. The window exceeds the worker
-// count, which keeps the gate deadlock-free: the oldest unwritten row's
-// worker took its token before taking the trial, so it is never blocked
-// on the gate.
-func rawWindow(workers int) int { return 8*workers + 16 }
-
 // rawHeader is the raw per-trial export's column set.
 var rawHeader = []string{"cell", "trial", "seed", "slots", "maxEnergy",
 	"totalEnergy", "events", "informed", "completed", "err"}
 
-// rawWriter drains completed trials from jobs, restores deterministic
-// job order with a reorder buffer (bounded by the issuance gate: at
-// most rawWindow jobs are in flight past the oldest unwritten row),
-// and appends one CSV row each. Every written row releases one gate
-// token. The first write error is reported on done; later rows are
-// still consumed (and their tokens released) so workers never block on
-// a broken sink.
-func rawWriter(w io.Writer, trials int, jobs <-chan rawRow, gate <-chan struct{}, done chan<- error) {
+// writeRaw writes the raw per-trial export of results[cell][trial] in
+// (cell, trial) order.
+func writeRaw(w io.Writer, results [][]Trial) error {
 	cw := csv.NewWriter(w)
-	var firstErr error
-	write := func(row []string) {
-		if firstErr != nil {
-			return
-		}
-		if err := cw.Write(row); err != nil {
-			firstErr = err
-		}
+	if err := cw.Write(rawHeader); err != nil {
+		return err
 	}
-	write(rawHeader)
-	pending := make(map[int]Trial)
-	next := 0
 	u := func(x uint64) string { return strconv.FormatUint(x, 10) }
-	for r := range jobs {
-		pending[r.job] = r.t
-		for {
-			t, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			write([]string{
-				strconv.Itoa(next / trials), strconv.Itoa(next % trials),
+	for ci, trials := range results {
+		for ti, t := range trials {
+			if err := cw.Write([]string{
+				strconv.Itoa(ci), strconv.Itoa(ti),
 				u(t.Seed), u(t.Slots), strconv.Itoa(t.MaxEnergy),
 				strconv.Itoa(t.TotalEnergy), u(t.Events),
 				strconv.Itoa(t.Informed), strconv.FormatBool(t.Completed),
 				t.Err,
-			})
-			next++
-			<-gate // row flushed: let another job into the window
+			}); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()
-	if firstErr == nil {
-		firstErr = cw.Error()
-	}
-	done <- firstErr
-}
-
-// rawRow carries one finished trial to the raw-export writer.
-type rawRow struct {
-	job int
-	t   Trial
+	return cw.Error()
 }
 
 // Expand lists the matrix cells in their canonical order — the order that
@@ -397,10 +351,11 @@ func TrialSeed(master uint64, cell, trial int) uint64 {
 // resolved once — workload looked up, matrix cells expanded, graphs
 // built — against which callers run arbitrary trial ranges of
 // individual cells on their own schedule. Run is its whole-matrix
-// client; internal/experiment's adaptive controller is the
-// batch-at-a-time one. A Runner is safe for concurrent RunTrials calls
-// (its state is read-only after construction) as long as each caller
-// goroutine passes its own SimCache.
+// client; internal/experiment's lease controller (local and fabric
+// workers alike) is the batch-at-a-time one. A Runner is safe for
+// concurrent RunTrials/RunBatch calls (its state is read-only after
+// construction) as long as each caller goroutine passes its own
+// SimCache and telemetry shard.
 type Runner struct {
 	spec   Spec
 	wl     workload.Workload
@@ -481,6 +436,30 @@ func (r *Runner) RunTrials(cell, lo, hi int, sims *radio.SimCache, out []Trial) 
 	}
 }
 
+// RunBatch is RunTrials plus the batch's telemetry: it marks the batch
+// in flight on sh, then retires it with its trial count, simulated
+// slots and wall-clock, and publishes sims' cache counters. It is the
+// one execution path of every scheduler — fixed sweeps, local adaptive
+// runs and fabric workers — and returns the batch's total simulated
+// slots. sims and sh belong to the calling goroutine; sh is nil when
+// telemetry is disabled.
+func (r *Runner) RunBatch(cell, lo, hi int, sims *radio.SimCache, sh *telemetry.Shard, out []Trial) (slots uint64) {
+	var t0 time.Time
+	if sh != nil {
+		sh.BatchStart()
+		t0 = time.Now()
+	}
+	r.RunTrials(cell, lo, hi, sims, out)
+	for i := range out[:hi-lo] {
+		slots += out[i].Slots
+	}
+	if sh != nil {
+		sh.BatchDone(cell, hi-lo, slots, time.Since(t0))
+		sh.SetCache(telemetry.CacheCounts(sims.Stats()))
+	}
+	return slots
+}
+
 // Run executes the matrix on a worker pool and returns the aggregated
 // report. Trial-level failures (algorithm/model mismatches, incomplete
 // broadcasts) are recorded in the report, not returned; the error covers
@@ -495,113 +474,54 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	wl, cells := r.wl, r.cells
+	cells := r.cells
 	rec.StartCells(r.CellLabels())
 
 	// One pre-indexed slot per trial: workers race only on the job
 	// counter, never on result placement, which is what makes the
-	// aggregate independent of scheduling.
+	// aggregate (and the raw export) independent of scheduling.
 	results := make([][]Trial, len(cells))
 	for i := range results {
 		results[i] = make([]Trial, spec.Trials)
 	}
 	total := len(cells) * spec.Trials
-	var next, done atomic.Int64
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
-	// Raw per-trial export: workers hand finished trials to a dedicated
-	// writer goroutine, which streams them out in deterministic trial
-	// order. The gate semaphore caps issued-but-unwritten trial rows at
-	// rawWindow(workers), bounding the writer's reorder buffer: workers
-	// acquire a token before taking a trial, the writer releases one per
-	// written row. Deadlock-free because the oldest unwritten row's
-	// worker holds its token and the writer always drains the row channel
-	// (see Options.Raw).
-	var rawCh chan rawRow
-	var rawDone chan error
-	var rawGate chan struct{}
-	if opt.Raw != nil {
-		rawCh = make(chan rawRow, 4*workers)
-		rawDone = make(chan error, 1)
-		rawGate = make(chan struct{}, rawWindow(workers))
-		go rawWriter(opt.Raw, spec.Trials, rawCh, rawGate, rawDone)
+	workers := poolSize(total, opt.Workers)
+	// Each worker owns a simulator cache: the thousands of trials it runs
+	// on a cell's long-lived graph reuse one preallocated engine instead
+	// of rebuilding envs, random streams, and scheduler scratch per trial.
+	// Caches never cross goroutines, and a recycled simulator is reset per
+	// run, so the aggregate stays bit-identical for any worker count.
+	sims := make([]*radio.SimCache, workers)
+	for w := range sims {
+		sims[w] = &radio.SimCache{}
 	}
 	rec.Shards(workers)
 	rec.Phase("trials")
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// Each worker owns a simulator cache: the thousands of trials
-			// it runs on a cell's long-lived graph reuse one preallocated
-			// engine instead of rebuilding envs, random streams, and
-			// scheduler scratch per trial. Caches never cross goroutines,
-			// and a recycled simulator is reset per run, so the aggregate
-			// stays bit-identical for any worker count.
-			sims := &radio.SimCache{}
-			// sh is nil when telemetry is disabled; all updates are
-			// per-trial, never per-slot.
-			sh := rec.Shard(w)
-			for {
-				if rawGate != nil {
-					rawGate <- struct{}{}
-				}
-				job := int(next.Add(1)) - 1
-				if job >= total {
-					if rawGate != nil {
-						<-rawGate // no trial taken: hand the token back
-					}
-					return
-				}
-				ci, ti := job/spec.Trials, job%spec.Trials
-				var t0 time.Time
-				if sh != nil {
-					sh.BatchStart()
-					t0 = time.Now()
-				}
-				tr := runTrial(wl, r.graphs[ci], cells[ci], &spec, ci, ti, sims)
-				if sh != nil {
-					sh.BatchDone(ci, 1, tr.Slots, time.Since(t0))
-					sh.SetCache(telemetry.CacheCounts(sims.Stats()))
-					// Every trial of a fixed sweep commits; a cell is done
-					// when its committed count reaches the spec's target.
-					// Injected-fault counts commit alongside: every trial
-					// commits exactly once, so the totals are deterministic.
-					rec.CommitFaults(uint64(tr.FaultCrashes), uint64(tr.FaultSleeps), uint64(tr.FaultErasures))
-					if n := rec.CommitTrials(ci, 1); n == uint64(spec.Trials) {
-						rec.CellDone(ci, "done")
-					}
-				}
-				results[ci][ti] = tr
-				if rawCh != nil {
-					rawCh <- rawRow{job: job, t: tr}
-				}
-				if opt.Progress != nil {
-					opt.Progress(int(done.Add(1)), total)
-				} else {
-					done.Add(1)
-				}
+	RunTrials(total, workers, func(w, job int) {
+		ci, ti := job/spec.Trials, job%spec.Trials
+		r.RunBatch(ci, ti, ti+1, sims[w], rec.Shard(w), results[ci][ti:ti+1])
+		// Every trial of a fixed sweep commits; a cell is done when its
+		// committed count reaches the spec's target. Injected-fault counts
+		// commit alongside: every trial commits exactly once, so the
+		// totals are deterministic.
+		if rec.Enabled() {
+			tr := &results[ci][ti]
+			rec.CommitFaults(uint64(tr.FaultCrashes), uint64(tr.FaultSleeps), uint64(tr.FaultErasures))
+			if n := rec.CommitTrials(ci, 1); n == uint64(spec.Trials) {
+				rec.CellDone(ci, "done")
 			}
-		}(w)
-	}
-	wg.Wait()
-	if rawCh != nil {
-		close(rawCh)
-		if err := <-rawDone; err != nil {
+		}
+	})
+	if opt.Raw != nil {
+		if err := writeRaw(opt.Raw, results); err != nil {
 			return nil, fmt.Errorf("sweep: raw export: %w", err)
 		}
 	}
 
 	rec.Phase("aggregate")
 	rep := &Report{MasterSeed: spec.MasterSeed, Trials: spec.Trials, Cells: make([]CellReport, len(cells))}
-	if wl.Name() != "broadcast" {
-		rep.Workload = wl.Name()
+	if name := r.wl.Name(); name != "broadcast" {
+		rep.Workload = name
 	}
 	for i, c := range cells {
 		rep.Cells[i] = aggregate(r.graphs[i], c, results[i])
@@ -849,7 +769,7 @@ func CollectTrials[T any](trials, workers int, fn func(trial int) (T, bool)) []T
 		ok bool
 	}
 	slots := make([]slot, trials)
-	RunTrials(trials, workers, func(i int) {
+	RunTrials(trials, workers, func(_, i int) {
 		v, ok := fn(i)
 		slots[i] = slot{v, ok}
 	})
@@ -862,21 +782,15 @@ func CollectTrials[T any](trials, workers int, fn func(trial int) (T, bool)) []T
 	return out
 }
 
-// RunTrials is the engine's generic worker pool, exposed for harnesses
-// (cmd/energybench) whose per-trial work doesn't fit the Spec matrix: it
-// invokes fn(trial) for every trial index on `workers` goroutines
-// (default GOMAXPROCS). fn writes into caller-owned, trial-indexed
-// storage, preserving the engine's determinism contract.
-func RunTrials(trials, workers int, fn func(trial int)) {
-	if trials <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
+// RunTrials is the engine's generic worker pool — Run's, and exposed for
+// harnesses (cmd/energybench) whose per-trial work doesn't fit the Spec
+// matrix: it invokes fn(worker, trial) for every trial index on
+// poolSize(trials, workers) goroutines (default GOMAXPROCS), worker
+// being the goroutine's index in [0, poolSize) for per-worker state.
+// fn writes into caller-owned, trial-indexed storage, preserving the
+// engine's determinism contract.
+func RunTrials(trials, workers int, fn func(worker, trial int)) {
+	workers = poolSize(trials, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -888,9 +802,18 @@ func RunTrials(trials, workers int, fn func(trial int)) {
 				if i >= trials {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// poolSize is the goroutine count RunTrials uses for trials jobs: the
+// requested workers (default GOMAXPROCS), never more than the jobs.
+func poolSize(trials, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(0, min(workers, trials))
 }

@@ -224,13 +224,26 @@ func TestCollectTrialsOrderedAndFiltered(t *testing.T) {
 
 func TestRunTrialsCoversAllIndices(t *testing.T) {
 	hit := make([]int, 100)
-	RunTrials(100, 7, func(i int) { hit[i]++ })
+	// Each worker index belongs to one goroutine, so unsynchronized
+	// per-worker state is race-free (the -race run checks that).
+	perWorker := make([]int, 7)
+	RunTrials(100, 7, func(w, i int) {
+		hit[i]++
+		perWorker[w]++
+	})
 	for i, h := range hit {
 		if h != 1 {
 			t.Fatalf("trial %d ran %d times", i, h)
 		}
 	}
-	RunTrials(0, 4, func(i int) { t.Error("fn called for zero trials") })
+	sum := 0
+	for _, n := range perWorker {
+		sum += n
+	}
+	if sum != 100 {
+		t.Fatalf("per-worker counts %v sum to %d, want 100", perWorker, sum)
+	}
+	RunTrials(0, 4, func(_, _ int) { t.Error("fn called for zero trials") })
 }
 
 // goldenSpec is the fixed spec whose aggregate JSON was captured from the

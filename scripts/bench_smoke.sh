@@ -6,7 +6,7 @@
 #   ./scripts/bench_smoke.sh [out.json] [baseline.json]
 #
 # After writing out.json the script diffs it against baseline.json
-# (default: the committed BENCH_pr4.json reference) and prints the
+# (default: the newest committed BENCH_prN.json point) and prints the
 # per-benchmark ns/op and allocs/op deltas. The deltas themselves are
 # REPORT-ONLY — they never fail the run — so the perf trajectory is
 # visible in every CI log without shared-runner noise gating merges.
@@ -18,7 +18,9 @@
 # simulator hot paths.
 set -euo pipefail
 out="${1:-bench-smoke.json}"
-baseline="${2:-BENCH_pr4.json}"
+# The default baseline is the highest-numbered BENCH_prN.json at the
+# repo root (version sort, so pr10 follows pr9).
+baseline="${2:-$(ls BENCH_pr*.json 2>/dev/null | sort -V | tail -n 1)}"
 
 go test -run '^$' \
   -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$' \

@@ -56,15 +56,22 @@ func comparePin(t *testing.T, got string) {
 }
 
 func TestPortPin(t *testing.T) {
+	// iters forces the partition iteration count. Iteration 0 always
+	// runs at label bound 1, where every Lemma 17 sweep is empty, so
+	// only the two-iteration scenarios exercise non-empty sweeps.
 	scens := []struct {
 		name  string
 		g     *graph.Graph
 		model radio.Model
 		seed  uint64
+		iters int
 	}{
-		{"nocd-path6", graph.Path(6), radio.NoCD, 3},
-		{"cd-gnp8", graph.GNP(8, 0.4, 2), radio.CD, 5},
-		{"local-grid24", graph.Grid(2, 4), radio.Local, 9},
+		{"nocd-path6", graph.Path(6), radio.NoCD, 3, 1},
+		{"cd-gnp8", graph.GNP(8, 0.4, 2), radio.CD, 5, 1},
+		{"local-grid24", graph.Grid(2, 4), radio.Local, 9, 1},
+		{"nocd-path10-it2", graph.Path(10), radio.NoCD, 11, 2},
+		{"cd-path12-it2", graph.Path(12), radio.CD, 13, 2},
+		{"local-grid36-it2", graph.Grid(3, 6), radio.Local, 17, 2},
 	}
 	var sb strings.Builder
 	for _, sc := range scens {
@@ -77,7 +84,7 @@ func TestPortPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p = p.Tune(n, 4, 3, 2, 1)
+		p = p.Tune(n, 4, 3, 2, sc.iters)
 		devs := make([]DeviceResult, n)
 		h := fnv.New64a()
 		pop := make([]radio.Device, n)

@@ -120,11 +120,28 @@ for want in \
 done
 echo "fabric_smoke: /metrics OK — $committed trials committed mid-run, fleet gauges live"
 
-# Let the victim take leases, then SIGKILL it — no cleanup, its socket
-# just dies. The coordinator must reissue its in-flight batches.
-sleep 1
+# SIGKILL the victim as soon as /metrics shows it holding a lease — no
+# cleanup, its socket just dies. The coordinator must reissue its
+# in-flight batches. The kill waits for the victim's lease gauge (its
+# worker name is host:pid), not for a fixed delay, so it lands mid-run
+# however fast the trials are.
+held=""
+for _ in $(seq 1 500); do
+  if ! kill -0 "$dpid" 2>/dev/null; then break; fi
+  if curl -sf --max-time 5 "http://$saddr/metrics" -o "$dir/kill.metrics.txt" 2>/dev/null &&
+     grep -q "^sweep_fabric_worker_leases{worker=\"[^\"]*:$victim\"} [1-9]" "$dir/kill.metrics.txt"; then
+    held=yes
+    break
+  fi
+  sleep 0.01
+done
 kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
+if [ -z "$held" ]; then
+  echo "fabric_smoke: FAIL: the victim never held a lease while the run was live" >&2
+  kill "$dpid" 2>/dev/null || true
+  exit 1
+fi
 
 if ! wait "$survivor"; then
   echo "fabric_smoke: FAIL: surviving worker exited non-zero" >&2

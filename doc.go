@@ -33,10 +33,13 @@
 // under virtual channels (coloring's Theorem 3 simulation) by plain
 // composition.
 //
-// Cohorts are ordered (slot, then device index) by a min-heap, with a
-// lockstep fast path when every live device acts in the same slot, so
-// the event stream is deterministic and pinned byte-for-byte by the
-// golden trace test in internal/radio/testdata.
+// Cohorts are ordered (slot, then device index): the devices stepped in
+// a round post their requests in ascending device order, and when the
+// earliest posted slot lies strictly below every pending request it is
+// the next slot and its posters are its cohort, with only later requests
+// pushed onto a min-heap; otherwise the cohort is popped from the heap.
+// The event stream is therefore deterministic, and it is pinned
+// byte-for-byte by the golden trace test in internal/radio/testdata.
 //
 // Transmit payloads are interned in per-device mailbox cells for exactly
 // one slot (listeners resolve them at delivery; the cells are cleared

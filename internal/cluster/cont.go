@@ -5,7 +5,17 @@ package cluster
 // Each form occupies exactly the window its blocking counterpart does
 // and evaluates mutable device state (roles, Has/Msg) at window start,
 // so a ported protocol produces the byte-identical slot-level event
-// stream of its blocking original — the property the cdmerge port pins.
+// stream of its blocking original — the property the cdmerge, iterclust
+// and dtime port pins check.
+//
+// Layered sweeps are sparse. A device at layer L can act in at most two
+// windows of a sweep: the one whose receiver layer is L and the one
+// right after it, whose sender layer is L. SweepCont reads L once at
+// sweep start, builds only those two windows and covers the rest of the
+// sweep with one Sleep on each side. Sleeps emit no events and draw no
+// randomness, so the event stream is the one a window-by-window sweep
+// produces, and a sweep costs O(1) continuations per device instead of
+// O(Layers).
 
 import (
 	"repro/internal/labeling"
@@ -64,6 +74,45 @@ func (s Spec) SkipCont(start uint64, k radio.Cont) radio.Cont {
 	return radio.Then(radio.Sleep(start+s.Slots()-1), k)
 }
 
+// SweepCont emits one layered sweep of nw windows of w slots from start,
+// as seen by a device at layer label, then resumes with k. In a down
+// sweep window i links sender layer i to receiver layer i+1; in an up
+// sweep it links sender layer nw-i to receiver layer nw-1-i. Only the
+// window whose receiver layer is label and the next one, whose sender
+// layer is label, are built, as win(ws, send, recv, next); one Sleep on
+// each side covers the others. win must defer every read of mutable
+// device state to window start (an Eval), since the two windows are
+// assembled together at sweep start.
+func SweepCont(start, w uint64, nw int, down bool, label int,
+	win func(ws uint64, send, recv int, k radio.Cont) radio.Cont, k radio.Cont) radio.Cont {
+	if nw <= 0 {
+		return k
+	}
+	first := label - 1 // the window whose receiver layer is label
+	if !down {
+		first = nw - 1 - label
+	}
+	lo, hi := max(first, 0), min(first+2, nw) // live windows [lo, hi)
+	if lo >= hi {
+		return radio.Then(radio.Sleep(start+uint64(nw)*w-1), k)
+	}
+	next := k
+	if hi < nw {
+		next = radio.Then(radio.Sleep(start+uint64(nw)*w-1), k)
+	}
+	for i := hi - 1; i >= lo; i-- {
+		send, recv := i, i+1
+		if !down {
+			send, recv = nw-i, nw-1-i
+		}
+		next = win(start+uint64(i)*w, send, recv, next)
+	}
+	if lo > 0 {
+		next = radio.Then(radio.Sleep(start+uint64(lo)*w-1), next)
+	}
+	return next
+}
+
 // window emits one sweep window: the device's role is chosen at window
 // start from the Broadcaster's current state.
 func (b *Broadcaster) window(ws uint64, sendLayer, recvLayer int, k radio.Cont) radio.Cont {
@@ -86,30 +135,21 @@ func (b *Broadcaster) window(ws uint64, sendLayer, recvLayer int, k radio.Cont) 
 // DownCastCont is the continuation form of DownCast: windows i =
 // 0..Layers-2, holders at layer i send, non-holders at i+1 receive.
 func (b *Broadcaster) DownCastCont(start uint64, k radio.Cont) radio.Cont {
-	w := b.SR.Slots()
-	var it func(i int) radio.Cont
-	it = func(i int) radio.Cont {
-		if i > b.Layers-2 {
-			return k
-		}
-		return b.window(start+uint64(i)*w, i, i+1, radio.Eval(func() radio.Cont { return it(i + 1) }))
-	}
-	return it(0)
+	return b.sweepCont(start, true, k)
 }
 
 // UpCastCont is the continuation form of UpCast: windows i =
 // Layers-1..1, holders at layer i send, non-holders at i-1 receive.
 func (b *Broadcaster) UpCastCont(start uint64, k radio.Cont) radio.Cont {
-	w := b.SR.Slots()
-	var it func(wi int) radio.Cont
-	it = func(wi int) radio.Cont {
-		i := b.Layers - 1 - wi
-		if i < 1 {
-			return k
-		}
-		return b.window(start+uint64(wi)*w, i, i-1, radio.Eval(func() radio.Cont { return it(wi + 1) }))
-	}
-	return it(0)
+	return b.sweepCont(start, false, k)
+}
+
+// sweepCont reads the device's layer at sweep start and emits its
+// sparse sweep.
+func (b *Broadcaster) sweepCont(start uint64, down bool, k radio.Cont) radio.Cont {
+	return radio.Eval(func() radio.Cont {
+		return SweepCont(start, b.SR.Slots(), b.Layers-1, down, b.Label, b.window, k)
+	})
 }
 
 // AllCastCont is the continuation form of AllCast: one window, holders
@@ -171,30 +211,21 @@ func (r *Refiner) refineWindow(ws uint64, sendLayer, recvLayer int, k radio.Cont
 // DownSweepCont is the continuation form of downSweep: windows i =
 // 0..Layers-2 over old layers, senders at i, adopters at i+1.
 func (r *Refiner) DownSweepCont(start uint64, k radio.Cont) radio.Cont {
-	w := r.SR.Slots()
-	var it func(i int) radio.Cont
-	it = func(i int) radio.Cont {
-		if i > r.Layers-2 {
-			return k
-		}
-		return r.refineWindow(start+uint64(i)*w, i, i+1, radio.Eval(func() radio.Cont { return it(i + 1) }))
-	}
-	return it(0)
+	return r.sweepCont(start, true, k)
 }
 
 // UpSweepCont is the continuation form of upSweep: windows i =
 // Layers-1..1, senders at i, adopters at i-1.
 func (r *Refiner) UpSweepCont(start uint64, k radio.Cont) radio.Cont {
-	w := r.SR.Slots()
-	var it func(wi int) radio.Cont
-	it = func(wi int) radio.Cont {
-		i := r.Layers - 1 - wi
-		if i < 1 {
-			return k
-		}
-		return r.refineWindow(start+uint64(wi)*w, i, i-1, radio.Eval(func() radio.Cont { return it(wi + 1) }))
-	}
-	return it(0)
+	return r.sweepCont(start, false, k)
+}
+
+// sweepCont reads the device's old layer at sweep start and emits its
+// sparse refinement sweep.
+func (r *Refiner) sweepCont(start uint64, down bool, k radio.Cont) radio.Cont {
+	return radio.Eval(func() radio.Cont {
+		return SweepCont(start, r.SR.Slots(), r.Layers-1, down, r.Old, r.refineWindow, k)
+	})
 }
 
 // AllWindowCont is the continuation form of allWindow: one window where

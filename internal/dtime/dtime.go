@@ -274,57 +274,48 @@ func (p Params) coin(seed uint64, ws uint64) bool {
 
 // sweepCont emits one Lemma 17 sweep over old labels, resuming with k.
 // dir is +1 (downward: senders at layer l, receivers at l+1) or -1
-// (upward). The callbacks decide participation and handle acceptance;
-// send returns the payload and the sampling seed for the device's
-// cluster. Participation is evaluated at each repetition's window start,
-// so the emitted event stream matches the blocking original slot for
-// slot.
+// (upward). Each window is CL repetitions of an SR window. The
+// callbacks decide participation and handle acceptance; send returns
+// the payload and the sampling seed for the device's cluster. The sweep
+// is sparse (cluster.SweepCont): only the device's receive and send
+// windows are built, and participation is evaluated at each of their
+// repetitions' start, so the emitted event stream matches the blocking
+// original slot for slot.
 func (s *devState) sweepCont(start uint64, dir int,
-	send func(window int) (any, uint64, bool),
-	recv func(window int, m any) bool, k radio.Cont) radio.Cont {
+	send func() (any, uint64, bool), recv func(m any), k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
 		p := s.p
-		lb := p.lb[s.iter]
-		if lb <= 1 {
-			return k
-		}
 		w := p.SR.Slots()
-		total := (lb - 1) * p.CL
-		var rep func(r int) radio.Cont
-		rep = func(r int) radio.Cont {
-			if r == total {
-				return k
-			}
-			win := r / p.CL
-			// Window win links sender layer sl to receiver layer rl.
-			var sl, rl int
-			if dir > 0 {
-				sl, rl = win, win+1
-			} else {
-				sl, rl = lb-1-win, lb-2-win
-			}
-			ws := start + uint64(r)*w
-			next := radio.Eval(func() radio.Cont { return rep(r + 1) })
-			return radio.Eval(func() radio.Cont {
-				payload, seed, isSender := any(nil), uint64(0), false
-				if s.oldLayer == sl {
-					payload, seed, isSender = send(win)
+		window := func(ws uint64, sl, rl int, next radio.Cont) radio.Cont {
+			var rep func(c int) radio.Cont
+			rep = func(c int) radio.Cont {
+				if c == p.CL {
+					return next
 				}
-				switch {
-				case isSender && p.coin(seed, ws):
-					return p.SR.SendCont(ws, func() any { return payload }, next)
-				case s.oldLayer == rl:
-					return p.SR.ReceiveCont(ws, func(m any, ok bool) {
-						if ok {
-							recv(win, m)
-						}
-					}, next)
-				default:
-					return p.SR.SkipCont(ws, next)
-				}
-			})
+				rs := ws + uint64(c)*w
+				after := radio.Eval(func() radio.Cont { return rep(c + 1) })
+				return radio.Eval(func() radio.Cont {
+					payload, seed, isSender := any(nil), uint64(0), false
+					if s.oldLayer == sl {
+						payload, seed, isSender = send()
+					}
+					switch {
+					case isSender && p.coin(seed, rs):
+						return p.SR.SendCont(rs, func() any { return payload }, after)
+					case s.oldLayer == rl:
+						return p.SR.ReceiveCont(rs, func(m any, ok bool) {
+							if ok {
+								recv(m)
+							}
+						}, after)
+					default:
+						return p.SR.SkipCont(rs, after)
+					}
+				})
+			}
+			return rep(0)
 		}
-		return rep(0)
+		return cluster.SweepCont(start, uint64(p.CL)*w, p.lb[s.iter]-1, dir > 0, s.oldLayer, window, k)
 	})
 }
 
@@ -453,16 +444,16 @@ func (s *devState) announcePhaseCont(start uint64, epoch int, k radio.Cont) radi
 			}
 		}
 	}, s.sweepCont(start, +1, // Downward sweep: members holding the announcement relay it.
-		func(int) (any, uint64, bool) {
+		func() (any, uint64, bool) {
 			if s.announceBody != nil {
 				return *s.announceBody, s.oldSeed, true
 			}
 			return nil, 0, false
 		},
-		func(_ int, m any) bool {
+		func(m any) {
 			am, ok := m.(announceMsg)
 			if !ok || am.oldCID != s.oldCID || s.joined {
-				return false
+				return
 			}
 			s.joined = true
 			s.announceBody = &am
@@ -471,7 +462,7 @@ func (s *devState) announcePhaseCont(start uint64, epoch int, k radio.Cont) radi
 				s.newCID = s.oldCID
 				s.newLayer = s.oldLayer
 				s.newSeed = rng.Child(s.oldSeed, uint64(s.iter)+0x5eed)
-				return true
+				return
 			}
 			s.newCID = am.offer.newCID
 			s.newSeed = am.offer.newSeed
@@ -479,7 +470,6 @@ func (s *devState) announcePhaseCont(start uint64, epoch int, k radio.Cont) radi
 				s.newLayer = am.offer.newLayer + 1
 				s.active = true
 			}
-			return true
 		}, k))
 }
 
@@ -493,21 +483,20 @@ func (s *devState) relabelDownCont(start uint64, k radio.Cont) radio.Cont {
 	return s.sweepCont(start, +1, s.sendRelabel, s.acceptRelabel, k)
 }
 
-func (s *devState) sendRelabel(int) (any, uint64, bool) {
+func (s *devState) sendRelabel() (any, uint64, bool) {
 	if s.joined && s.newLayer >= 0 {
 		return relabelMsg{oldCID: s.oldCID, newLayer: s.newLayer}, s.oldSeed, true
 	}
 	return nil, 0, false
 }
 
-func (s *devState) acceptRelabel(_ int, m any) bool {
+func (s *devState) acceptRelabel(m any) {
 	rm, ok := m.(relabelMsg)
 	if !ok || rm.oldCID != s.oldCID || !s.joined || s.newLayer >= 0 {
-		return false
+		return
 	}
 	s.newLayer = rm.newLayer + 1
 	s.active = true
-	return true
 }
 
 // offerPhaseCont: active members advertise their new cluster; members of
@@ -544,19 +533,18 @@ func (s *devState) gatherPhaseCont(start uint64, k radio.Cont) radio.Cont {
 			relay = &gatherMsg{oldCID: s.oldCID, capturer: s.idx, offer: *s.captured}
 		}
 	}, s.sweepCont(start, -1,
-		func(int) (any, uint64, bool) {
+		func() (any, uint64, bool) {
 			if relay != nil {
 				return *relay, s.oldSeed, true
 			}
 			return nil, 0, false
 		},
-		func(_ int, m any) bool {
+		func(m any) {
 			gm, ok := m.(gatherMsg)
 			if !ok || gm.oldCID != s.oldCID || s.joined {
-				return false
+				return
 			}
 			relay = &gm
-			return true
 		},
 		radio.Do(func() {
 			// The root records the decision; a captured offer at the root

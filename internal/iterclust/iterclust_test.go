@@ -274,3 +274,36 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCostIndependentOfLayerBound pins the sparse-sweep structure:
+// a device builds only the (at most two) windows of a sweep it can act
+// in, so quadrupling the layer bound stretches the schedule but adds no
+// events and, beyond noise, no allocations. A sweep that built every
+// window would allocate several times as much at 4n.
+func TestSweepCostIndependentOfLayerBound(t *testing.T) {
+	g := graph.GNP(16, 0.5, 11)
+	n := g.N()
+	for _, model := range []radio.Model{radio.NoCD, radio.CD, radio.Local} {
+		run := func(layers int) (allocs float64, events uint64) {
+			p := NewParams(model, n, g.MaxDegree())
+			p.Layers = layers
+			allocs = testing.AllocsPerRun(1, func() {
+				out, err := Broadcast(g, 0, "m", p, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events = out.Result.Events
+			})
+			return allocs, events
+		}
+		a1, e1 := run(n)
+		a4, e4 := run(4 * n)
+		if e1 != e4 {
+			t.Errorf("%v: %d events at Layers=n, %d at 4n", model, e1, e4)
+		}
+		if ratio := a4 / a1; ratio < 0.9 || ratio > 1.1 {
+			t.Errorf("%v: %.0f allocations at Layers=n, %.0f at 4n (ratio %.2f, want within 10%%)",
+				model, a1, a4, ratio)
+		}
+	}
+}

@@ -5,12 +5,14 @@ package radio
 // package-private helpers; cluster and cdmerge build on these exported
 // forms, so new ports stop re-deriving the same five functions.
 //
-// The discipline the combinators encode: assemble the slot schedule (a
-// pure function of the protocol parameters) eagerly as a continuation
-// tree, but defer every read of mutable device state into an Eval thunk
-// that runs at its window's start — reproducing the evaluation order of
-// the blocking implementation exactly, which is what makes proc-vs-
-// blocking trace pinning possible.
+// The discipline the combinators encode: the slot schedule is a pure
+// function of the protocol parameters, but every read of mutable device
+// state is deferred into an Eval thunk that runs at its window's start —
+// reproducing the evaluation order of the blocking implementation
+// exactly, which is what makes proc-vs-blocking trace pinning possible.
+// Sleeps emit no events and draw no randomness, so a port may cover the
+// windows a device sits out with one Sleep instead of building them
+// (see cluster.SweepCont).
 
 // Then performs a, then resumes with k.
 func Then(a Action, k Cont) Cont {

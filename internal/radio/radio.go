@@ -30,11 +30,16 @@
 // enums.
 //
 // Each round, the scheduler steps every awaited device to its next
-// channel action, advances to the minimum requested slot via a min-heap
-// over (slot, device), and resolves the channel for that cohort in
-// ascending device order — the deterministic order the golden trace
-// test pins byte for byte. Devices that scheduled future slots wait in
-// the heap; a run ends when every device has halted.
+// channel action, advances to the minimum requested slot, and resolves
+// the channel for that cohort in ascending device order — the
+// deterministic order the golden trace test pins byte for byte. The
+// cohort comes from one of two places. If the earliest slot just posted
+// lies strictly below every pending request, its posters are the cohort,
+// taken in the posted list's ascending device order, and only the later
+// requests are pushed (the posted-first rule). Otherwise every post is
+// pushed onto a min-heap over (slot, device) and the cohort is popped
+// from it. Devices that scheduled future slots wait in the heap; a run
+// ends when every device has halted.
 //
 // Transmit payloads are interned in the transmitter's lane cell for
 // exactly one slot: listeners resolve them at delivery and the scheduler

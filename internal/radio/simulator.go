@@ -370,9 +370,8 @@ func (s *Simulator) gather() (t uint64, done bool) {
 	// The awaiting list is in ascending device order (it is the previous
 	// cohort, or all devices initially), so posted inherits that order.
 	s.stepAwaited()
-	heapWasEmpty := len(s.heap) == 0
 	s.posted = s.posted[:0]
-	minSlot, maxSlot := ^uint64(0), uint64(0)
+	minSlot := ^uint64(0)
 	for _, v := range s.awaiting {
 		if s.kinds[v] == actHalt {
 			s.live--
@@ -386,31 +385,35 @@ func (s *Simulator) gather() (t uint64, done bool) {
 		if s.slots[v] < minSlot {
 			minSlot = s.slots[v]
 		}
-		if s.slots[v] > maxSlot {
-			maxSlot = s.slots[v]
-		}
 	}
 	s.awaiting = s.awaiting[:0]
 	if s.live == 0 {
 		return 0, true
 	}
-	if heapWasEmpty && minSlot == maxSlot {
-		// Lockstep fast path: no pending future requests and every
-		// live device asked for the same slot — the cohort is the
-		// posted list itself (already ascending), no heap traffic.
+	s.cohort = s.cohort[:0]
+	if len(s.posted) > 0 && (len(s.heap) == 0 || minSlot < s.heap[0].slot) {
+		// Posted-first: no pending request shares the earliest posted
+		// slot, so that slot's cohort is its posters in the posted
+		// list's ascending device order, and only the later requests
+		// enter the heap.
 		t = minSlot
-		s.cohort = append(s.cohort[:0], s.posted...)
-	} else {
 		for _, v := range s.posted {
-			s.heapPush(heapEntry{slot: s.slots[v], dev: v})
+			if s.slots[v] == t {
+				s.cohort = append(s.cohort, v)
+			} else {
+				s.heapPush(heapEntry{slot: s.slots[v], dev: v})
+			}
 		}
-		// The next populated slot is the heap minimum; pop its cohort
-		// (ascending device order, by the heap tie-break).
-		t = s.heap[0].slot
-		s.cohort = s.cohort[:0]
-		for len(s.heap) > 0 && s.heap[0].slot == t {
-			s.cohort = append(s.cohort, s.heapPop().dev)
-		}
+		return t, false
+	}
+	for _, v := range s.posted {
+		s.heapPush(heapEntry{slot: s.slots[v], dev: v})
+	}
+	// The next populated slot is the heap minimum; pop its cohort
+	// (ascending device order, by the heap tie-break).
+	t = s.heap[0].slot
+	for len(s.heap) > 0 && s.heap[0].slot == t {
+		s.cohort = append(s.cohort, s.heapPop().dev)
 	}
 	return t, false
 }

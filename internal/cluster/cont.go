@@ -92,10 +92,8 @@ func SweepCont(start, w uint64, nw int, down bool, label int,
 	if !down {
 		first = nw - 1 - label
 	}
-	lo, hi := max(first, 0), min(first+2, nw) // live windows [lo, hi)
-	if lo >= hi {
-		return radio.Then(radio.Sleep(start+uint64(nw)*w-1), k)
-	}
+	lo := min(max(first, 0), nw) // live windows [lo, hi), empty when label is out of range
+	hi := max(min(first+2, nw), lo)
 	next := k
 	if hi < nw {
 		next = radio.Then(radio.Sleep(start+uint64(nw)*w-1), k)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -67,6 +68,56 @@ func TestBroadcastContTraceDeterministic(t *testing.T) {
 				if !firstHas[v] {
 					t.Errorf("%v seed %d: vertex %d not informed", model, seed, v)
 				}
+			}
+		}
+	}
+}
+
+// TestSweepContBuildsOnlyLiveWindows checks SweepCont's window
+// arithmetic against a window-by-window scan, for both directions and
+// for labels inside and outside the sweep: it must build exactly the
+// windows whose sender or receiver layer is the label, at their slots
+// and in order, and its chain must end at the sweep's last slot.
+func TestSweepContBuildsOnlyLiveWindows(t *testing.T) {
+	const start, w, nw = 10, 5, 6
+	type window struct {
+		ws         uint64
+		send, recv int
+	}
+	for _, down := range []bool{true, false} {
+		for label := -2; label <= nw+2; label++ {
+			var want []window
+			for i := 0; i < nw; i++ {
+				send, recv := i, i+1
+				if !down {
+					send, recv = nw-i, nw-1-i
+				}
+				if send == label || recv == label {
+					want = append(want, window{start + uint64(i)*w, send, recv})
+				}
+			}
+			var got []window
+			win := func(ws uint64, send, recv int, k radio.Cont) radio.Cont {
+				got = append(got, window{ws, send, recv})
+				return radio.Then(radio.Listen(ws), radio.Then(radio.Sleep(ws+w-1), k))
+			}
+			var clock uint64
+			for c := SweepCont(start, w, nw, down, label, win, nil); c != nil; {
+				var act radio.Action
+				act, c = c(nil, radio.Feedback{})
+				if act.Slot < clock {
+					t.Fatalf("down=%v label %d: slot %d after %d", down, label, act.Slot, clock)
+				}
+				clock = act.Slot
+			}
+			// win may be called in any order; the walk above checked that
+			// the chain runs the windows in slot order.
+			sort.Slice(got, func(i, j int) bool { return got[i].ws < got[j].ws })
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("down=%v label %d: built %v, want %v", down, label, got, want)
+			}
+			if end := uint64(start + nw*w - 1); clock != end {
+				t.Errorf("down=%v label %d: chain ends at slot %d, want %d", down, label, clock, end)
 			}
 		}
 	}

@@ -143,8 +143,11 @@ func (b *Broadcaster) UpCastCont(start uint64, k radio.Cont) radio.Cont {
 }
 
 // sweepCont reads the device's layer at sweep start and emits its
-// sparse sweep.
+// sparse sweep. A single-layer sweep has no windows and costs nothing.
 func (b *Broadcaster) sweepCont(start uint64, down bool, k radio.Cont) radio.Cont {
+	if b.Layers <= 1 {
+		return k
+	}
 	return radio.Eval(func() radio.Cont {
 		return SweepCont(start, b.SR.Slots(), b.Layers-1, down, b.Label, b.window, k)
 	})
@@ -219,8 +222,12 @@ func (r *Refiner) UpSweepCont(start uint64, k radio.Cont) radio.Cont {
 }
 
 // sweepCont reads the device's old layer at sweep start and emits its
-// sparse refinement sweep.
+// sparse refinement sweep. A single-layer sweep has no windows and costs
+// nothing.
 func (r *Refiner) sweepCont(start uint64, down bool, k radio.Cont) radio.Cont {
+	if r.Layers <= 1 {
+		return k
+	}
 	return radio.Eval(func() radio.Cont {
 		return SweepCont(start, r.SR.Slots(), r.Layers-1, down, r.Old, r.refineWindow, k)
 	})

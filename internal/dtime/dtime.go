@@ -285,6 +285,10 @@ func (s *devState) sweepCont(start uint64, dir int,
 	send func() (any, uint64, bool), recv func(m any), k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
 		p := s.p
+		lb := p.lb[s.iter]
+		if lb <= 1 {
+			return k
+		}
 		w := p.SR.Slots()
 		window := func(ws uint64, sl, rl int, next radio.Cont) radio.Cont {
 			var rep func(c int) radio.Cont
@@ -315,7 +319,7 @@ func (s *devState) sweepCont(start uint64, dir int,
 			}
 			return rep(0)
 		}
-		return cluster.SweepCont(start, uint64(p.CL)*w, p.lb[s.iter]-1, dir > 0, s.oldLayer, window, k)
+		return cluster.SweepCont(start, uint64(p.CL)*w, lb-1, dir > 0, s.oldLayer, window, k)
 	})
 }
 

@@ -85,9 +85,6 @@ func (s Spec) SkipCont(start uint64, k radio.Cont) radio.Cont {
 // assembled together at sweep start.
 func SweepCont(start, w uint64, nw int, down bool, label int,
 	win func(ws uint64, send, recv int, k radio.Cont) radio.Cont, k radio.Cont) radio.Cont {
-	if nw <= 0 {
-		return k
-	}
 	first := label - 1 // the window whose receiver layer is label
 	if !down {
 		first = nw - 1 - label

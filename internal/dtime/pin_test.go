@@ -58,7 +58,9 @@ func comparePin(t *testing.T, got string) {
 func TestPortPin(t *testing.T) {
 	// iters forces the partition iteration count. Iteration 0 always
 	// runs at label bound 1, where every Lemma 17 sweep is empty, so
-	// only the two-iteration scenarios exercise non-empty sweeps.
+	// only the two-iteration scenarios exercise non-empty sweeps. iters
+	// 0 keeps NewParamsBeta's count, which is 0 on a star (D = 2): the
+	// run is the closing Lemma 10 Broadcast alone, at layer bound 1.
 	scens := []struct {
 		name  string
 		g     *graph.Graph
@@ -72,6 +74,9 @@ func TestPortPin(t *testing.T) {
 		{"nocd-path10-it2", graph.Path(10), radio.NoCD, 11, 2},
 		{"cd-path12-it2", graph.Path(12), radio.CD, 13, 2},
 		{"local-grid36-it2", graph.Grid(3, 6), radio.Local, 17, 2},
+		{"cd-star64-it0", graph.Star(64), radio.CD, 19, 0},
+		{"nocd-star16-it0", graph.Star(16), radio.NoCD, 23, 0},
+		{"local-star32-it0", graph.Star(32), radio.Local, 29, 0},
 	}
 	var sb strings.Builder
 	for _, sc := range scens {

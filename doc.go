@@ -27,11 +27,15 @@
 // goroutine, no park/wake per action, just one function call per
 // device decision. The paper's algorithms are slot-driven state
 // machines by construction, and every protocol package ships a native
-// step machine; deeply nested passes (detcast, cdmerge, iterclust's
-// cluster phases) are written against radio.Cont, a
+// step machine; deeply nested passes (detcast, cdmerge, the iteration
+// structure of iterclust and dtime) are written against radio.Cont, a
 // continuation-passing layer over the same interface, and procs nest
 // under virtual channels (coloring's Theorem 3 simulation) by plain
-// composition.
+// composition. The Section 5 cluster phases — the Lemma 10 Broadcast and
+// the label refinement — are one flat step machine per device
+// (internal/cluster) that re-arms a single SR-communication window
+// (srcomm.Window) in place, so a whole phase costs O(1) allocations per
+// device however many windows it spans.
 //
 // Cohorts are ordered (slot, then device index): the devices stepped in
 // a round post their requests in ascending device order, and when the

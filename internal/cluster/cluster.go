@@ -63,6 +63,8 @@ type Broadcaster struct {
 	Has bool
 	// Msg is the message (valid when Has).
 	Msg any
+
+	cast caster // runs BroadcastCont
 }
 
 // BroadcastSlots returns the total window length of Broadcast(d) with the
@@ -85,6 +87,9 @@ type Refiner struct {
 	Old int
 	// New is the device's label under L' (Bottom until assigned).
 	New int
+
+	root bool   // the Step 1 coin of the running refinement
+	cast caster // runs RefineCont
 }
 
 // RefineSlots returns the total window length of a refinement with

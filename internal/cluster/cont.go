@@ -1,21 +1,27 @@
 package cluster
 
-// Continuation forms of the SR-communication windows and the Lemma 10
-// Broadcaster, for protocols ported to the inline step ABI (radio.Proc).
-// Each form occupies exactly the window its blocking counterpart does
-// and evaluates mutable device state (roles, Has/Msg) at window start,
-// so a ported protocol produces the byte-identical slot-level event
-// stream of its blocking original — the property the cdmerge, iterclust
-// and dtime port pins check.
+// Step-machine forms of the SR-communication windows, the Lemma 10
+// Broadcaster and the refinement, for protocols ported to the inline
+// step ABI (radio.Proc). Each form occupies exactly the window its
+// blocking counterpart does and evaluates mutable device state (roles,
+// Has/Msg, labels) at window start, so a ported protocol produces the
+// byte-identical slot-level event stream of its blocking original — the
+// property the cdmerge, iterclust and dtime port pins check.
 //
 // Layered sweeps are sparse. A device at layer L can act in at most two
 // windows of a sweep: the one whose receiver layer is L and the one
-// right after it, whose sender layer is L. SweepCont reads L once at
-// sweep start, builds only those two windows and covers the rest of the
-// sweep with one Sleep on each side. Sleeps emit no events and draw no
-// randomness, so the event stream is the one a window-by-window sweep
-// produces, and a sweep costs O(1) continuations per device instead of
-// O(Layers).
+// right after it, whose sender layer is L (liveWindows). Sleeps emit no
+// events and draw no randomness, so passing over every other window
+// leaves the event stream as a window-by-window sweep produces it.
+//
+// The Broadcaster and the Refiner each run as one flat cast machine per
+// device (caster): a (segment, window) cursor over their sequence of
+// sweeps and All-cast windows that re-arms one embedded srcomm.Window
+// for each window the device takes part in and builds and emits nothing
+// for the others, so a whole Broadcast or refinement costs O(1)
+// allocations per device. SendCont, ReceiveCont, SkipCont and SweepCont
+// are the continuation forms of single windows and sweeps, for
+// protocols that compose their own (dtime's Lemma 17 sweeps, partition).
 
 import (
 	"repro/internal/labeling"
@@ -23,19 +29,27 @@ import (
 	"repro/internal/srcomm"
 )
 
+// arm arms w in the model's SR-communication realization for the window
+// at start: as the sender of payload when send is set, else as a
+// receiver. It is the one place a model picks its realization.
+func (s Spec) arm(w *srcomm.Window, start uint64, send bool, payload any) {
+	switch s.Model {
+	case radio.Local:
+		w.ArmLocal(start, send, payload)
+	case radio.CD, radio.CDStar:
+		w.ArmCD(start, s.CD, send, payload)
+	default:
+		w.ArmDecay(start, s.Decay, send, payload)
+	}
+}
+
 // SendCont participates in the window at start as a sender, then
 // resumes with k. payload is read at window start.
 func (s Spec) SendCont(start uint64, payload func() any, k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
-		m := payload()
-		switch s.Model {
-		case radio.Local:
-			return radio.ProcCont(srcomm.LocalSendProc(start, m), k)
-		case radio.CD, radio.CDStar:
-			return radio.ProcCont(srcomm.CDSendProc(start, s.CD, m), k)
-		default:
-			return radio.ProcCont(srcomm.DecaySendProc(start, s.Decay, m), k)
-		}
+		w := new(srcomm.Window)
+		s.arm(w, start, true, payload())
+		return radio.ProcCont(w, k)
 	})
 }
 
@@ -43,28 +57,9 @@ func (s Spec) SendCont(start uint64, payload func() any, k radio.Cont) radio.Con
 // the delivery (message, ok) when the window ends, before k resumes.
 func (s Spec) ReceiveCont(start uint64, done func(any, bool), k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
-		switch s.Model {
-		case radio.Local:
-			var got []any
-			return radio.ProcCont(srcomm.LocalReceiveProc(start, &got),
-				radio.Do(func() {
-					if len(got) > 0 {
-						done(got[0], true)
-					} else {
-						done(nil, false)
-					}
-				}, k))
-		case radio.CD, radio.CDStar:
-			var m any
-			var ok bool
-			return radio.ProcCont(srcomm.CDReceiveProc(start, s.CD, &m, &ok),
-				radio.Do(func() { done(m, ok) }, k))
-		default:
-			var m any
-			var ok bool
-			return radio.ProcCont(srcomm.DecayReceiveProc(start, s.Decay, &m, &ok),
-				radio.Do(func() { done(m, ok) }, k))
-		}
+		w := new(srcomm.Window)
+		s.arm(w, start, false, nil)
+		return radio.ProcCont(w, radio.Do(func() { done(w.Delivery()) }, k))
 	})
 }
 
@@ -74,32 +69,45 @@ func (s Spec) SkipCont(start uint64, k radio.Cont) radio.Cont {
 	return radio.Then(radio.Sleep(start+s.Slots()-1), k)
 }
 
-// SweepCont emits one layered sweep of nw windows of w slots from start,
-// as seen by a device at layer label, then resumes with k. In a down
-// sweep window i links sender layer i to receiver layer i+1; in an up
-// sweep it links sender layer nw-i to receiver layer nw-1-i. Only the
-// window whose receiver layer is label and the next one, whose sender
-// layer is label, are built, as win(ws, send, recv, next); one Sleep on
-// each side covers the others. win must defer every read of mutable
-// device state to window start (an Eval), since the two windows are
-// assembled together at sweep start.
-func SweepCont(start, w uint64, nw int, down bool, label int,
-	win func(ws uint64, send, recv int, k radio.Cont) radio.Cont, k radio.Cont) radio.Cont {
+// liveWindows returns the windows [lo, hi) of an nw-window sweep that a
+// device at layer label can act in: the one whose receiver layer is
+// label and the next one, whose sender layer is label. The range is
+// empty when label is outside the sweep.
+func liveWindows(nw int, down bool, label int) (lo, hi int) {
 	first := label - 1 // the window whose receiver layer is label
 	if !down {
 		first = nw - 1 - label
 	}
-	lo := min(max(first, 0), nw) // live windows [lo, hi), empty when label is out of range
-	hi := max(min(first+2, nw), lo)
+	lo = min(max(first, 0), nw)
+	return lo, max(min(first+2, nw), lo)
+}
+
+// windowLayers returns the sender and receiver layers of window i of an
+// nw-window sweep. In a down sweep window i links sender layer i to
+// receiver layer i+1; in an up sweep it links sender layer nw-i to
+// receiver layer nw-1-i.
+func windowLayers(nw, i int, down bool) (send, recv int) {
+	if down {
+		return i, i + 1
+	}
+	return nw - i, nw - 1 - i
+}
+
+// SweepCont emits one layered sweep of nw windows of w slots from start,
+// as seen by a device at layer label, then resumes with k. Only the live
+// windows (liveWindows) are built, as win(ws, send, recv, next); one
+// Sleep on each side covers the others. win must defer every read of
+// mutable device state to window start (an Eval), since the two windows
+// are assembled together at sweep start.
+func SweepCont(start, w uint64, nw int, down bool, label int,
+	win func(ws uint64, send, recv int, k radio.Cont) radio.Cont, k radio.Cont) radio.Cont {
+	lo, hi := liveWindows(nw, down, label)
 	next := k
 	if hi < nw {
 		next = radio.Then(radio.Sleep(start+uint64(nw)*w-1), k)
 	}
 	for i := hi - 1; i >= lo; i-- {
-		send, recv := i, i+1
-		if !down {
-			send, recv = nw-i, nw-1-i
-		}
+		send, recv := windowLayers(nw, i, down)
 		next = win(start+uint64(i)*w, send, recv, next)
 	}
 	if lo > 0 {
@@ -108,143 +116,191 @@ func SweepCont(start, w uint64, nw int, down bool, label int,
 	return next
 }
 
-// window emits one sweep window: the device's role is chosen at window
-// start from the Broadcaster's current state.
-func (b *Broadcaster) window(ws uint64, sendLayer, recvLayer int, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		switch {
-		case b.Has && b.Label == sendLayer:
-			return b.SR.SendCont(ws, func() any { return b.Msg }, k)
-		case !b.Has && b.Label == recvLayer:
-			return b.SR.ReceiveCont(ws, func(m any, ok bool) {
-				if ok {
-					b.Has, b.Msg = true, m
-				}
-			}, k)
-		default:
-			return b.SR.SkipCont(ws, k)
-		}
-	})
+// A castRole is the device state a cast machine runs over: the
+// Broadcaster's or the Refiner's. Each method runs at the point where
+// the blocking form read or changed that state.
+type castRole interface {
+	// enter runs at the machine's first step and exit after its last
+	// window.
+	enter()
+	exit()
+	// layer is the device's layer in the swept labeling, read at sweep
+	// start.
+	layer() int
+	// holds reports, at window start, whether the device is a sender.
+	holds() bool
+	// payload is what a sender sends, read at window start.
+	payload() any
+	// adopt takes a receive window's delivery.
+	adopt(m any)
 }
 
-// DownCastCont is the continuation form of DownCast: windows i =
-// 0..Layers-2, holders at layer i send, non-holders at i+1 receive.
-func (b *Broadcaster) DownCastCont(start uint64, k radio.Cont) radio.Cont {
-	return b.sweepCont(start, true, k)
+// Segment kinds of a cast sequence, in the order they cycle.
+const (
+	segUp = iota
+	segDown
+	segAll
+)
+
+// caster is the flat step machine of a cast sequence: segments cycling
+// Up, Down, All from a given first kind, where a sweep is nw windows of
+// w slots and an All-cast is one window. In a sweep window a holder at
+// the sender layer sends and a non-holder at the receiver layer
+// receives; in an All-cast every holder sends and everyone else
+// receives. Each window the device takes part in runs on win, re-armed
+// in place; the machine builds and emits nothing for the others.
+type caster struct {
+	role castRole
+	sr   Spec
+	nw   int    // windows per sweep
+	w    uint64 // window length
+
+	next uint64 // first slot of the next segment
+	kind int    // kind of the next segment
+	left int    // segments not yet entered
+
+	base  uint64 // first slot of the current segment
+	cur   int    // kind of the current segment
+	label int    // the device's layer, read at sweep start
+	i, hi int    // next window and end of the current segment's live windows
+
+	started bool
+	armed   bool // win holds a window not yet halted
+	win     srcomm.Window
 }
 
-// UpCastCont is the continuation form of UpCast: windows i =
-// Layers-1..1, holders at layer i send, non-holders at i-1 receive.
-func (b *Broadcaster) UpCastCont(start uint64, k radio.Cont) radio.Cont {
-	return b.sweepCont(start, false, k)
+// reset points c at a cast sequence of segs segments from start, the
+// first of kind first, over role's state.
+func (c *caster) reset(role castRole, sr Spec, layers int, start uint64, first, segs int) {
+	c.role, c.sr = role, sr
+	c.nw, c.w = max(layers-1, 0), sr.Slots()
+	c.next, c.kind, c.left = start, first, segs
+	c.i, c.hi = 0, 0
+	c.started, c.armed = false, false
 }
 
-// sweepCont reads the device's layer at sweep start and emits its
-// sparse sweep. A single-layer sweep has no windows and costs nothing.
-func (b *Broadcaster) sweepCont(start uint64, down bool, k radio.Cont) radio.Cont {
-	if b.Layers <= 1 {
-		return k
+// Step runs the armed window until it halts, hands a receiver's delivery
+// to the role (a sender window delivers nothing), and arms the next
+// window the device takes part in. A freshly armed window starts on the
+// zero Feedback.
+func (c *caster) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	if !c.started {
+		c.started = true
+		c.role.enter()
 	}
-	return radio.Eval(func() radio.Cont {
-		return SweepCont(start, b.SR.Slots(), b.Layers-1, down, b.Label, b.window, k)
-	})
+	for {
+		if c.armed {
+			act := c.win.Step(ch, fb)
+			if act.Kind != radio.ActHalt {
+				return act
+			}
+			c.armed = false
+			if m, ok := c.win.Delivery(); ok {
+				c.role.adopt(m)
+			}
+		}
+		if !c.armNext() {
+			c.role.exit()
+			return radio.Halt()
+		}
+		fb = radio.Feedback{}
+	}
 }
 
-// AllCastCont is the continuation form of AllCast: one window, holders
-// send, non-holders receive.
-func (b *Broadcaster) AllCastCont(start uint64, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		if b.Has {
-			return b.SR.SendCont(start, func() any { return b.Msg }, k)
-		}
-		return b.SR.ReceiveCont(start, func(m any, ok bool) {
-			if ok {
-				b.Has, b.Msg = true, m
+// armNext arms the next window the device takes part in, entering
+// segments as they run out, and reports whether one was left.
+func (c *caster) armNext() bool {
+	for {
+		for c.i < c.hi {
+			i := c.i
+			c.i++
+			if c.arm(i) {
+				return true
 			}
-		}, k)
-	})
+		}
+		if c.left == 0 {
+			return false
+		}
+		c.enterSegment()
+	}
 }
+
+// enterSegment starts the next segment. A sweep reads the device's layer and
+// keeps only its live windows.
+func (c *caster) enterSegment() {
+	c.base, c.cur = c.next, c.kind
+	c.kind = (c.kind + 1) % 3
+	c.left--
+	if c.cur == segAll {
+		c.i, c.hi = 0, 1
+		c.next += c.w
+		return
+	}
+	c.label = c.role.layer()
+	c.i, c.hi = liveWindows(c.nw, c.cur == segDown, c.label)
+	c.next += uint64(c.nw) * c.w
+}
+
+// arm arms window i of the current segment if the device takes part in
+// it, reading its role at window start.
+func (c *caster) arm(i int) bool {
+	holds := c.role.holds()
+	if c.cur != segAll {
+		send, recv := windowLayers(c.nw, i, c.cur == segDown)
+		if holds && c.label != send || !holds && c.label != recv {
+			return false
+		}
+	}
+	var m any
+	if holds {
+		m = c.role.payload()
+	}
+	c.sr.arm(&c.win, c.base+uint64(i)*c.w, holds, m)
+	c.armed = true
+	return true
+}
+
+func (b *Broadcaster) enter()       {}
+func (b *Broadcaster) exit()        {}
+func (b *Broadcaster) layer() int   { return b.Label }
+func (b *Broadcaster) holds() bool  { return b.Has }
+func (b *Broadcaster) payload() any { return b.Msg }
+func (b *Broadcaster) adopt(m any)  { b.Has, b.Msg = true, m }
 
 // BroadcastCont is the continuation form of Broadcast: Up-cast, d rounds
 // of (Down-cast, All-cast, Up-cast), final Down-cast, then k. It
-// occupies exactly BroadcastSlots(SR, Layers, d) slots from start.
+// occupies exactly BroadcastSlots(SR, Layers, d) slots from start. It
+// re-arms b's own cast machine, so a Broadcaster runs one BroadcastCont
+// at a time.
 func (b *Broadcaster) BroadcastCont(start uint64, d int, k radio.Cont) radio.Cont {
-	w := b.SR.Slots()
-	sweep := uint64(maxInt(b.Layers-1, 0)) * w
-	var round func(r int, t uint64) radio.Cont
-	round = func(r int, t uint64) radio.Cont {
-		if r == d {
-			return b.DownCastCont(t, k)
-		}
-		return b.DownCastCont(t,
-			b.AllCastCont(t+sweep,
-				b.UpCastCont(t+sweep+w,
-					round(r+1, t+2*sweep+w))))
+	b.cast.reset(b, b.SR, b.Layers, start, segUp, 3*d+2)
+	return radio.ProcCont(&b.cast, k)
+}
+
+// enter is the Step 1 root coin: a layer-0 vertex that became a root
+// keeps label 0, every other vertex starts unlabeled.
+func (r *Refiner) enter() {
+	r.New = labeling.Bottom
+	if r.root && r.Old == 0 {
+		r.New = 0
 	}
-	return b.UpCastCont(start, round(0, start+sweep))
 }
 
-// refineWindow emits one refinement sweep window: labeled devices at old
-// layer sendLayer broadcast their new label, unlabeled devices at old
-// layer recvLayer try to adopt. Roles are read at window start.
-func (r *Refiner) refineWindow(ws uint64, sendLayer, recvLayer int, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		switch {
-		case r.New != labeling.Bottom && r.Old == sendLayer:
-			return r.SR.SendCont(ws, func() any { return r.New }, k)
-		case r.New == labeling.Bottom && r.Old == recvLayer:
-			return r.SR.ReceiveCont(ws, func(m any, ok bool) {
-				if ok {
-					if lab, isInt := m.(int); isInt {
-						r.New = lab + 1
-					}
-				}
-			}, k)
-		default:
-			return r.SR.SkipCont(ws, k)
-		}
-	})
-}
-
-// DownSweepCont is the continuation form of downSweep: windows i =
-// 0..Layers-2 over old layers, senders at i, adopters at i+1.
-func (r *Refiner) DownSweepCont(start uint64, k radio.Cont) radio.Cont {
-	return r.sweepCont(start, true, k)
-}
-
-// UpSweepCont is the continuation form of upSweep: windows i =
-// Layers-1..1, senders at i, adopters at i-1.
-func (r *Refiner) UpSweepCont(start uint64, k radio.Cont) radio.Cont {
-	return r.sweepCont(start, false, k)
-}
-
-// sweepCont reads the device's old layer at sweep start and emits its
-// sparse refinement sweep. A single-layer sweep has no windows and costs
-// nothing.
-func (r *Refiner) sweepCont(start uint64, down bool, k radio.Cont) radio.Cont {
-	if r.Layers <= 1 {
-		return k
+// exit is the fallback: a vertex no sweep reached keeps its old label.
+func (r *Refiner) exit() {
+	if r.New == labeling.Bottom {
+		r.New = r.Old
 	}
-	return radio.Eval(func() radio.Cont {
-		return SweepCont(start, r.SR.Slots(), r.Layers-1, down, r.Old, r.refineWindow, k)
-	})
 }
 
-// AllWindowCont is the continuation form of allWindow: one window where
-// every labeled vertex sends and every unlabeled vertex tries to adopt.
-func (r *Refiner) AllWindowCont(start uint64, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		if r.New != labeling.Bottom {
-			return r.SR.SendCont(start, func() any { return r.New }, k)
-		}
-		return r.SR.ReceiveCont(start, func(m any, ok bool) {
-			if ok {
-				if lab, isInt := m.(int); isInt {
-					r.New = lab + 1
-				}
-			}
-		}, k)
-	})
+func (r *Refiner) layer() int   { return r.Old }
+func (r *Refiner) holds() bool  { return r.New != labeling.Bottom }
+func (r *Refiner) payload() any { return r.New }
+
+func (r *Refiner) adopt(m any) {
+	if lab, isInt := m.(int); isInt {
+		r.New = lab + 1
+	}
 }
 
 // RefineCont is the continuation form of Refine: s rounds of (Down-cast,
@@ -253,28 +309,10 @@ func (r *Refiner) AllWindowCont(start uint64, k radio.Cont) radio.Cont {
 // occupies exactly RefineSlots(SR, Layers, s) slots from start.
 // becomeRoot must already be decided by the caller at assembly time
 // (the coin is drawn at refinement start, matching the blocking form).
+// It re-arms r's own cast machine, so a Refiner runs one RefineCont at a
+// time and can be reused for the next refinement.
 func (r *Refiner) RefineCont(start uint64, s int, becomeRoot bool, k radio.Cont) radio.Cont {
-	w := r.SR.Slots()
-	sweep := uint64(maxInt(r.Layers-1, 0)) * w
-	fallback := radio.Do(func() {
-		if r.New == labeling.Bottom {
-			r.New = r.Old
-		}
-	}, k)
-	var round func(i int, t uint64) radio.Cont
-	round = func(i int, t uint64) radio.Cont {
-		if i == s {
-			return r.DownSweepCont(t, fallback)
-		}
-		return r.DownSweepCont(t,
-			r.AllWindowCont(t+sweep,
-				r.UpSweepCont(t+sweep+w,
-					round(i+1, t+2*sweep+w))))
-	}
-	return radio.Do(func() {
-		r.New = labeling.Bottom
-		if becomeRoot && r.Old == 0 {
-			r.New = 0
-		}
-	}, round(0, start))
+	r.root = becomeRoot
+	r.cast.reset(r, r.SR, r.Layers, start, segDown, 3*s+1)
+	return radio.ProcCont(&r.cast, k)
 }

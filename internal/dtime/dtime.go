@@ -240,10 +240,15 @@ type relabelMsg struct {
 	newLayer int
 }
 
-// devState is a device's cluster bookkeeping.
+// devState is a device's state: its cluster bookkeeping and the closing
+// Broadcaster, allocated once per run. It holds the device's only copy
+// of Params.
 type devState struct {
-	idx int
-	p   Params
+	idx      int
+	p        Params
+	isSource bool
+	msg      any
+	out      *DeviceResult
 
 	oldCID   int
 	oldLayer int
@@ -262,6 +267,8 @@ type devState struct {
 
 	dDelta float64 // root only: exponential shift
 	start  int     // root only: start epoch
+
+	final cluster.Broadcaster // the closing Lemma 10 Broadcast
 }
 
 // coin reports whether the cluster with the given seed participates in
@@ -284,7 +291,7 @@ func (p Params) coin(seed uint64, ws uint64) bool {
 func (s *devState) sweepCont(start uint64, dir int,
 	send func() (any, uint64, bool), recv func(m any), k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
-		p := s.p
+		p := &s.p
 		lb := p.lb[s.iter]
 		if lb <= 1 {
 			return k
@@ -334,41 +341,52 @@ type DeviceResult struct {
 // RunCont is the continuation form of the Theorem 16 device program
 // starting at slot 1, resuming with k when the schedule ends. The
 // device's first private draw (the shared cluster seed) happens when the
-// continuation first runs; out is complete before k resumes.
+// continuation first runs; out is complete before k resumes. The
+// continuation is single-use.
 func RunCont(p Params, isSource bool, msg any, out *DeviceResult, k radio.Cont) radio.Cont {
-	return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-		s := &devState{
-			idx: ch.Index(), p: p,
-			oldCID: ch.Index(), oldLayer: 0,
-			oldSeed:  ch.Rand().Uint64(),
-			newLayer: -1, newCID: -1,
-		}
-		var iterC func(iter int, t uint64) radio.Cont
-		iterC = func(iter int, t uint64) radio.Cont {
-			if iter == p.Iterations {
-				b := &cluster.Broadcaster{SR: p.SR, Layers: p.LayerBound()}
-				return radio.Do(func() {
-					b.Label, b.Has, b.Msg = s.oldLayer, isSource, msg
-				}, b.BroadcastCont(t, p.FinalD, radio.Do(func() {
-					out.Informed = b.Has
-					out.Msg = b.Msg
-					out.Label = s.oldLayer
-					out.Cluster = s.oldCID
-				}, k)))
-			}
-			return s.iterationCont(iter, t, radio.Eval(func() radio.Cont {
-				return iterC(iter+1, t+p.iterSlots(p.lb[iter]))
-			}))
-		}
-		return iterC(0, 1)
-	})
+	s := newDevState(p, isSource, msg, out)
+	return radio.EvalCh(func(ch radio.Channel) radio.Cont { return s.begin(ch, k) })
 }
 
 // Proc returns the device step machine implementing Theorem 16.
 func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
-	return radio.ContProc(func(ch radio.Channel) radio.Cont {
-		return RunCont(p, isSource, msg, out, nil)
-	})
+	s := newDevState(p, isSource, msg, out)
+	return radio.ContProc(func(ch radio.Channel) radio.Cont { return s.begin(ch, nil) })
+}
+
+// newDevState allocates a device's whole state, once per run.
+func newDevState(p Params, isSource bool, msg any, out *DeviceResult) *devState {
+	return &devState{p: p, isSource: isSource, msg: msg, out: out, newLayer: -1, newCID: -1}
+}
+
+// begin takes the device's identity and its first private draw, then
+// emits the whole program.
+func (s *devState) begin(ch radio.Channel, k radio.Cont) radio.Cont {
+	s.idx, s.oldCID = ch.Index(), ch.Index()
+	s.oldSeed = ch.Rand().Uint64()
+	return s.runCont(0, 1, k)
+}
+
+// runCont emits partition iterations iter.. from slot t, then the
+// closing Lemma 10 Broadcast over the final clustering.
+func (s *devState) runCont(iter int, t uint64, k radio.Cont) radio.Cont {
+	p := &s.p
+	if iter == p.Iterations {
+		b := &s.final
+		return radio.Eval(func() radio.Cont {
+			*b = cluster.Broadcaster{SR: p.SR, Layers: p.LayerBound(),
+				Label: s.oldLayer, Has: s.isSource, Msg: s.msg}
+			return b.BroadcastCont(t, p.FinalD, radio.Do(func() {
+				s.out.Informed = b.Has
+				s.out.Msg = b.Msg
+				s.out.Label = s.oldLayer
+				s.out.Cluster = s.oldCID
+			}, k))
+		})
+	}
+	return s.iterationCont(iter, t, radio.Eval(func() radio.Cont {
+		return s.runCont(iter+1, t+p.iterSlots(p.lb[iter]), k)
+	}))
 }
 
 // iterationCont emits one Partition(beta) round on the cluster graph:
@@ -377,7 +395,7 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 // clustering handover before k resumes.
 func (s *devState) iterationCont(iter int, start uint64, k radio.Cont) radio.Cont {
 	return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-		p := s.p
+		p := &s.p
 		s.iter = iter
 		// Reset per-iteration state; the previous clustering is "old".
 		s.active, s.joined = false, false
@@ -423,7 +441,7 @@ func (s *devState) iterationCont(iter int, start uint64, k radio.Cont) radio.Con
 // the gathered join decision; members adopt the new cluster identity.
 // Roots of singleton clusters act locally (no windows exist at lb=1).
 func (s *devState) announcePhaseCont(start uint64, epoch int, k radio.Cont) radio.Cont {
-	p := s.p
+	p := &s.p
 	return radio.Do(func() {
 		isRoot := s.oldCID == s.idx
 		if isRoot && !s.active && !s.joined {
@@ -506,7 +524,7 @@ func (s *devState) acceptRelabel(m any) {
 // offerPhaseCont: active members advertise their new cluster; members of
 // still-unclustered clusters capture any offer (plain All-cast window).
 func (s *devState) offerPhaseCont(start uint64, epoch int, k radio.Cont) radio.Cont {
-	p := s.p
+	p := &s.p
 	return radio.Eval(func() radio.Cont {
 		switch {
 		case s.active && epoch <= p.EpochsPerIter:

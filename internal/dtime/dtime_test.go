@@ -200,3 +200,44 @@ func TestNoCDVariantSmall(t *testing.T) {
 		t.Error("No-CD dtime broadcast never completed")
 	}
 }
+
+// TestBroadcastCostIndependentOfRounds pins the flat cast machine: on a
+// star no partition iteration runs, so the trial is the closing Lemma 10
+// Broadcast, and each device runs every window of it on one re-armed SR
+// window. Quadrupling the round count FinalD lengthens the schedule but
+// adds, beyond noise, no allocations. A Broadcast that built a machine
+// per All-cast window would allocate about twice as much at 8 rounds.
+func TestBroadcastCostIndependentOfRounds(t *testing.T) {
+	g := graph.Star(64)
+	n := g.N()
+	d, err := g.Diameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []radio.Model{radio.NoCD, radio.CD, radio.Local} {
+		run := func(rounds int) float64 {
+			p, err := NewParamsBeta(model, n, g.MaxDegree(), d, 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Iterations != 0 {
+				t.Fatalf("%v: %d partition iterations on a star, want 0", model, p.Iterations)
+			}
+			p.FinalD = rounds
+			return testing.AllocsPerRun(1, func() {
+				out, err := Broadcast(g, 0, "m", p, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !out.AllInformed() {
+					t.Fatalf("%v: %d rounds left devices uninformed", model, rounds)
+				}
+			})
+		}
+		a2, a8 := run(2), run(8)
+		if ratio := a8 / a2; ratio < 0.9 || ratio > 1.1 {
+			t.Errorf("%v: %.0f allocations at FinalD=2, %.0f at 8 (ratio %.2f, want within 10%%)",
+				model, a2, a8, ratio)
+		}
+	}
+}

@@ -110,6 +110,8 @@ type DeviceResult struct {
 func RunCont(p Params, isSource bool, msg any, out *DeviceResult, k radio.Cont) radio.Cont {
 	per := cluster.RefineSlots(p.SR, p.Layers, p.S)
 	lab := 0 // the trivial all-zero good labeling
+	// One Refiner serves every refinement: RefineCont re-arms it.
+	r := &cluster.Refiner{SR: p.SR, Layers: p.Layers}
 	var iter func(it int, t uint64) radio.Cont
 	iter = func(it int, t uint64) radio.Cont {
 		if it == p.Iterations {
@@ -122,7 +124,6 @@ func RunCont(p Params, isSource bool, msg any, out *DeviceResult, k radio.Cont) 
 				out.Label = lab
 			}, k)))
 		}
-		r := &cluster.Refiner{SR: p.SR, Layers: p.Layers}
 		return radio.EvalCh(func(ch radio.Channel) radio.Cont {
 			becomeRoot := lab == 0 && rng.Bernoulli(ch.Rand(), p.P)
 			r.Old = lab

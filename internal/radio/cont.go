@@ -2,8 +2,9 @@ package radio
 
 // This file exports the continuation-combinator vocabulary for porting
 // blocking protocols to the step ABI. detcast introduced the style with
-// package-private helpers; cluster and cdmerge build on these exported
-// forms, so new ports stop re-deriving the same five functions.
+// package-private helpers; cdmerge, dtime, iterclust and partition
+// build on these exported forms, so new ports stop re-deriving the same
+// five functions.
 //
 // The discipline the combinators encode: the slot schedule is a pure
 // function of the protocol parameters, but every read of mutable device
@@ -12,7 +13,12 @@ package radio
 // exactly, which is what makes proc-vs-blocking trace pinning possible.
 // Sleeps emit no events and draw no randomness, so a port may cover the
 // windows a device sits out with one Sleep instead of building them
-// (see cluster.SweepCont).
+// (see cluster.SweepCont), or emit nothing for them at all.
+//
+// Every combinator allocates a closure, so a chain costs allocations in
+// proportion to its length. A phase that runs many windows of one shape
+// is cheaper as a flat Proc that re-arms one sub-machine in place,
+// embedded in the chain with one ProcCont (see cluster's cast machine).
 
 // Then performs a, then resumes with k.
 func Then(a Action, k Cont) Cont {
@@ -78,8 +84,10 @@ func Do(f func(), k Cont) Cont {
 // then resumes with k — the nesting adapter that lets a ported protocol
 // reuse srcomm's SR-communication step machines exactly where its
 // blocking form called the Drive-based wrappers. The sub-proc's halt is
-// consumed (it ends the sub-window, not the device); k must not expect
-// feedback from it (SR machines end on a sleep, so none exists).
+// consumed (it ends the sub-window, not the device), and k resumes with
+// the zero Feedback. A sub-proc may halt on the step that carries its
+// last listen's feedback (srcomm's LOCAL receiver does); that feedback
+// was the sub-proc's to consume, not k's.
 func ProcCont(p Proc, k Cont) Cont {
 	var c Cont
 	c = func(ch Channel, fb Feedback) (Action, Cont) {
@@ -88,7 +96,7 @@ func ProcCont(p Proc, k Cont) Cont {
 			if k == nil {
 				return Halt(), nil
 			}
-			return k(ch, fb)
+			return k(ch, Feedback{})
 		}
 		return act, c
 	}

@@ -202,3 +202,27 @@ func TestProcContNesting(t *testing.T) {
 		t.Error("outer chain did not resume after the sub-proc's halt")
 	}
 }
+
+// TestProcContResumesWithZeroFeedback drives ProcCont by hand with a
+// sub-proc that halts on the step carrying a listen's feedback, as
+// srcomm's LOCAL receiver does: the feedback is the sub-proc's, so k
+// must resume with the zero Feedback.
+func TestProcContResumesWithZeroFeedback(t *testing.T) {
+	sub := ProcFunc(func(Channel, Feedback) Action { return Halt() })
+	var seen Feedback
+	var resumed bool
+	k := func(_ Channel, fb Feedback) (Action, Cont) {
+		seen, resumed = fb, true
+		return Halt(), nil
+	}
+	heard := Feedback{Status: Received, Payload: "m", Payloads: []any{"m"}}
+	if act, _ := ProcCont(sub, k)(nil, heard); act.Kind != ActHalt {
+		t.Fatalf("action = %+v, want the halt k returned", act)
+	}
+	if !resumed {
+		t.Fatal("k did not resume after the sub-proc's halt")
+	}
+	if seen.Status != Silence || seen.Payload != nil || seen.Payloads != nil {
+		t.Errorf("k resumed with feedback %+v, want the zero Feedback", seen)
+	}
+}

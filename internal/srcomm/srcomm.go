@@ -22,6 +22,11 @@
 // not participating sleep past the window with the Skip helpers; all
 // devices of a larger protocol must agree on start and parameters, which
 // is how the paper's algorithms keep global synchronization.
+//
+// Each role is a resumable step machine. The Proc constructors return a
+// fresh one per window; a Window holds one of each LOCAL, CD and decay
+// machine and re-arms one in place, for a device that runs window after
+// window without allocating per window.
 package srcomm
 
 import (
@@ -322,7 +327,7 @@ type cdRecv struct {
 	pc    int // 0 start, 1 probe sent, 2 precheck fb, 3 epoch fb, 4 ack sent, 5 done
 	kMax  int
 	ep    int
-	sched *leader.Schedule
+	sched leader.Schedule
 }
 
 // CDReceiveProc returns the receiver role as an inline step proc. The
@@ -337,7 +342,7 @@ func (r *cdRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	switch r.pc {
 	case 0:
 		r.kMax = rng.Log2Ceil(p.Delta) + 1
-		r.sched = leader.NewSchedule(p.Delta)
+		r.sched = *leader.NewSchedule(p.Delta)
 		if p.Precheck {
 			// Slot 1: receivers transmit a probe.
 			r.pc = 1
@@ -621,33 +626,133 @@ func (r *detRecv) finish() radio.Action {
 	return radio.Sleep(r.start + r.p.Slots() - 1)
 }
 
-// LocalSendProc transmits in the single slot of the trivial LOCAL
-// SR-communication (deterministic, collision-free) as an inline step
-// proc.
-func LocalSendProc(start uint64, payload any) radio.Proc {
-	done := false
-	return radio.ProcFunc(func(ch radio.Channel, fb radio.Feedback) radio.Action {
-		if done {
-			return radio.Halt()
-		}
-		done = true
-		return radio.Transmit(start, payload)
-	})
+// localSend is the sender role of the trivial LOCAL SR-communication
+// (deterministic, collision-free): one transmit in the window's single
+// slot.
+type localSend struct {
+	start   uint64
+	payload any
+	done    bool
 }
 
-// LocalReceiveProc listens in the single LOCAL slot as an inline step
-// proc; everything heard (copied out of the engine's delivery buffer)
-// is stored through got.
-func LocalReceiveProc(start uint64, got *[]any) radio.Proc {
-	listened := false
-	return radio.ProcFunc(func(ch radio.Channel, fb radio.Feedback) radio.Action {
-		if !listened {
-			listened = true
-			return radio.Listen(start)
-		}
-		if len(fb.Payloads) > 0 {
-			*got = append([]any(nil), fb.Payloads...)
-		}
+// LocalSendProc returns the LOCAL sender role as an inline step proc.
+func LocalSendProc(start uint64, payload any) radio.Proc {
+	return &localSend{start: start, payload: payload}
+}
+
+func (s *localSend) Step(radio.Channel, radio.Feedback) radio.Action {
+	if s.done {
 		return radio.Halt()
-	})
+	}
+	s.done = true
+	return radio.Transmit(s.start, s.payload)
+}
+
+// localRecv is the LOCAL receiver role: one listen in the window's
+// single slot. It halts on the step that carries the listen's feedback.
+type localRecv struct {
+	start    uint64
+	got      *[]any
+	listened bool
+}
+
+// LocalReceiveProc returns the LOCAL receiver role as an inline step
+// proc; everything heard is copied out of the engine's delivery buffer
+// into *got, reusing its backing array.
+func LocalReceiveProc(start uint64, got *[]any) radio.Proc {
+	return &localRecv{start: start, got: got}
+}
+
+func (r *localRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
+	if !r.listened {
+		r.listened = true
+		return radio.Listen(r.start)
+	}
+	if len(fb.Payloads) > 0 {
+		*r.got = append((*r.got)[:0], fb.Payloads...)
+	}
+	return radio.Halt()
+}
+
+// Window is a re-armable SR-communication window: armed as the sender
+// or the receiver of one realization for one window, then stepped until
+// it halts. It holds the role machines the Proc constructors return by
+// value and steps the armed one, so a device that runs window after
+// window re-arms one Window in place instead of allocating a machine per
+// window. A receiver's delivery stays in the Window (see Delivery).
+// Step on a Window that was never armed panics.
+type Window struct {
+	role radio.Proc // the armed machine, one of the fields below
+
+	localSend localSend
+	localRecv localRecv
+	cdSend    cdSend
+	cdRecv    cdRecv
+	decaySend decaySend
+	decayRecv decayRecv
+
+	heard []any // LOCAL receiver: everything heard
+	got   any   // CD and decay receivers: the delivered message
+	ok    bool
+}
+
+// ArmLocal arms w for the LOCAL window at start, as the sender of
+// payload when send is set and as a receiver otherwise.
+func (w *Window) ArmLocal(start uint64, send bool, payload any) {
+	w.clearDelivery()
+	if send {
+		w.localSend = localSend{start: start, payload: payload}
+		w.role = &w.localSend
+		return
+	}
+	w.localRecv = localRecv{start: start, got: &w.heard}
+	w.role = &w.localRecv
+}
+
+// ArmCD arms w for the Lemma 8 window at start, as the sender of
+// payload when send is set and as a receiver otherwise.
+func (w *Window) ArmCD(start uint64, p CDParams, send bool, payload any) {
+	w.clearDelivery()
+	if send {
+		w.cdSend = cdSend{p: p, start: start, payload: payload}
+		w.role = &w.cdSend
+		return
+	}
+	w.cdRecv = cdRecv{p: p, start: start, got: &w.got, ok: &w.ok}
+	w.role = &w.cdRecv
+}
+
+// ArmDecay arms w for the Lemma 7 decay window at start, as the sender
+// of payload when send is set and as a receiver otherwise.
+func (w *Window) ArmDecay(start uint64, p DecayParams, send bool, payload any) {
+	w.clearDelivery()
+	if send {
+		w.decaySend = decaySend{p: p, start: start, payload: payload}
+		w.role = &w.decaySend
+		return
+	}
+	w.decayRecv = decayRecv{p: p, start: start, got: &w.got, ok: &w.ok}
+	w.role = &w.decayRecv
+}
+
+func (w *Window) clearDelivery() {
+	clear(w.heard)
+	w.heard = w.heard[:0]
+	w.got, w.ok = nil, false
+}
+
+// Step steps the armed role machine.
+func (w *Window) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	return w.role.Step(ch, fb)
+}
+
+// Delivery returns the message a receiver window delivered and true, or
+// nil and false when it delivered none. In LOCAL the message is the one
+// from the lowest-index transmitting neighbor. It is valid once the
+// window has halted, until the Window is armed again.
+func (w *Window) Delivery() (any, bool) {
+	if len(w.heard) > 0 {
+		return w.heard[0], true
+	}
+	return w.got, w.ok
 }

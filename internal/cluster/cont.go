@@ -225,8 +225,8 @@ func (c *caster) armNext() bool {
 	}
 }
 
-// enterSegment starts the next segment. A sweep reads the device's layer and
-// keeps only its live windows.
+// enterSegment starts the next segment. A sweep reads the device's
+// layer and keeps only its live windows.
 func (c *caster) enterSegment() {
 	c.base, c.cur = c.next, c.kind
 	c.kind = (c.kind + 1) % 3

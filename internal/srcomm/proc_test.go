@@ -136,3 +136,71 @@ func TestDecayProcResults(t *testing.T) {
 		t.Fatalf("received %v, want a sender payload", got)
 	}
 }
+
+// windowSeq is a device that runs consecutive windows of w slots from
+// slot 1 on one re-armed Window: arm(win, i, start) arms window i, and
+// every window's delivery is recorded when it halts.
+type windowSeq struct {
+	win   Window
+	w     uint64
+	n, i  int
+	arm   func(win *Window, i int, start uint64)
+	got   []any
+	heard []bool
+}
+
+func (d *windowSeq) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	for {
+		if d.i > 0 {
+			if act := d.win.Step(ch, fb); act.Kind != radio.ActHalt {
+				return act
+			}
+			m, ok := d.win.Delivery()
+			d.got, d.heard = append(d.got, m), append(d.heard, ok)
+		}
+		if d.i == d.n {
+			return radio.Halt()
+		}
+		d.arm(&d.win, d.i, 1+uint64(d.i)*d.w)
+		d.i++
+		fb = radio.Feedback{}
+	}
+}
+
+// TestWindowRearmKeepsDeliveriesApart runs a receiver and a sender on
+// one re-armed Window each, for every realization: the sender sends in
+// windows 0 and 2 and receives in window 1, where nobody sends. Each
+// re-arm starts from an empty delivery, so the receiver hears windows 0
+// and 2 and nothing in 1, and the sender's window 1 delivers nothing.
+func TestWindowRearmKeepsDeliveriesApart(t *testing.T) {
+	cd := CDParams{Delta: 2, Epochs: 8, Precheck: true}
+	decay := DecayParams{Delta: 2, Phases: 8}
+	cases := []struct {
+		name  string
+		model radio.Model
+		w     uint64
+		arm   func(win *Window, start uint64, send bool, payload any)
+	}{
+		{"local", radio.Local, 1, func(win *Window, s uint64, send bool, m any) { win.ArmLocal(s, send, m) }},
+		{"cd", radio.CD, cd.Slots(), func(win *Window, s uint64, send bool, m any) { win.ArmCD(s, cd, send, m) }},
+		{"decay", radio.NoCD, decay.Slots(), func(win *Window, s uint64, send bool, m any) { win.ArmDecay(s, decay, send, m) }},
+	}
+	for _, tc := range cases {
+		recv := &windowSeq{w: tc.w, n: 3, arm: func(win *Window, _ int, start uint64) {
+			tc.arm(win, start, false, nil)
+		}}
+		send := &windowSeq{w: tc.w, n: 3, arm: func(win *Window, i int, start uint64) {
+			tc.arm(win, start, i != 1, i)
+		}}
+		cfg := radio.Config{Graph: graph.Path(2), Model: tc.model, Seed: 4}
+		if _, err := radio.RunDevices(cfg, radio.Procs([]radio.Proc{recv, send})); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fmt.Sprint(recv.got, recv.heard); got != "[0 <nil> 2] [true false true]" {
+			t.Errorf("%s: receiver deliveries %s", tc.name, got)
+		}
+		if got := fmt.Sprint(send.heard); got != "[false false false]" {
+			t.Errorf("%s: sender deliveries %s", tc.name, got)
+		}
+	}
+}

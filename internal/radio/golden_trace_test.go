@@ -154,6 +154,46 @@ func goldenTraceScenarios() []traceScenario {
 				return ps
 			},
 		},
+		{
+			// More than two words of devices per scheduled slot, with
+			// schedules that mix next-slot requests, jumps under and over
+			// 64 slots, no-op sleeps and staggered halts: pending requests
+			// sit both near the current slot and far beyond it, and far
+			// ones come due while near cohorts are still being resolved.
+			name:  "cd-gnp150",
+			model: CD,
+			seed:  23,
+			build: func() *graph.Graph { return graph.GNP(150, 12.0/150, 43) },
+			procs: func(n int) []Proc {
+				ps := make([]Proc, n)
+				for v := 0; v < n; v++ {
+					s := uint64(0)
+					left := 10 + v%6
+					ps[v] = ProcFunc(func(e Channel, fb Feedback) Action {
+						if left == 0 {
+							return Halt()
+						}
+						r := e.Rand()
+						switch r.IntN(6) {
+						case 0:
+							return Sleep(s) // no-op: the clock is already at s
+						case 1:
+							s++
+						case 2, 3:
+							s += 2 + uint64(r.IntN(61))
+						default:
+							s += 64 + uint64(r.IntN(237))
+						}
+						left--
+						if r.IntN(3) == 0 {
+							return Transmit(s, e.Index())
+						}
+						return Listen(s)
+					})
+				}
+				return ps
+			},
+		},
 	}
 }
 

@@ -391,7 +391,9 @@ func (p *sparseProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 // BenchmarkSchedulerSparse256 is the adversarial case for a linear-scan
 // scheduler: 256 devices whose action slots are spread far apart, so
 // nearly every cohort is a single device and the per-slot O(n) scans
-// dominate. The min-heap brings each slot to O(log n); inline step
+// dominate. It is also the scheduler's all-far case: each device's next
+// request lies 256 slots ahead, past the 64-slot calendar wheel, so
+// every request goes through the far heap at O(log n). Inline step
 // procs remove the per-action park/wake, and BoxInt interning removes
 // the non-constant-payload boxing allocation that used to dominate this
 // bench's allocation profile.

@@ -37,13 +37,16 @@
 // (srcomm.Window) in place, so a whole phase costs O(1) allocations per
 // device however many windows it spans.
 //
-// Cohorts are ordered (slot, then device index): the devices stepped in
-// a round post their requests in ascending device order, and when the
-// earliest posted slot lies strictly below every pending request it is
-// the next slot and its posters are its cohort, with only later requests
-// pushed onto a min-heap; otherwise the cohort is popped from the heap.
-// The event stream is therefore deterministic, and it is pinned
-// byte-for-byte by the golden trace test in internal/radio/testdata.
+// Cohorts are ordered (slot, then device index). A request fewer than 64
+// slots ahead sets its device's bit in that slot's bucket of a 64-slot
+// calendar wheel; one occupancy word marks the non-empty buckets, so the
+// next slot is one rotate and one trailing-zero count away, and reading
+// the bucket out with a bit scan yields the cohort in ascending device
+// order. Requests further ahead wait in a min-heap, the far set, and move
+// into the wheel as it reaches them. The event stream is therefore
+// deterministic, and it is pinned byte-for-byte by the golden trace test
+// in internal/radio/testdata. Channel feedback (radio.Feedback) is four
+// words, so it passes through the nested proc layers in registers.
 //
 // Transmit payloads are interned in per-device mailbox cells for exactly
 // one slot (listeners resolve them at delivery; the cells are cleared
@@ -247,7 +250,8 @@
 //   - internal/core: the Broadcast façade over every algorithm
 //     (single- and multi-source);
 //   - internal/radio: the simulator (time slots, collision semantics,
-//     per-device awake-slot energy metering, min-heap slot scheduler);
+//     per-device awake-slot energy metering, calendar-wheel slot
+//     scheduler);
 //   - internal/sweep: the parallel Monte-Carlo experiment engine;
 //   - internal/experiment: the adaptive CI-stopping controller with
 //     journaled checkpoint/resume above it;

@@ -330,6 +330,9 @@ type simDriver struct {
 	ls   uint64 // virtual slot of the listen being serviced
 	li   int    // next neighbor-color index within that frame
 	got  []any
+	// heard is the latest delivery's own copy of got, which pend
+	// points at.
+	heard []any
 }
 
 const (
@@ -381,8 +384,8 @@ func (d *simDriver) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 			if len(d.got) > 0 {
 				// All messages from transmitting neighbors are delivered,
 				// matching LOCAL semantics.
-				payloads := append([]any(nil), d.got...)
-				d.pend = radio.Feedback{Status: radio.Received, Payload: payloads[0], Payloads: payloads}
+				d.heard = append([]any(nil), d.got...)
+				d.pend = radio.Heard(&d.heard)
 			}
 			return radio.Sleep(d.frameStart(d.ls) + d.k)
 		}

@@ -136,7 +136,7 @@ func TestSimulatedLocalCollisionFree(t *testing.T) {
 						radio.Recv(4, func(radio.Feedback) radio.Cont {
 							return radio.Then(radio.Transmit(5, idx),
 								radio.Recv(6, func(fb radio.Feedback) radio.Cont {
-									heardCounts[idx] = len(fb.Payloads)
+									heardCounts[idx] = len(fb.Payloads())
 									return nil
 								}))
 						}))
@@ -173,7 +173,7 @@ func TestSimulatedLocalDeliversAllNeighbors(t *testing.T) {
 				return radio.Then(radio.Transmit(1, ch.Index()), nil)
 			}
 			return radio.Recv(1, func(fb radio.Feedback) radio.Cont {
-				heard[v] = fb.Payloads
+				heard[v] = fb.Payloads()
 				return nil
 			})
 		})

@@ -230,7 +230,7 @@ func (d *dev) castWindowK(start uint64, role func() (int, int, any),
 					step(func() { done(addressed{}, false) }, k))
 			case 1:
 				return recv(start, func(fb radio.Feedback) cont {
-					for _, raw := range fb.Payloads {
+					for _, raw := range fb.Payloads() {
 						if m, ok := raw.(addressed); ok && accept(m) {
 							done(m, true)
 							return k
@@ -326,7 +326,7 @@ func (d *dev) downPassK(start uint64, participate func() bool,
 					})
 				case part && d.layer == i+1 && d.parent >= 0:
 					return recv(slot, func(fb radio.Feedback) cont {
-						for _, raw := range fb.Payloads {
+						for _, raw := range fb.Payloads() {
 							if m, ok := raw.(addressed); ok && m.from == d.parent {
 								recvFn(m.body)
 							}
@@ -397,7 +397,7 @@ func (d *dev) upPassK(start uint64, participate func() bool,
 					})
 				case part && d.layer == layer-1:
 					return recv(slot, func(fb radio.Feedback) cont {
-						for _, raw := range fb.Payloads {
+						for _, raw := range fb.Payloads() {
 							if m, ok := raw.(addressed); ok && m.to == d.index {
 								recvFn(m.body)
 								break
@@ -806,7 +806,7 @@ func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k cont) cont {
 				return then(radio.Transmit(start, addressed{from: d.index, to: d.parent}), endBeeps)
 			}
 			return recv(start, func(fb radio.Feedback) cont {
-				for _, raw := range fb.Payloads {
+				for _, raw := range fb.Payloads() {
 					if m, ok := raw.(addressed); ok && m.to == d.index {
 						gotJoiner = true
 					}

@@ -335,7 +335,7 @@ func process(self int, insts []*instance, fb radio.Feedback, t, horizon uint64) 
 		if in.listen == t {
 			in.listen = 0
 		}
-		for _, raw := range fb.Payloads {
+		for _, raw := range fb.Payloads() {
 			msgs, ok := raw.([]Msg)
 			if !ok {
 				continue

@@ -215,14 +215,14 @@ func TestProcContResumesWithZeroFeedback(t *testing.T) {
 		seen, resumed = fb, true
 		return Halt(), nil
 	}
-	heard := Feedback{Status: Received, Payload: "m", Payloads: []any{"m"}}
+	heard := Heard(&[]any{"m"})
 	if act, _ := ProcCont(sub, k)(nil, heard); act.Kind != ActHalt {
 		t.Fatalf("action = %+v, want the halt k returned", act)
 	}
 	if !resumed {
 		t.Fatal("k did not resume after the sub-proc's halt")
 	}
-	if seen.Status != Silence || seen.Payload != nil || seen.Payloads != nil {
+	if seen.Status != Silence || seen.Payload != nil || seen.Payloads() != nil {
 		t.Errorf("k resumed with feedback %+v, want the zero Feedback", seen)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -298,5 +299,22 @@ func TestBoxIntInterning(t *testing.T) {
 	}
 	if v := BoxInt(nil, internCap+1); v.(int) != internCap+1 {
 		t.Fatalf("fallback boxing = %v", v)
+	}
+}
+
+// TestABIValuesFitInRegisters guards the size of the step ABI's two
+// value types. The compiler keeps a struct in registers only while it
+// is at most four words (32 bytes on 64-bit targets); a larger Feedback
+// or Action is copied through the stack at every proc layer it passes.
+// With the earlier 48-byte Feedback, one such reload in cluster's cast
+// machine stalled on store forwarding for 0.98 s of a 9.11 s profile of
+// gnp-64 No-CD trials.
+func TestABIValuesFitInRegisters(t *testing.T) {
+	const limit = 32
+	if sz := unsafe.Sizeof(Feedback{}); sz > limit {
+		t.Errorf("Feedback is %d bytes; more than %d leaves registers", sz, limit)
+	}
+	if sz := unsafe.Sizeof(Action{}); sz > limit {
+		t.Errorf("Action is %d bytes; more than %d leaves registers", sz, limit)
 	}
 }

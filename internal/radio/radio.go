@@ -32,14 +32,21 @@
 // Each round, the scheduler steps every awaited device to its next
 // channel action, advances to the minimum requested slot, and resolves
 // the channel for that cohort in ascending device order — the
-// deterministic order the golden trace test pins byte for byte. The
-// cohort comes from one of two places. If the earliest slot just posted
-// lies strictly below every pending request, its posters are the cohort,
-// taken in the posted list's ascending device order, and only the later
-// requests are pushed (the posted-first rule). Otherwise every post is
-// pushed onto a min-heap over (slot, device) and the cohort is popped
-// from it. Devices that scheduled future slots wait in the heap; a run
-// ends when every device has halted.
+// deterministic order the golden trace test pins byte for byte. Pending
+// requests wait in a 64-slot calendar wheel: a request fewer than 64
+// slots ahead sets its device's bit in its slot's bucket, a bitset over
+// the devices, and one occupancy word marks the non-empty buckets. The
+// next slot is one rotate and one trailing-zero count of that word, and
+// its cohort is its bucket read out with a bit scan, already in device
+// order. Requests 64 or more slots ahead wait in a min-heap, the far
+// set, and move into the wheel once it reaches them; when the wheel is
+// empty the scheduler jumps straight to the far minimum. A run ends
+// when every device has halted.
+//
+// Feedback, like Action, is four words, the most the compiler passes
+// in registers, so neither is copied through the stack as it crosses
+// the nested proc layers (a Cont chain, a flat cast machine, an SR
+// window, a role machine) between the scheduler and the protocol.
 //
 // Transmit payloads are interned in the transmitter's lane cell for
 // exactly one slot: listeners resolve them at delivery and the scheduler
@@ -122,7 +129,11 @@ func (s Status) String() string {
 	}
 }
 
-// Feedback is what a listening device observes in a slot.
+// Feedback is what a listening device observes in a slot. It is four
+// words, the most the compiler keeps in registers, so it passes through
+// every proc layer without a trip through the stack; the Local model's
+// delivery list is reached through a pointer for that reason (see
+// Payloads).
 type Feedback struct {
 	// Status describes the channel. In the Local model, Status is Received
 	// when at least one neighbor transmitted and Silence otherwise.
@@ -131,11 +142,30 @@ type Feedback struct {
 	// Local model it is the payload of the lowest-index transmitting
 	// neighbor (all payloads are in Payloads).
 	Payload any
-	// Payloads holds every delivered message in the Local model, ordered
-	// by transmitter index. Nil in single-message models. The slice is a
-	// per-device buffer owned by the engine, valid until the device's
-	// next channel action — copy it to retain it across actions.
-	Payloads []any
+	// payloads points at the Local model's delivery buffer; nil in
+	// single-message models.
+	payloads *[]any
+}
+
+// Heard returns a Local-model delivery of every message in *buf, which
+// must hold at least one: Status Received, Payload the first message,
+// Payloads *buf. The engine resolves Local slots through it, and so
+// does a driver that delivers Local messages on a virtual channel.
+// *buf must stay unchanged until the device's next channel action.
+func Heard(buf *[]any) Feedback {
+	return Feedback{Status: Received, Payload: (*buf)[0], payloads: buf}
+}
+
+// Payloads returns every delivered message in the Local model, ordered
+// by transmitter index; nil in single-message models. The slice is a
+// per-device buffer owned by the engine (or by the driver that built
+// the Feedback with Heard), valid until the device's next channel
+// action — copy it to retain it across actions.
+func (fb Feedback) Payloads() []any {
+	if fb.payloads == nil {
+		return nil
+	}
+	return *fb.payloads
 }
 
 // EventKind classifies trace events.

@@ -96,8 +96,8 @@ func TestCollisionSemantics(t *testing.T) {
 			t.Errorf("CDStar should deliver lowest-index transmitter, got %v", got.Payload)
 		}
 		if c.model == Local {
-			if len(got.Payloads) != 2 || got.Payloads[0] != "from1" || got.Payloads[1] != "from2" {
-				t.Errorf("Local payloads = %v", got.Payloads)
+			if p := got.Payloads(); len(p) != 2 || p[0] != "from1" || p[1] != "from2" {
+				t.Errorf("Local payloads = %v", p)
 			}
 		}
 	}

@@ -60,29 +60,29 @@ func (p *schedProc) Step(Channel, Feedback) Action {
 	}
 }
 
-// The three ways gather picks a cohort, counted by runGatherCases.
+// The scheduler paths gather takes, counted by runGatherCases.
 const (
-	gatherPostedOnly  = iota // the heap is empty
-	gatherPostedBelow        // the earliest posted slot is below the heap minimum
-	gatherTie                // the earliest posted slot equals the heap minimum
+	gatherNear    = iota // a request filed in the wheel
+	gatherFar            // a request pushed onto the far heap
+	gatherMigrate        // a far request moved into the wheel
+	gatherJump           // an empty wheel: the next slot is the far minimum
 )
 
 // runGatherCases drives s's scheduler round by round, exactly as loop
-// does, and counts which gather case picked each cohort: the earliest
-// posted request with an empty heap, strictly below the heap minimum,
-// or tied with it (a round whose posted requests all come after the
-// heap minimum counts as none of these).
-func runGatherCases(t *testing.T, s *Simulator, cfg Config, devs []Device) (cases [3]int) {
+// does, and counts the paths gather took: each posted request filed in
+// the wheel or pushed onto the far heap, each far request moved into
+// the wheel, and each round that found the wheel empty. It also checks
+// that every far request stays at least wheelSlots past the new slot.
+func runGatherCases(t *testing.T, s *Simulator, cfg Config, devs []Device) (cases [4]int) {
 	t.Helper()
 	if _, err := s.prepare(cfg, devs); err != nil {
 		t.Fatal(err)
 	}
 	defer s.finish()
+	var posters []int32
 	for {
-		heapMin, heaped := uint64(0), len(s.heap) > 0
-		if heaped {
-			heapMin = s.heap[0].slot
-		}
+		now, occ, far := s.now, s.occ, len(s.far)
+		posters = append(posters[:0], s.awaiting...)
 		slot, done := s.gather()
 		if done {
 			if s.firstErr != nil {
@@ -90,18 +90,26 @@ func runGatherCases(t *testing.T, s *Simulator, cfg Config, devs []Device) (case
 			}
 			return cases
 		}
-		postedMin := ^uint64(0)
-		for _, v := range s.posted {
-			postedMin = min(postedMin, s.slots[v])
+		near, pushed := 0, 0
+		for _, v := range posters {
+			switch {
+			case s.kinds[v] == actHalt:
+			case s.slots[v]-now < wheelSlots:
+				near++
+			default:
+				pushed++
+			}
 		}
-		switch {
-		case len(s.posted) == 0:
-		case !heaped:
-			cases[gatherPostedOnly]++
-		case postedMin < heapMin:
-			cases[gatherPostedBelow]++
-		case postedMin == heapMin:
-			cases[gatherTie]++
+		cases[gatherNear] += near
+		cases[gatherFar] += pushed
+		cases[gatherMigrate] += far + pushed - len(s.far)
+		if occ == 0 && near == 0 {
+			cases[gatherJump]++
+		}
+		for _, e := range s.far {
+			if e.slot-slot < wheelSlots {
+				t.Fatalf("slot %d: device %d's request for slot %d left in the far heap", slot, e.dev, e.slot)
+			}
 		}
 		if err := s.resolveSlot(slot); err != nil {
 			t.Fatal(err)
@@ -113,12 +121,16 @@ func runGatherCases(t *testing.T, s *Simulator, cfg Config, devs []Device) (case
 // engine-independent schedules on random graphs it checks that events
 // come out sorted by (slot, device), that every channel action appears
 // exactly once, and that each CD listen outcome matches the transmitters
-// the schedules put next to it. Across the seeds every gather case must
-// occur.
+// the schedules put next to it. Across the seeds every gather path must
+// occur. The graphs with more than 128 vertices give each wheel bucket
+// three words.
 func TestSchedulerOrdersEveryAction(t *testing.T) {
-	var cases [3]int
-	for seed := uint64(0); seed < 24; seed++ {
+	var cases [4]int
+	for seed := uint64(0); seed < 32; seed++ {
 		g := graph.GNP(12, 0.35, seed)
+		if seed >= 24 {
+			g = graph.GNP(150, 0.05, seed)
+		}
 		n := g.N()
 		var log []loggedAction
 		devs := make([]Device, n)
@@ -204,10 +216,11 @@ func TestSchedulerOrdersEveryAction(t *testing.T) {
 			}
 		}
 	}
-	for i, name := range []string{"posted only", "posted below the heap minimum", "tie with the heap minimum"} {
+	for i, name := range []string{"request into the wheel", "request into the far heap",
+		"far request into the wheel", "jump over an empty wheel"} {
 		if cases[i] == 0 {
-			t.Errorf("gather case %q never occurred (cases %v)", name, cases)
+			t.Errorf("gather path %q never occurred (cases %v)", name, cases)
 		}
 	}
-	t.Logf("gather cases (posted only, below, tie): %v", cases)
+	t.Logf("gather paths (near, far, far to near, jump): %v", cases)
 }

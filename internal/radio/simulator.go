@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sync/atomic"
 
@@ -11,25 +12,39 @@ import (
 	"repro/internal/rng"
 )
 
-// heapEntry is one pending device in the slot-ordered min-heap. Each
-// device has at most one pending request, so the heap never exceeds n.
-type heapEntry struct {
+// wheelSlots is the span of the scheduler's calendar wheel: requests
+// fewer than wheelSlots slots past the last resolved slot go into its
+// buckets, later ones into the far heap. One occupancy word marks the
+// non-empty buckets, so the span is the word size.
+const wheelSlots = 64
+
+// farEntry is one pending request in the far min-heap. Each device has
+// at most one pending request, so the heap never exceeds n.
+type farEntry struct {
 	slot uint64
 	dev  int32
 }
 
 // Simulator is a reusable execution engine bound to one topology. It
 // preallocates every per-device structure — envs, action lanes, random
-// streams, the scheduler heap and scratch — once, so that repeated runs
-// on the same graph (Monte-Carlo trials, benchmark iterations) stop
-// churning the allocator: a run allocates one Result and its counter
-// backing array, nothing else.
+// streams, the scheduler's wheel, far heap and scratch — once, so that
+// repeated runs on the same graph (Monte-Carlo trials, benchmark
+// iterations) stop churning the allocator: a run allocates one Result
+// and its counter backing array, nothing else.
 //
 // Per-device action state lives in structure-of-arrays lanes (slot,
 // kind, payload, feedback, error) rather than a padded per-device
 // struct: with every proc stepped on the scheduler goroutine there is
 // no cross-goroutine sharing to pad against, and the cohort loops scan
 // each lane contiguously.
+//
+// Pending requests wait in a calendar wheel of wheelSlots buckets, one
+// per slot in [now, now+wheelSlots), where now is the slot of the
+// latest cohort. A bucket is a bitset over the devices, ⌈n/64⌉ words,
+// and bit order is device order, so a bucket read out with a bit scan
+// is already the cohort in ascending device order. Requests wheelSlots
+// or more slots ahead wait in the far min-heap and move into the wheel
+// once now comes within wheelSlots of them.
 //
 // A Simulator is NOT safe for concurrent use; run one per goroutine
 // (internal/sweep keeps one cache per worker). Determinism is untouched
@@ -67,16 +82,23 @@ type Simulator struct {
 	// per-device action lanes: the device's pending request (written by
 	// stepDevice) and its feedback for the next step (written by the
 	// cohort resolution).
-	envs       []Env
-	pcgs       []rand.PCG
-	slots      []uint64
-	kinds      []actionKind
-	payloads   []any // in-flight transmit payloads (cleared per slot)
-	fbs        []Feedback
-	errs       []error
-	heap       []heapEntry
+	envs     []Env
+	pcgs     []rand.PCG
+	slots    []uint64
+	kinds    []actionKind
+	payloads []any // in-flight transmit payloads (cleared per slot)
+	fbs      []Feedback
+	errs     []error
+	// scheduler: the calendar wheel (bucket b holds the requests for the
+	// slot in [now, now+wheelSlots) congruent to b, in words words), its
+	// occupancy word (bit b set iff bucket b is non-empty), the latest
+	// cohort's slot and the far heap.
+	wheel      []uint64
+	words      int
+	occ        uint64
+	now        uint64
+	far        []farEntry
 	cohort     []int32
-	posted     []int32 // per-round scratch: non-halt posts, ascending device order
 	awaiting   []int32 // devices whose next action the scheduler is waiting on
 	txs        []int32 // per-listener scratch: transmitting neighbors
 	lastTxSlot []uint64
@@ -126,9 +148,10 @@ func NewSimulator(g *graph.Graph, cfg Config) (*Simulator, error) {
 		payloads:   make([]any, n),
 		fbs:        make([]Feedback, n),
 		errs:       make([]error, n),
-		heap:       make([]heapEntry, 0, n),
+		wheel:      make([]uint64, wheelSlots*((n+63)/64)),
+		words:      (n + 63) / 64,
+		far:        make([]farEntry, 0, n),
 		cohort:     make([]int32, 0, n),
-		posted:     make([]int32, 0, n),
 		awaiting:   make([]int32, 0, n),
 		txs:        make([]int32, 0, 8),
 		lastTxSlot: make([]uint64, n),
@@ -267,7 +290,14 @@ func (s *Simulator) prepare(cfg Config, devs []Device) (*Result, error) {
 	n := s.n
 	res := s.newResult()
 	s.res = res
-	s.heap = s.heap[:0]
+	// An aborted run can leave requests behind in the wheel and the far
+	// heap; the occupancy word says which buckets to clear.
+	for occ := s.occ; occ != 0; occ &= occ - 1 {
+		b := bits.TrailingZeros64(occ)
+		clear(s.wheel[b*s.words : (b+1)*s.words])
+	}
+	s.occ, s.now = 0, 0
+	s.far = s.far[:0]
 	s.cohort = s.cohort[:0]
 	s.awaiting = s.awaiting[:0]
 	for v := 0; v < n; v++ {
@@ -367,11 +397,7 @@ func (s *Simulator) loop() error {
 // s.firstErr); otherwise the returned slot's cohort is staged in
 // s.cohort, ready for resolveSlot.
 func (s *Simulator) gather() (t uint64, done bool) {
-	// The awaiting list is in ascending device order (it is the previous
-	// cohort, or all devices initially), so posted inherits that order.
 	s.stepAwaited()
-	s.posted = s.posted[:0]
-	minSlot := ^uint64(0)
 	for _, v := range s.awaiting {
 		if s.kinds[v] == actHalt {
 			s.live--
@@ -381,41 +407,51 @@ func (s *Simulator) gather() (t uint64, done bool) {
 			s.errs[v] = nil
 			continue
 		}
-		s.posted = append(s.posted, v)
-		if s.slots[v] < minSlot {
-			minSlot = s.slots[v]
+		// Every poster acted at now, so its request lies past it.
+		if slot := s.slots[v]; slot-s.now < wheelSlots {
+			s.mark(slot, v)
+		} else {
+			s.farPush(farEntry{slot: slot, dev: v})
 		}
 	}
 	s.awaiting = s.awaiting[:0]
 	if s.live == 0 {
 		return 0, true
 	}
+	// The next populated slot is the wheel's first non-empty bucket
+	// after now, or the far minimum when the wheel is empty (every far
+	// request lies past every wheel request). Far requests that the new
+	// now brings within wheelSlots move into the wheel.
+	if s.occ == 0 {
+		t = s.far[0].slot
+	} else {
+		t = s.now + uint64(bits.TrailingZeros64(bits.RotateLeft64(s.occ, -int(s.now%wheelSlots))))
+	}
+	s.now = t
+	for len(s.far) > 0 && s.far[0].slot-t < wheelSlots {
+		e := s.farPop()
+		s.mark(e.slot, e.dev)
+	}
+	// Read the cohort out of slot t's bucket: bit order is device order.
+	b := int(t % wheelSlots)
+	bucket := s.wheel[b*s.words : (b+1)*s.words]
 	s.cohort = s.cohort[:0]
-	if len(s.posted) > 0 && (len(s.heap) == 0 || minSlot < s.heap[0].slot) {
-		// Posted-first: no pending request shares the earliest posted
-		// slot, so that slot's cohort is its posters in the posted
-		// list's ascending device order, and only the later requests
-		// enter the heap.
-		t = minSlot
-		for _, v := range s.posted {
-			if s.slots[v] == t {
-				s.cohort = append(s.cohort, v)
-			} else {
-				s.heapPush(heapEntry{slot: s.slots[v], dev: v})
-			}
+	for i, w := range bucket {
+		for ; w != 0; w &= w - 1 {
+			s.cohort = append(s.cohort, int32(i*64+bits.TrailingZeros64(w)))
 		}
-		return t, false
+		bucket[i] = 0
 	}
-	for _, v := range s.posted {
-		s.heapPush(heapEntry{slot: s.slots[v], dev: v})
-	}
-	// The next populated slot is the heap minimum; pop its cohort
-	// (ascending device order, by the heap tie-break).
-	t = s.heap[0].slot
-	for len(s.heap) > 0 && s.heap[0].slot == t {
-		s.cohort = append(s.cohort, s.heapPop().dev)
-	}
+	s.occ &^= 1 << b
 	return t, false
+}
+
+// mark files device v's request for slot, which must lie in
+// [now, now+wheelSlots), in the slot's wheel bucket.
+func (s *Simulator) mark(slot uint64, v int32) {
+	b := int(slot % wheelSlots)
+	s.wheel[b*s.words+int(v>>6)] |= 1 << (v & 63)
+	s.occ |= 1 << b
 }
 
 // resolveSlot resolves the gathered cohort at slot t: budget checks,
@@ -690,7 +726,7 @@ func (s *Simulator) resolveChannel(v int32, t uint64) Feedback {
 		// array (the previous slice is contractually invalid by now).
 		clearAny(payloads[len(payloads):cap(payloads)])
 		e.pbuf = payloads
-		return Feedback{Status: Received, Payload: payloads[0], Payloads: payloads}
+		return Heard(&e.pbuf)
 	case CDStar:
 		if len(txs) == 0 {
 			s.emit(Event{Slot: t, Dev: int(v), Kind: EventSilence, From: -1})
@@ -726,48 +762,45 @@ func (s *Simulator) resolveChannel(v int32, t uint64) Feedback {
 	}
 }
 
-// less orders entries by slot, breaking ties by device index so cohorts
-// pop in ascending-device order — the deterministic order the engine has
-// always used.
-func (s *Simulator) less(a, b heapEntry) bool {
-	if a.slot != b.slot {
-		return a.slot < b.slot
-	}
-	return a.dev < b.dev
-}
-
-func (s *Simulator) heapPush(e heapEntry) {
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
+// farPush adds e to the far min-heap, ordered by slot. Ties need no
+// order: a far request moves into the wheel, where its bucket's bit
+// order sorts the cohort.
+func (s *Simulator) farPush(e farEntry) {
+	s.far = append(s.far, e)
+	h := s.far
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(s.heap[i], s.heap[parent]) {
+		if h[parent].slot <= h[i].slot {
 			break
 		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-func (s *Simulator) heapPop() heapEntry {
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
+// farPop removes and returns the far heap's earliest request.
+func (s *Simulator) farPop() farEntry {
+	h := s.far
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	s.far = h
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < len(s.heap) && s.less(s.heap[l], s.heap[smallest]) {
+		if l < len(h) && h[l].slot < h[smallest].slot {
 			smallest = l
 		}
-		if r < len(s.heap) && s.less(s.heap[r], s.heap[smallest]) {
+		if r < len(h) && h[r].slot < h[smallest].slot {
 			smallest = r
 		}
 		if smallest == i {
 			return top
 		}
-		s.heap[i], s.heap[smallest] = s.heap[smallest], s.heap[i]
+		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
 }

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -75,39 +76,49 @@ func TestSimulatorSeedEntry(t *testing.T) {
 }
 
 // TestSimulatorReuseAfterAbort exercises the error/reset path: a budget
-// abort ends the run mid-flight, and the next run on the same Simulator
-// must still be exact.
+// abort ends the run mid-flight with requests still pending in the
+// scheduler's wheel and in its far heap, and the next run on the same
+// Simulator must match a fresh engine's run event for event and in
+// every Result field.
 func TestSimulatorReuseAfterAbort(t *testing.T) {
-	g := graph.Path(6)
+	const n = 130
+	g := graph.GNP(n, 0.05, 3)
 	sim, err := NewSimulator(g, Config{Graph: g, Model: NoCD, MaxSlots: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over := make([]Device, 6)
+	// Every fifth device jumps 90 slots per action and the others 1 to
+	// 4, so the abort past slot 10 leaves near requests in the wheel and
+	// far ones in the far heap.
+	over := make([]Device, n)
 	for v := range over {
+		step := uint64(1 + v%4)
+		if v%5 == 0 {
+			step = 90
+		}
 		var s uint64
 		over[v].Proc = ProcFunc(func(Channel, Feedback) Action {
-			s += 5
+			s += step
 			return Transmit(s, nil)
 		})
 	}
 	if _, err := sim.RunDevices(1, over); err == nil || !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
-	// Clean run on the recycled, previously aborted engine.
-	res, err := sim.run(Config{Graph: g, Model: NoCD, Seed: 2}, contendingProcs(6, 8))
-	if err != nil {
-		t.Fatal(err)
+	if sim.occ == 0 || len(sim.far) == 0 {
+		t.Fatalf("abort left wheel occupancy %#x and %d far requests; the test needs both pending", sim.occ, len(sim.far))
 	}
-	fresh, err := RunDevices(Config{Graph: g, Model: NoCD, Seed: 2}, contendingProcs(6, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Events != fresh.Events || res.Slots != fresh.Slots {
-		t.Fatalf("post-abort reuse diverges: %+v vs %+v", res, fresh)
+	// Clean run on the recycled, previously aborted engine. It runs past
+	// slot 90, where the far leftovers were due, and each device sits
+	// out six slots in seven, so a leftover request would show.
+	cfg := Config{Graph: g, Model: NoCD, Seed: 2}
+	wantTrace, want := tracedRun(t, nil, cfg, staggeredProcs(n, 120))
+	gotTrace, got := tracedRun(t, sim, cfg, staggeredProcs(n, 120))
+	if gotTrace != wantTrace || !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-abort reuse diverges from a fresh run:\n got %+v\nwant %+v", got, want)
 	}
 	// Same again after a device-panic run.
-	boom := make([]Device, 6)
+	boom := make([]Device, n)
 	for v := range boom {
 		if v == 3 {
 			boom[v].Proc = ProcFunc(func(Channel, Feedback) Action { panic("boom") })
@@ -118,9 +129,56 @@ func TestSimulatorReuseAfterAbort(t *testing.T) {
 	if _, err := sim.RunDevices(5, boom); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want device panic, got %v", err)
 	}
-	if _, err := sim.RunDevices(6, contendingProcs(6, 8)); err != nil {
-		t.Fatalf("reuse after device panic: %v", err)
+	cfg.Seed = 6
+	wantTrace, want = tracedRun(t, nil, cfg, staggeredProcs(n, 120))
+	gotTrace, got = tracedRun(t, sim, cfg, staggeredProcs(n, 120))
+	if gotTrace != wantTrace || !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-panic reuse diverges from a fresh run:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// staggeredProcs has device v act every seventh slot from slot v%7+1
+// through slot until, transmitting with probability 1/4 and listening
+// otherwise.
+func staggeredProcs(n int, until uint64) []Device {
+	devs := make([]Device, n)
+	for v := range devs {
+		next := uint64(v%7 + 1)
+		devs[v].Proc = ProcFunc(func(ch Channel, _ Feedback) Action {
+			s := next
+			if s > until {
+				return Halt()
+			}
+			next += 7
+			if ch.Rand().IntN(4) == 0 {
+				return Transmit(s, ch.Index())
+			}
+			return Listen(s)
+		})
+	}
+	return devs
+}
+
+// tracedRun runs devs under cfg on sim, or on a fresh engine when sim
+// is nil, and returns the rendered event stream with the Result.
+func tracedRun(t *testing.T, sim *Simulator, cfg Config, devs []Device) (string, *Result) {
+	t.Helper()
+	var sb strings.Builder
+	cfg.Trace = func(ev Event) {
+		sb.WriteString(formatEvent(ev))
+		sb.WriteByte('\n')
+	}
+	var res *Result
+	var err error
+	if sim == nil {
+		res, err = RunDevices(cfg, devs)
+	} else {
+		res, err = sim.run(cfg, devs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.String(), res
 }
 
 // TestSimulatorConcurrentUseRejected guards the single-goroutine

@@ -668,8 +668,8 @@ func (r *localRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
 		r.listened = true
 		return radio.Listen(r.start)
 	}
-	if len(fb.Payloads) > 0 {
-		*r.got = append((*r.got)[:0], fb.Payloads...)
+	if heard := fb.Payloads(); len(heard) > 0 {
+		*r.got = append((*r.got)[:0], heard...)
 	}
 	return radio.Halt()
 }

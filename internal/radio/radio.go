@@ -150,7 +150,7 @@ type Feedback struct {
 // Heard returns a Local-model delivery of every message in *buf, which
 // must hold at least one: Status Received, Payload the first message,
 // Payloads *buf. The engine resolves Local slots through it, and so
-// does a driver that delivers Local messages on a virtual channel.
+// does a proc that delivers Local messages on a virtual channel.
 // *buf must stay unchanged until the device's next channel action.
 func Heard(buf *[]any) Feedback {
 	return Feedback{Status: Received, Payload: (*buf)[0], payloads: buf}
@@ -158,7 +158,7 @@ func Heard(buf *[]any) Feedback {
 
 // Payloads returns every delivered message in the Local model, ordered
 // by transmitter index; nil in single-message models. The slice is a
-// per-device buffer owned by the engine (or by the driver that built
+// per-device buffer owned by the engine (or by the proc that built
 // the Feedback with Heard), valid until the device's next channel
 // action — copy it to retain it across actions.
 func (fb Feedback) Payloads() []any {

@@ -1,0 +1,98 @@
+package detcast
+
+import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/radio"
+)
+
+// The port pin reduces the full event stream and per-device outcomes of
+// fixed scenarios to digests, in the iterclust, dtime and cdmerge pin
+// format. The deterministic construction draws no randomness, so one
+// seed per scenario suffices; any change to how its continuation chain
+// is assembled must reproduce these lines byte for byte. Regenerate
+// only with -update-pin and a reviewed diff.
+var updatePin = flag.Bool("update-pin", false, "rewrite testdata/port_pin.txt from the current implementation")
+
+func evString(ev radio.Event) string {
+	kind := "?"
+	switch ev.Kind {
+	case radio.EventTransmit:
+		kind = "tx"
+	case radio.EventReceive:
+		kind = "rx"
+	case radio.EventSilence:
+		kind = "sil"
+	case radio.EventNoise:
+		kind = "noise"
+	}
+	return fmt.Sprintf("%d %d %s %v %d", ev.Slot, ev.Dev, kind, ev.Payload, ev.From)
+}
+
+func TestPortPin(t *testing.T) {
+	scens := []struct {
+		name    string
+		g       *graph.Graph
+		model   radio.Model
+		source  int
+		idSpace int
+		ids     []int // nil: identity assignment
+	}{
+		{"local-path8", graph.Path(8), radio.Local, 0, 8, nil},
+		{"local-gnp10", graph.GNP(10, 0.35, 2), radio.Local, 3, 10, nil},
+		{"local-path6-perm", graph.Path(6), radio.Local, 2, 8, []int{7, 3, 8, 1, 5, 2}},
+		{"cd-path8", graph.Path(8), radio.CD, 0, 8, nil},
+		{"cd-star8", graph.Star(8), radio.CD, 5, 8, nil},
+		{"cd-gnp10", graph.GNP(10, 0.35, 2), radio.CD, 0, 10, nil},
+	}
+	var sb strings.Builder
+	for _, sc := range scens {
+		n := sc.g.N()
+		p, err := NewParams(sc.model, n, sc.idSpace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs := make([]DeviceResult, n)
+		pop := make([]radio.Device, n)
+		for v := 0; v < n; v++ {
+			pop[v].Proc = Proc(p, v == sc.source, "pin", &devs[v])
+		}
+		h := fnv.New64a()
+		res, err := radio.RunDevices(radio.Config{Graph: sc.g, Model: sc.model,
+			IDSpace: sc.idSpace, IDs: sc.ids, MaxSlots: 1 << 62,
+			Trace: func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		oh := fnv.New64a()
+		for v, d := range devs {
+			fmt.Fprintf(oh, "%d %v %v %d %d %d\n", v, d.Informed, d.Msg, d.Label, d.Parent, d.Cluster)
+		}
+		fmt.Fprintf(&sb, "%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d\n",
+			sc.name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
+	}
+	path := filepath.Join("testdata", "port_pin.txt")
+	if *updatePin {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing pin file (generate with -update-pin): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("port pin diverged from the reference:\n got:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}

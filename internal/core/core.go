@@ -14,15 +14,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/baseline"
-	"repro/internal/cdmerge"
-	"repro/internal/coloring"
-	"repro/internal/detcast"
-	"repro/internal/dtime"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/iterclust"
-	"repro/internal/pathcast"
 	"repro/internal/radio"
 )
 
@@ -127,7 +120,9 @@ func WithXi(xi float64) Option {
 	return func(c *config) { c.xi, c.xiSet = xi, true }
 }
 
-// WithTrace attaches a slot-level event tracer.
+// WithTrace attaches a slot-level event tracer. Every algorithm, with
+// one source or many, delivers each device action to f in slot order;
+// tracing changes no Result field. BroadcastBatch rejects it.
 func WithTrace(f func(radio.Event)) Option { return func(c *config) { c.trace = f } }
 
 // WithLeanScale applies experiment-scale protocol constants to the heavy
@@ -304,44 +299,6 @@ func resolveCall(g *graph.Graph, source int, opts []Option) (config, []int, Algo
 	return cfg, sources, algo, nil
 }
 
-// plan is one Broadcast call's seed-independent preparation: parameter
-// validation and protocol-constant construction hoisted out of the
-// per-seed work. build creates one run's fresh device population plus
-// the collector that maps the raw radio result to the public Result;
-// the returned radio.Config wants only its Seed filled. A seed enters a
-// trial solely through radio.Config.Seed, so one plan serves any number
-// of trials — the hoisting BroadcastBatch amortizes.
-type plan struct {
-	rcfg  radio.Config
-	build func() (pop []radio.Device, collect func(*radio.Result) *Result)
-}
-
-// buildPlan dispatches to the single- or multi-source planner and
-// attaches the call's fault spec.
-func buildPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan, error) {
-	var pl plan
-	var err error
-	if len(sources) > 1 {
-		pl, err = multiPlan(g, sources, algo, cfg)
-	} else {
-		pl, err = singlePlan(g, sources[0], algo, cfg)
-	}
-	pl.rcfg.Fault = cfg.fault
-	return pl, err
-}
-
-// run executes one seeded trial of the plan on a fresh device population.
-func (pl plan) run(seed uint64) (*Result, error) {
-	pop, collect := pl.build()
-	rcfg := pl.rcfg
-	rcfg.Seed = seed
-	res, err := radio.RunDevices(rcfg, pop)
-	if err != nil {
-		return nil, err
-	}
-	return collect(res), nil
-}
-
 // Broadcast runs the selected algorithm on g from source and returns the
 // measured result. WithSources replaces the positional source with a set
 // of broadcasting vertices.
@@ -381,230 +338,4 @@ func BroadcastBatch(g *graph.Graph, source int, seeds []uint64, opts ...Option) 
 		results[i], errs[i] = pl.run(seed)
 	}
 	return results, errs, nil
-}
-
-// annotateSingle fills the source fields of a single-source result.
-func annotateSingle(res *Result, source int) *Result {
-	res.Sources = []int{source}
-	res.InformedBy = make([]int, len(res.Informed))
-	for v, ok := range res.Informed {
-		if ok {
-			res.InformedBy[v] = 0
-		} else {
-			res.InformedBy[v] = -1
-		}
-	}
-	return res
-}
-
-// singlePlan prepares a single-source run: the per-algorithm parameter
-// and configuration construction the old dispatch performed per seed,
-// now done once. Config quirks are preserved exactly — only pathcast,
-// the bounded-degree simulation, and the deterministic construction see
-// the trace sink on the single-source path, and each algorithm keeps
-// its historical Model/MaxSlots/IDSpace settings — so a planned run is
-// bit-identical to its pre-plan ancestor.
-func singlePlan(g *graph.Graph, source int, algo Algorithm, cfg config) (plan, error) {
-	n, delta := g.N(), g.MaxDegree()
-	switch algo {
-	case AlgoIterClust, AlgoTheorem12:
-		var p iterclust.Params
-		if algo == AlgoTheorem12 {
-			if cfg.model != radio.CD {
-				return plan{}, fmt.Errorf("core: Theorem 12 requires the CD model")
-			}
-			p = iterclust.NewTheorem12Params(n, delta, cfg.eps)
-		} else {
-			p = iterclust.NewParams(cfg.model, n, delta)
-		}
-		return plan{
-			rcfg: radio.Config{Graph: g, Model: p.Model, Sims: cfg.sims},
-			build: func() ([]radio.Device, func(*radio.Result) *Result) {
-				devs := make([]iterclust.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = iterclust.Proc(p, v == source, cfg.msg, &devs[v])
-				}
-				return pop, func(res *radio.Result) *Result {
-					return annotateSingle(wrap(algo, cfg.model, res, informedOf(devs)), source)
-				}
-			},
-		}, nil
-
-	case AlgoDiamTime:
-		d, err := g.Diameter()
-		if err != nil {
-			return plan{}, err
-		}
-		p, err := dtime.NewParams(cfg.model, n, delta, d, cfg.eps)
-		if err != nil {
-			return plan{}, err
-		}
-		if cfg.lean {
-			p = p.Tune(n, 10, 6, 10, 0)
-		}
-		return plan{
-			rcfg: radio.Config{Graph: g, Model: p.SR.Model, MaxSlots: 1 << 62, Sims: cfg.sims},
-			build: func() ([]radio.Device, func(*radio.Result) *Result) {
-				devs := make([]dtime.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = dtime.Proc(p, v == source, cfg.msg, &devs[v])
-				}
-				return pop, func(res *radio.Result) *Result {
-					inf := make([]bool, n)
-					for v, dres := range devs {
-						inf[v] = dres.Informed
-					}
-					return annotateSingle(wrap(algo, cfg.model, res, inf), source)
-				}
-			},
-		}, nil
-
-	case AlgoCDMerge:
-		p, err := cdmerge.NewParams(n, delta, cfg.xi)
-		if err != nil {
-			return plan{}, err
-		}
-		if cfg.lean {
-			p = p.Tune(10, 3, n)
-		}
-		return plan{
-			rcfg: radio.Config{Graph: g, Model: radio.CD, MaxSlots: 1 << 62, Sims: cfg.sims},
-			build: func() ([]radio.Device, func(*radio.Result) *Result) {
-				devs := make([]cdmerge.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = cdmerge.Proc(p, v == source, cfg.msg, &devs[v])
-				}
-				return pop, func(res *radio.Result) *Result {
-					inf := make([]bool, n)
-					for v, dres := range devs {
-						inf[v] = dres.Informed
-					}
-					return annotateSingle(wrap(algo, radio.CD, res, inf), source)
-				}
-			},
-		}, nil
-
-	case AlgoPath:
-		if err := pathcast.Validate(g, source); err != nil {
-			return plan{}, err
-		}
-		p := pathcast.Params{Sims: cfg.sims}
-		return plan{
-			rcfg: radio.Config{Graph: g, Model: radio.Local, Trace: cfg.trace, Sims: cfg.sims},
-			build: func() ([]radio.Device, func(*radio.Result) *Result) {
-				devs := make([]pathcast.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = pathcast.Proc(p, g.Neighbors(v), v == source, cfg.msg, &devs[v])
-				}
-				return pop, func(res *radio.Result) *Result {
-					inf := make([]bool, n)
-					for v, dres := range devs {
-						inf[v] = dres.Informed
-					}
-					return annotateSingle(wrap(algo, radio.Local, res, inf), source)
-				}
-			},
-		}, nil
-
-	case AlgoBoundedDegree:
-		cp := coloring.NewParams(n, delta)
-		ip := iterclust.NewParams(radio.Local, n, delta)
-		return plan{
-			rcfg: radio.Config{Graph: g, Model: radio.NoCD, Trace: cfg.trace,
-				MaxSlots: 1 << 62, Sims: cfg.sims},
-			build: func() ([]radio.Device, func(*radio.Result) *Result) {
-				devs := make([]iterclust.DeviceResult, n)
-				cres := make([]coloring.ColoringResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = coloring.SimulateProc(1, cp,
-						iterclust.Proc(ip, v == source, cfg.msg, &devs[v]), &cres[v])
-				}
-				return pop, func(res *radio.Result) *Result {
-					return annotateSingle(wrap(algo, radio.NoCD, res, informedOf(devs)), source)
-				}
-			},
-		}, nil
-
-	case AlgoDeterministic:
-		model := cfg.model
-		if model == radio.NoCD {
-			return plan{}, fmt.Errorf("core: no deterministic No-CD algorithm exists (the Theorem 2 lower bound is Omega(Delta))")
-		}
-		p, err := detcast.NewParams(model, n, n)
-		if err != nil {
-			return plan{}, err
-		}
-		return plan{
-			rcfg: radio.Config{Graph: g, Model: model, IDSpace: n, Trace: cfg.trace,
-				MaxSlots: 1 << 62, Sims: cfg.sims},
-			build: func() ([]radio.Device, func(*radio.Result) *Result) {
-				devs := make([]detcast.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = detcast.Proc(p, v == source, cfg.msg, &devs[v])
-				}
-				return pop, func(res *radio.Result) *Result {
-					inf := make([]bool, n)
-					for v, dres := range devs {
-						inf[v] = dres.Informed
-					}
-					return annotateSingle(wrap(algo, model, res, inf), source)
-				}
-			},
-		}, nil
-
-	case AlgoBaselineDecay:
-		d, err := g.Diameter()
-		if err != nil {
-			return plan{}, err
-		}
-		p := baseline.NewParams(n, delta, d)
-		return plan{
-			rcfg: radio.Config{Graph: g, Model: cfg.model, Sims: cfg.sims},
-			build: func() ([]radio.Device, func(*radio.Result) *Result) {
-				devs := make([]baseline.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = baseline.Proc(p, v == source, cfg.msg, &devs[v])
-				}
-				return pop, func(res *radio.Result) *Result {
-					inf := make([]bool, n)
-					for v, dres := range devs {
-						inf[v] = dres.Informed
-					}
-					return annotateSingle(wrap(algo, cfg.model, res, inf), source)
-				}
-			},
-		}, nil
-
-	default:
-		return plan{}, fmt.Errorf("core: unknown algorithm %v", algo)
-	}
-}
-
-func informedOf(devs []iterclust.DeviceResult) []bool {
-	inf := make([]bool, len(devs))
-	for v, d := range devs {
-		inf[v] = d.Informed
-	}
-	return inf
-}
-
-func wrap(a Algorithm, m radio.Model, res *radio.Result, informed []bool) *Result {
-	return &Result{
-		Algorithm:     a,
-		Model:         m,
-		Slots:         res.Slots,
-		Events:        res.Events,
-		Energy:        append([]int(nil), res.Energy...),
-		Informed:      informed,
-		FaultCrashes:  res.FaultCrashes,
-		FaultSleeps:   res.FaultSleeps,
-		FaultErasures: res.FaultErasures,
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,6 +172,44 @@ func TestTraceOption(t *testing.T) {
 	}
 	if events == 0 {
 		t.Error("no trace events delivered")
+	}
+}
+
+// TestTraceReachesEveryAlgorithm requires every algorithm to deliver its
+// events to a single-source WithTrace sink, and the traced run to
+// measure exactly what the untraced run measures.
+func TestTraceReachesEveryAlgorithm(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		opts []Option
+	}{
+		{"iterclust", graph.GNP(12, 0.4, 3), []Option{WithAlgorithm(AlgoIterClust)}},
+		{"theorem12", graph.Star(9), []Option{WithModel(radio.CD), WithAlgorithm(AlgoTheorem12)}},
+		{"dtime", graph.Star(9), []Option{WithModel(radio.CD), WithAlgorithm(AlgoDiamTime), WithLeanScale()}},
+		{"cdmerge", graph.Path(8), []Option{WithAlgorithm(AlgoCDMerge), WithLeanScale()}},
+		{"path", graph.Path(10), []Option{WithModel(radio.Local), WithAlgorithm(AlgoPath)}},
+		{"bounded-degree", graph.Cycle(8), []Option{WithAlgorithm(AlgoBoundedDegree)}},
+		{"deterministic", graph.Star(8), []Option{WithModel(radio.CD), WithAlgorithm(AlgoDeterministic)}},
+		{"baseline-decay", graph.Grid(3, 3), []Option{WithAlgorithm(AlgoBaselineDecay)}},
+	}
+	for _, c := range cases {
+		plain, err := Broadcast(c.g, 0, append(c.opts, WithSeed(4))...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var events uint64
+		traced, err := Broadcast(c.g, 0, append(c.opts, WithSeed(4),
+			WithTrace(func(radio.Event) { events++ }))...)
+		if err != nil {
+			t.Fatalf("%s traced: %v", c.name, err)
+		}
+		if events == 0 {
+			t.Errorf("%s: no trace events delivered", c.name)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%s: traced run diverged:\n%+v\nvs untraced\n%+v", c.name, traced, plain)
+		}
 	}
 }
 

@@ -25,9 +25,10 @@
 //
 // The device is a radio.Proc written in continuation-passing style: the
 // whole schedule — whose slot layout is a pure function of Params — is
-// assembled as a tree of radio.Cont nodes, while every read of mutable
-// protocol state (roles, labels, cluster ids) is deferred into a thunk
-// that runs when its window starts, reproducing the evaluation order of
+// assembled as a tree of radio.Cont nodes with radio's combinators
+// (Then, Recv, Do), while every read of mutable protocol state (roles,
+// labels, cluster ids) is deferred into a radio.Eval thunk that runs
+// when its window starts, reproducing the evaluation order of
 // the historical blocking implementation exactly. The scheduler steps
 // the proc inline, so the algorithm's enormous idle stretches (most CD
 // windows touch a single cluster) cost neither goroutine parks nor
@@ -136,57 +137,6 @@ func (p Params) upSlots() uint64 {
 	return uint64(maxInt(p.Layers-1, 0)) * per
 }
 
-// ---- continuation-building helpers ----------------------------------
-
-// cont abbreviates the engine's continuation type.
-type cont = radio.Cont
-
-// then performs a, then continues with k.
-func then(a radio.Action, k cont) cont {
-	return func(radio.Channel, radio.Feedback) (radio.Action, cont) { return a, k }
-}
-
-// recv listens at slot and hands the feedback to f, which returns the
-// continuation to resume with.
-func recv(slot uint64, f func(radio.Feedback) cont) cont {
-	return func(radio.Channel, radio.Feedback) (radio.Action, cont) {
-		return radio.Listen(slot), bind(f)
-	}
-}
-
-// bind adapts a feedback consumer into a continuation.
-func bind(f func(radio.Feedback) cont) cont {
-	return func(ch radio.Channel, fb radio.Feedback) (radio.Action, cont) {
-		k := f(fb)
-		if k == nil {
-			return radio.Halt(), nil
-		}
-		return k(ch, fb)
-	}
-}
-
-// eval defers building the continuation until the moment it runs —
-// the mechanism that keeps every read of mutable device state at the
-// historical blocking implementation's evaluation point, even though
-// the surrounding continuation tree is assembled eagerly.
-func eval(f func() cont) cont {
-	return func(ch radio.Channel, fb radio.Feedback) (radio.Action, cont) {
-		k := f()
-		if k == nil {
-			return radio.Halt(), nil
-		}
-		return k(ch, fb)
-	}
-}
-
-// step runs a side effect, then continues with k.
-func step(f func(), k cont) cont {
-	return eval(func() cont {
-		f()
-		return k
-	})
-}
-
 // dev is the per-device protocol state.
 type dev struct {
 	p     Params
@@ -219,17 +169,17 @@ type dev struct {
 // message, filtered by accept). done receives the delivery (if any)
 // before k resumes.
 func (d *dev) castWindowK(start uint64, role func() (int, int, any),
-	accept func(addressed) bool, done func(addressed, bool), k cont) cont {
+	accept func(addressed) bool, done func(addressed, bool), k radio.Cont) radio.Cont {
 	p := d.p
 	if p.Model == radio.Local {
-		return eval(func() cont {
+		return radio.Eval(func() radio.Cont {
 			r, key, body := role()
 			switch r {
 			case 0:
-				return then(radio.Transmit(start, addressed{from: d.index, to: -1, key: key, body: body}),
-					step(func() { done(addressed{}, false) }, k))
+				return radio.Then(radio.Transmit(start, addressed{from: d.index, to: -1, key: key, body: body}),
+					radio.Do(func() { done(addressed{}, false) }, k))
 			case 1:
-				return recv(start, func(fb radio.Feedback) cont {
+				return radio.Recv(start, func(fb radio.Feedback) radio.Cont {
 					for _, raw := range fb.Payloads() {
 						if m, ok := raw.(addressed); ok && accept(m) {
 							done(m, true)
@@ -240,37 +190,38 @@ func (d *dev) castWindowK(start uint64, role func() (int, int, any),
 					return k
 				})
 			default:
-				return then(radio.Sleep(start), step(func() { done(addressed{}, false) }, k))
+				return radio.Then(radio.Sleep(start), radio.Do(func() { done(addressed{}, false) }, k))
 			}
 		})
 	}
 	// CD: stage 1 is a prefix binary search over keys (non-silence marks
 	// live prefixes), stage 2 delivers the body in the winner's ID slot.
 	bits := p.bits()
-	return eval(func() cont {
+	return radio.Eval(func() radio.Cont {
 		r, key, body := role()
-		miss := then(radio.Sleep(start+p.castSlots()-1), step(func() { done(addressed{}, false) }, k))
+		miss := radio.Then(radio.Sleep(start+p.castSlots()-1), radio.Do(func() { done(addressed{}, false) }, k))
 		if r == 0 {
 			key0 := key - 1
-			var tx func(x int, base uint64) cont
-			tx = func(x int, base uint64) cont {
+			var tx func(x int, base uint64) radio.Cont
+			tx = func(x int, base uint64) radio.Cont {
 				if x >= bits {
-					return then(radio.Transmit(base+uint64(key0), addressed{from: d.index, to: -1, key: key, body: body}), miss)
+					return radio.Then(radio.Transmit(base+uint64(key0),
+						addressed{from: d.index, to: -1, key: key, body: body}), miss)
 				}
 				prefix := key0 >> uint(bits-x-1)
-				return then(radio.Transmit(base+uint64(prefix), key), tx(x+1, base+uint64(1)<<uint(x+1)))
+				return radio.Then(radio.Transmit(base+uint64(prefix), key), tx(x+1, base+uint64(1)<<uint(x+1)))
 			}
 			return tx(0, start)
 		}
 		if r != 1 {
 			return miss
 		}
-		var search func(x, prefix int, base uint64) cont
-		search = func(x, prefix int, base uint64) cont {
+		var search func(x, prefix int, base uint64) radio.Cont
+		search = func(x, prefix int, base uint64) radio.Cont {
 			if x >= bits {
 				// Stage two: fetch the body in the winning key's slot.
-				return recv(base+uint64(prefix), func(fb radio.Feedback) cont {
-					return then(radio.Sleep(start+p.castSlots()-1), eval(func() cont {
+				return radio.Recv(base+uint64(prefix), func(fb radio.Feedback) radio.Cont {
+					return radio.Then(radio.Sleep(start+p.castSlots()-1), radio.Eval(func() radio.Cont {
 						if fb.Status == radio.Received {
 							if m, ok := fb.Payload.(addressed); ok && accept(m) {
 								done(m, true)
@@ -284,11 +235,11 @@ func (d *dev) castWindowK(start uint64, role func() (int, int, any),
 			}
 			p0 := prefix << 1
 			p1 := p0 | 1
-			return recv(base+uint64(p0), func(fb radio.Feedback) cont {
+			return radio.Recv(base+uint64(p0), func(fb radio.Feedback) radio.Cont {
 				if fb.Status != radio.Silence {
 					return search(x+1, p0, base+uint64(1)<<uint(x+1))
 				}
-				return recv(base+uint64(p1), func(fb radio.Feedback) cont {
+				return radio.Recv(base+uint64(p1), func(fb radio.Feedback) radio.Cont {
 					if fb.Status != radio.Silence {
 						return search(x+1, p1, base+uint64(1)<<uint(x+1))
 					}
@@ -304,28 +255,28 @@ func (d *dev) castWindowK(start uint64, role func() (int, int, any),
 // sides; the send callback runs on senders at each layer). Occupies
 // [start, start+downSlots).
 func (d *dev) downPassK(start uint64, participate func() bool,
-	send func() (any, bool), recvFn func(any), k cont) cont {
+	send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
 	p := d.p
-	return eval(func() cont {
+	return radio.Eval(func() radio.Cont {
 		part := participate()
 		if p.Model == radio.Local {
-			var it func(i int) cont
-			it = func(i int) cont {
+			var it func(i int) radio.Cont
+			it = func(i int) radio.Cont {
 				if i > p.Layers-2 {
 					return k
 				}
 				slot := start + uint64(i)
-				next := then(radio.Sleep(slot), eval(func() cont { return it(i + 1) }))
+				next := radio.Then(radio.Sleep(slot), radio.Eval(func() radio.Cont { return it(i + 1) }))
 				switch {
 				case part && d.layer == i:
-					return eval(func() cont {
+					return radio.Eval(func() radio.Cont {
 						if body, ok := send(); ok {
-							return then(radio.Transmit(slot, addressed{from: d.index, to: -1, body: body}), next)
+							return radio.Then(radio.Transmit(slot, addressed{from: d.index, to: -1, body: body}), next)
 						}
 						return next
 					})
 				case part && d.layer == i+1 && d.parent >= 0:
-					return recv(slot, func(fb radio.Feedback) cont {
+					return radio.Recv(slot, func(fb radio.Feedback) radio.Cont {
 						for _, raw := range fb.Payloads() {
 							if m, ok := raw.(addressed); ok && m.from == d.parent {
 								recvFn(m.body)
@@ -340,23 +291,23 @@ func (d *dev) downPassK(start uint64, participate func() bool,
 			return it(0)
 		}
 		per := uint64(p.IDSpace)
-		var it func(i int) cont
-		it = func(i int) cont {
+		var it func(i int) radio.Cont
+		it = func(i int) radio.Cont {
 			if i > p.Layers-2 {
 				return k
 			}
 			base := start + uint64(i)*per
-			next := then(radio.Sleep(base+per-1), eval(func() cont { return it(i + 1) }))
+			next := radio.Then(radio.Sleep(base+per-1), radio.Eval(func() radio.Cont { return it(i + 1) }))
 			switch {
 			case part && d.layer == i:
-				return eval(func() cont {
+				return radio.Eval(func() radio.Cont {
 					if body, ok := send(); ok {
-						return then(radio.Transmit(base+uint64(d.id-1), body), next)
+						return radio.Then(radio.Transmit(base+uint64(d.id-1), body), next)
 					}
 					return next
 				})
 			case part && d.layer == i+1 && d.parent >= 0:
-				return recv(base+uint64(d.parentID-1), func(fb radio.Feedback) cont {
+				return radio.Recv(base+uint64(d.parentID-1), func(fb radio.Feedback) radio.Cont {
 					if fb.Status == radio.Received {
 						recvFn(fb.Payload)
 					}
@@ -374,29 +325,29 @@ func (d *dev) downPassK(start uint64, participate func() bool,
 // indexes a deterministic SR window resolving sibling contention.
 // Occupies [start, start+upSlots).
 func (d *dev) upPassK(start uint64, participate func() bool,
-	send func() (any, bool), recvFn func(any), k cont) cont {
+	send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
 	p := d.p
-	return eval(func() cont {
+	return radio.Eval(func() radio.Cont {
 		part := participate()
 		if p.Model == radio.Local {
-			var it func(wi int) cont
-			it = func(wi int) cont {
+			var it func(wi int) radio.Cont
+			it = func(wi int) radio.Cont {
 				layer := p.Layers - 1 - wi
 				if layer < 1 {
 					return k
 				}
 				slot := start + uint64(wi)
-				next := then(radio.Sleep(slot), eval(func() cont { return it(wi + 1) }))
+				next := radio.Then(radio.Sleep(slot), radio.Eval(func() radio.Cont { return it(wi + 1) }))
 				switch {
 				case part && d.layer == layer && d.parent >= 0:
-					return eval(func() cont {
+					return radio.Eval(func() radio.Cont {
 						if body, ok := send(); ok {
-							return then(radio.Transmit(slot, addressed{from: d.index, to: d.parent, body: body}), next)
+							return radio.Then(radio.Transmit(slot, addressed{from: d.index, to: d.parent, body: body}), next)
 						}
-						return then(radio.Sleep(slot), next)
+						return radio.Then(radio.Sleep(slot), next)
 					})
 				case part && d.layer == layer-1:
-					return recv(slot, func(fb radio.Feedback) cont {
+					return radio.Recv(slot, func(fb radio.Feedback) radio.Cont {
 						for _, raw := range fb.Payloads() {
 							if m, ok := raw.(addressed); ok && m.to == d.index {
 								recvFn(m.body)
@@ -412,17 +363,17 @@ func (d *dev) upPassK(start uint64, participate func() bool,
 			return it(0)
 		}
 		per := uint64(p.IDSpace) * p.castSlots()
-		var win func(wi, id int) cont
-		win = func(wi, id int) cont {
+		var win func(wi, id int) radio.Cont
+		win = func(wi, id int) radio.Cont {
 			layer := p.Layers - 1 - wi
 			if layer < 1 {
 				return k
 			}
 			if id > p.IDSpace {
-				return eval(func() cont { return win(wi+1, 1) })
+				return radio.Eval(func() radio.Cont { return win(wi+1, 1) })
 			}
 			ws := start + uint64(wi)*per + uint64(id-1)*p.castSlots()
-			next := then(radio.Sleep(ws+p.castSlots()-1), eval(func() cont { return win(wi, id+1) }))
+			next := radio.Then(radio.Sleep(ws+p.castSlots()-1), radio.Eval(func() radio.Cont { return win(wi, id+1) }))
 			return d.castWindowK(ws,
 				func() (int, int, any) {
 					if part && d.layer == layer && d.parentID == id {
@@ -454,7 +405,7 @@ func (d *dev) upPassK(start uint64, participate func() bool,
 // yields (participate, sendFlag, listenFlag); done receives whether
 // this device's cluster heard anything (meaningful at the root).
 func (d *dev) clusterRoundK(start uint64, args func() (bool, bool, bool),
-	done func(heard bool), k cont) cont {
+	done func(heard bool), k radio.Cont) radio.Cont {
 	p := d.p
 	var part bool
 	role := 0 // cluster role: 0 idle, 1 send, 2 listen
@@ -468,8 +419,8 @@ func (d *dev) clusterRoundK(start uint64, args func() (bool, bool, bool),
 				heard = true
 			}
 		},
-		step(func() { done(heard) }, k))
-	castEnd := then(radio.Sleep(castStart+p.castSlots()-1), endUp)
+		radio.Do(func() { done(heard) }, k))
+	castEnd := radio.Then(radio.Sleep(castStart+p.castSlots()-1), endUp)
 	castK := d.castWindowK(castStart,
 		func() (int, int, any) {
 			castRole := 2
@@ -495,7 +446,7 @@ func (d *dev) clusterRoundK(start uint64, args func() (bool, bool, bool),
 			}
 		},
 		castK)
-	return step(func() {
+	return radio.Do(func() {
 		participate, sendFlag, listenFlag := args()
 		part = participate
 		role, heard = 0, false
@@ -510,9 +461,9 @@ func (d *dev) clusterRoundK(start uint64, args func() (bool, bool, bool),
 }
 
 // statusFloodK pushes the root's current inI value down the tree.
-func (d *dev) statusFloodK(start uint64, participate func() bool, k cont) cont {
+func (d *dev) statusFloodK(start uint64, participate func() bool, k radio.Cont) radio.Cont {
 	var fresh *bool
-	return step(func() {
+	return radio.Do(func() {
 		fresh = nil
 		if d.parent < 0 {
 			v := d.inI
@@ -544,15 +495,15 @@ func (p Params) combineSlots() uint64 {
 // the Lemma 26 sequential recursion over ID prefixes. The device's
 // cluster participates only in the rounds along its root ID's path.
 // Cluster roots end with inI set. Occupies the CD rsSlots window.
-func (d *dev) rulingSetCDK(start uint64, k cont) cont {
+func (d *dev) rulingSetCDK(start uint64, k radio.Cont) radio.Cont {
 	p := d.p
 	bits := p.bits()
 	// A level-l call covers 2^l - 1 combines.
 	levelSlots := func(level int) uint64 {
 		return (uint64(1)<<uint(level) - 1) * p.combineSlots()
 	}
-	var rec func(level, prefix int, t uint64, k cont) cont
-	rec = func(level, prefix int, t uint64, k cont) cont {
+	var rec func(level, prefix int, t uint64, k radio.Cont) radio.Cont
+	rec = func(level, prefix int, t uint64, k radio.Cont) radio.Cont {
 		if level == 0 {
 			return k
 		}
@@ -581,7 +532,7 @@ func (d *dev) rulingSetCDK(start uint64, k cont) cont {
 				func() bool { m, _ := mine(); return m }, k))
 		return rec(level-1, prefix<<1, t, rec(level-1, prefix<<1|1, t1, combine))
 	}
-	return step(func() {
+	return radio.Do(func() {
 		// Leaf: every cluster starts in I of its own singleton call.
 		d.inI = true
 	}, rec(bits, 0, start, k))
@@ -591,13 +542,13 @@ func (d *dev) rulingSetCDK(start uint64, k cont) cont {
 // graph by the parallel recursion: at each level, surviving 1-side
 // clusters drop out if an I0 cluster lies within two cluster-graph
 // hops; the two hops are two cluster rounds (announce, then relay).
-func (d *dev) rulingSetLocalK(start uint64, k cont) cont {
+func (d *dev) rulingSetLocalK(start uint64, k radio.Cont) radio.Cont {
 	p := d.p
 	round := p.downSlots() + p.castSlots() + p.upSlots()
 	levelLen := 2*round + p.downSlots()
 	bits := p.bits()
-	var level func(l int, t uint64) cont
-	level = func(l int, t uint64) cont {
+	var level func(l int, t uint64) radio.Cont
+	level = func(l int, t uint64) radio.Cont {
 		if l > bits {
 			return k
 		}
@@ -629,10 +580,10 @@ func (d *dev) rulingSetLocalK(start uint64, k cont) cont {
 					}
 				},
 				d.statusFloodK(t+2*round, func() bool { return true },
-					eval(func() cont { return level(l+1, t+levelLen) }))))
+					radio.Eval(func() radio.Cont { return level(l+1, t+levelLen) }))))
 		return hop1
 	}
-	return step(func() { d.inI = true }, level(1, start))
+	return radio.Do(func() { d.inI = true }, level(1, start))
 }
 
 // mergeIterationK attaches unjoined clusters to the new clustering:
@@ -642,7 +593,7 @@ func (d *dev) rulingSetLocalK(start uint64, k cont) cont {
 // selects the singleton-fix round, where only clusters known to be
 // non-singleton groups offer and only childless ruling-set clusters
 // capture. Occupies castSlots + 2*(upSlots+downSlots).
-func (d *dev) mergeIterationK(start uint64, reversed bool, k cont) cont {
+func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.Cont {
 	p := d.p
 	var offering, capturing bool
 	cand := -1
@@ -682,7 +633,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k cont) cont {
 	}
 
 	// Commit (after the relabel down-pass).
-	commit := step(func() {
+	commit := radio.Do(func() {
 		if d.newLayer >= 0 {
 			d.layer = d.newLayer
 			d.parent = d.newPar
@@ -695,7 +646,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k cont) cont {
 	// Relabel from the winner along the old tree.
 	relabelDown := d.downPassK(t4, func() bool { return capturing }, relabelSend, acceptDown, commit)
 	relabelUp := d.upPassK(t3, func() bool { return capturing }, relabelSend, acceptUp, relabelDown)
-	prepRelabel := step(func() {
+	prepRelabel := radio.Do(func() {
 		d.newLayer, d.newPar, d.newParID = -1, -1, 0
 		if d.winner == d.index && d.captured != nil {
 			if ob, ok := d.captured.body.(offerBody); ok {
@@ -716,7 +667,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k cont) cont {
 			}
 		},
 		prepRelabel)
-	pickWinner := step(func() {
+	pickWinner := radio.Do(func() {
 		d.winner = -1
 		if d.parent < 0 && capturing && cand >= 0 {
 			d.winner = cand
@@ -731,7 +682,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k cont) cont {
 			}
 		},
 		pickWinner)
-	prepGather := step(func() {
+	prepGather := radio.Do(func() {
 		cand = -1
 		if d.captured != nil && capturing {
 			cand = d.index
@@ -756,7 +707,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k cont) cont {
 			}
 		},
 		prepGather)
-	return step(func() {
+	return radio.Do(func() {
 		offering = d.joined
 		capturing = !d.joined
 		if reversed {
@@ -782,7 +733,7 @@ func (p Params) ackSlots() uint64 { return uint64(p.IDSpace) }
 // refinement beeps in its new parent's ID slot; each vertex listens in
 // its own slot, then the bit is ORed up to the root. Occupies
 // ackSlots + upSlots.
-func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k cont) cont {
+func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k radio.Cont) radio.Cont {
 	p := d.p
 	gotJoiner := false
 	upStart := start + p.ackSlots()
@@ -793,19 +744,19 @@ func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k cont) cont {
 				gotJoiner = true
 			}
 		},
-		step(func() {
+		radio.Do(func() {
 			if d.parent < 0 {
 				d.hasJoin = gotJoiner
 			}
 		}, k))
-	endBeeps := then(radio.Sleep(start+p.ackSlots()-1), up)
+	endBeeps := radio.Then(radio.Sleep(start+p.ackSlots()-1), up)
 	if p.Model == radio.Local {
-		return eval(func() cont {
+		return radio.Eval(func() radio.Cont {
 			gotJoiner = false
 			if mergedExternal() {
-				return then(radio.Transmit(start, addressed{from: d.index, to: d.parent}), endBeeps)
+				return radio.Then(radio.Transmit(start, addressed{from: d.index, to: d.parent}), endBeeps)
 			}
-			return recv(start, func(fb radio.Feedback) cont {
+			return radio.Recv(start, func(fb radio.Feedback) radio.Cont {
 				for _, raw := range fb.Payloads() {
 					if m, ok := raw.(addressed); ok && m.to == d.index {
 						gotJoiner = true
@@ -815,19 +766,19 @@ func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k cont) cont {
 			})
 		})
 	}
-	var slot func(id int) cont
-	slot = func(id int) cont {
+	var slot func(id int) radio.Cont
+	slot = func(id int) radio.Cont {
 		if id > p.IDSpace {
 			return endBeeps
 		}
 		s := start + uint64(id-1)
-		next := eval(func() cont { return slot(id + 1) })
-		return eval(func() cont {
+		next := radio.Eval(func() radio.Cont { return slot(id + 1) })
+		return radio.Eval(func() radio.Cont {
 			if mergedExternal() && d.parentID == id {
-				return then(radio.Transmit(s, 1), next)
+				return radio.Then(radio.Transmit(s, 1), next)
 			}
 			if !mergedExternal() && d.id == id {
-				return recv(s, func(fb radio.Feedback) cont {
+				return radio.Recv(s, func(fb radio.Feedback) radio.Cont {
 					if fb.Status != radio.Silence {
 						gotJoiner = true
 					}
@@ -837,7 +788,7 @@ func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k cont) cont {
 			return next
 		})
 	}
-	return step(func() { gotJoiner = false }, slot(1))
+	return radio.Do(func() { gotJoiner = false }, slot(1))
 }
 
 type orBit bool
@@ -878,46 +829,46 @@ func (p Params) Slots() uint64 {
 
 // refinementK runs one clustering iteration: ruling set, merge rounds,
 // and (in CD) the singleton fix.
-func (d *dev) refinementK(start uint64, k cont) cont {
+func (d *dev) refinementK(start uint64, k radio.Cont) radio.Cont {
 	p := d.p
 	merge := p.mergeSlots()
 	mergeStart := start + p.rulingSlots()
 	mergedExternal := false
-	var tail cont = k
+	var tail radio.Cont = k
 	if p.Model == radio.CD {
 		ackStart := mergeStart + uint64(p.MergeIters)*merge
 		fixStart := ackStart + p.ackSlots() + p.upSlots()
 		tail = d.ackPassK(ackStart, func() bool { return mergedExternal },
 			d.mergeIterationK(fixStart, true, k))
 	}
-	var iter func(i int, t uint64) cont
-	iter = func(i int, t uint64) cont {
+	var iter func(i int, t uint64) radio.Cont
+	iter = func(i int, t uint64) radio.Cont {
 		if i >= p.MergeIters {
 			return tail
 		}
 		var before bool
-		return step(func() { before = d.joined },
+		return radio.Do(func() { before = d.joined },
 			d.mergeIterationK(t, false,
-				step(func() {
+				radio.Do(func() {
 					if !before && d.joined {
 						mergedExternal = true
 					}
-				}, eval(func() cont { return iter(i+1, t+merge) }))))
+				}, radio.Eval(func() radio.Cont { return iter(i+1, t+merge) }))))
 	}
-	afterRS := step(func() {
+	afterRS := radio.Do(func() {
 		// Ruling-set clusters initiate the new clustering as-is.
 		if d.inI {
 			d.joined = true
 		}
 		mergedExternal = false
 	}, iter(0, mergeStart))
-	var rs cont
+	var rs radio.Cont
 	if p.Model == radio.CD {
 		rs = d.rulingSetCDK(start, afterRS)
 	} else {
 		rs = d.rulingSetLocalK(start, afterRS)
 	}
-	return step(func() {
+	return radio.Do(func() {
 		d.joined = false
 		d.hasJoin = false
 	}, rs)
@@ -935,7 +886,7 @@ type DeviceResult struct {
 // Proc returns the deterministic Broadcast device as an inline step
 // proc. Procs are single-use.
 func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
-	return radio.ContProc(func(ch radio.Channel) cont {
+	return radio.ContProc(func(ch radio.Channel) radio.Cont {
 		d := &dev{
 			p:     p,
 			index: ch.Index(),
@@ -948,7 +899,7 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 		body := msg
 		relayStart := uint64(1) + uint64(p.Refinements)*p.refineSlots()
 		// Relay the message up to the root and flood it down.
-		finish := step(func() {
+		finish := radio.Do(func() {
 			out.Informed = has
 			if has {
 				out.Msg = body
@@ -966,7 +917,7 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 		relay := d.upPassK(relayStart, func() bool { return true }, relaySend, relayRecv,
 			d.downPassK(relayStart+p.upSlots(), func() bool { return true }, relaySend, relayRecv,
 				finish))
-		var chain cont = relay
+		var chain radio.Cont = relay
 		for r := p.Refinements - 1; r >= 0; r-- {
 			t := uint64(1) + uint64(r)*p.refineSlots()
 			chain = d.refinementK(t, chain)

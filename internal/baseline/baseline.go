@@ -55,7 +55,7 @@ type DeviceResult struct {
 	ReceivedAt uint64
 }
 
-// decayProc is the resumable step machine behind Program: informed
+// decayProc is one vertex's resumable step machine: informed
 // vertices run the decay transmission pattern each round; uninformed
 // vertices listen in every slot until they receive the message. The
 // action schedule and per-device random draws are identical to the

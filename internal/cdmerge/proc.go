@@ -1,19 +1,17 @@
 package cdmerge
 
-// Step-machine port of the Theorem 20 device: the same protocol as
-// Program, expressed as a radio.Proc over the continuation combinators
-// so the scheduler drives it inline with zero per-device goroutines and
-// zero park/wake per action.
+// The Theorem 20 device as a radio.Proc built from radio's continuation
+// combinators, so the scheduler steps it inline with no per-device
+// goroutine and no park/wake per action.
 //
-// The port follows the detcast discipline: the slot layout is a pure
-// function of Params and is threaded eagerly through the builders,
-// while every read of mutable device state (layer, parent, ind, state,
-// merge bookkeeping) is deferred into an Eval thunk that runs at its
-// window's start — the exact evaluation points of the blocking
-// implementation, which is what makes proc_test.go's byte-identical
-// trace pin possible. SR sub-windows nest srcomm's CD step machines
-// through radio.ProcCont, precisely where the blocking form called the
-// Drive-based wrappers.
+// As in detcast, the slot layout is a pure function of Params and is
+// threaded eagerly through the builders, while every read of mutable
+// device state (layer, parent, ind, state, merge bookkeeping) is
+// deferred into an Eval thunk that runs at its window's start. That
+// fixes the evaluation order at window start, which is what keeps the
+// event stream byte-identical run over run (proc_test.go) and across
+// changes (pin_test.go). SR sub-windows run srcomm's CD step machines
+// through radio.ProcCont.
 
 import (
 	"repro/internal/cluster"
@@ -25,8 +23,8 @@ import (
 // cont abbreviates the engine's continuation type.
 type cont = radio.Cont
 
-// pdev is the step-machine twin of dev: identical protocol state, no
-// blocking Env (the channel handle arrives per step).
+// pdev is one device's protocol state; the channel handle arrives per
+// step.
 type pdev struct {
 	p     Params
 	index int
@@ -56,7 +54,7 @@ func txIndex(slot uint64, k cont) cont {
 	}
 }
 
-// lemma19K mirrors dev.lemma19: per coloring the device transmits in its
+// lemma19K learns Ind (Lemma 19): per coloring the device transmits in its
 // own color slot and, while Ind is unknown, listens in the parent's
 // color slot; the pass ends with a sleep to the window boundary.
 func (d *pdev) lemma19K(start uint64, k cont) cont {
@@ -95,7 +93,7 @@ func (d *pdev) lemma19K(start uint64, k cont) cont {
 	return radio.Do(func() { d.ind = 0 }, coloring(0))
 }
 
-// downPassK mirrors dev.downPass: per layer iteration, senders at layer
+// downPassK floods down every tree: per layer iteration, senders at layer
 // it transmit in their color slots, children listen at (Ind, parent
 // color), and every iteration ends with a sleep to its boundary.
 func (d *pdev) downPassK(start uint64, send func() (any, bool), recv func(any), k cont) cont {
@@ -140,7 +138,7 @@ func (d *pdev) downPassK(start uint64, send func() (any, bool), recv func(any), 
 	return iter(0)
 }
 
-// upPassK mirrors dev.upPass: per descending layer iteration, the
+// upPassK gathers up every tree: per descending layer iteration, the
 // sender joins the SR sub-window indexed by (Ind, parent color) and the
 // parent listens in the sub-windows of its own colors.
 func (d *pdev) upPassK(start uint64, send func() (any, bool), recv func(any), k cont) cont {
@@ -189,7 +187,7 @@ func (d *pdev) upPassK(start uint64, send func() (any, bool), recv func(any), k 
 	return iter(p.Layers - 1)
 }
 
-// innerIterationK mirrors dev.innerIteration: request window, gather
+// innerIterationK is one merge iteration: request window, gather
 // (up), decision (down), relabel (up + down), state commit, Ind
 // re-learning.
 func (d *pdev) innerIterationK(start uint64, k cont) cont {
@@ -310,7 +308,7 @@ func (d *pdev) innerIterationK(start uint64, k cont) cont {
 	})
 }
 
-// outerRoundK mirrors dev.outerRound: roots flip the Active coin, the
+// outerRoundK is one outer round: roots flip the Active coin, the
 // state floods down every tree, then S merge iterations run.
 func (d *pdev) outerRoundK(start uint64, k cont) cont {
 	p := d.p

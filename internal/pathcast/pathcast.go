@@ -93,13 +93,12 @@ func DefaultHorizon(n int) uint64 {
 	return 2*uint64(rng.NextPow2(n)) + 2
 }
 
-// pathProc is the resumable step machine behind Program. It mirrors
-// Algorithm 1 exactly as the historical blocking program did — the
+// pathProc is one vertex's resumable step machine for Algorithm 1: the
 // action schedule, the per-device blocking-time draws (in oriented-
 // instance order), and the rule that feedback is only processed for
-// slots with a listen alarm are all identical — but the scheduler steps
-// it inline, so the path algorithm's long idle stretches cost neither
-// virtual time nor goroutine parks.
+// slots with a listen alarm are those of the historical blocking
+// program, but the scheduler steps it inline, so the path algorithm's
+// long idle stretches cost neither virtual time nor goroutine parks.
 type pathProc struct {
 	p         Params
 	neighbors []int

@@ -1,10 +1,8 @@
 package radio
 
 // This file exports the continuation-combinator vocabulary for porting
-// blocking protocols to the step ABI. detcast introduced the style with
-// package-private helpers; cdmerge, dtime, iterclust and partition
-// build on these exported forms, so new ports stop re-deriving the same
-// five functions.
+// blocking protocols to the step ABI. detcast, cdmerge, dtime, iterclust
+// and partition all build on these forms.
 //
 // The discipline the combinators encode: the slot schedule is a pure
 // function of the protocol parameters, but every read of mutable device
@@ -81,13 +79,13 @@ func Do(f func(), k Cont) Cont {
 }
 
 // ProcCont drives a sub-proc to completion inside a continuation chain,
-// then resumes with k — the nesting adapter that lets a ported protocol
-// reuse srcomm's SR-communication step machines exactly where its
-// blocking form called the Drive-based wrappers. The sub-proc's halt is
-// consumed (it ends the sub-window, not the device), and k resumes with
-// the zero Feedback. A sub-proc may halt on the step that carries its
-// last listen's feedback (srcomm's LOCAL receiver does); that feedback
-// was the sub-proc's to consume, not k's.
+// then resumes with k — the nesting adapter that lets a continuation
+// protocol run one of srcomm's SR-communication step machines as a
+// window of its schedule. The sub-proc's halt is consumed (it ends the
+// sub-window, not the device), and k resumes with the zero Feedback. A
+// sub-proc may halt on the step that carries its last listen's feedback
+// (srcomm's LOCAL receiver does); that feedback was the sub-proc's to
+// consume, not k's.
 func ProcCont(p Proc, k Cont) Cont {
 	var c Cont
 	c = func(ch Channel, fb Feedback) (Action, Cont) {

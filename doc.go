@@ -247,8 +247,8 @@
 //
 // Entry points:
 //
-//   - internal/core: the Broadcast façade over every algorithm
-//     (single- and multi-source);
+//   - internal/core: the Broadcast façade over every algorithm, one
+//     planner for k-source broadcast (a single source is k = 1);
 //   - internal/radio: the simulator (time slots, collision semantics,
 //     per-device awake-slot energy metering, calendar-wheel slot
 //     scheduler);

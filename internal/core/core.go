@@ -120,9 +120,10 @@ func WithXi(xi float64) Option {
 	return func(c *config) { c.xi, c.xiSet = xi, true }
 }
 
-// WithTrace attaches a slot-level event tracer. Every algorithm, with
-// one source or many, delivers each device action to f in slot order;
-// tracing changes no Result field. BroadcastBatch rejects it.
+// WithTrace attaches a slot-level event tracer: f receives every
+// transmit and listen event of the run (radio.Config.Trace), for every
+// algorithm and any number of sources. Tracing changes no Result field.
+// BroadcastBatch rejects it.
 func WithTrace(f func(radio.Event)) Option { return func(c *config) { c.trace = f } }
 
 // WithLeanScale applies experiment-scale protocol constants to the heavy

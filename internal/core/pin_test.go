@@ -16,9 +16,9 @@ import (
 
 // The plan pin reduces every Result field of fixed Broadcast calls to
 // one line each: every algorithm under each model it supports, four
-// source sets, three seeds, with and without crash faults. A planner
-// change must reproduce it byte for byte; regenerate only with
-// -update-pin and a reviewed diff.
+// source sets, three seeds, with no fault and with crash, sleep and
+// loss faults. A planner or engine change must reproduce it byte for
+// byte; regenerate only with -update-pin and a reviewed diff.
 var updatePin = flag.Bool("update-pin", false, "rewrite testdata/plan_pin.txt from the current implementation")
 
 // pinLine renders one Broadcast outcome: the error text, or the scalar
@@ -54,7 +54,8 @@ func TestPlanPin(t *testing.T) {
 		{"baseline-nocd", graph.Grid(3, 3), []Option{WithAlgorithm(AlgoBaselineDecay)}},
 		{"baseline-cd", graph.Grid(3, 3), []Option{WithModel(radio.CD), WithAlgorithm(AlgoBaselineDecay)}},
 	}
-	faults := []fault.Spec{{}, {Kind: fault.Crash, Rate: 0.01}}
+	faults := []fault.Spec{{}, {Kind: fault.Crash, Rate: 0.01},
+		{Kind: fault.Sleep, Rate: 0.02, Window: 4}, {Kind: fault.Loss, Rate: 0.05}}
 	var sb strings.Builder
 	for _, a := range algos {
 		n := a.g.N()

@@ -1,5 +1,10 @@
 package radio
 
+import (
+	"fmt"
+	"math"
+)
+
 // This file is the device ABI: resumable step functions (Proc) that the
 // scheduler drives inline on its own goroutine, with zero park/wake
 // cost per action. Procs nest — a driver proc (such as the coloring
@@ -37,8 +42,21 @@ const (
 
 // Action is one device decision: what to do and when. Slot must exceed
 // the device's clock for the channel actions.
+//
+// Run repeats a transmit or a listen in the Run consecutive slots from
+// Slot (0 and 1 both mean the single slot Slot), and the proc is
+// stepped once, after the run's last slot, with that slot's feedback;
+// Env.Now is then that slot. A listen run ends early at its first
+// delivery (Status Received): noise, silence and a delivery erased by a
+// loss fault do not end it. Every slot of a run is charged, traced,
+// fault-injected and budget-checked exactly as a single-slot action in
+// that slot would be, so a run and its expansion into single-slot
+// actions produce the same event stream and Result. A crash ends the
+// run with the device; a full-duplex run is invalid. Run sits in Kind's
+// padding, so Action stays four words.
 type Action struct {
 	Kind    ActionKind
+	Run     uint32
 	Slot    uint64
 	Payload any
 }
@@ -48,9 +66,33 @@ func Transmit(slot uint64, payload any) Action {
 	return Action{Kind: ActTransmit, Slot: slot, Payload: payload}
 }
 
+// TransmitRun returns a transmit of payload in each of the n slots from
+// first; n < 1 means one slot.
+func TransmitRun(first uint64, n int, payload any) Action {
+	return Action{Kind: ActTransmit, Run: runLen(n), Slot: first, Payload: payload}
+}
+
 // Listen returns a listen action for the given future slot.
 func Listen(slot uint64) Action {
 	return Action{Kind: ActListen, Slot: slot}
+}
+
+// ListenRun returns a listen in each of the n slots from first that
+// ends at the first delivery; n < 1 means one slot.
+func ListenRun(first uint64, n int) Action {
+	return Action{Kind: ActListen, Run: runLen(n), Slot: first}
+}
+
+// runLen converts a run length for Action.Run. A length that does not
+// fit is a protocol bug, not a schedule to truncate.
+func runLen(n int) uint32 {
+	if n < 1 {
+		return 1
+	}
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("radio: run of %d slots does not fit in Action.Run", n))
+	}
+	return uint32(n)
 }
 
 // TransmitListen returns a full-duplex action for the given future slot.

@@ -48,10 +48,20 @@
 // the nested proc layers (a Cont chain, a flat cast machine, an SR
 // window, a role machine) between the scheduler and the protocol.
 //
+// An action can repeat a transmit or a listen over consecutive slots
+// (Action.Run; TransmitRun, ListenRun). The scheduler files a run's
+// device for the next slot itself and steps the proc once, after the
+// run's last slot — a listen run ends at its first delivery — so a
+// Lemma 7 decay window costs a receiver one step instead of one per
+// slot. Each slot of a run is charged, traced and fault-injected as a
+// single-slot action would be. A slot in which nobody transmits
+// resolves every listener to silence without scanning its neighbors.
+//
 // Transmit payloads are interned in the transmitter's lane cell for
-// exactly one slot: listeners resolve them at delivery and the scheduler
-// clears every cell once the cohort's slot is fully resolved, so the
-// engine never retains a payload past its transmission slot. Small
+// the action's run: listeners resolve them at delivery and the
+// scheduler clears a cell once the slot that ends its action is fully
+// resolved, so the engine never retains a payload past its last
+// transmission slot. Small
 // non-constant integer payloads can additionally be boxed through
 // BoxInt, which serves immutable boxes from a simulator-wide interning
 // table instead of allocating per transmission. Collision resolution
@@ -289,6 +299,11 @@ const (
 	actHalt
 )
 
+// actAsleep flags a kinds cell whose action a sleep fault suppresses in
+// the current slot. The flagged kind matches no action, and clearing
+// the flag restores it for a run's next slot.
+const actAsleep actionKind = 0x80
+
 // Env is a device's handle to the network: the Channel implementation
 // the scheduler passes to Proc.Step. It is informational only — devices
 // act by returning Actions, never by calling into the engine.
@@ -334,5 +349,7 @@ func (e *Env) Model() Model { return e.sim.model }
 // Rand returns the device's private deterministic random stream.
 func (e *Env) Rand() *rand.Rand { return e.rand }
 
-// Now returns the last slot the device acted in or slept through.
+// Now returns the last slot the device acted in or slept through. When
+// the proc is stepped after a run, that is the run's last slot: the
+// slot a listen run's delivery ended it in, or else Slot+Run-1.
 func (e *Env) Now() uint64 { return e.now }

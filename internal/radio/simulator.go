@@ -78,15 +78,16 @@ type Simulator struct {
 	faultLoss  bool
 	sleepUntil []uint64
 
-	// preallocated machinery. slots/kinds/payloads/fbs/errs are the
-	// per-device action lanes: the device's pending request (written by
-	// stepDevice) and its feedback for the next step (written by the
-	// cohort resolution).
+	// preallocated machinery. slots/runEnd/kinds/payloads/fbs/errs are
+	// the per-device action lanes: the device's pending request, from
+	// its first to its last slot (written by stepDevice), and its
+	// feedback for the next step (written by the cohort resolution).
 	envs     []Env
 	pcgs     []rand.PCG
 	slots    []uint64
+	runEnd   []uint64 // last slot of the current action's run
 	kinds    []actionKind
-	payloads []any // in-flight transmit payloads (cleared per slot)
+	payloads []any // in-flight transmit payloads (cleared when the action ends)
 	fbs      []Feedback
 	errs     []error
 	// scheduler: the calendar wheel (bucket b holds the requests for the
@@ -144,6 +145,7 @@ func NewSimulator(g *graph.Graph, cfg Config) (*Simulator, error) {
 		envs:       make([]Env, n),
 		pcgs:       make([]rand.PCG, n),
 		slots:      make([]uint64, n),
+		runEnd:     make([]uint64, n),
 		kinds:      make([]actionKind, n),
 		payloads:   make([]any, n),
 		fbs:        make([]Feedback, n),
@@ -290,8 +292,9 @@ func (s *Simulator) prepare(cfg Config, devs []Device) (*Result, error) {
 	n := s.n
 	res := s.newResult()
 	s.res = res
-	// An aborted run can leave requests behind in the wheel and the far
-	// heap; the occupancy word says which buckets to clear.
+	// An aborted run can leave requests behind in the wheel (run members
+	// filed for the next slot among them) and the far heap; the
+	// occupancy word says which buckets to clear.
 	for occ := s.occ; occ != 0; occ &= occ - 1 {
 		b := bits.TrailingZeros64(occ)
 		clear(s.wheel[b*s.words : (b+1)*s.words])
@@ -301,7 +304,7 @@ func (s *Simulator) prepare(cfg Config, devs []Device) (*Result, error) {
 	s.cohort = s.cohort[:0]
 	s.awaiting = s.awaiting[:0]
 	for v := 0; v < n; v++ {
-		s.slots[v], s.kinds[v], s.payloads[v], s.fbs[v], s.errs[v] = 0, 0, nil, Feedback{}, nil
+		s.slots[v], s.runEnd[v], s.kinds[v], s.payloads[v], s.fbs[v], s.errs[v] = 0, 0, 0, nil, Feedback{}, nil
 		s.lastTxSlot[v] = 0
 		s.sleepUntil[v] = 0
 		e := &s.envs[v]
@@ -456,7 +459,8 @@ func (s *Simulator) mark(slot uint64, v int32) {
 
 // resolveSlot resolves the gathered cohort at slot t: budget checks,
 // energy accounting, trace emission and listener feedback, in ascending
-// device order. The cohort is re-awaited for the next gather round.
+// device order. A member whose run goes on is filed for slot t+1
+// without a step; the others are re-awaited for the next gather round.
 func (s *Simulator) resolveSlot(t uint64) error {
 	if t > s.maxSlots {
 		return fmt.Errorf("%w: slot %d > MaxSlots %d", ErrBudget, t, s.maxSlots)
@@ -473,11 +477,14 @@ func (s *Simulator) resolveSlot(t uint64) error {
 		s.injectSleeps(t)
 	}
 	// Record transmissions first so every listener sees them; payloads
-	// stay parked in the transmitters' lane cells.
+	// stay parked in the transmitters' lane cells. In a slot nobody
+	// transmits in, every listener hears silence: no neighbor scan.
+	silent := true
 	for _, v := range s.cohort {
 		k := s.kinds[v]
 		if k == actTransmit || k == actTransmitListen {
 			s.lastTxSlot[v] = t + 1
+			silent = false
 		}
 	}
 	// Account energy, emit traces, compute feedback — in device order.
@@ -492,7 +499,12 @@ func (s *Simulator) resolveSlot(t uint64) error {
 			s.res.Energy[v]++
 			s.res.Listens[v]++
 			s.res.Events++
-			s.fbs[v] = s.resolve(v, t)
+			if silent {
+				s.emit(Event{Slot: t, Dev: int(v), Kind: EventSilence, From: -1})
+				s.fbs[v] = Feedback{Status: Silence}
+			} else {
+				s.fbs[v] = s.resolve(v, t)
+			}
 		case actTransmitListen:
 			// Awake for one slot: energy 1 even though both action
 			// counters advance (the paper charges per non-idle slot).
@@ -503,28 +515,40 @@ func (s *Simulator) resolveSlot(t uint64) error {
 			s.emit(Event{Slot: t, Dev: int(v), Kind: EventTransmit, Payload: s.payloads[v], From: -1})
 			s.fbs[v] = s.resolve(v, t)
 		}
+		// A run goes on in slot t+1 unless t was its last slot or
+		// delivered to it. A sleep fault neither charges nor ends it:
+		// the run's kind comes back for the next slot, and the zero
+		// Feedback a step would leave replaces this slot's.
+		if t < s.runEnd[v] && s.fbs[v].Status != Received {
+			s.kinds[v] &^= actAsleep
+			s.fbs[v] = Feedback{}
+			s.mark(t+1, v)
+		} else {
+			s.envs[v].now = t
+			s.awaiting = append(s.awaiting, v)
+		}
 		if s.res.Events > s.maxEvents {
 			return fmt.Errorf("%w: events > MaxEvents %d", ErrBudget, s.maxEvents)
 		}
 	}
-	// The slot is fully resolved: its payloads are dead. Clearing the
-	// cells here is what makes a long-lived payload collectable
-	// mid-run.
-	for _, v := range s.cohort {
+	// The slot is fully resolved: the payloads of the actions that ended
+	// in it are dead, while a transmit run keeps its payload parked
+	// until its last slot. Clearing the cells here is what makes a
+	// long-lived payload collectable mid-run. The re-awaited members
+	// are stepped again at the top of the next round.
+	for _, v := range s.awaiting {
 		s.payloads[v] = nil
 	}
-	// The cohort's feedback is in place; its members are stepped
-	// again at the top of the next round.
-	s.awaiting = append(s.awaiting, s.cohort...)
 	return nil
 }
 
 // injectCrashes applies crash-stop faults to the slot-t cohort: a device
 // whose positional hash fires is removed from the cohort (its action —
-// transmit, listen, or both — simply never happens) and retired for the
-// rest of the run, exactly like a halt but without an error. Compaction
-// preserves the cohort's ascending device order, so the surviving round
-// is resolved in the order a fault-free engine would use.
+// transmit, listen, or both — simply never happens, and its run ends)
+// and retired for the rest of the run, exactly like a halt but without
+// an error. Compaction preserves the cohort's ascending device order,
+// so the surviving round is resolved in the order a fault-free engine
+// would use.
 func (s *Simulator) injectCrashes(t uint64) {
 	kept := s.cohort[:0]
 	for _, v := range s.cohort {
@@ -541,10 +565,10 @@ func (s *Simulator) injectCrashes(t uint64) {
 
 // injectSleeps applies sleep faults to the slot-t cohort: a device whose
 // hash fires — or that is still inside an earlier window — has this
-// slot's action suppressed (kinds set to actNone: no energy, transmit
-// unheard, listen observes silence via its zeroed feedback). The device
-// stays in the cohort and is re-awaited normally; it resumes acting once
-// the window passes.
+// slot's action suppressed (its kind flagged actAsleep: no energy,
+// transmit unheard, listen observes silence via its zeroed feedback).
+// The device stays in the cohort and is re-awaited normally, or filed
+// for its run's next slot; it resumes acting once the window passes.
 func (s *Simulator) injectSleeps(t uint64) {
 	for _, v := range s.cohort {
 		asleep := t < s.sleepUntil[v]
@@ -554,7 +578,7 @@ func (s *Simulator) injectSleeps(t uint64) {
 			asleep = true
 		}
 		if asleep {
-			s.kinds[v] = actNone
+			s.kinds[v] |= actAsleep
 		}
 	}
 }
@@ -598,7 +622,8 @@ func (s *Simulator) stepFrom(start int) (next int) {
 
 // stepDevice advances one proc until it produces a channel action or
 // halts, publishing the result into the device's lane cells. Sleeps
-// only move the device clock.
+// only move the device clock, which stays at a run's first slot until
+// the run ends (see resolveSlot).
 func (s *Simulator) stepDevice(v int32) {
 	e := &s.envs[v]
 	fb := s.fbs[v]
@@ -623,7 +648,15 @@ func (s *Simulator) stepDevice(v int32) {
 			if act.Slot <= e.now {
 				panic(fmt.Sprintf("radio: device %d scheduled slot %d, but its clock is already at %d", v, act.Slot, e.now))
 			}
+			end := act.Slot
+			if act.Run > 1 {
+				if act.Kind == ActTransmitListen {
+					panic(fmt.Sprintf("radio: device %d returned a full-duplex run", v))
+				}
+				end += uint64(act.Run) - 1
+			}
 			s.slots[v] = act.Slot
+			s.runEnd[v] = end
 			s.payloads[v] = act.Payload
 			switch act.Kind {
 			case ActTransmit:

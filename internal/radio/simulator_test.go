@@ -76,37 +76,53 @@ func TestSimulatorSeedEntry(t *testing.T) {
 }
 
 // TestSimulatorReuseAfterAbort exercises the error/reset path: a budget
-// abort ends the run mid-flight with requests still pending in the
-// scheduler's wheel and in its far heap, and the next run on the same
-// Simulator must match a fresh engine's run event for event and in
-// every Result field.
+// abort ends the run mid-slot with requests still pending in the
+// scheduler's wheel (run members filed for the next slot among them)
+// and in its far heap, and the next run on the same Simulator must
+// match a fresh engine's run event for event and in every Result field.
 func TestSimulatorReuseAfterAbort(t *testing.T) {
 	const n = 130
 	g := graph.GNP(n, 0.05, 3)
-	sim, err := NewSimulator(g, Config{Graph: g, Model: NoCD, MaxSlots: 10})
+	sim, err := NewSimulator(g, Config{Graph: g, Model: NoCD, MaxEvents: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every fifth device jumps 90 slots per action and the others 1 to
-	// 4, so the abort past slot 10 leaves near requests in the wheel and
-	// far ones in the far heap.
+	// Every fifth device jumps 90 slots per action, every fifth from
+	// device 1 transmits in runs of 30 slots, and the others step 1 to
+	// 4 slots, so the abort, mid-slot, leaves near requests and run
+	// members in the wheel and far requests in the far heap.
 	over := make([]Device, n)
 	for v := range over {
 		step := uint64(1 + v%4)
-		if v%5 == 0 {
+		switch v % 5 {
+		case 0:
 			step = 90
+		case 1:
+			step = 30
 		}
 		var s uint64
 		over[v].Proc = ProcFunc(func(Channel, Feedback) Action {
+			first := s + 1
 			s += step
+			if step == 30 {
+				return TransmitRun(first, int(step), nil)
+			}
 			return Transmit(s, nil)
 		})
 	}
 	if _, err := sim.RunDevices(1, over); err == nil || !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
-	if sim.occ == 0 || len(sim.far) == 0 {
-		t.Fatalf("abort left wheel occupancy %#x and %d far requests; the test needs both pending", sim.occ, len(sim.far))
+	next := int(sim.now+1) % wheelSlots
+	members := 0
+	for v := 1; v < n; v += 5 {
+		if sim.wheel[next*sim.words+v>>6]&(1<<(v&63)) != 0 {
+			members++
+		}
+	}
+	if sim.occ == 0 || len(sim.far) == 0 || members == 0 {
+		t.Fatalf("abort left wheel occupancy %#x, %d far requests and %d run members filed; the test needs all three pending",
+			sim.occ, len(sim.far), members)
 	}
 	// Clean run on the recycled, previously aborted engine. It runs past
 	// slot 90, where the far leftovers were due, and each device sits

@@ -56,13 +56,11 @@ type DeviceResult struct {
 }
 
 // decayProc is one vertex's resumable step machine: informed
-// vertices run the decay transmission pattern each round; uninformed
-// vertices listen in every slot until they receive the message. The
-// action schedule and per-device random draws are identical to the
-// historical blocking program (one survival draw after every transmit,
-// listening stops for the round on first receipt), so measurements are
-// byte-for-byte unchanged — the protocol just no longer pays a
-// goroutine park/wake per slot.
+// vertices run the decay transmission pattern each round as one
+// transmit run, drawing the round's survival coins at its start (one
+// per transmit); an uninformed vertex listens in one run until the end
+// of the schedule, which ends at the first delivery, and transmits from
+// the next round on.
 type decayProc struct {
 	p   Params
 	out *DeviceResult
@@ -71,10 +69,8 @@ type decayProc struct {
 	body   any
 	recvAt uint64
 
-	r, i     int    // current round, next slot index within it
-	drawNext bool   // previous action was a transmit: draw survival next
-	heardAt  uint64 // slot of the previous listen (for ReceivedAt)
-	await    bool   // previous action was a listen
+	r         int  // next round
+	listening bool // the previous action was the listen run
 }
 
 // Proc returns the device's inline step proc. Procs are single-use:
@@ -89,40 +85,32 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 
 func (d *decayProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	plen := d.p.PhaseLen
-	switch {
-	case d.await:
-		d.await = false
+	if d.listening {
+		d.listening = false
+		d.r = d.p.Rounds
 		if fb.Status == radio.Received {
-			d.has, d.body, d.recvAt = true, fb.Payload, d.heardAt
-			d.r, d.i = d.r+1, 0 // round over: we hold the message now
-		}
-	case d.drawNext:
-		// Decay survival: transmit, then survive each next slot w.p. 1/2.
-		d.drawNext = false
-		if ch.Rand().Uint64()&1 == 0 {
-			d.r, d.i = d.r+1, 0
+			d.has, d.body, d.recvAt = true, fb.Payload, ch.Now()
+			d.r = int((ch.Now()-1)/uint64(plen)) + 1
 		}
 	}
-	for {
-		if d.r >= d.p.Rounds {
-			d.out.Informed = d.has
-			d.out.Msg = d.body
-			d.out.ReceivedAt = d.recvAt
-			return radio.Halt()
-		}
-		if d.i >= plen {
-			d.r, d.i = d.r+1, 0
-			continue
-		}
-		slot := uint64(1) + uint64(d.r)*uint64(plen) + uint64(d.i)
-		d.i++
-		if d.has {
-			d.drawNext = true
-			return radio.Transmit(slot, d.body)
-		}
-		d.await, d.heardAt = true, slot
-		return radio.Listen(slot)
+	if d.r >= d.p.Rounds || plen < 1 {
+		d.out.Informed = d.has
+		d.out.Msg = d.body
+		d.out.ReceivedAt = d.recvAt
+		return radio.Halt()
 	}
+	first := uint64(1) + uint64(d.r)*uint64(plen)
+	if !d.has {
+		d.listening = true
+		return radio.ListenRun(first, int(d.p.Slots()-first+1))
+	}
+	// Decay survival: transmit, then survive each next slot w.p. 1/2.
+	n := 1
+	for ch.Rand().Uint64()&1 == 1 && n < plen {
+		n++
+	}
+	d.r++
+	return radio.TransmitRun(first, n, d.body)
 }
 
 // Outcome aggregates a run.

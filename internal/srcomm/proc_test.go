@@ -204,3 +204,54 @@ func TestWindowRearmKeepsDeliveriesApart(t *testing.T) {
 		}
 	}
 }
+
+// stepCounter counts the Step calls its proc takes.
+type stepCounter struct {
+	p     radio.Proc
+	steps int
+}
+
+func (c *stepCounter) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	c.steps++
+	return c.p.Step(ch, fb)
+}
+
+// TestDecayWindowSteps guards the cost of a decay window in proc steps,
+// without timing anything: a receiver listens in one run however long
+// the window, so it takes at most 3 steps (the run, the sleep to the
+// window's end, the halt); a sender sends each phase as one run, so it
+// takes at most Phases+2. On a path of five with one sender at an end,
+// receiver 1 hears it and receivers 2 to 4 hear nothing all window.
+func TestDecayWindowSteps(t *testing.T) {
+	p := DecayParams{Delta: 2, Phases: 8}
+	for _, model := range []radio.Model{radio.NoCD, radio.CD} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := graph.Path(5)
+			counters := make([]*stepCounter, g.N())
+			devs := make([]radio.Device, g.N())
+			got := make([]any, g.N())
+			ok := make([]bool, g.N())
+			for v := range devs {
+				c := &stepCounter{p: DecayReceiveProc(1, p, &got[v], &ok[v])}
+				if v == 0 {
+					c.p = DecaySendProc(1, p, "m")
+				}
+				counters[v], devs[v].Proc = c, c
+			}
+			if _, err := radio.RunDevices(radio.Config{Graph: g, Model: model, Seed: seed}, devs); err != nil {
+				t.Fatal(err)
+			}
+			if !ok[1] || got[1] != "m" || ok[2] {
+				t.Fatalf("%v seed %d: deliveries %v %v", model, seed, got, ok)
+			}
+			if s := counters[0].steps; s > p.Phases+2 {
+				t.Errorf("%v seed %d: sender took %d steps for %d phases", model, seed, s, p.Phases)
+			}
+			for v := 1; v < g.N(); v++ {
+				if s := counters[v].steps; s > 3 {
+					t.Errorf("%v seed %d: receiver %d took %d steps for a %d-slot window", model, seed, v, s, p.Slots())
+				}
+			}
+		}
+	}
+}

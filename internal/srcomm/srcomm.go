@@ -69,14 +69,15 @@ func DecayPhasesForFailure(n int) int {
 // decaySend is the resumable step machine of the sender role: in each
 // phase it transmits in slot 0, then survives each subsequent slot with
 // probability 1/2 (transmitting while alive) — the classical decay
-// pattern, giving expected O(Phases) energy. One survival draw follows
-// every transmit.
+// pattern, giving expected O(Phases) energy. It draws a phase's
+// survival coins at the phase's start, one per transmit (the last one
+// decides nothing once the phase is full), and sends the phase as one
+// transmit run, so a window costs Phases+2 steps.
 type decaySend struct {
 	p       DecayParams
 	start   uint64
 	payload any
-	ph, i   int
-	draw    bool // previous action was a transmit: draw survival next
+	ph      int
 	done    bool
 }
 
@@ -86,43 +87,32 @@ func DecaySendProc(start uint64, p DecayParams, payload any) radio.Proc {
 	return &decaySend{p: p, start: start, payload: payload}
 }
 
-func (s *decaySend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+func (s *decaySend) Step(ch radio.Channel, _ radio.Feedback) radio.Action {
 	if s.done {
 		return radio.Halt()
 	}
+	if s.ph >= s.p.Phases {
+		s.done = true
+		return radio.Sleep(s.start + s.p.Slots() - 1)
+	}
 	plen := s.p.PhaseLen()
-	if s.draw {
-		s.draw = false
-		if ch.Rand().Uint64()&1 == 0 {
-			s.ph, s.i = s.ph+1, 0
-		}
+	n := 1
+	for ch.Rand().Uint64()&1 == 1 && n < plen {
+		n++
 	}
-	for {
-		if s.ph >= s.p.Phases {
-			s.done = true
-			return radio.Sleep(s.start + s.p.Slots() - 1)
-		}
-		if s.i >= plen {
-			s.ph, s.i = s.ph+1, 0
-			continue
-		}
-		slot := s.start + uint64(s.ph)*uint64(plen) + uint64(s.i)
-		s.i++
-		s.draw = true
-		return radio.Transmit(slot, s.payload)
-	}
+	first := s.start + uint64(s.ph)*uint64(plen)
+	s.ph++
+	return radio.TransmitRun(first, n, s.payload)
 }
 
-// decayRecv is the receiver role: it listens until the first message
-// heard (at most the whole window).
+// decayRecv is the receiver role: one listen run over the whole window,
+// which ends at the first message heard.
 type decayRecv struct {
 	p     DecayParams
 	start uint64
 	got   *any
 	ok    *bool
-	ph, i int
-	await bool
-	done  bool
+	pc    int // 0 window start, 1 run issued, 2 done
 }
 
 // DecayReceiveProc returns the receiver role as an inline step proc.
@@ -132,33 +122,23 @@ func DecayReceiveProc(start uint64, p DecayParams, got *any, ok *bool) radio.Pro
 	return &decayRecv{p: p, start: start, got: got, ok: ok}
 }
 
-func (r *decayRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
-	if r.done {
-		return radio.Halt()
-	}
-	plen := r.p.PhaseLen()
-	if r.await {
-		r.await = false
+func (r *decayRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
+	switch r.pc {
+	case 0: // an empty window has no slot to listen in
+		r.pc = 2
+		if r.p.Phases > 0 {
+			r.pc = 1
+			return radio.ListenRun(r.start, int(r.p.Slots()))
+		}
+	case 1: // the run ended at the first delivery or the window's last slot
 		if fb.Status == radio.Received {
 			*r.got, *r.ok = fb.Payload, true
-			r.done = true
-			return radio.Sleep(r.start + r.p.Slots() - 1)
 		}
+		r.pc = 2
+	default:
+		return radio.Halt()
 	}
-	for {
-		if r.ph >= r.p.Phases {
-			r.done = true
-			return radio.Sleep(r.start + r.p.Slots() - 1)
-		}
-		if r.i >= plen {
-			r.ph, r.i = r.ph+1, 0
-			continue
-		}
-		slot := r.start + uint64(r.ph)*uint64(plen) + uint64(r.i)
-		r.i++
-		r.await = true
-		return radio.Listen(slot)
-	}
+	return radio.Sleep(r.start + r.p.Slots() - 1)
 }
 
 // CDParams configures the Lemma 8 CD protocol.

@@ -391,6 +391,11 @@ func (d *simDriver) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 		}
 		act := d.inner.Step(d.vch, d.pend)
 		d.pend = radio.Feedback{}
+		if act.Run > 1 {
+			// A virtual slot becomes a frame of physical ones; a run of
+			// virtual slots would silently shrink to its first.
+			panic("coloring: action runs are not available under the LOCAL simulation")
+		}
 		switch act.Kind {
 		case radio.ActHalt:
 			return radio.Halt()

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -274,5 +275,37 @@ func TestVirtualClockDiscipline(t *testing.T) {
 	}
 	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.NoCD, Seed: 19}, pop); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSimulationRejectsRuns(t *testing.T) {
+	// The driver translates one virtual slot per action, so an inner
+	// run must halt the device with an error rather than shrink to one
+	// slot. A run of one slot is a plain action.
+	g := graph.Path(2)
+	p := NewParams(2, 1)
+	for _, tc := range []struct {
+		name string
+		act  radio.Action
+		fail bool
+	}{
+		{"transmit run", radio.TransmitRun(1, 3, "x"), true},
+		{"listen run", radio.ListenRun(1, 3), true},
+		{"one-slot run", radio.TransmitRun(1, 1, "x"), false},
+	} {
+		cres := make([]ColoringResult, 2)
+		pop := make([]radio.Device, 2)
+		for v := range pop {
+			pop[v].Proc = SimulateProc(1, p, radio.ContProc(func(radio.Channel) radio.Cont {
+				return radio.Then(tc.act, nil)
+			}), &cres[v])
+		}
+		_, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.NoCD, Seed: 23}, pop)
+		if tc.fail && (err == nil || !strings.Contains(err.Error(), "action runs are not available")) {
+			t.Errorf("%s: want the run rejected, got %v", tc.name, err)
+		}
+		if !tc.fail && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }

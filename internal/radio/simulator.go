@@ -488,8 +488,10 @@ func (s *Simulator) resolveSlot(t uint64) error {
 		}
 	}
 	// Account energy, emit traces, compute feedback — in device order.
+	awaiting := s.awaiting // empty: gather stepped every awaited device
 	for _, v := range s.cohort {
-		switch s.kinds[v] {
+		k := s.kinds[v]
+		switch k {
 		case actTransmit:
 			s.res.Energy[v]++
 			s.res.Transmits[v]++
@@ -520,12 +522,11 @@ func (s *Simulator) resolveSlot(t uint64) error {
 		// the run's kind comes back for the next slot, and the zero
 		// Feedback a step would leave replaces this slot's.
 		if t < s.runEnd[v] && s.fbs[v].Status != Received {
-			s.kinds[v] &^= actAsleep
+			s.kinds[v] = k &^ actAsleep
 			s.fbs[v] = Feedback{}
 			s.mark(t+1, v)
 		} else {
-			s.envs[v].now = t
-			s.awaiting = append(s.awaiting, v)
+			awaiting = append(awaiting, v)
 		}
 		if s.res.Events > s.maxEvents {
 			return fmt.Errorf("%w: events > MaxEvents %d", ErrBudget, s.maxEvents)
@@ -536,9 +537,10 @@ func (s *Simulator) resolveSlot(t uint64) error {
 	// until its last slot. Clearing the cells here is what makes a
 	// long-lived payload collectable mid-run. The re-awaited members
 	// are stepped again at the top of the next round.
-	for _, v := range s.awaiting {
+	for _, v := range awaiting {
 		s.payloads[v] = nil
 	}
+	s.awaiting = awaiting
 	return nil
 }
 
@@ -622,10 +624,12 @@ func (s *Simulator) stepFrom(start int) (next int) {
 
 // stepDevice advances one proc until it produces a channel action or
 // halts, publishing the result into the device's lane cells. Sleeps
-// only move the device clock, which stays at a run's first slot until
-// the run ends (see resolveSlot).
+// only move the device clock. The clock starts at the latest cohort's
+// slot: every awaited device ended its action there (a run's last slot
+// included), or has not acted yet and is at slot 0.
 func (s *Simulator) stepDevice(v int32) {
 	e := &s.envs[v]
+	e.now = s.now
 	fb := s.fbs[v]
 	s.fbs[v] = Feedback{}
 	for i := 0; ; i++ {

@@ -61,13 +61,12 @@
 // the action's run: listeners resolve them at delivery and the
 // scheduler clears a cell once the slot that ends its action is fully
 // resolved, so the engine never retains a payload past its last
-// transmission slot. Small
-// non-constant integer payloads can additionally be boxed through
-// BoxInt, which serves immutable boxes from a simulator-wide interning
-// table instead of allocating per transmission. Collision resolution
-// iterates the topology's compressed-sparse-row adjacency (graph.CSR),
-// whose rows are sorted by construction, eliminating the per-listener
-// neighbor sort.
+// transmission slot. Small non-constant integer payloads can
+// additionally be boxed through BoxInt, which serves immutable boxes
+// from a simulator-wide interning table instead of allocating per
+// transmission. Collision resolution iterates the topology's
+// compressed-sparse-row adjacency (graph.CSR), whose rows are sorted by
+// construction, eliminating the per-listener neighbor sort.
 //
 // A Simulator can be reused across runs on the same topology
 // (NewSimulator + RunDevices): all per-device machinery is preallocated

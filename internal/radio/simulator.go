@@ -304,7 +304,7 @@ func (s *Simulator) prepare(cfg Config, devs []Device) (*Result, error) {
 	s.cohort = s.cohort[:0]
 	s.awaiting = s.awaiting[:0]
 	for v := 0; v < n; v++ {
-		s.slots[v], s.runEnd[v], s.kinds[v], s.payloads[v], s.fbs[v], s.errs[v] = 0, 0, 0, nil, Feedback{}, nil
+		s.slots[v], s.runEnd[v], s.kinds[v], s.payloads[v], s.fbs[v], s.errs[v] = 0, 0, actNone, nil, Feedback{}, nil
 		s.lastTxSlot[v] = 0
 		s.sleepUntil[v] = 0
 		e := &s.envs[v]

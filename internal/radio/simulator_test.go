@@ -76,63 +76,50 @@ func TestSimulatorSeedEntry(t *testing.T) {
 }
 
 // TestSimulatorReuseAfterAbort exercises the error/reset path: a budget
-// abort ends the run mid-slot with requests still pending in the
-// scheduler's wheel (run members filed for the next slot among them)
-// and in its far heap, and the next run on the same Simulator must
-// match a fresh engine's run event for event and in every Result field.
+// abort ends the run mid-flight with requests still pending in the
+// scheduler's wheel and in its far heap — and, for an abort mid-slot,
+// run members already filed for the next slot — and the next run on
+// the same Simulator must match a fresh engine's run event for event
+// and in every Result field.
 func TestSimulatorReuseAfterAbort(t *testing.T) {
 	const n = 130
 	g := graph.GNP(n, 0.05, 3)
-	sim, err := NewSimulator(g, Config{Graph: g, Model: NoCD, MaxEvents: 400})
+	sim, err := NewSimulator(g, Config{Graph: g, Model: NoCD, MaxSlots: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every fifth device jumps 90 slots per action, every fifth from
-	// device 1 transmits in runs of 30 slots, and the others step 1 to
-	// 4 slots, so the abort, mid-slot, leaves near requests and run
-	// members in the wheel and far requests in the far heap.
-	over := make([]Device, n)
-	for v := range over {
-		step := uint64(1 + v%4)
-		switch v % 5 {
-		case 0:
-			step = 90
-		case 1:
-			step = 30
+	for _, abort := range []struct {
+		cfg     Config
+		members bool // the abort comes mid-slot, after run members were filed
+	}{
+		{Config{Graph: g, Model: NoCD, Seed: 1, MaxSlots: 10}, false},
+		{Config{Graph: g, Model: NoCD, Seed: 1, MaxEvents: 400}, true},
+	} {
+		if _, err := sim.run(abort.cfg, overProcs(n)); err == nil || !errors.Is(err, ErrBudget) {
+			t.Fatalf("want ErrBudget, got %v", err)
 		}
-		var s uint64
-		over[v].Proc = ProcFunc(func(Channel, Feedback) Action {
-			first := s + 1
-			s += step
-			if step == 30 {
-				return TransmitRun(first, int(step), nil)
+		next := int(sim.now+1) % wheelSlots
+		members := 0
+		for v := 1; v < n; v += 5 {
+			if sim.wheel[next*sim.words+v>>6]&(1<<(v&63)) != 0 {
+				members++
 			}
-			return Transmit(s, nil)
-		})
-	}
-	if _, err := sim.RunDevices(1, over); err == nil || !errors.Is(err, ErrBudget) {
-		t.Fatalf("want ErrBudget, got %v", err)
-	}
-	next := int(sim.now+1) % wheelSlots
-	members := 0
-	for v := 1; v < n; v += 5 {
-		if sim.wheel[next*sim.words+v>>6]&(1<<(v&63)) != 0 {
-			members++
+		}
+		if sim.occ == 0 || len(sim.far) == 0 || (abort.members && members == 0) {
+			t.Fatalf("abort left wheel occupancy %#x, %d far requests and %d run members filed; the test needs them pending",
+				sim.occ, len(sim.far), members)
+		}
+		// Clean run on the recycled, previously aborted engine. It runs
+		// past slot 90, where the far leftovers were due, and each device
+		// sits out six slots in seven, so a leftover request would show.
+		cfg := Config{Graph: g, Model: NoCD, Seed: 2}
+		wantTrace, want := tracedRun(t, nil, cfg, staggeredProcs(n, 120))
+		gotTrace, got := tracedRun(t, sim, cfg, staggeredProcs(n, 120))
+		if gotTrace != wantTrace || !reflect.DeepEqual(got, want) {
+			t.Fatalf("post-abort reuse diverges from a fresh run:\n got %+v\nwant %+v", got, want)
 		}
 	}
-	if sim.occ == 0 || len(sim.far) == 0 || members == 0 {
-		t.Fatalf("abort left wheel occupancy %#x, %d far requests and %d run members filed; the test needs all three pending",
-			sim.occ, len(sim.far), members)
-	}
-	// Clean run on the recycled, previously aborted engine. It runs past
-	// slot 90, where the far leftovers were due, and each device sits
-	// out six slots in seven, so a leftover request would show.
 	cfg := Config{Graph: g, Model: NoCD, Seed: 2}
-	wantTrace, want := tracedRun(t, nil, cfg, staggeredProcs(n, 120))
-	gotTrace, got := tracedRun(t, sim, cfg, staggeredProcs(n, 120))
-	if gotTrace != wantTrace || !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-abort reuse diverges from a fresh run:\n got %+v\nwant %+v", got, want)
-	}
 	// Same again after a device-panic run.
 	boom := make([]Device, n)
 	for v := range boom {
@@ -146,11 +133,39 @@ func TestSimulatorReuseAfterAbort(t *testing.T) {
 		t.Fatalf("want device panic, got %v", err)
 	}
 	cfg.Seed = 6
-	wantTrace, want = tracedRun(t, nil, cfg, staggeredProcs(n, 120))
-	gotTrace, got = tracedRun(t, sim, cfg, staggeredProcs(n, 120))
+	wantTrace, want := tracedRun(t, nil, cfg, staggeredProcs(n, 120))
+	gotTrace, got := tracedRun(t, sim, cfg, staggeredProcs(n, 120))
 	if gotTrace != wantTrace || !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-panic reuse diverges from a fresh run:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// overProcs is the population the abort test overruns: every fifth
+// device jumps 90 slots per action, every fifth from device 1 transmits
+// in runs of 30 slots, and the others step 1 to 4 slots, so an abort
+// past slot 10 leaves near requests in the wheel and far ones in the
+// far heap.
+func overProcs(n int) []Device {
+	devs := make([]Device, n)
+	for v := range devs {
+		step := uint64(1 + v%4)
+		switch v % 5 {
+		case 0:
+			step = 90
+		case 1:
+			step = 30
+		}
+		var s uint64
+		devs[v].Proc = ProcFunc(func(Channel, Feedback) Action {
+			first := s + 1
+			s += step
+			if step == 30 {
+				return TransmitRun(first, int(step), nil)
+			}
+			return Transmit(s, nil)
+		})
+	}
+	return devs
 }
 
 // staggeredProcs has device v act every seventh slot from slot v%7+1

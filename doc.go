@@ -48,9 +48,20 @@
 // in internal/radio/testdata. Channel feedback (radio.Feedback) is four
 // words, so it passes through the nested proc layers in registers.
 //
-// Transmit payloads are interned in per-device mailbox cells for exactly
-// one slot (listeners resolve them at delivery; the cells are cleared
-// when the slot completes, so large payloads are collectable mid-run),
+// An action may repeat a transmit or a listen over consecutive slots
+// (radio.TransmitRun, radio.ListenRun): the scheduler files the device
+// for each next slot itself and steps the proc once, after the run's
+// last slot, and a listen run ends at its first delivery. The Lemma 7
+// decay roles (srcomm) and the decay comparator (baseline) emit runs,
+// so a receiver's decay window costs one step instead of one per slot;
+// every slot is still charged, traced and fault-injected on its own. A
+// slot nobody transmits in resolves every listener to silence without
+// a neighbor scan.
+//
+// Transmit payloads are interned in per-device mailbox cells for the
+// action's run (listeners resolve them at delivery; a cell is cleared
+// when the slot that ends its action completes, so large payloads are
+// collectable mid-run),
 // small non-constant integers can be boxed allocation-free through
 // radio.BoxInt's simulator-wide interning table, and collision
 // resolution walks the topology's cached CSR adjacency — sorted by

@@ -279,7 +279,7 @@ func TestVirtualClockDiscipline(t *testing.T) {
 }
 
 func TestSimulationRejectsRuns(t *testing.T) {
-	// The driver translates one virtual slot per action, so an inner
+	// The simulation translates one virtual slot per action, so an inner
 	// run must halt the device with an error rather than shrink to one
 	// slot. A run of one slot is a plain action.
 	g := graph.Path(2)

@@ -54,19 +54,16 @@ func newPlan[R any](algo Algorithm, rcfg radio.Config, sources []int, msg any,
 
 // run executes one seeded trial on a fresh device population.
 func (pl *planOf[R]) run(seed uint64) (*Result, error) {
-	n := pl.rcfg.Graph.N()
-	outs := make([]R, n)
-	pop := make([]radio.Device, n)
-	for v := range pop {
-		isSrc, msg := pl.start(v)
-		pop[v].Proc = pl.proc(v, isSrc, msg, &outs[v])
-	}
 	rcfg := pl.rcfg
 	rcfg.Seed = seed
-	rr, err := radio.RunDevices(rcfg, pop)
+	rr, outs, err := radio.Run(rcfg, func(v int, out *R) radio.Proc {
+		isSrc, msg := pl.start(v)
+		return pl.proc(v, isSrc, msg, out)
+	})
 	if err != nil {
 		return nil, err
 	}
+	n := len(outs)
 	res := &Result{
 		Algorithm:     pl.algo,
 		Model:         rcfg.Model,
@@ -194,11 +191,10 @@ func buildPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan,
 		if err := pathcast.Validate(g, sources[0]); err != nil {
 			return nil, err
 		}
-		p := pathcast.Params{Sims: cfg.sims}
 		rcfg.Model = radio.Local
 		return newPlan(algo, rcfg, sources, cfg.msg,
 			func(v int, src bool, m any, o *pathcast.DeviceResult) radio.Proc {
-				return pathcast.Proc(p, g.Neighbors(v), src, m, o)
+				return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), src, m, o)
 			},
 			func(o *pathcast.DeviceResult) (bool, any) { return o.Informed, o.Body }), nil
 

@@ -170,9 +170,10 @@ func ContProc(init func(ch Channel) Cont) Proc {
 	return &contProc{init: init}
 }
 
-// Device binds one vertex to its step machine. The struct survives the
-// old two-ABI engine so call sites keep their shape; its only field now
-// is the Proc.
+// Device binds one vertex to its step machine. Run is the way to run a
+// protocol; Device and RunDevices stay for callers that build the
+// population themselves, such as the benchmark module and the engine's
+// own tests.
 type Device struct {
 	Proc Proc
 }
@@ -184,6 +185,25 @@ func Procs(procs []Proc) []Device {
 		devs[i].Proc = p
 	}
 	return devs
+}
+
+// Run is the way to run a protocol: one device per vertex of
+// cfg.Graph, device v built as proc(v, &reports[v]) so that its proc
+// leaves its final state in the report. It returns RunDevices' Result
+// and error together with every device's report. A nil or empty graph
+// fails as RunDevices does, without calling proc.
+func Run[R any](cfg Config, proc func(v int, report *R) Proc) (*Result, []R, error) {
+	n := 0
+	if cfg.Graph != nil {
+		n = cfg.Graph.N()
+	}
+	reports := make([]R, n)
+	devs := make([]Device, n)
+	for v := range devs {
+		devs[v].Proc = proc(v, &reports[v])
+	}
+	res, err := RunDevices(cfg, devs)
+	return res, reports, err
 }
 
 // RunDevices executes one device per vertex, stepping every proc on the

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -192,6 +193,47 @@ func TestProcErrorPaths(t *testing.T) {
 	}
 	if r1.Events != r2.Events || r1.Slots != r2.Slots {
 		t.Fatalf("post-error reuse diverges: %+v vs %+v", r1, r2)
+	}
+	// Run on a nil or empty graph fails as RunDevices does, without
+	// building a single device.
+	for _, cfg := range []Config{{}, {Graph: graph.New(0)}, {Graph: graph.New(0), Sims: &SimCache{}}} {
+		_, _, err := Run(cfg, func(v int, _ *int) Proc {
+			t.Fatalf("Run built device %d on an empty graph", v)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "nil or empty graph") {
+			t.Fatalf("Run(%+v): want the nil-or-empty-graph error, got %v", cfg, err)
+		}
+	}
+}
+
+// TestRunBuildsOneDevicePerVertex checks Run against RunDevices: the
+// same population gives the same Result, and the report Run returns at
+// index v is the one device v's proc wrote.
+func TestRunBuildsOneDevicePerVertex(t *testing.T) {
+	g := graph.GNP(12, 0.4, 3)
+	cfg := Config{Graph: g, Model: CD, Seed: 5}
+	res, reports, err := Run(cfg, func(v int, report *int) Proc {
+		inner := &contendProc{slots: 6}
+		return ProcFunc(func(ch Channel, fb Feedback) Action {
+			*report = ch.Index() + 100*v
+			return inner.Step(ch, fb)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunDevices(cfg, contendingProcs(g.N(), 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("Run diverges from RunDevices: %+v vs %+v", res, want)
+	}
+	for v, r := range reports {
+		if r != 101*v {
+			t.Errorf("report %d = %d, want %d", v, r, 101*v)
+		}
 	}
 }
 

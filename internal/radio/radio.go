@@ -72,8 +72,9 @@
 // (NewSimulator + RunDevices): all per-device machinery is preallocated
 // once and fully reset per run, which is what makes million-trial
 // Monte-Carlo sweeps allocation-free in the hot path. The package-level
-// RunDevices remains the one-shot entry point, and serves from a
-// caller-supplied SimCache when Config.Sims is set.
+// Run is the one-shot entry point: it builds one proc per vertex, runs
+// the population through RunDevices and returns every device's report,
+// serving from a caller-supplied SimCache when Config.Sims is set.
 package radio
 
 import (

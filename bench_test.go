@@ -38,6 +38,31 @@ func report(b *testing.B, fn func(seed uint64) (uint64, int)) {
 	b.ReportMetric(energy/float64(b.N), "maxEnergy/op")
 }
 
+// run runs one protocol device per vertex of cfg.Graph, failing b on a
+// run error.
+func run[R any](b *testing.B, cfg radio.Config, proc func(v int, out *R) radio.Proc) (*radio.Result, []R) {
+	b.Helper()
+	res, devs, err := radio.Run(cfg, proc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res, devs
+}
+
+// iterclustProc builds vertex v's Theorem 11/12 device broadcasting
+// from vertex 0.
+func iterclustProc(p iterclust.Params) func(v int, out *iterclust.DeviceResult) radio.Proc {
+	return func(v int, out *iterclust.DeviceResult) radio.Proc { return iterclust.Proc(p, v == 0, "m", out) }
+}
+
+// pathProc builds vertex v's Algorithm 1 device broadcasting from
+// vertex 0 of the path g.
+func pathProc(g *graph.Graph) func(v int, out *pathcast.DeviceResult) radio.Proc {
+	return func(v int, out *pathcast.DeviceResult) radio.Proc {
+		return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), v == 0, "m", out)
+	}
+}
+
 // BenchmarkLocalIterClust is Table 1 row "randomized LOCAL: O(n log n)
 // time, O(log n) energy" (Theorem 11).
 func BenchmarkLocalIterClust(b *testing.B) {
@@ -46,11 +71,8 @@ func BenchmarkLocalIterClust(b *testing.B) {
 			g := graph.GNP(n, 8.0/float64(n), 11)
 			p := iterclust.NewParams(radio.Local, g.N(), g.MaxDegree())
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := iterclust.Broadcast(g, 0, "m", p, seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: p.Model, Seed: seed}, iterclustProc(p))
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}
@@ -64,11 +86,8 @@ func BenchmarkNoCDIterClust(b *testing.B) {
 			g := graph.GNP(n, 8.0/float64(n), 11)
 			p := iterclust.NewParams(radio.NoCD, g.N(), g.MaxDegree())
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := iterclust.Broadcast(g, 0, "m", p, seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: p.Model, Seed: seed}, iterclustProc(p))
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}
@@ -83,11 +102,8 @@ func BenchmarkCDIterClust(b *testing.B) {
 			g := graph.GNP(n, 8.0/float64(n), 13)
 			p := iterclust.NewTheorem12Params(g.N(), g.MaxDegree(), 0.5)
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := iterclust.Broadcast(g, 0, "m", p, seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: p.Model, Seed: seed}, iterclustProc(p))
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}
@@ -105,11 +121,9 @@ func BenchmarkCDMerge(b *testing.B) {
 			}
 			p = p.Tune(10, 3, g.N())
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := cdmerge.Broadcast(g, 0, "m", p, seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62},
+					func(v int, out *cdmerge.DeviceResult) radio.Proc { return cdmerge.Proc(p, v == 0, "m", out) })
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}
@@ -129,11 +143,9 @@ func BenchmarkNoCDDiamTime(b *testing.B) {
 			}
 			p = p.Tune(g.N(), 10, 6, 10, 1)
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := dtime.Broadcast(g, 0, "m", p, seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62},
+					func(v int, out *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", out) })
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}
@@ -165,11 +177,8 @@ func BenchmarkPathBroadcast(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := graph.Path(n)
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := pathcast.Broadcast(g, 0, "m", pathcast.Params{}, seed, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.MaxReceiveSlot(), out.Result.MaxEnergy()
+				res, devs := run(b, radio.Config{Graph: g, Model: radio.Local, Seed: seed}, pathProc(g))
+				return pathcast.MaxReceiveSlot(devs), res.MaxEnergy()
 			})
 		})
 	}
@@ -221,11 +230,8 @@ func BenchmarkLowerBoundCD(b *testing.B) {
 			g := graph.K2k(k)
 			p := iterclust.NewParams(radio.CD, g.N(), g.MaxDegree())
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := iterclust.Broadcast(g, 0, "m", p, seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: p.Model, Seed: seed}, iterclustProc(p))
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}
@@ -237,16 +243,8 @@ func BenchmarkLeaderElectionCD(b *testing.B) {
 	for _, k := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			report(b, func(seed uint64) (uint64, int) {
-				g := graph.Clique(k)
-				outs := make([]leader.Outcome, k)
-				pop := make([]radio.Device, k)
-				for i := 0; i < k; i++ {
-					pop[i].Proc = leader.ElectCDProc(1, true, k, 4000, &outs[i])
-				}
-				res, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.CD, Seed: seed}, pop)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res, _ := run(b, radio.Config{Graph: graph.Clique(k), Model: radio.CD, Seed: seed},
+					func(_ int, out *leader.Outcome) radio.Proc { return leader.ElectCDProc(1, true, k, 4000, out) })
 				return res.Slots, res.MaxEnergy()
 			})
 		})
@@ -260,11 +258,8 @@ func BenchmarkLowerBoundLocalPath(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := graph.Path(n)
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := pathcast.Broadcast(g, 0, "m", pathcast.Params{}, seed, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: radio.Local, Seed: seed}, pathProc(g))
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}
@@ -282,11 +277,9 @@ func BenchmarkPartition(b *testing.B) {
 			}
 			var cd float64
 			for i := 0; i < b.N; i++ {
-				out, err := partition.Partition(g, p, uint64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cg, _ := out.ClusterGraph(g)
+				_, devs := run(b, radio.Config{Graph: g, Model: p.SR.Model, Seed: uint64(i + 1)},
+					func(_ int, out *partition.Result) radio.Proc { return partition.Proc(p, 1, out) })
+				cg, _ := partition.ClusterGraph(g, devs)
 				if d, err := cg.Diameter(); err == nil {
 					cd += float64(d)
 				}
@@ -308,11 +301,9 @@ func BenchmarkBaselineDecay(b *testing.B) {
 			}
 			p := baseline.NewParams(g.N(), g.MaxDegree(), d)
 			report(b, func(seed uint64) (uint64, int) {
-				out, err := baseline.Broadcast(g, 0, "m", p, seed, radio.NoCD)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return out.Result.Slots, out.Result.MaxEnergy()
+				res, _ := run(b, radio.Config{Graph: g, Model: radio.NoCD, Seed: seed},
+					func(v int, out *baseline.DeviceResult) radio.Proc { return baseline.Proc(p, v == 0, "m", out) })
+				return res.Slots, res.MaxEnergy()
 			})
 		})
 	}

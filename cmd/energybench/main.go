@@ -116,6 +116,42 @@ func measure(fn func(seed uint64) (uint64, int, bool)) (float64, float64) {
 	return stats.Mean(ts), stats.Mean(es)
 }
 
+// informedTrial runs one protocol device per vertex of cfg.Graph and
+// returns the run's slots and max energy; ok is false when the run fails
+// or some device ends uninformed.
+func informedTrial[R any](cfg radio.Config, proc func(v int, out *R) radio.Proc, informed func(*R) bool) (uint64, int, bool) {
+	res, devs, err := radio.Run(cfg, proc)
+	if err != nil {
+		return 0, 0, false
+	}
+	for i := range devs {
+		if !informed(&devs[i]) {
+			return 0, 0, false
+		}
+	}
+	return res.Slots, res.MaxEnergy(), true
+}
+
+// iterclustTrial runs Theorem 11/12 iterative clustering from vertex 0.
+func iterclustTrial(g *graph.Graph, p iterclust.Params, seed uint64) (uint64, int, bool) {
+	return informedTrial(radio.Config{Graph: g, Model: p.Model, Seed: seed},
+		func(v int, o *iterclust.DeviceResult) radio.Proc { return iterclust.Proc(p, v == 0, "m", o) },
+		func(o *iterclust.DeviceResult) bool { return o.Informed })
+}
+
+// pathProc builds vertex v's Algorithm 1 device broadcasting from vertex 0.
+func pathProc(g *graph.Graph) func(v int, o *pathcast.DeviceResult) radio.Proc {
+	return func(v int, o *pathcast.DeviceResult) radio.Proc {
+		return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), v == 0, "m", o)
+	}
+}
+
+// pathTrial runs the Section 8 path algorithm from vertex 0.
+func pathTrial(g *graph.Graph, seed uint64) (uint64, int, bool) {
+	return informedTrial(radio.Config{Graph: g, Model: radio.Local, Seed: seed}, pathProc(g),
+		func(o *pathcast.DeviceResult) bool { return o.Informed })
+}
+
 func fitNote(ns, slot, energy []float64) string {
 	return fmt.Sprintf("growth: time ~ n^%.2f, energy ~ n^%.2f",
 		stats.LogLogSlope(ns, slot), stats.LogLogSlope(ns, energy))
@@ -131,13 +167,7 @@ func rowIterClust() {
 		g := graph.GNP(n, 4.0/float64(n)*2, 11)
 		for _, model := range []radio.Model{radio.Local, radio.NoCD} {
 			p := iterclust.NewParams(model, g.N(), g.MaxDegree())
-			slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-				out, err := iterclust.Broadcast(g, 0, "m", p, seed)
-				if err != nil || !out.AllInformed() {
-					return 0, 0, false
-				}
-				return out.Result.Slots, out.Result.MaxEnergy(), true
-			})
+			slots, maxE := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, p, seed) })
 			tbl.Add(model.String(), g.Name(), n, slots, maxE)
 			if model == radio.Local {
 				ns = append(ns, float64(n))
@@ -161,13 +191,7 @@ func rowTheorem12() {
 	for _, n := range sizes([]int{16, 32, 64, 128}, []int{16, 32}) {
 		g := graph.GNP(n, 8.0/float64(n), 13)
 		p := iterclust.NewTheorem12Params(g.N(), g.MaxDegree(), 0.5)
-		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := iterclust.Broadcast(g, 0, "m", p, seed)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
-		})
+		slots, maxE := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, p, seed) })
 		tbl.Add(g.Name(), n, slots, maxE)
 		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
 	}
@@ -190,11 +214,9 @@ func rowCDMerge() {
 		}
 		p = p.Tune(10, 3, g.N())
 		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := cdmerge.Broadcast(g, 0, "m", p, seed)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
+			return informedTrial(radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62},
+				func(v int, o *cdmerge.DeviceResult) radio.Proc { return cdmerge.Proc(p, v == 0, "m", o) },
+				func(o *cdmerge.DeviceResult) bool { return o.Informed })
 		})
 		tbl.Add(g.Name(), n, slots, maxE)
 		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
@@ -220,20 +242,12 @@ func rowDiamTime() {
 		}
 		p = p.Tune(g.N(), 10, 6, 10, 1)
 		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := dtime.Broadcast(g, 0, "m", p, seed)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
+			return informedTrial(radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62},
+				func(v int, o *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", o) },
+				func(o *dtime.DeviceResult) bool { return o.Informed })
 		})
 		ip := iterclust.NewParams(radio.CD, g.N(), g.MaxDegree())
-		icSlots, _ := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := iterclust.Broadcast(g, 0, "m", ip, seed)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
-		})
+		icSlots, _ := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, ip, seed) })
 		tbl.Add(g.Name(), n, 2, slots, maxE, icSlots)
 	}
 	fmt.Print(tbl)
@@ -272,14 +286,19 @@ func rowPath() {
 		g := graph.Path(n)
 		type sample struct{ recv, meanE, maxE float64 }
 		samples := sweep.CollectTrials(*seeds, *workers, func(i int) (sample, bool) {
-			out, err := pathcast.Broadcast(g, 0, "m", pathcast.Params{}, uint64(i+1), nil)
-			if err != nil || !out.AllInformed() {
+			res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.Local, Seed: uint64(i + 1)}, pathProc(g))
+			if err != nil {
 				return sample{}, false
 			}
+			for _, d := range devs {
+				if !d.Informed {
+					return sample{}, false
+				}
+			}
 			return sample{
-				recv:  float64(out.MaxReceiveSlot()),
-				meanE: float64(out.Result.TotalEnergy()) / float64(n),
-				maxE:  float64(out.Result.MaxEnergy()),
+				recv:  float64(pathcast.MaxReceiveSlot(devs)),
+				meanE: float64(res.TotalEnergy()) / float64(n),
+				maxE:  float64(res.MaxEnergy()),
 			}, true
 		})
 		rec.Add(len(samples), 0)
@@ -326,13 +345,7 @@ func rowLowerBounds() {
 	for _, k := range sizes([]int{4, 8, 16, 32}, []int{4, 16}) {
 		g := graph.K2k(k)
 		p := iterclust.NewParams(radio.CD, g.N(), g.MaxDegree())
-		_, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := iterclust.Broadcast(g, 0, "m", p, seed)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
-		})
+		_, maxE := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, p, seed) })
 		// Single-hop CD leader election time on a k-clique for reference.
 		le := measureLE(k)
 		tbl.Add("K2k CD energy vs LE time", k, maxE, le)
@@ -340,13 +353,7 @@ func rowLowerBounds() {
 	// Theorem 1 on paths: worst-vertex energy of the best path algorithm.
 	for _, n := range sizes([]int{64, 256, 1024}, []int{64, 256}) {
 		g := graph.Path(n)
-		_, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := pathcast.Broadcast(g, 0, "m", pathcast.Params{}, seed, nil)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
-		})
+		_, maxE := measure(func(seed uint64) (uint64, int, bool) { return pathTrial(g, seed) })
 		tbl.Add("path worst-vertex energy", n, maxE, fmt.Sprintf("Omega(log n)=%d/5", logi(n)))
 	}
 	fmt.Print(tbl)
@@ -371,12 +378,9 @@ func measureLE(k int) float64 {
 	ts := sweep.CollectTrials(*seeds, *workers, func(i int) (float64, bool) {
 		sims := simCaches.Get().(*radio.SimCache)
 		defer simCaches.Put(sims)
-		outs := make([]leader.Outcome, k)
-		pop := make([]radio.Device, k)
-		for j := 0; j < k; j++ {
-			pop[j].Proc = leader.ElectCDProc(1, true, k, 4000, &outs[j])
-		}
-		if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.CD, Seed: uint64(i + 1), Sims: sims}, pop); err != nil {
+		_, outs, err := radio.Run(radio.Config{Graph: g, Model: radio.CD, Seed: uint64(i + 1), Sims: sims},
+			func(_ int, o *leader.Outcome) radio.Proc { return leader.ElectCDProc(1, true, k, 4000, o) })
+		if err != nil {
 			return 0, false
 		}
 		return float64(outs[0].Slot), true
@@ -401,12 +405,13 @@ func rowPartition() {
 			if err != nil {
 				return sample{}, false
 			}
-			out, err := partition.Partition(g, p, uint64(i+1))
+			_, devs, err := radio.Run(radio.Config{Graph: g, Model: p.SR.Model, Seed: uint64(i + 1)},
+				func(_ int, o *partition.Result) radio.Proc { return partition.Proc(p, 1, o) })
 			if err != nil {
 				return sample{}, false
 			}
-			s := sample{cut: float64(out.CutEdges(g)) / float64(g.M())}
-			cg, _ := out.ClusterGraph(g)
+			s := sample{cut: float64(partition.CutEdges(g, devs)) / float64(g.M())}
+			cg, _ := partition.ClusterGraph(g, devs)
 			if cg.N() > 0 {
 				if cd, err := cg.Diameter(); err == nil {
 					s.cd, s.okCD = float64(cd), true
@@ -484,19 +489,11 @@ func rowBaselineComparison() {
 		d, _ := g.Diameter()
 		bp := baseline.NewParams(g.N(), g.MaxDegree(), d)
 		bSlots, bE := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := baseline.Broadcast(g, 0, "m", bp, seed, radio.NoCD)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
+			return informedTrial(radio.Config{Graph: g, Model: radio.NoCD, Seed: seed},
+				func(v int, o *baseline.DeviceResult) radio.Proc { return baseline.Proc(bp, v == 0, "m", o) },
+				func(o *baseline.DeviceResult) bool { return o.Informed })
 		})
-		pSlots, pE := measure(func(seed uint64) (uint64, int, bool) {
-			out, err := pathcast.Broadcast(g, 0, "m", pathcast.Params{}, seed, nil)
-			if err != nil || !out.AllInformed() {
-				return 0, 0, false
-			}
-			return out.Result.Slots, out.Result.MaxEnergy(), true
-		})
+		pSlots, pE := measure(func(seed uint64) (uint64, int, bool) { return pathTrial(g, seed) })
 		tbl.Add(g.Name(), n, bSlots, bE, pSlots, pE)
 	}
 	fmt.Print(tbl)

@@ -46,7 +46,14 @@ func main() {
 			maxSlot = ev.Slot
 		}
 	}
-	out, err := pathcast.Broadcast(g, 0, "payload", pathcast.Params{}, *seed, trace)
+	if err := pathcast.Validate(g, 0); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.Local, Seed: *seed, Trace: trace},
+		func(v int, out *pathcast.DeviceResult) radio.Proc {
+			return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), v == 0, "payload", out)
+		})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -54,7 +61,7 @@ func main() {
 
 	fmt.Printf("Figure 1 reproduction: path algorithm on n=%d (seed %d)\n", *n, *seed)
 	fmt.Printf("worst-case bound 2n' = %d; actual delivery completed at slot %d\n",
-		2*nextPow2(*n), out.MaxReceiveSlot())
+		2*nextPow2(*n), pathcast.MaxReceiveSlot(devs))
 	fmt.Println("T = transmit, R = receive, * = first holds payload, . = asleep")
 	fmt.Println()
 	fmt.Print("slot  ")
@@ -84,7 +91,7 @@ func main() {
 			case row[v].rx:
 				c = 'R'
 			}
-			if out.Devices[v].ReceivedAt == s {
+			if devs[v].ReceivedAt == s {
 				c = '*'
 			}
 			fmt.Print(string(c))
@@ -94,11 +101,11 @@ func main() {
 	fmt.Println()
 	fmt.Println("per-vertex energy:")
 	for v := 0; v < *n; v++ {
-		fmt.Printf("%d ", out.Result.Energy[v])
+		fmt.Printf("%d ", res.Energy[v])
 	}
 	fmt.Println()
 	fmt.Printf("max energy %d over %d slots (devices sleep through the rest)\n",
-		out.Result.MaxEnergy(), out.Result.Slots)
+		res.MaxEnergy(), res.Slots)
 }
 
 func nextPow2(x int) int {

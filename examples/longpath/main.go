@@ -17,22 +17,25 @@ func main() {
 	const n = 48
 	g := graph.Path(n)
 	var transmissions []radio.Event
-	out, err := pathcast.Broadcast(g, 0, "payload", pathcast.Params{}, 9, func(ev radio.Event) {
+	cfg := radio.Config{Graph: g, Model: radio.Local, Seed: 9, Trace: func(ev radio.Event) {
 		if ev.Kind == radio.EventTransmit {
 			transmissions = append(transmissions, ev)
 		}
+	}}
+	res, devs, err := radio.Run(cfg, func(v int, out *pathcast.DeviceResult) radio.Proc {
+		return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), v == 0, "payload", out)
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("path of %d relays; delivery completed at slot %d (bound 2n' = %d)\n",
-		n, out.MaxReceiveSlot(), 2*nextPow2(n))
+		n, pathcast.MaxReceiveSlot(devs), 2*nextPow2(n))
 	fmt.Printf("total transmissions: %d; max per-vertex energy: %d\n\n",
-		len(transmissions), out.Result.MaxEnergy())
+		len(transmissions), res.MaxEnergy())
 
 	fmt.Println("vertex : energy : first-holds-payload slot")
 	for v := 0; v < n; v += 4 {
-		fmt.Printf("%6d : %6d : %d\n", v, out.Result.Energy[v], out.Devices[v].ReceivedAt)
+		fmt.Printf("%6d : %6d : %d\n", v, res.Energy[v], devs[v].ReceivedAt)
 	}
 	fmt.Println()
 	fmt.Println("Blocking vertices (large B) delay the payload but shield everyone")

@@ -30,12 +30,17 @@ func main() {
 			log.Fatal(err)
 		}
 		p = p.Tune(g.N(), 0, 6, 10, 1) // lean C/CL, natural epoch counts
-		out, err := dtime.Broadcast(g, 0, "m", p, 3)
+		res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.CD, Seed: 3, MaxSlots: 1 << 62},
+			func(v int, out *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", out) })
 		if err != nil {
 			log.Fatal(err)
 		}
+		informed := true
+		for _, d := range devs {
+			informed = informed && d.Informed
+		}
 		fmt.Printf("Theorem 16, beta=%-8.4f   %12d %12d (informed: %v)\n",
-			beta, out.Result.Slots, out.Result.MaxEnergy(), out.AllInformed())
+			beta, res.Slots, res.MaxEnergy(), informed)
 	}
 
 	ic, err := core.Broadcast(g, 0, core.WithModel(radio.CD), core.WithSeed(3))

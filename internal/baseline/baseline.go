@@ -11,9 +11,6 @@
 package baseline
 
 import (
-	"fmt"
-
-	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -24,10 +21,6 @@ type Params struct {
 	Rounds int
 	// PhaseLen is the slots per round (ceil(log2 Delta)+2).
 	PhaseLen int
-	// Sims optionally reuses a per-goroutine simulator cache
-	// (radio.SimCache). Purely an allocation optimization for repeated
-	// runs on one topology; measurements and determinism are unaffected.
-	Sims *radio.SimCache
 }
 
 // NewParams sizes the protocol for an n-vertex, degree-delta,
@@ -111,38 +104,4 @@ func (d *decayProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	}
 	d.r++
 	return radio.TransmitRun(first, n, d.body)
-}
-
-// Outcome aggregates a run.
-type Outcome struct {
-	Result  *radio.Result
-	Devices []DeviceResult
-}
-
-// AllInformed reports whether every vertex holds the message.
-func (o *Outcome) AllInformed() bool {
-	for _, d := range o.Devices {
-		if !d.Informed {
-			return false
-		}
-	}
-	return true
-}
-
-// Broadcast runs the decay baseline on g from source.
-func Broadcast(g *graph.Graph, source int, msg any, p Params, seed uint64, model radio.Model) (*Outcome, error) {
-	if source < 0 || source >= g.N() {
-		return nil, fmt.Errorf("baseline: source %d out of range", source)
-	}
-	n := g.N()
-	devs := make([]DeviceResult, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		pop[v].Proc = Proc(p, v == source, msg, &devs[v])
-	}
-	res, err := radio.RunDevices(radio.Config{Graph: g, Model: model, Seed: seed, Sims: p.Sims}, pop)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Result: res, Devices: devs}, nil
 }

@@ -7,18 +7,22 @@ import (
 	"repro/internal/radio"
 )
 
-func run(t *testing.T, g *graph.Graph, seed uint64) *Outcome {
+// run broadcasts msg from vertex 0 of g with the decay protocol sized
+// by g's diameter, one Proc per vertex.
+func run(t *testing.T, g *graph.Graph, msg any, seed uint64, model radio.Model) (*radio.Result, []DeviceResult) {
 	t.Helper()
 	d, err := g.Diameter()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewParams(g.N(), g.MaxDegree(), d)
-	out, err := Broadcast(g, 0, "decay", p, seed, radio.NoCD)
+	res, devs, err := radio.Run(radio.Config{Graph: g, Model: model, Seed: seed}, func(v int, out *DeviceResult) radio.Proc {
+		return Proc(p, v == 0, msg, out)
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", g.Name(), err)
 	}
-	return out
+	return res, devs
 }
 
 func TestDecayBroadcastInformsAll(t *testing.T) {
@@ -27,13 +31,10 @@ func TestDecayBroadcastInformsAll(t *testing.T) {
 		graph.Grid(6, 6), graph.RandomTree(40, 2), graph.K2k(10),
 	}
 	for _, g := range gs {
-		out := run(t, g, 7)
-		if !out.AllInformed() {
-			t.Errorf("%s: broadcast incomplete", g.Name())
-		}
-		for v, d := range out.Devices {
-			if d.Msg != "decay" {
-				t.Errorf("%s: vertex %d got %v", g.Name(), v, d.Msg)
+		_, devs := run(t, g, "decay", 7, radio.NoCD)
+		for v, d := range devs {
+			if !d.Informed || d.Msg != "decay" {
+				t.Errorf("%s: vertex %d holds %v (informed %v)", g.Name(), v, d.Msg, d.Informed)
 			}
 		}
 	}
@@ -43,18 +44,20 @@ func TestDecayIsFastButEnergyHungry(t *testing.T) {
 	// Characteristic baseline shape: completion in O(D log) slots, but
 	// per-vertex energy comparable to its waiting time.
 	g := graph.Path(64)
-	out := run(t, g, 3)
-	if !out.AllInformed() {
-		t.Fatal("incomplete")
+	res, devs := run(t, g, "decay", 3, radio.NoCD)
+	for v, d := range devs {
+		if !d.Informed {
+			t.Fatalf("vertex %d uninformed", v)
+		}
 	}
 	// Far vertices must have spent energy proportional to their distance
 	// (they listened the whole time): energy of the last vertex is a
 	// large fraction of its receive slot.
-	last := out.Devices[63]
+	last := devs[63]
 	if last.ReceivedAt == 0 {
 		t.Fatal("vertex 63 has no receive slot")
 	}
-	e := out.Result.Energy[63]
+	e := res.Energy[63]
 	if float64(e) < 0.5*float64(last.ReceivedAt) {
 		t.Errorf("baseline energy %d unexpectedly small vs receive slot %d", e, last.ReceivedAt)
 	}
@@ -63,49 +66,28 @@ func TestDecayIsFastButEnergyHungry(t *testing.T) {
 func TestDecayTimeLinearInDiameter(t *testing.T) {
 	// Receive slots grow roughly linearly with distance on a path.
 	g := graph.Path(48)
-	out := run(t, g, 5)
-	r16 := out.Devices[16].ReceivedAt
-	r47 := out.Devices[47].ReceivedAt
+	_, devs := run(t, g, "decay", 5, radio.NoCD)
+	r16 := devs[16].ReceivedAt
+	r47 := devs[47].ReceivedAt
 	if r47 <= r16 {
 		t.Errorf("farther vertex received earlier: %d vs %d", r47, r16)
 	}
 }
 
-func TestSourceValidation(t *testing.T) {
-	g := graph.Path(4)
-	p := NewParams(4, 2, 3)
-	if _, err := Broadcast(g, -1, nil, p, 0, radio.NoCD); err == nil {
-		t.Error("negative source accepted")
-	}
-	if _, err := Broadcast(g, 4, nil, p, 0, radio.NoCD); err == nil {
-		t.Error("out-of-range source accepted")
-	}
-}
-
 func TestSlotsAccounting(t *testing.T) {
 	g := graph.Star(16)
-	p := NewParams(16, 15, 2)
-	out, err := Broadcast(g, 0, "x", p, 1, radio.NoCD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.Slots > p.Slots() {
-		t.Errorf("used slot %d beyond schedule %d", out.Result.Slots, p.Slots())
+	res, _ := run(t, g, "x", 1, radio.NoCD)
+	if p := NewParams(16, 15, 2); res.Slots > p.Slots() {
+		t.Errorf("used slot %d beyond schedule %d", res.Slots, p.Slots())
 	}
 }
 
 func TestWorksInCDToo(t *testing.T) {
 	g := graph.GNP(24, 0.2, 9)
-	d, err := g.Diameter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewParams(g.N(), g.MaxDegree(), d)
-	out, err := Broadcast(g, 0, "cd", p, 2, radio.CD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllInformed() {
-		t.Error("CD decay broadcast incomplete")
+	_, devs := run(t, g, "cd", 2, radio.CD)
+	for v, d := range devs {
+		if !d.Informed {
+			t.Errorf("CD decay broadcast left vertex %d uninformed", v)
+		}
 	}
 }

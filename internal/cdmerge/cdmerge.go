@@ -27,8 +27,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/graph"
-	"repro/internal/labeling"
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/srcomm"
@@ -58,10 +56,6 @@ type Params struct {
 	ReqSR srcomm.CDParams
 	// SR is the spec for the closing Lemma 10 Broadcast.
 	SR cluster.Spec
-	// Sims optionally reuses a per-goroutine simulator cache
-	// (radio.SimCache). Purely an allocation optimization for repeated
-	// runs on one topology; measurements and determinism are unaffected.
-	Sims *radio.SimCache
 }
 
 // NewParams derives the standard parameterization for n vertices with
@@ -191,49 +185,6 @@ type DeviceResult struct {
 	Msg      any
 	Label    int
 	Parent   int
-}
-
-// Outcome aggregates a run.
-type Outcome struct {
-	Result  *radio.Result
-	Devices []DeviceResult
-	Labels  labeling.Labeling
-}
-
-// AllInformed reports whether every device holds the message.
-func (o *Outcome) AllInformed() bool {
-	for _, d := range o.Devices {
-		if !d.Informed {
-			return false
-		}
-	}
-	return true
-}
-
-// Roots counts the remaining layer-0 vertices.
-func (o *Outcome) Roots() int { return len(o.Labels.Roots()) }
-
-// Broadcast runs the Theorem 20 algorithm on g from source. Devices run
-// as native inline step machines (Proc).
-func Broadcast(g *graph.Graph, source int, msg any, p Params, seed uint64) (*Outcome, error) {
-	if source < 0 || source >= g.N() {
-		return nil, fmt.Errorf("cdmerge: source %d out of range", source)
-	}
-	n := g.N()
-	devs := make([]DeviceResult, n)
-	procs := make([]radio.Proc, n)
-	for v := 0; v < n; v++ {
-		procs[v] = Proc(p, v == source, msg, &devs[v])
-	}
-	res, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62, Sims: p.Sims}, radio.Procs(procs))
-	if err != nil {
-		return nil, err
-	}
-	labels := make(labeling.Labeling, n)
-	for v := range labels {
-		labels[v] = devs[v].Label
-	}
-	return &Outcome{Result: res, Devices: devs, Labels: labels}, nil
 }
 
 func maxInt(a, b int) int {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/labeling"
+	"repro/internal/radio"
 )
 
 func testParams(t *testing.T, g *graph.Graph, xi float64) Params {
@@ -16,6 +18,22 @@ func testParams(t *testing.T, g *graph.Graph, xi float64) Params {
 	return p.Tune(10, 3, g.N())
 }
 
+// broadcast runs p on g from vertex 0, one Proc per vertex, and returns
+// the run, every device's final state and the final labeling.
+func broadcast(t *testing.T, g *graph.Graph, msg any, p Params, seed uint64) (*radio.Result, []DeviceResult, labeling.Labeling) {
+	t.Helper()
+	res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62},
+		func(v int, out *DeviceResult) radio.Proc { return Proc(p, v == 0, msg, out) })
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	labels := make(labeling.Labeling, len(devs))
+	for v, d := range devs {
+		labels[v] = d.Label
+	}
+	return res, devs, labels
+}
+
 func TestBroadcastSmallGraphs(t *testing.T) {
 	gs := []*graph.Graph{
 		graph.Path(10), graph.Star(12), graph.GNP(16, 0.3, 1), graph.Cycle(12),
@@ -24,12 +42,10 @@ func TestBroadcastSmallGraphs(t *testing.T) {
 		p := testParams(t, g, 0.5)
 		ok := false
 		for seed := uint64(0); seed < 3 && !ok; seed++ {
-			out, err := Broadcast(g, 0, "cd20", p, seed)
-			if err != nil {
-				t.Fatalf("%s: %v", g.Name(), err)
-			}
-			if out.AllInformed() {
-				ok = true
+			_, devs, _ := broadcast(t, g, "cd20", p, seed)
+			ok = true
+			for _, d := range devs {
+				ok = ok && d.Informed
 			}
 		}
 		if !ok {
@@ -41,11 +57,8 @@ func TestBroadcastSmallGraphs(t *testing.T) {
 func TestFinalLabelingGood(t *testing.T) {
 	g := graph.GNP(14, 0.3, 3)
 	p := testParams(t, g, 0.5)
-	out, err := Broadcast(g, 0, "x", p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Labels.Validate(g); err != nil {
+	_, _, labels := broadcast(t, g, "x", p, 1)
+	if err := labels.Validate(g); err != nil {
 		t.Errorf("final labeling invalid: %v", err)
 	}
 }
@@ -56,11 +69,8 @@ func TestMergingShrinksRoots(t *testing.T) {
 	p := testParams(t, g, 0.5)
 	best := g.N()
 	for seed := uint64(0); seed < 3; seed++ {
-		out, err := Broadcast(g, 0, "x", p, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := out.Roots(); r < best {
+		_, _, labels := broadcast(t, g, "x", p, seed)
+		if r := len(labels.Roots()); r < best {
 			best = r
 		}
 	}
@@ -73,11 +83,8 @@ func TestTreeStructureConsistent(t *testing.T) {
 	// Parents must be neighbors and sit exactly one layer up.
 	g := graph.GNP(14, 0.35, 5)
 	p := testParams(t, g, 0.5)
-	out, err := Broadcast(g, 0, "x", p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, d := range out.Devices {
+	_, devs, _ := broadcast(t, g, "x", p, 2)
+	for v, d := range devs {
 		if d.Parent < 0 {
 			if d.Label != 0 {
 				t.Errorf("root %d has layer %d", v, d.Label)
@@ -87,9 +94,9 @@ func TestTreeStructureConsistent(t *testing.T) {
 		if !g.HasEdge(v, d.Parent) {
 			t.Errorf("vertex %d's parent %d is not a neighbor", v, d.Parent)
 		}
-		if out.Devices[d.Parent].Label != d.Label-1 {
+		if devs[d.Parent].Label != d.Label-1 {
 			t.Errorf("vertex %d layer %d but parent %d layer %d",
-				v, d.Label, d.Parent, out.Devices[d.Parent].Label)
+				v, d.Label, d.Parent, devs[d.Parent].Label)
 		}
 	}
 }
@@ -99,12 +106,9 @@ func TestEnergyFarBelowTime(t *testing.T) {
 	// energy.
 	g := graph.GNP(16, 0.3, 4)
 	p := testParams(t, g, 0.5)
-	out, err := Broadcast(g, 0, "x", p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := uint64(out.Result.MaxEnergy()); e*50 > out.Result.Slots {
-		t.Errorf("max energy %d vs %d slots", e, out.Result.Slots)
+	res, _, _ := broadcast(t, g, "x", p, 1)
+	if e := uint64(res.MaxEnergy()); e*50 > res.Slots {
+		t.Errorf("max energy %d vs %d slots", e, res.Slots)
 	}
 }
 
@@ -133,38 +137,18 @@ func TestParamsValidation(t *testing.T) {
 func TestSlotsAccounting(t *testing.T) {
 	g := graph.Path(8)
 	p := testParams(t, g, 0.5)
-	out, err := Broadcast(g, 0, "x", p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.Slots > p.Slots() {
-		t.Errorf("used slot %d beyond schedule %d", out.Result.Slots, p.Slots())
-	}
-}
-
-func TestSourceValidation(t *testing.T) {
-	g := graph.Path(6)
-	p := testParams(t, g, 0.5)
-	if _, err := Broadcast(g, -1, nil, p, 0); err == nil {
-		t.Error("negative source accepted")
-	}
-	if _, err := Broadcast(g, 6, nil, p, 0); err == nil {
-		t.Error("out-of-range source accepted")
+	res, _, _ := broadcast(t, g, "x", p, 0)
+	if res.Slots > p.Slots() {
+		t.Errorf("used slot %d beyond schedule %d", res.Slots, p.Slots())
 	}
 }
 
 func TestDeterministicPerSeed(t *testing.T) {
 	g := graph.Star(8)
 	p := testParams(t, g, 0.5)
-	a, err := Broadcast(g, 0, "d", p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Broadcast(g, 0, "d", p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result.Slots != b.Result.Slots || a.Result.Events != b.Result.Events {
+	a, _, _ := broadcast(t, g, "d", p, 3)
+	b, _, _ := broadcast(t, g, "d", p, 3)
+	if a.Slots != b.Slots || a.Events != b.Events {
 		t.Error("same seed diverged")
 	}
 }

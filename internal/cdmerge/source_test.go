@@ -1,0 +1,20 @@
+package cdmerge_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+// TestSourceValidation checks that an out-of-range source is rejected.
+// The protocol's Proc only learns whether its vertex is the source;
+// core.Broadcast maps a source vertex onto the population and checks it.
+func TestSourceValidation(t *testing.T) {
+	g := graph.Path(6)
+	for _, src := range []int{-1, 6} {
+		if _, err := core.Broadcast(g, src, core.WithAlgorithm(core.AlgoCDMerge)); err == nil {
+			t.Errorf("source %d accepted", src)
+		}
+	}
+}

@@ -38,8 +38,6 @@ package detcast
 import (
 	"fmt"
 
-	"repro/internal/graph"
-	"repro/internal/labeling"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -56,10 +54,6 @@ type Params struct {
 	Refinements int
 	// MergeIters is the merge iteration count per refinement.
 	MergeIters int
-	// Sims optionally reuses a per-goroutine simulator cache
-	// (radio.SimCache). Purely an allocation optimization for repeated
-	// runs on one topology; measurements and determinism are unaffected.
-	Sims *radio.SimCache
 }
 
 // NewParams derives the standard parameterization.
@@ -927,57 +921,6 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 }
 
 type msgBody struct{ body any }
-
-// Outcome aggregates a run.
-type Outcome struct {
-	Result  *radio.Result
-	Devices []DeviceResult
-	Labels  labeling.Labeling
-}
-
-// AllInformed reports whether every device holds the message.
-func (o *Outcome) AllInformed() bool {
-	for _, d := range o.Devices {
-		if !d.Informed {
-			return false
-		}
-	}
-	return true
-}
-
-// Roots counts remaining roots.
-func (o *Outcome) Roots() int {
-	r := 0
-	for _, d := range o.Devices {
-		if d.Parent < 0 {
-			r++
-		}
-	}
-	return r
-}
-
-// Broadcast runs the deterministic algorithm on g from source.
-func Broadcast(g *graph.Graph, source int, msg any, p Params, seed uint64) (*Outcome, error) {
-	if source < 0 || source >= g.N() {
-		return nil, fmt.Errorf("detcast: source %d out of range", source)
-	}
-	n := g.N()
-	devs := make([]DeviceResult, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		pop[v].Proc = Proc(p, v == source, msg, &devs[v])
-	}
-	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.Model, Seed: seed,
-		IDSpace: p.IDSpace, MaxSlots: 1 << 62, Sims: p.Sims}, pop)
-	if err != nil {
-		return nil, err
-	}
-	labels := make(labeling.Labeling, n)
-	for v := range labels {
-		labels[v] = devs[v].Label
-	}
-	return &Outcome{Result: res, Devices: devs, Labels: labels}, nil
-}
 
 func maxInt(a, b int) int {
 	if a > b {

@@ -4,8 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/labeling"
 	"repro/internal/radio"
 )
+
+// broadcast runs p on g from vertex 0, one Proc per vertex, under the
+// radio.Config core's planner gives the deterministic algorithms.
+func broadcast(t *testing.T, g *graph.Graph, msg any, p Params, seed uint64) (*radio.Result, []DeviceResult) {
+	t.Helper()
+	res, devs, err := radio.Run(radio.Config{Graph: g, Model: p.Model, Seed: seed, IDSpace: p.IDSpace, MaxSlots: 1 << 62},
+		func(v int, out *DeviceResult) radio.Proc { return Proc(p, v == 0, msg, out) })
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	return res, devs
+}
 
 func TestDetLocalBroadcast(t *testing.T) {
 	gs := []*graph.Graph{
@@ -17,18 +30,18 @@ func TestDetLocalBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Broadcast(g, 0, "detL", p, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
-		}
-		if !out.AllInformed() {
-			missing := 0
-			for _, d := range out.Devices {
-				if !d.Informed {
-					missing++
-				}
+		_, devs := broadcast(t, g, "detL", p, 0)
+		missing, roots := 0, 0
+		for _, d := range devs {
+			if !d.Informed {
+				missing++
 			}
-			t.Errorf("%s: %d vertices uninformed (roots: %d)", g.Name(), missing, out.Roots())
+			if d.Parent < 0 {
+				roots++
+			}
+		}
+		if missing > 0 {
+			t.Errorf("%s: %d vertices uninformed (roots: %d)", g.Name(), missing, roots)
 		}
 	}
 }
@@ -42,18 +55,18 @@ func TestDetCDBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Broadcast(g, 0, "detCD", p, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
-		}
-		if !out.AllInformed() {
-			missing := 0
-			for _, d := range out.Devices {
-				if !d.Informed {
-					missing++
-				}
+		_, devs := broadcast(t, g, "detCD", p, 0)
+		missing, roots := 0, 0
+		for _, d := range devs {
+			if !d.Informed {
+				missing++
 			}
-			t.Errorf("%s: %d vertices uninformed (roots: %d)", g.Name(), missing, out.Roots())
+			if d.Parent < 0 {
+				roots++
+			}
+		}
+		if missing > 0 {
+			t.Errorf("%s: %d vertices uninformed (roots: %d)", g.Name(), missing, roots)
 		}
 	}
 }
@@ -65,25 +78,30 @@ func TestDetSingleTreeFormed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Broadcast(g, 0, "x", p, 0)
-		if err != nil {
-			t.Fatal(err)
+		_, devs := broadcast(t, g, "x", p, 0)
+		labels := make(labeling.Labeling, len(devs))
+		roots := 0
+		for v, d := range devs {
+			labels[v] = d.Label
+			if d.Parent < 0 {
+				roots++
+			}
 		}
-		if out.Roots() != 1 {
-			t.Errorf("%v: %d roots remain", model, out.Roots())
+		if roots != 1 {
+			t.Errorf("%v: %d roots remain", model, roots)
 		}
-		if err := out.Labels.Validate(g); err != nil {
+		if err := labels.Validate(g); err != nil {
 			t.Errorf("%v: final labeling invalid: %v", model, err)
 		}
 		// Parents are neighbors, one layer up.
-		for v, d := range out.Devices {
+		for v, d := range devs {
 			if d.Parent < 0 {
 				continue
 			}
 			if !g.HasEdge(v, d.Parent) {
 				t.Errorf("%v: parent of %d is non-neighbor %d", model, v, d.Parent)
 			}
-			if out.Devices[d.Parent].Label != d.Label-1 {
+			if devs[d.Parent].Label != d.Label-1 {
 				t.Errorf("%v: layer mismatch at %d", model, v)
 			}
 		}
@@ -98,19 +116,13 @@ func TestDeterministicIdenticalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Broadcast(g, 0, "d", p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Broadcast(g, 0, "d", p, 999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result.Slots != b.Result.Slots || a.Result.Events != b.Result.Events {
+	a, aDevs := broadcast(t, g, "d", p, 1)
+	b, bDevs := broadcast(t, g, "d", p, 999)
+	if a.Slots != b.Slots || a.Events != b.Events {
 		t.Error("deterministic algorithm diverged across seeds")
 	}
-	for v := range a.Devices {
-		if a.Devices[v].Label != b.Devices[v].Label || a.Devices[v].Parent != b.Devices[v].Parent {
+	for v := range aDevs {
+		if aDevs[v].Label != bDevs[v].Label || aDevs[v].Parent != bDevs[v].Parent {
 			t.Errorf("vertex %d state differs across seeds", v)
 		}
 	}
@@ -123,12 +135,9 @@ func TestDetEnergyFarBelowTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Broadcast(g, 0, "x", p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := uint64(out.Result.MaxEnergy()); e*100 > out.Result.Slots {
-		t.Errorf("max energy %d vs %d slots", e, out.Result.Slots)
+	res, _ := broadcast(t, g, "x", p, 0)
+	if e := uint64(res.MaxEnergy()); e*100 > res.Slots {
+		t.Errorf("max energy %d vs %d slots", e, res.Slots)
 	}
 }
 
@@ -140,15 +149,10 @@ func TestDetPermutedIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.N()
-	devs := make([]DeviceResult, n)
-	procs := make([]radio.Proc, n)
-	for v := 0; v < n; v++ {
-		procs[v] = Proc(p, v == 2, "perm", &devs[v])
-	}
 	ids := []int{7, 3, 8, 1, 5, 2}
-	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.Local,
-		IDSpace: 8, IDs: ids, MaxSlots: 1 << 62}, radio.Procs(procs)); err != nil {
+	_, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.Local, IDSpace: 8, IDs: ids, MaxSlots: 1 << 62},
+		func(v int, out *DeviceResult) radio.Proc { return Proc(p, v == 2, "perm", out) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	for v, d := range devs {
@@ -177,26 +181,9 @@ func TestSlotsAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Broadcast(g, 0, "x", p, 0)
-		if err != nil {
-			t.Fatal(err)
+		res, _ := broadcast(t, g, "x", p, 0)
+		if res.Slots > p.Slots() {
+			t.Errorf("%v: used slot %d beyond schedule %d", model, res.Slots, p.Slots())
 		}
-		if out.Result.Slots > p.Slots() {
-			t.Errorf("%v: used slot %d beyond schedule %d", model, out.Result.Slots, p.Slots())
-		}
-	}
-}
-
-func TestSourceValidation(t *testing.T) {
-	g := graph.Path(4)
-	p, err := NewParams(radio.Local, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Broadcast(g, -1, nil, p, 0); err == nil {
-		t.Error("negative source accepted")
-	}
-	if _, err := Broadcast(g, 4, nil, p, 0); err == nil {
-		t.Error("out-of-range source accepted")
 	}
 }

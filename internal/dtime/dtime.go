@@ -34,8 +34,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/graph"
-	"repro/internal/labeling"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -56,10 +54,6 @@ type Params struct {
 	FinalD int
 	// SR is the base SR-communication window.
 	SR cluster.Spec
-	// Sims optionally reuses a per-goroutine simulator cache
-	// (radio.SimCache). Purely an allocation optimization for repeated
-	// runs on one topology; measurements and determinism are unaffected.
-	Sims *radio.SimCache
 	// layer bounds per iteration: lb[0] = 1 (initial singletons), lb[i] =
 	// label bound after iteration i.
 	lb []int
@@ -576,43 +570,4 @@ func (s *devState) gatherPhaseCont(start uint64, k radio.Cont) radio.Cont {
 			}
 			s.captured = nil
 		}, k)))
-}
-
-// Outcome aggregates a run.
-type Outcome struct {
-	Result  *radio.Result
-	Devices []DeviceResult
-	Labels  labeling.Labeling
-}
-
-// AllInformed reports whether every device holds the message.
-func (o *Outcome) AllInformed() bool {
-	for _, d := range o.Devices {
-		if !d.Informed {
-			return false
-		}
-	}
-	return true
-}
-
-// Broadcast runs the Theorem 16 algorithm on g from source.
-func Broadcast(g *graph.Graph, source int, msg any, p Params, seed uint64) (*Outcome, error) {
-	if source < 0 || source >= g.N() {
-		return nil, fmt.Errorf("dtime: source %d out of range", source)
-	}
-	n := g.N()
-	devs := make([]DeviceResult, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		pop[v].Proc = Proc(p, v == source, msg, &devs[v])
-	}
-	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.SR.Model, Seed: seed, MaxSlots: 1 << 62, Sims: p.Sims}, pop)
-	if err != nil {
-		return nil, err
-	}
-	labels := make(labeling.Labeling, n)
-	for v := range labels {
-		labels[v] = devs[v].Label
-	}
-	return &Outcome{Result: res, Devices: devs, Labels: labels}, nil
 }

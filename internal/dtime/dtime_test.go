@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/labeling"
 	"repro/internal/radio"
 )
 
@@ -23,6 +24,13 @@ func testParams(t *testing.T, g *graph.Graph, eps float64) Params {
 	return p.Tune(g.N(), 10, 6, 10, 0)
 }
 
+// broadcast runs p on g from source, one Proc per vertex, under the
+// radio.Config core's planner gives Theorem 16.
+func broadcast(g *graph.Graph, source int, msg any, p Params, seed uint64) (*radio.Result, []DeviceResult, error) {
+	return radio.Run(radio.Config{Graph: g, Model: p.SR.Model, Seed: seed, MaxSlots: 1 << 62},
+		func(v int, out *DeviceResult) radio.Proc { return Proc(p, v == source, msg, out) })
+}
+
 func TestBroadcastLowDiameterGraphs(t *testing.T) {
 	gs := []*graph.Graph{
 		graph.Star(16),
@@ -35,13 +43,14 @@ func TestBroadcastLowDiameterGraphs(t *testing.T) {
 		ok := false
 		var lastErr error
 		for seed := uint64(0); seed < 3 && !ok; seed++ {
-			out, err := Broadcast(g, 0, "dmsg", p, seed)
+			_, devs, err := broadcast(g, 0, "dmsg", p, seed)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			if out.AllInformed() {
-				ok = true
+			ok = true
+			for _, d := range devs {
+				ok = ok && d.Informed
 			}
 		}
 		if !ok {
@@ -55,12 +64,13 @@ func TestBroadcastModerateDiameter(t *testing.T) {
 	p := testParams(t, g, 0.5)
 	ok := false
 	for seed := uint64(0); seed < 3 && !ok; seed++ {
-		out, err := Broadcast(g, g.N()-1, 7, p, seed)
+		_, devs, err := broadcast(g, g.N()-1, 7, p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.AllInformed() {
-			ok = true
+		ok = true
+		for _, d := range devs {
+			ok = ok && d.Informed
 		}
 	}
 	if !ok {
@@ -71,11 +81,15 @@ func TestBroadcastModerateDiameter(t *testing.T) {
 func TestFinalLabelingGood(t *testing.T) {
 	g := graph.GNP(18, 0.3, 4)
 	p := testParams(t, g, 0.5)
-	out, err := Broadcast(g, 0, "x", p, 1)
+	_, devs, err := broadcast(g, 0, "x", p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := out.Labels.Validate(g); err != nil {
+	labels := make(labeling.Labeling, len(devs))
+	for v, d := range devs {
+		labels[v] = d.Label
+	}
+	if err := labels.Validate(g); err != nil {
 		t.Errorf("final labeling invalid: %v", err)
 	}
 }
@@ -85,12 +99,12 @@ func TestIterationsShrinkClusters(t *testing.T) {
 	// well below n (the whole point of contracting the cluster graph).
 	g := graph.Grid(4, 5)
 	p := testParams(t, g, 0.5).Tune(g.N(), 10, 6, 10, 1)
-	out, err := Broadcast(g, 0, "x", p, 2)
+	_, devs, err := broadcast(g, 0, "x", p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clusters := make(map[int]bool)
-	for _, d := range out.Devices {
+	for _, d := range devs {
 		clusters[d.Cluster] = true
 	}
 	if len(clusters) >= g.N() {
@@ -103,12 +117,12 @@ func TestEnergyPolylog(t *testing.T) {
 	// nearly the whole schedule).
 	g := graph.GNP(20, 0.3, 3)
 	p := testParams(t, g, 0.5)
-	out, err := Broadcast(g, 0, "x", p, 1)
+	res, _, err := broadcast(g, 0, "x", p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := uint64(out.Result.MaxEnergy()); e*10 > out.Result.Slots {
-		t.Errorf("max energy %d vs %d slots: devices barely sleep", e, out.Result.Slots)
+	if e := uint64(res.MaxEnergy()); e*10 > res.Slots {
+		t.Errorf("max energy %d vs %d slots: devices barely sleep", e, res.Slots)
 	}
 }
 
@@ -137,38 +151,27 @@ func TestParamsValidation(t *testing.T) {
 func TestSlotsAccountingConsistent(t *testing.T) {
 	g := graph.Star(12)
 	p := testParams(t, g, 0.5)
-	out, err := Broadcast(g, 0, "x", p, 0)
+	res, _, err := broadcast(g, 0, "x", p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Slots > p.Slots() {
-		t.Errorf("used slot %d beyond schedule %d", out.Result.Slots, p.Slots())
-	}
-}
-
-func TestSourceValidation(t *testing.T) {
-	g := graph.Star(8)
-	p := testParams(t, g, 0.5)
-	if _, err := Broadcast(g, -1, nil, p, 0); err == nil {
-		t.Error("negative source accepted")
-	}
-	if _, err := Broadcast(g, 99, nil, p, 0); err == nil {
-		t.Error("out-of-range source accepted")
+	if res.Slots > p.Slots() {
+		t.Errorf("used slot %d beyond schedule %d", res.Slots, p.Slots())
 	}
 }
 
 func TestDeterministicPerSeed(t *testing.T) {
 	g := graph.Star(10)
 	p := testParams(t, g, 0.5)
-	a, err := Broadcast(g, 0, "d", p, 5)
+	a, _, err := broadcast(g, 0, "d", p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Broadcast(g, 0, "d", p, 5)
+	b, _, err := broadcast(g, 0, "d", p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Result.Slots != b.Result.Slots || a.Result.Events != b.Result.Events {
+	if a.Slots != b.Slots || a.Events != b.Events {
 		t.Error("same seed diverged")
 	}
 }
@@ -188,12 +191,13 @@ func TestNoCDVariantSmall(t *testing.T) {
 	p = p.Tune(g.N(), 8, 4, 6, 0)
 	ok := false
 	for seed := uint64(0); seed < 3 && !ok; seed++ {
-		out, err := Broadcast(g, 0, "nocd", p, seed)
+		_, devs, err := broadcast(g, 0, "nocd", p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.AllInformed() {
-			ok = true
+		ok = true
+		for _, d := range devs {
+			ok = ok && d.Informed
 		}
 	}
 	if !ok {
@@ -225,12 +229,14 @@ func TestBroadcastCostIndependentOfRounds(t *testing.T) {
 			}
 			p.FinalD = rounds
 			return testing.AllocsPerRun(1, func() {
-				out, err := Broadcast(g, 0, "m", p, 3)
+				_, devs, err := broadcast(g, 0, "m", p, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !out.AllInformed() {
-					t.Fatalf("%v: %d rounds left devices uninformed", model, rounds)
+				for v, d := range devs {
+					if !d.Informed {
+						t.Fatalf("%v: %d rounds left device %d uninformed", model, rounds, v)
+					}
 				}
 			})
 		}

@@ -17,12 +17,9 @@
 package iterclust
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/graph"
-	"repro/internal/labeling"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -43,10 +40,6 @@ type Params struct {
 	Layers int
 	// SR is the SR-communication window specification.
 	SR cluster.Spec
-	// Sims optionally reuses a per-goroutine simulator cache
-	// (radio.SimCache). Purely an allocation optimization for repeated
-	// runs on one topology; measurements and determinism are unaffected.
-	Sims *radio.SimCache
 }
 
 // NewParams returns the Theorem 11 parameterization (p = 1/2, s = 1,
@@ -141,51 +134,4 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 	return radio.ContProc(func(ch radio.Channel) radio.Cont {
 		return RunCont(p, isSource, msg, out, nil)
 	})
-}
-
-// Outcome aggregates a whole-network run.
-type Outcome struct {
-	// Result is the simulator's measurement.
-	Result *radio.Result
-	// Devices holds the per-device final states.
-	Devices []DeviceResult
-	// Labels is the final good labeling (for validation).
-	Labels labeling.Labeling
-}
-
-// AllInformed reports whether every device holds the message.
-func (o *Outcome) AllInformed() bool {
-	for _, d := range o.Devices {
-		if !d.Informed {
-			return false
-		}
-	}
-	return true
-}
-
-// Roots returns the number of layer-0 vertices in the final labeling.
-func (o *Outcome) Roots() int {
-	return len(o.Labels.Roots())
-}
-
-// Broadcast runs the full algorithm on g from the given source vertex.
-func Broadcast(g *graph.Graph, source int, msg any, p Params, seed uint64) (*Outcome, error) {
-	if source < 0 || source >= g.N() {
-		return nil, fmt.Errorf("iterclust: source %d out of range", source)
-	}
-	n := g.N()
-	devs := make([]DeviceResult, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		pop[v].Proc = Proc(p, v == source, msg, &devs[v])
-	}
-	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.Model, Seed: seed, Sims: p.Sims}, pop)
-	if err != nil {
-		return nil, err
-	}
-	labels := make(labeling.Labeling, n)
-	for v := range labels {
-		labels[v] = devs[v].Label
-	}
-	return &Outcome{Result: res, Devices: devs, Labels: labels}, nil
 }

@@ -9,6 +9,22 @@ import (
 	"repro/internal/radio"
 )
 
+// broadcast runs p on g from source, one Proc per vertex, and returns
+// the run, every device's final state and the final labeling.
+func broadcast(t *testing.T, g *graph.Graph, source int, msg any, p Params, seed uint64) (*radio.Result, []DeviceResult, labeling.Labeling) {
+	t.Helper()
+	res, devs, err := radio.Run(radio.Config{Graph: g, Model: p.Model, Seed: seed},
+		func(v int, out *DeviceResult) radio.Proc { return Proc(p, v == source, msg, out) })
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	labels := make(labeling.Labeling, len(devs))
+	for v, d := range devs {
+		labels[v] = d.Label
+	}
+	return res, devs, labels
+}
+
 func TestBroadcastInformsEveryoneLocal(t *testing.T) {
 	gs := []*graph.Graph{
 		graph.Path(24), graph.Star(24), graph.GNP(32, 0.15, 1),
@@ -16,23 +32,17 @@ func TestBroadcastInformsEveryoneLocal(t *testing.T) {
 	}
 	for _, g := range gs {
 		p := NewParams(radio.Local, g.N(), g.MaxDegree())
-		out, err := Broadcast(g, 0, "payload", p, 7)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
-		}
-		if !out.AllInformed() {
-			t.Errorf("%s: not all informed", g.Name())
-		}
-		for v, d := range out.Devices {
-			if d.Msg != "payload" {
-				t.Errorf("%s: device %d got %v", g.Name(), v, d.Msg)
+		_, devs, labels := broadcast(t, g, 0, "payload", p, 7)
+		for v, d := range devs {
+			if !d.Informed || d.Msg != "payload" {
+				t.Errorf("%s: device %d holds %v (informed %v)", g.Name(), v, d.Msg, d.Informed)
 			}
 		}
-		if err := out.Labels.Validate(g); err != nil {
+		if err := labels.Validate(g); err != nil {
 			t.Errorf("%s: final labeling invalid: %v", g.Name(), err)
 		}
-		if out.Roots() != 1 {
-			t.Errorf("%s: %d roots after refinement", g.Name(), out.Roots())
+		if r := len(labels.Roots()); r != 1 {
+			t.Errorf("%s: %d roots after refinement", g.Name(), r)
 		}
 	}
 }
@@ -41,14 +51,13 @@ func TestBroadcastInformsEveryoneCD(t *testing.T) {
 	gs := []*graph.Graph{graph.Path(16), graph.GNP(24, 0.2, 3), graph.Star(20)}
 	for _, g := range gs {
 		p := NewParams(radio.CD, g.N(), g.MaxDegree())
-		out, err := Broadcast(g, g.N()-1, 99, p, 11)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
+		_, devs, labels := broadcast(t, g, g.N()-1, 99, p, 11)
+		for v, d := range devs {
+			if !d.Informed {
+				t.Errorf("%s: device %d not informed", g.Name(), v)
+			}
 		}
-		if !out.AllInformed() {
-			t.Errorf("%s: not all informed", g.Name())
-		}
-		if err := out.Labels.Validate(g); err != nil {
+		if err := labels.Validate(g); err != nil {
 			t.Errorf("%s: final labeling invalid: %v", g.Name(), err)
 		}
 	}
@@ -58,14 +67,13 @@ func TestBroadcastInformsEveryoneNoCD(t *testing.T) {
 	gs := []*graph.Graph{graph.Path(12), graph.GNP(20, 0.25, 5), graph.K2k(8)}
 	for _, g := range gs {
 		p := NewParams(radio.NoCD, g.N(), g.MaxDegree())
-		out, err := Broadcast(g, 0, "m", p, 13)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
+		_, devs, labels := broadcast(t, g, 0, "m", p, 13)
+		for v, d := range devs {
+			if !d.Informed {
+				t.Errorf("%s: device %d not informed", g.Name(), v)
+			}
 		}
-		if !out.AllInformed() {
-			t.Errorf("%s: not all informed", g.Name())
-		}
-		if err := out.Labels.Validate(g); err != nil {
+		if err := labels.Validate(g); err != nil {
 			t.Errorf("%s: final labeling invalid: %v", g.Name(), err)
 		}
 	}
@@ -74,19 +82,18 @@ func TestBroadcastInformsEveryoneNoCD(t *testing.T) {
 func TestTheorem12CD(t *testing.T) {
 	g := graph.GNP(24, 0.2, 9)
 	p := NewTheorem12Params(g.N(), g.MaxDegree(), 0.5)
-	out, err := Broadcast(g, 0, "m12", p, 3)
-	if err != nil {
-		t.Fatal(err)
+	_, devs, labels := broadcast(t, g, 0, "m12", p, 3)
+	for v, d := range devs {
+		if !d.Informed {
+			t.Errorf("Theorem 12 run left device %d uninformed", v)
+		}
 	}
-	if !out.AllInformed() {
-		t.Error("Theorem 12 run did not inform everyone")
-	}
-	if err := out.Labels.Validate(g); err != nil {
+	if err := labels.Validate(g); err != nil {
 		t.Errorf("labeling invalid: %v", err)
 	}
 	// Theorem 12 only guarantees <= log n roots (then d = log n covers it).
-	if out.Roots() > p.FinalD+1 {
-		t.Errorf("%d roots exceed the d=%d bound", out.Roots(), p.FinalD)
+	if r := len(labels.Roots()); r > p.FinalD+1 {
+		t.Errorf("%d roots exceed the d=%d bound", r, p.FinalD)
 	}
 }
 
@@ -96,12 +103,9 @@ func TestRefinementShrinksRoots(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		g := graph.Grid(4, 6)
 		p := NewParams(radio.Local, g.N(), g.MaxDegree())
-		out, err := Broadcast(g, 0, nil, p, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Roots() != 1 {
-			t.Errorf("seed %d: %d roots", seed, out.Roots())
+		_, _, labels := broadcast(t, g, 0, nil, p, seed)
+		if r := len(labels.Roots()); r != 1 {
+			t.Errorf("seed %d: %d roots", seed, r)
 		}
 	}
 }
@@ -113,14 +117,13 @@ func TestEnergyScalesPolylogLocal(t *testing.T) {
 	measure := func(n int) int {
 		g := graph.GNP(n, 0.2, 2)
 		p := NewParams(radio.Local, g.N(), g.MaxDegree())
-		out, err := Broadcast(g, 0, "x", p, 1)
-		if err != nil {
-			t.Fatal(err)
+		res, devs, _ := broadcast(t, g, 0, "x", p, 1)
+		for v, d := range devs {
+			if !d.Informed {
+				t.Fatalf("n=%d: device %d uninformed", n, v)
+			}
 		}
-		if !out.AllInformed() {
-			t.Fatalf("n=%d: incomplete broadcast", n)
-		}
-		return out.Result.MaxEnergy()
+		return res.MaxEnergy()
 	}
 	e16, e64 := measure(16), measure(64)
 	ratio := float64(e64) / float64(e16)
@@ -136,53 +139,31 @@ func TestCDEnergyBelowNoCD(t *testing.T) {
 	g := graph.GNP(24, 0.2, 4)
 	pc := NewParams(radio.CD, g.N(), g.MaxDegree())
 	pn := NewParams(radio.NoCD, g.N(), g.MaxDegree())
-	oc, err := Broadcast(g, 0, "x", pc, 5)
-	if err != nil {
-		t.Fatal(err)
+	oc, cDevs, _ := broadcast(t, g, 0, "x", pc, 5)
+	on, nDevs, _ := broadcast(t, g, 0, "x", pn, 5)
+	for v := range cDevs {
+		if !cDevs[v].Informed || !nDevs[v].Informed {
+			t.Fatalf("device %d uninformed", v)
+		}
 	}
-	on, err := Broadcast(g, 0, "x", pn, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !oc.AllInformed() || !on.AllInformed() {
-		t.Fatal("broadcast incomplete")
-	}
-	if oc.Result.MaxEnergy() >= on.Result.MaxEnergy() {
-		t.Errorf("CD energy %d !< No-CD energy %d", oc.Result.MaxEnergy(), on.Result.MaxEnergy())
+	if oc.MaxEnergy() >= on.MaxEnergy() {
+		t.Errorf("CD energy %d !< No-CD energy %d", oc.MaxEnergy(), on.MaxEnergy())
 	}
 }
 
 func TestScheduleLengthMatches(t *testing.T) {
 	g := graph.Path(10)
 	p := NewParams(radio.Local, g.N(), g.MaxDegree())
-	out, err := Broadcast(g, 0, "x", p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.Slots > p.Slots() {
-		t.Errorf("used slot %d beyond schedule %d", out.Result.Slots, p.Slots())
-	}
-}
-
-func TestSourceValidation(t *testing.T) {
-	g := graph.Path(4)
-	p := NewParams(radio.Local, 4, 2)
-	if _, err := Broadcast(g, -1, nil, p, 0); err == nil {
-		t.Error("negative source accepted")
-	}
-	if _, err := Broadcast(g, 4, nil, p, 0); err == nil {
-		t.Error("out-of-range source accepted")
+	res, _, _ := broadcast(t, g, 0, "x", p, 1)
+	if res.Slots > p.Slots() {
+		t.Errorf("used slot %d beyond schedule %d", res.Slots, p.Slots())
 	}
 }
 
 func TestSingleVertexBroadcast(t *testing.T) {
 	g := graph.New(1)
 	p := NewParams(radio.Local, 1, 1)
-	out, err := Broadcast(g, 0, "solo", p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllInformed() {
+	if _, devs, _ := broadcast(t, g, 0, "solo", p, 0); !devs[0].Informed {
 		t.Error("lone source not informed")
 	}
 }
@@ -191,11 +172,7 @@ func TestTwoVertexAllModels(t *testing.T) {
 	for _, model := range []radio.Model{radio.Local, radio.CD, radio.NoCD} {
 		g := graph.Path(2)
 		p := NewParams(model, 2, 1)
-		out, err := Broadcast(g, 0, 5, p, 2)
-		if err != nil {
-			t.Fatalf("%v: %v", model, err)
-		}
-		if !out.AllInformed() {
+		if _, devs, _ := broadcast(t, g, 0, 5, p, 2); !devs[0].Informed || !devs[1].Informed {
 			t.Errorf("%v: not informed", model)
 		}
 	}
@@ -208,21 +185,18 @@ func TestIntermediateLabelingsStayGood(t *testing.T) {
 	n := g.N()
 	const iters = 6
 	sr := cluster.NewSpec(radio.Local, n, g.MaxDegree())
-	labels := make([]int, n)
 	perIter := make([][]int, iters)
 	for i := range perIter {
 		perIter[i] = make([]int, n)
 	}
 	per := cluster.RefineSlots(sr, n, 1)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		v := v
-		pop[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
+	_, _, err := radio.Run(radio.Config{Graph: g, Model: radio.Local, Seed: 4}, func(v int, final *int) radio.Proc {
+		return radio.ContProc(func(ch radio.Channel) radio.Cont {
 			lab := 0
 			var iter func(it int, t uint64) radio.Cont
 			iter = func(it int, t uint64) radio.Cont {
 				if it == iters {
-					return radio.Do(func() { labels[v] = lab }, nil)
+					return radio.Do(func() { *final = lab }, nil)
 				}
 				r := &cluster.Refiner{SR: sr, Layers: n}
 				return radio.EvalCh(func(ch radio.Channel) radio.Cont {
@@ -236,8 +210,8 @@ func TestIntermediateLabelingsStayGood(t *testing.T) {
 			}
 			return iter(0, 1)
 		})
-	}
-	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.Local, Seed: 4}, pop); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	prevRoots := n + 1
@@ -257,19 +231,13 @@ func TestIntermediateLabelingsStayGood(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	g := graph.GNP(16, 0.3, 1)
 	p := NewParams(radio.CD, g.N(), g.MaxDegree())
-	a, err := Broadcast(g, 0, "d", p, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Broadcast(g, 0, "d", p, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result.Slots != b.Result.Slots || a.Result.Events != b.Result.Events {
+	a, _, aLabels := broadcast(t, g, 0, "d", p, 77)
+	b, _, bLabels := broadcast(t, g, 0, "d", p, 77)
+	if a.Slots != b.Slots || a.Events != b.Events {
 		t.Error("identical seeds diverged")
 	}
-	for v := range a.Labels {
-		if a.Labels[v] != b.Labels[v] {
+	for v := range aLabels {
+		if aLabels[v] != bLabels[v] {
 			t.Errorf("label of %d differs across identical runs", v)
 		}
 	}
@@ -288,11 +256,8 @@ func TestSweepCostIndependentOfLayerBound(t *testing.T) {
 			p := NewParams(model, n, g.MaxDegree())
 			p.Layers = layers
 			allocs = testing.AllocsPerRun(1, func() {
-				out, err := Broadcast(g, 0, "m", p, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				events = out.Result.Events
+				res, _, _ := broadcast(t, g, 0, "m", p, 3)
+				events = res.Events
 			})
 			return allocs, events
 		}

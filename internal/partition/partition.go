@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/labeling"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -37,10 +36,6 @@ type Params struct {
 	Epochs int
 	// SR is the per-epoch SR-communication window.
 	SR cluster.Spec
-	// Sims optionally reuses a per-goroutine simulator cache
-	// (radio.SimCache). Purely an allocation optimization for repeated
-	// runs on one topology; measurements and determinism are unaffected.
-	Sims *radio.SimCache
 }
 
 // NewParams returns the standard parameterization for an n-vertex,
@@ -147,19 +142,12 @@ func Proc(p Params, start uint64, out *Result) radio.Proc {
 	})
 }
 
-// Outcome aggregates a whole-graph run.
-type Outcome struct {
-	Result  *radio.Result
-	Devices []Result
-	// Labels is the induced good labeling.
-	Labels labeling.Labeling
-}
-
-// Clusters returns the distinct cluster ids.
-func (o *Outcome) Clusters() []int {
+// Clusters returns the distinct cluster ids of a run's per-device
+// results, in order of first appearance.
+func Clusters(devs []Result) []int {
 	seen := make(map[int]bool)
 	var out []int
-	for _, d := range o.Devices {
+	for _, d := range devs {
 		if !seen[d.Cluster] {
 			seen[d.Cluster] = true
 			out = append(out, d.Cluster)
@@ -168,13 +156,13 @@ func (o *Outcome) Clusters() []int {
 	return out
 }
 
-// CutEdges returns the number of graph edges whose endpoints lie in
-// different clusters.
-func (o *Outcome) CutEdges(g *graph.Graph) int {
+// CutEdges returns the number of edges of g whose endpoints lie in
+// different clusters; devs[v] is vertex v's result.
+func CutEdges(g *graph.Graph, devs []Result) int {
 	cut := 0
 	for v := 0; v < g.N(); v++ {
 		for _, u := range g.Neighbors(v) {
-			if u > v && o.Devices[v].Cluster != o.Devices[u].Cluster {
+			if u > v && devs[v].Cluster != devs[u].Cluster {
 				cut++
 			}
 		}
@@ -182,10 +170,11 @@ func (o *Outcome) CutEdges(g *graph.Graph) int {
 	return cut
 }
 
-// ClusterGraph contracts each cluster to a vertex and returns the
-// resulting graph plus the cluster ids in index order.
-func (o *Outcome) ClusterGraph(g *graph.Graph) (*graph.Graph, []int) {
-	ids := o.Clusters()
+// ClusterGraph contracts each cluster of g to a vertex and returns the
+// resulting graph plus the cluster ids in index order; devs[v] is vertex
+// v's result.
+func ClusterGraph(g *graph.Graph, devs []Result) (*graph.Graph, []int) {
+	ids := Clusters(devs)
 	idx := make(map[int]int, len(ids))
 	for i, c := range ids {
 		idx[c] = i
@@ -193,7 +182,7 @@ func (o *Outcome) ClusterGraph(g *graph.Graph) (*graph.Graph, []int) {
 	cg := graph.New(len(ids))
 	for v := 0; v < g.N(); v++ {
 		for _, u := range g.Neighbors(v) {
-			cv, cu := idx[o.Devices[v].Cluster], idx[o.Devices[u].Cluster]
+			cv, cu := idx[devs[v].Cluster], idx[devs[u].Cluster]
 			if cv != cu && !cg.HasEdge(cv, cu) {
 				if err := cg.AddEdge(cv, cu); err != nil {
 					panic(err)
@@ -203,23 +192,4 @@ func (o *Outcome) ClusterGraph(g *graph.Graph) (*graph.Graph, []int) {
 	}
 	cg.SetName(fmt.Sprintf("partition-of-%s", g.Name()))
 	return cg, ids
-}
-
-// Partition runs Partition(beta) on g and returns the outcome.
-func Partition(g *graph.Graph, p Params, seed uint64) (*Outcome, error) {
-	n := g.N()
-	devs := make([]Result, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		pop[v].Proc = Proc(p, 1, &devs[v])
-	}
-	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.SR.Model, Seed: seed, Sims: p.Sims}, pop)
-	if err != nil {
-		return nil, err
-	}
-	labels := make(labeling.Labeling, n)
-	for v := range labels {
-		labels[v] = devs[v].Layer
-	}
-	return &Outcome{Result: res, Devices: devs, Labels: labels}, nil
 }

@@ -4,8 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/labeling"
 	"repro/internal/radio"
 )
+
+// partition runs Partition(beta) on g, one Proc per vertex, and returns
+// every device's result.
+func partition(t *testing.T, g *graph.Graph, p Params, seed uint64) []Result {
+	t.Helper()
+	_, devs, err := radio.Run(radio.Config{Graph: g, Model: p.SR.Model, Seed: seed},
+		func(_ int, out *Result) radio.Proc { return Proc(p, 1, out) })
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	return devs
+}
 
 func TestEveryoneClustered(t *testing.T) {
 	gs := []*graph.Graph{graph.Path(24), graph.Grid(4, 6), graph.GNP(30, 0.15, 1)}
@@ -14,11 +27,7 @@ func TestEveryoneClustered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Partition(g, p, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
-		}
-		for v, d := range out.Devices {
+		for v, d := range partition(t, g, p, 3) {
 			if d.Cluster < 0 {
 				t.Errorf("%s: vertex %d unclustered", g.Name(), v)
 			}
@@ -33,15 +42,16 @@ func TestInducedLabelingGood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Partition(g, p, seed)
-		if err != nil {
-			t.Fatal(err)
+		devs := partition(t, g, p, seed)
+		labels := make(labeling.Labeling, len(devs))
+		for v, d := range devs {
+			labels[v] = d.Layer
 		}
-		if err := out.Labels.Validate(g); err != nil {
+		if err := labels.Validate(g); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 		// Layer-0 vertices are exactly the cluster centers.
-		for v, d := range out.Devices {
+		for v, d := range devs {
 			if (d.Layer == 0) != (d.Cluster == v) {
 				t.Errorf("seed %d: vertex %d layer %d cluster %d inconsistent",
 					seed, v, d.Layer, d.Cluster)
@@ -58,14 +68,11 @@ func TestClustersAreConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Partition(g, p, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range out.Clusters() {
+	devs := partition(t, g, p, 7)
+	for _, c := range Clusters(devs) {
 		// BFS within the cluster from the center.
 		members := make(map[int]bool)
-		for v, d := range out.Devices {
+		for v, d := range devs {
 			if d.Cluster == c {
 				members[v] = true
 			}
@@ -99,11 +106,7 @@ func TestCutProbabilityScalesWithBeta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := Partition(g, p, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cut += out.CutEdges(g)
+			cut += CutEdges(g, partition(t, g, p, seed))
 			total += g.M()
 		}
 		return float64(cut) / float64(total)
@@ -128,11 +131,7 @@ func TestDiameterShrinks(t *testing.T) {
 	}
 	shrunk := false
 	for seed := uint64(0); seed < 3; seed++ {
-		out, err := Partition(g, p, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cg, _ := out.ClusterGraph(g)
+		cg, _ := ClusterGraph(g, partition(t, g, p, seed))
 		d0, _ := g.Diameter()
 		d1 := 0
 		if cg.N() > 0 {
@@ -175,14 +174,11 @@ func TestCentersHaveSmallStartBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Partition(g, p, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Clusters()) == 0 {
+	devs := partition(t, g, p, 11)
+	if len(Clusters(devs)) == 0 {
 		t.Fatal("no clusters formed")
 	}
-	for v, d := range out.Devices {
+	for v, d := range devs {
 		if d.Start < 1 || d.Start > p.Epochs {
 			t.Errorf("vertex %d start %d outside [1,%d]", v, d.Start, p.Epochs)
 		}

@@ -82,10 +82,6 @@ type Params struct {
 	// Horizon is the hard stop slot; 0 selects 2*NextPow2(n)+2, just past
 	// Theorem 21's 2n worst case.
 	Horizon uint64
-	// Sims optionally reuses a per-goroutine simulator cache
-	// (radio.SimCache). Purely an allocation optimization for repeated
-	// runs on one topology; measurements and determinism are unaffected.
-	Sims *radio.SimCache
 }
 
 // DefaultHorizon returns the standard hard-stop slot for an n-vertex path.
@@ -371,26 +367,11 @@ func process(self int, insts []*instance, fb radio.Feedback, t, horizon uint64) 
 	}
 }
 
-// Outcome aggregates a whole-path run.
-type Outcome struct {
-	Result  *radio.Result
-	Devices []DeviceResult
-}
-
-// AllInformed reports whether every vertex holds the payload.
-func (o *Outcome) AllInformed() bool {
-	for _, d := range o.Devices {
-		if !d.Informed {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxReceiveSlot returns the latest payload-delivery slot.
-func (o *Outcome) MaxReceiveSlot() uint64 {
+// MaxReceiveSlot returns the latest payload-delivery slot over a run's
+// per-device results.
+func MaxReceiveSlot(devs []DeviceResult) uint64 {
 	m := uint64(0)
-	for _, d := range o.Devices {
+	for _, d := range devs {
 		if d.ReceivedAt > m {
 			m = d.ReceivedAt
 		}
@@ -398,10 +379,9 @@ func (o *Outcome) MaxReceiveSlot() uint64 {
 	return m
 }
 
-// Validate checks that g is a path and source lies on it — the exact
-// precondition Broadcast enforces, exported so callers that build
-// populations themselves (core's batch planner) reject the same inputs
-// with the same errors.
+// Validate checks that g is a path and source lies on it, the inputs
+// Algorithm 1 is defined for. Callers that schedule a path broadcast
+// (core's planner, cmd/pathtrace) reject other inputs with its errors.
 func Validate(g *graph.Graph, source int) error {
 	n := g.N()
 	if n == 0 {
@@ -428,24 +408,4 @@ func Validate(g *graph.Graph, source int) error {
 		return fmt.Errorf("pathcast: source %d out of range", source)
 	}
 	return nil
-}
-
-// Broadcast runs Algorithm 1 on the given path graph from source.
-// The graph must be a path (every vertex of degree at most 2, connected,
-// acyclic); Broadcast validates this.
-func Broadcast(g *graph.Graph, source int, body any, p Params, seed uint64, trace func(radio.Event)) (*Outcome, error) {
-	n := g.N()
-	if err := Validate(g, source); err != nil {
-		return nil, err
-	}
-	devs := make([]DeviceResult, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		pop[v].Proc = Proc(p, g.Neighbors(v), v == source, body, &devs[v])
-	}
-	res, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.Local, Seed: seed, Trace: trace, Sims: p.Sims}, pop)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Result: res, Devices: devs}, nil
 }

@@ -8,24 +8,26 @@ import (
 	"repro/internal/rng"
 )
 
+// broadcast runs Algorithm 1 on the path g from source, one Proc per
+// vertex, under the radio.Config core's planner gives it.
+func broadcast(t *testing.T, g *graph.Graph, source int, body any, p Params, seed uint64, trace func(radio.Event)) (*radio.Result, []DeviceResult) {
+	t.Helper()
+	res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.Local, Seed: seed, Trace: trace},
+		func(v int, out *DeviceResult) radio.Proc { return Proc(p, g.Neighbors(v), v == source, body, out) })
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	return res, devs
+}
+
 func TestBroadcastInformsAll(t *testing.T) {
 	for _, n := range []int{2, 3, 8, 16, 33, 64} {
 		for seed := uint64(0); seed < 5; seed++ {
 			g := graph.Path(n)
-			out, err := Broadcast(g, 0, "payload", Params{}, seed, nil)
-			if err != nil {
-				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
-			}
-			if !out.AllInformed() {
-				for v, d := range out.Devices {
-					if !d.Informed {
-						t.Fatalf("n=%d seed=%d: vertex %d not informed", n, seed, v)
-					}
-				}
-			}
-			for v, d := range out.Devices {
-				if d.Body != "payload" {
-					t.Fatalf("n=%d seed=%d: vertex %d body %v", n, seed, v, d.Body)
+			_, devs := broadcast(t, g, 0, "payload", Params{}, seed, nil)
+			for v, d := range devs {
+				if !d.Informed || d.Body != "payload" {
+					t.Fatalf("n=%d seed=%d: vertex %d body %v (informed %v)", n, seed, v, d.Body, d.Informed)
 				}
 			}
 		}
@@ -35,24 +37,22 @@ func TestBroadcastInformsAll(t *testing.T) {
 func TestBroadcastFromMiddle(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		g := graph.Path(21)
-		out, err := Broadcast(g, 10, 42, Params{}, seed, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.AllInformed() {
-			t.Fatalf("seed %d: middle-source broadcast incomplete", seed)
+		_, devs := broadcast(t, g, 10, 42, Params{}, seed, nil)
+		for v, d := range devs {
+			if !d.Informed {
+				t.Fatalf("seed %d: middle-source broadcast left vertex %d uninformed", seed, v)
+			}
 		}
 	}
 }
 
 func TestBroadcastFromFarEnd(t *testing.T) {
 	g := graph.Path(16)
-	out, err := Broadcast(g, 15, "m", Params{}, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllInformed() {
-		t.Fatal("far-end-source broadcast incomplete")
+	_, devs := broadcast(t, g, 15, "m", Params{}, 3, nil)
+	for v, d := range devs {
+		if !d.Informed {
+			t.Fatalf("far-end-source broadcast left vertex %d uninformed", v)
+		}
 	}
 }
 
@@ -63,11 +63,8 @@ func TestWorstCaseTimeBound(t *testing.T) {
 		bound := 2 * uint64(rng.NextPow2(n))
 		for seed := uint64(0); seed < 10; seed++ {
 			g := graph.Path(n)
-			out, err := Broadcast(g, 0, "m", Params{}, seed, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := out.MaxReceiveSlot(); got > bound {
+			_, devs := broadcast(t, g, 0, "m", Params{}, seed, nil)
+			if got := MaxReceiveSlot(devs); got > bound {
 				t.Errorf("n=%d seed=%d: delivery at slot %d > 2n'=%d", n, seed, got, bound)
 			}
 		}
@@ -83,14 +80,13 @@ func TestExpectedEnergyLogarithmic(t *testing.T) {
 		const runs = 10
 		for seed := uint64(0); seed < runs; seed++ {
 			g := graph.Path(n)
-			out, err := Broadcast(g, 0, "m", Params{}, seed, nil)
-			if err != nil {
-				t.Fatal(err)
+			res, devs := broadcast(t, g, 0, "m", Params{}, seed, nil)
+			for v, d := range devs {
+				if !d.Informed {
+					t.Fatalf("n=%d: vertex %d uninformed", n, v)
+				}
 			}
-			if !out.AllInformed() {
-				t.Fatalf("n=%d: incomplete", n)
-			}
-			total += out.Result.TotalEnergy() / n
+			total += res.TotalEnergy() / n
 		}
 		return float64(total) / runs
 	}
@@ -105,25 +101,21 @@ func TestExpectedEnergyLogarithmic(t *testing.T) {
 func TestEnergyFarBelowTime(t *testing.T) {
 	// The whole point: devices sleep through nearly the entire run.
 	g := graph.Path(128)
-	out, err := Broadcast(g, 0, "m", Params{}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	res, devs := broadcast(t, g, 0, "m", Params{}, 1, nil)
+	for v, d := range devs {
+		if !d.Informed {
+			t.Fatalf("vertex %d uninformed", v)
+		}
 	}
-	if !out.AllInformed() {
-		t.Fatal("incomplete")
-	}
-	if maxE := out.Result.MaxEnergy(); uint64(maxE) > out.Result.Slots/2 {
-		t.Errorf("max energy %d vs %d slots: not energy-efficient", maxE, out.Result.Slots)
+	if maxE := res.MaxEnergy(); uint64(maxE) > res.Slots/2 {
+		t.Errorf("max energy %d vs %d slots: not energy-efficient", maxE, res.Slots)
 	}
 }
 
 func TestBlockingTimesRecorded(t *testing.T) {
 	g := graph.Path(8)
-	out, err := Broadcast(g, 0, "m", Params{}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, d := range out.Devices {
+	_, devs := broadcast(t, g, 0, "m", Params{}, 2, nil)
+	for v, d := range devs {
 		if v == 0 {
 			continue // source has no instances
 		}
@@ -143,10 +135,10 @@ func TestBlockingTimesRecorded(t *testing.T) {
 }
 
 func TestRejectsNonPaths(t *testing.T) {
-	if _, err := Broadcast(graph.Cycle(6), 0, nil, Params{}, 0, nil); err == nil {
+	if err := Validate(graph.Cycle(6), 0); err == nil {
 		t.Error("cycle accepted")
 	}
-	if _, err := Broadcast(graph.Star(5), 0, nil, Params{}, 0, nil); err == nil {
+	if err := Validate(graph.Star(5), 0); err == nil {
 		t.Error("star accepted")
 	}
 	disconnected := graph.New(4)
@@ -156,24 +148,23 @@ func TestRejectsNonPaths(t *testing.T) {
 	if err := disconnected.AddEdge(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Broadcast(disconnected, 0, nil, Params{}, 0, nil); err == nil {
+	if err := Validate(disconnected, 0); err == nil {
 		t.Error("disconnected graph accepted")
 	}
-	if _, err := Broadcast(graph.Path(4), 9, nil, Params{}, 0, nil); err == nil {
+	if err := Validate(graph.Path(4), 9); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, err := Broadcast(graph.New(0), 0, nil, Params{}, 0, nil); err == nil {
+	if err := Validate(graph.New(0), 0); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
 
 func TestSingleVertex(t *testing.T) {
 	g := graph.New(1)
-	out, err := Broadcast(g, 0, "solo", Params{}, 0, nil)
-	if err != nil {
+	if err := Validate(g, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !out.AllInformed() {
+	if _, devs := broadcast(t, g, 0, "solo", Params{}, 0, nil); !devs[0].Informed {
 		t.Error("lone source not informed")
 	}
 }
@@ -181,14 +172,13 @@ func TestSingleVertex(t *testing.T) {
 func TestTraceProducesTimeline(t *testing.T) {
 	g := graph.Path(8)
 	var events []radio.Event
-	out, err := Broadcast(g, 0, "m", Params{}, 4, func(ev radio.Event) {
+	_, devs := broadcast(t, g, 0, "m", Params{}, 4, func(ev radio.Event) {
 		events = append(events, ev)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllInformed() {
-		t.Fatal("incomplete")
+	for v, d := range devs {
+		if !d.Informed {
+			t.Fatalf("vertex %d uninformed", v)
+		}
 	}
 	if len(events) == 0 {
 		t.Fatal("no trace events")
@@ -208,18 +198,12 @@ func TestTraceProducesTimeline(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	g := graph.Path(32)
-	a, err := Broadcast(g, 0, "m", Params{}, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Broadcast(g, 0, "m", Params{}, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result.Slots != b.Result.Slots || a.Result.Events != b.Result.Events {
+	a, aDevs := broadcast(t, g, 0, "m", Params{}, 9, nil)
+	b, bDevs := broadcast(t, g, 0, "m", Params{}, 9, nil)
+	if a.Slots != b.Slots || a.Events != b.Events {
 		t.Error("same seed diverged")
 	}
-	if a.MaxReceiveSlot() != b.MaxReceiveSlot() {
+	if MaxReceiveSlot(aDevs) != MaxReceiveSlot(bDevs) {
 		t.Error("delivery schedule diverged")
 	}
 }
@@ -229,12 +213,9 @@ func TestMessageAdvancesOneHopPerSlotWhenUnblocked(t *testing.T) {
 	// vertex i no earlier than slot i (it cannot teleport) — a basic
 	// sanity check on slot accounting.
 	g := graph.Path(12)
-	out, err := Broadcast(g, 0, "m", Params{}, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, devs := broadcast(t, g, 0, "m", Params{}, 5, nil)
 	for v := 1; v < 12; v++ {
-		if got := out.Devices[v].ReceivedAt; got != 0 && got < uint64(v) {
+		if got := devs[v].ReceivedAt; got != 0 && got < uint64(v) {
 			t.Errorf("vertex %d received at slot %d < distance %d", v, got, v)
 		}
 	}
@@ -243,12 +224,9 @@ func TestMessageAdvancesOneHopPerSlotWhenUnblocked(t *testing.T) {
 func TestHorizonOverride(t *testing.T) {
 	// A tiny horizon cannot crash the protocol; it only truncates it.
 	g := graph.Path(16)
-	out, err := Broadcast(g, 0, "m", Params{Horizon: 4}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, devs := broadcast(t, g, 0, "m", Params{Horizon: 4}, 1, nil)
 	// Close vertices may be informed; far ones cannot be.
-	if out.Devices[15].Informed {
+	if devs[15].Informed {
 		t.Error("vertex 15 informed within 4 slots")
 	}
 }

@@ -54,12 +54,30 @@ func faultedSpec() Spec {
 	}
 }
 
-// renderFaulted runs the faulted spec at one worker count and returns
-// the report JSON and raw CSV bytes.
-func renderFaulted(t *testing.T, workers int) (string, string) {
+// faultedTradeoffSpec runs the tradeoff workload's default beta grid
+// at lean constants under each fault kind.
+func faultedTradeoffSpec() Spec {
+	return Spec{
+		Topologies: []Topology{{Kind: "star", N: 12}},
+		Models:     []radio.Model{radio.CD, radio.NoCD},
+		Workload:   "tradeoff",
+		Lean:       true,
+		Trials:     8,
+		MasterSeed: 17,
+		Faults: []fault.Spec{
+			{Kind: fault.Crash, Rate: 0.01},
+			{Kind: fault.Sleep, Rate: 0.01, Window: 4},
+			{Kind: fault.Loss, Rate: 0.05},
+		},
+	}
+}
+
+// renderFaulted runs spec at one worker count and returns the report
+// JSON and raw CSV bytes.
+func renderFaulted(t *testing.T, spec Spec, workers int) (string, string) {
 	t.Helper()
 	var raw bytes.Buffer
-	rep, err := Run(faultedSpec(), Options{Workers: workers, Raw: &raw})
+	rep, err := Run(spec, Options{Workers: workers, Raw: &raw})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -75,23 +93,28 @@ func renderFaulted(t *testing.T, workers int) (string, string) {
 // across workers 1/4/8 — the fault hash is positional, so scheduling
 // cannot shift a single injected fault.
 func TestFaultDeterministicAcrossWorkers(t *testing.T) {
-	refJSON, refRaw := renderFaulted(t, 1)
-	for _, workers := range []int{4, 8} {
-		gotJSON, gotRaw := renderFaulted(t, workers)
-		if gotJSON != refJSON {
-			t.Errorf("report JSON diverges at workers=%d", workers)
+	for _, spec := range []Spec{faultedSpec(), faultedTradeoffSpec()} {
+		refJSON, refRaw := renderFaulted(t, spec, 1)
+		for _, workers := range []int{4, 8} {
+			gotJSON, gotRaw := renderFaulted(t, spec, workers)
+			if gotJSON != refJSON {
+				t.Errorf("%s: report JSON diverges at workers=%d", spec.Workload, workers)
+			}
+			if gotRaw != refRaw {
+				t.Errorf("%s: raw CSV diverges at workers=%d", spec.Workload, workers)
+			}
 		}
-		if gotRaw != refRaw {
-			t.Errorf("raw CSV diverges at workers=%d", workers)
+		if !strings.Contains(refJSON, `"fault": "sleep:0.01:w=4"`) ||
+			!strings.Contains(refJSON, `"fault": "loss:0.05"`) {
+			t.Errorf("%s: faulted report missing fault labels:\n%s", spec.Workload, refJSON)
 		}
-	}
-	if !strings.Contains(refJSON, `"fault": "sleep:0.01:w=4"`) ||
-		!strings.Contains(refJSON, `"fault": "loss:0.05"`) {
-		t.Errorf("faulted report missing fault labels:\n%s", refJSON)
-	}
-	for _, col := range []string{"success", "informedFrac", "energyOverhead", "wastedAwake"} {
-		if !strings.Contains(refJSON, `"name": "`+col+`"`) {
-			t.Errorf("faulted report missing %s column", col)
+		// Only the broadcast family runs a fault-free twin and reports
+		// its columns; tradeoff reports the fault counters alone.
+		for _, col := range []string{"success", "informedFrac", "energyOverhead", "wastedAwake"} {
+			got, want := strings.Contains(refJSON, `"name": "`+col+`"`), spec.Workload == "broadcast"
+			if got != want {
+				t.Errorf("%s: %s column present = %v, want %v", spec.Workload, col, got, want)
+			}
 		}
 	}
 }
@@ -125,8 +148,9 @@ func TestFaultCSVColumn(t *testing.T) {
 	}
 }
 
-// TestFaultAxisValidation covers spec-level rejection: invalid specs and
-// workloads without fault plumbing fail up front, not per trial.
+// TestFaultAxisValidation covers spec-level rejection: invalid specs
+// fail up front, not per trial. Every workload, tradeoff included,
+// accepts a valid spec.
 func TestFaultAxisValidation(t *testing.T) {
 	spec := goldenSpec("")
 	spec.Faults = []fault.Spec{{Kind: "meteor", Rate: 0.1}}
@@ -139,10 +163,9 @@ func TestFaultAxisValidation(t *testing.T) {
 	}
 	spec = goldenSpec("tradeoff")
 	spec.Faults = []fault.Spec{{Kind: fault.Loss, Rate: 0.1}}
-	if _, err := NewRunner(spec); err == nil {
-		t.Error("active faults accepted for the tradeoff workload")
+	if _, err := NewRunner(spec); err != nil {
+		t.Errorf("active faults rejected for the tradeoff workload: %v", err)
 	}
-	// An inactive spec is fine even for tradeoff: it changes nothing.
 	spec.Faults = []fault.Spec{{Kind: fault.Loss, Rate: 0}}
 	if _, err := NewRunner(spec); err != nil {
 		t.Errorf("inactive fault spec rejected: %v", err)

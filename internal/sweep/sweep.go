@@ -316,15 +316,10 @@ func (s *Spec) resolve() (workload.Workload, []Cell, error) {
 		// pre-fault matrix.
 		faults = []fault.Spec{{}}
 	}
-	anyActive := false
 	for _, fs := range faults {
 		if err := fs.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("sweep: %w", err)
 		}
-		anyActive = anyActive || fs.Active()
-	}
-	if anyActive && !workload.SupportsFaults(w) {
-		return nil, nil, fmt.Errorf("sweep: workload %s does not support fault injection", w.Name())
 	}
 	var cells []Cell
 	for _, t := range s.Topologies {

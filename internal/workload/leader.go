@@ -107,19 +107,16 @@ func (leaderWorkload) ExtraMeasures(Point) []MeasureInfo {
 func (leaderWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options) (Measures, error) {
 	lp := pt.Value.(leaderPoint)
 	n := g.N()
-	outs := make([]leader.Outcome, n)
-	pop := make([]radio.Device, n)
 	cfg := radio.Config{Graph: g, Model: opt.Model, Seed: seed, Sims: opt.Sims, Fault: opt.Fault}
 
 	noCD := lp.proto == "rand" && opt.Model == radio.NoCD
 	var txPerSlot []int // No-CD: transmitter count per slot, for external success detection
 	var txDev []int     // No-CD: last transmitter seen per slot
+	var proc func(v int, out *leader.Outcome) radio.Proc
 	switch {
 	case lp.proto == "det":
 		cfg.IDSpace = n
-		for v := 0; v < n; v++ {
-			pop[v].Proc = leader.DetElectCDProc(1, true, &outs[v])
-		}
+		proc = func(_ int, out *leader.Outcome) radio.Proc { return leader.DetElectCDProc(1, true, out) }
 	case noCD:
 		slots := leader.NoCDSlots(n, lp.reps) + 2
 		txPerSlot = make([]int, slots)
@@ -130,16 +127,12 @@ func (leaderWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options) (M
 				txDev[ev.Slot] = ev.Dev
 			}
 		}
-		for v := 0; v < n; v++ {
-			pop[v].Proc = leader.ElectNoCDProc(1, true, n, lp.reps, &outs[v])
-		}
+		proc = func(_ int, out *leader.Outcome) radio.Proc { return leader.ElectNoCDProc(1, true, n, lp.reps, out) }
 	default:
-		for v := 0; v < n; v++ {
-			pop[v].Proc = leader.ElectCDProc(1, true, n, lp.maxSlots, &outs[v])
-		}
+		proc = func(_ int, out *leader.Outcome) radio.Proc { return leader.ElectCDProc(1, true, n, lp.maxSlots, out) }
 	}
 
-	res, err := radio.RunDevices(cfg, pop)
+	res, outs, err := radio.Run(cfg, proc)
 	if err != nil {
 		return Measures{}, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dtime"
 	"repro/internal/graph"
+	"repro/internal/radio"
 )
 
 // tradeoffWorkload sweeps Theorem 16's continuous time/energy dial: one
@@ -12,7 +13,9 @@ import (
 // mapped to beta = log^{-1/eps} n), each trial running the Section 6
 // algorithm via internal/dtime and emitting the achieved (slots, energy)
 // pair. The algorithm axis is ignored; the model axis selects the
-// SR-communication substrate.
+// SR-communication substrate. Faults are injected as in every workload;
+// like leader, a faulted trial reports the fault counters but no
+// fault-free twin columns.
 type tradeoffWorkload struct{}
 
 func (tradeoffWorkload) Name() string { return "tradeoff" }
@@ -77,15 +80,7 @@ func (tradeoffWorkload) ExtraMeasures(Point) []MeasureInfo {
 	}
 }
 
-// SupportsFaults reports false: dtime.Broadcast drives its own engine
-// runs without fault plumbing, so an active spec is rejected up front
-// (sweep.NewRunner) and defensively per trial.
-func (tradeoffWorkload) SupportsFaults() bool { return false }
-
 func (tradeoffWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options) (Measures, error) {
-	if opt.Fault.Active() {
-		return Measures{}, fmt.Errorf("workload tradeoff: fault injection is not supported")
-	}
 	tp := pt.Value.(tradeoffPoint)
 	d, err := g.Diameter()
 	if err != nil {
@@ -103,26 +98,29 @@ func (tradeoffWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options) 
 	if opt.Lean {
 		p = p.Tune(g.N(), 10, 6, 10, 0)
 	}
-	p.Sims = opt.Sims
-	out, err := dtime.Broadcast(g, opt.Source, "m", p, seed)
+	cfg := radio.Config{Graph: g, Model: p.SR.Model, Seed: seed, MaxSlots: 1 << 62, Sims: opt.Sims, Fault: opt.Fault}
+	res, devs, err := radio.Run(cfg, func(v int, out *dtime.DeviceResult) radio.Proc {
+		return dtime.Proc(p, v == opt.Source, "m", out)
+	})
 	if err != nil {
 		return Measures{}, err
 	}
 	informed := 0
-	for _, dres := range out.Devices {
+	for _, dres := range devs {
 		if dres.Informed {
 			informed++
 		}
 	}
 	return Measures{
-		Slots:       out.Result.Slots,
-		Events:      out.Result.Events,
-		MaxEnergy:   out.Result.MaxEnergy(),
-		TotalEnergy: out.Result.TotalEnergy(),
-		Completed:   out.AllInformed(),
-		Informed:    informed,
-		Extra: []Sample{
-			{Name: "beta", X: p.Beta},
-		},
+		Slots:         res.Slots,
+		Events:        res.Events,
+		MaxEnergy:     res.MaxEnergy(),
+		TotalEnergy:   res.TotalEnergy(),
+		Completed:     informed == len(devs),
+		Informed:      informed,
+		Extra:         []Sample{{Name: "beta", X: p.Beta}},
+		FaultCrashes:  res.FaultCrashes,
+		FaultSleeps:   res.FaultSleeps,
+		FaultErasures: res.FaultErasures,
 	}, nil
 }

@@ -54,8 +54,8 @@ type Options struct {
 	// Fault optionally injects deterministic faults into the trial's
 	// engine runs (see internal/fault). An inactive spec changes nothing;
 	// an active one makes broadcast-family workloads emit the
-	// graceful-degradation columns of FaultMeasures. Workloads that
-	// cannot thread the spec reject active faults (see SupportsFaults).
+	// graceful-degradation columns of FaultMeasures, and every workload
+	// report the injected-fault counters.
 	Fault fault.Spec
 }
 
@@ -168,17 +168,6 @@ func CIMeasuresWith(w Workload, pt Point, fs fault.Spec) []MeasureInfo {
 		}
 	}
 	return out
-}
-
-// SupportsFaults reports whether w can thread Options.Fault into its
-// engine runs. Workloads that cannot (their simulations are driven by a
-// subsystem without fault plumbing) declare it via the optional
-// interface{ SupportsFaults() bool }; absent that, support is assumed.
-func SupportsFaults(w Workload) bool {
-	if fs, ok := w.(interface{ SupportsFaults() bool }); ok {
-		return fs.SupportsFaults()
-	}
-	return true
 }
 
 // Param describes one entry of a workload's parameter schema.

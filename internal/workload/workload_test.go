@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -243,6 +245,24 @@ func TestTradeoffGrid(t *testing.T) {
 	}
 	if len(m.Extra) != 1 || m.Extra[0].Name != "beta" || m.Extra[0].X != 0.25 {
 		t.Errorf("beta column = %+v", m.Extra)
+	}
+	// Faults reach the trial's engine run: crashes are injected and
+	// counted, and a rate-0 spec leaves every measure unchanged.
+	crash := Options{Model: radio.CD, Lean: true, Fault: fault.Spec{Kind: fault.Crash, Rate: 0.01}}
+	fm, err := w.Run(graph.Star(12), pts[2], 3, crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm.FaultCrashes == 0 {
+		t.Errorf("crash:0.01 injected no crashes: %+v", fm)
+	}
+	crash.Fault.Rate = 0
+	zm, err := w.Run(graph.Star(12), pts[2], 3, crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zm, m) {
+		t.Errorf("rate-0 fault spec changed the trial:\n got %+v\nwant %+v", zm, m)
 	}
 	if _, err := w.Expand(map[string]string{"beta": "0.5"}); err == nil {
 		t.Error("beta > 1/4 accepted")

@@ -14,14 +14,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/radio"
+	"repro/internal/sweep"
 )
 
 func main() {
 	topo := flag.String("topo", "gnp", "topology: path|cycle|clique|star|k2k|grid|hypercube|tree|gnp|bdeg|caterpillar|lollipop")
 	n := flag.Int("n", 32, "vertex count (interpretation depends on topology)")
-	model := flag.String("model", "nocd", "channel model: nocd|cd|local")
-	algo := flag.String("algo", "auto", "algorithm: auto|iterclust|theorem12|dtime|cdmerge|path|bounded|det|baseline")
+	model := flag.String("model", "nocd", "channel model: nocd|cd|cdstar|local")
+	algo := flag.String("algo", "auto", "algorithm: auto|iterclust|theorem12|dtime|cdmerge|path|bounded-degree|deterministic|baseline-decay")
 	seed := flag.Uint64("seed", 1, "random seed")
 	source := flag.Int("source", 0, "broadcasting vertex")
 	lean := flag.Bool("lean", true, "experiment-scale constants for heavy algorithms")
@@ -32,17 +32,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m, err := parseModel(*model)
+	models, err := sweep.ParseModels(*model)
+	if err == nil && len(models) != 1 {
+		err = fmt.Errorf("-model takes one model, got %q", *model)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	a, err := parseAlgo(*algo)
+	algos, err := sweep.ParseAlgorithms(*algo)
+	if err == nil && len(algos) != 1 {
+		err = fmt.Errorf("-algo takes one algorithm, got %q", *algo)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	opts := []core.Option{core.WithModel(m), core.WithAlgorithm(a), core.WithSeed(*seed)}
+	opts := []core.Option{core.WithModel(models[0]), core.WithAlgorithm(algos[0]), core.WithSeed(*seed)}
 	if *lean {
 		opts = append(opts, core.WithLeanScale())
 	}
@@ -97,43 +103,5 @@ func buildGraph(topo string, n int, seed uint64) (*graph.Graph, error) {
 		return graph.Lollipop(n/2, n/2), nil
 	default:
 		return nil, fmt.Errorf("unknown topology %q", topo)
-	}
-}
-
-func parseModel(s string) (radio.Model, error) {
-	switch strings.ToLower(s) {
-	case "nocd", "no-cd":
-		return radio.NoCD, nil
-	case "cd":
-		return radio.CD, nil
-	case "local":
-		return radio.Local, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q", s)
-	}
-}
-
-func parseAlgo(s string) (core.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return core.AlgoAuto, nil
-	case "iterclust":
-		return core.AlgoIterClust, nil
-	case "theorem12":
-		return core.AlgoTheorem12, nil
-	case "dtime":
-		return core.AlgoDiamTime, nil
-	case "cdmerge":
-		return core.AlgoCDMerge, nil
-	case "path":
-		return core.AlgoPath, nil
-	case "bounded":
-		return core.AlgoBoundedDegree, nil
-	case "det":
-		return core.AlgoDeterministic, nil
-	case "baseline":
-		return core.AlgoBaselineDecay, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
 	}
 }

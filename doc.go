@@ -68,14 +68,17 @@
 // graph-construction invariant — with model-aware early exit.
 //
 // The engine is reusable: radio.NewSimulator preallocates envs,
-// mailboxes, random streams and scheduler scratch once, and
-// Run/RunDevices resets everything per run, allocating only the Result.
-// The sweep engine keeps one radio.SimCache per worker (threaded
-// through core.WithSimCache), so thousands of Monte-Carlo trials on
-// one topology stop churning the allocator. The topology's diameter —
-// a fixed parameter of Theorem 16 and the decay comparator — is
-// computed once per graph and cached (graph.Graph.Diameter), so a trial
-// of a diameter-aware algorithm pays only for its own slots.
+// mailboxes, random streams and scheduler scratch once, and each run
+// resets everything, allocating only the Result. radio.Run is the one
+// way to run a protocol: it builds one step machine per vertex, runs
+// the population and returns every device's report. core's planner,
+// the workloads, the CLIs and the examples all call it. The sweep
+// engine keeps one radio.SimCache per worker (threaded through
+// core.WithSimCache into radio.Config), so thousands of Monte-Carlo
+// trials on one topology stop churning the allocator. The topology's
+// diameter — a fixed parameter of Theorem 16 and the decay comparator
+// — is computed once per graph and cached (graph.Graph.Diameter), so a
+// trial of a diameter-aware algorithm pays only for its own slots.
 // BENCH_pr4.json records the step-ABI reference measurement (5.6-6.3x
 // over the deleted PR-3 goroutine engine with -97% to -99%
 // allocations).
@@ -110,8 +113,9 @@
 // awake-slot invariant MaxEnergy() <= Slots survives injection, since
 // faults only ever remove awake slots.
 //
-// Faulted broadcast and msrc cells additionally run a same-seed
-// fault-free twin and report graceful-degradation columns — success,
+// Every workload takes faults. Faulted broadcast and msrc cells
+// additionally run a same-seed fault-free twin and report
+// graceful-degradation columns — success,
 // informedFrac, energyOverhead (signed, vs the twin), wastedAwake —
 // which are CI-eligible stopping targets for adaptive runs. The sweep
 // matrix gains an innermost fault axis (CLI: repeated
@@ -244,6 +248,8 @@
 //     slot, agreement and energy;
 //   - tradeoff: Theorem 16's continuous time/energy dial over
 //     internal/dtime, one matrix cell per beta (or eps) grid value.
+//     Like leader, it takes faults but reports only the fault
+//     counters, with no fault-free twin columns.
 //
 // Grid-valued parameters (comma lists) expand into one matrix cell per
 // point, and the cell index — including the point — feeds the seed

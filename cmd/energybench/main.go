@@ -116,25 +116,29 @@ func measure(fn func(seed uint64) (uint64, int, bool)) (float64, float64) {
 	return stats.Mean(ts), stats.Mean(es)
 }
 
-// informedTrial runs one protocol device per vertex of cfg.Graph and
-// returns the run's slots and max energy; ok is false when the run fails
-// or some device ends uninformed.
-func informedTrial[R any](cfg radio.Config, proc func(v int, out *R) radio.Proc, informed func(*R) bool) (uint64, int, bool) {
-	res, devs, err := radio.Run(cfg, proc)
-	if err != nil {
-		return 0, 0, false
-	}
-	for i := range devs {
-		if !informed(&devs[i]) {
+// broadcastTrial returns a measure trial: one protocol device per vertex
+// of cfg.Graph, run on the trial's seed. A run that fails or leaves some
+// device uninformed is skipped.
+func broadcastTrial[R any](cfg radio.Config, proc func(v int, out *R) radio.Proc, informed func(*R) bool) func(seed uint64) (uint64, int, bool) {
+	return func(seed uint64) (uint64, int, bool) {
+		c := cfg // trials run concurrently
+		c.Seed = seed
+		res, devs, err := radio.Run(c, proc)
+		if err != nil {
 			return 0, 0, false
 		}
+		for i := range devs {
+			if !informed(&devs[i]) {
+				return 0, 0, false
+			}
+		}
+		return res.Slots, res.MaxEnergy(), true
 	}
-	return res.Slots, res.MaxEnergy(), true
 }
 
-// iterclustTrial runs Theorem 11/12 iterative clustering from vertex 0.
-func iterclustTrial(g *graph.Graph, p iterclust.Params, seed uint64) (uint64, int, bool) {
-	return informedTrial(radio.Config{Graph: g, Model: p.Model, Seed: seed},
+// iterclustTrial is Theorem 11/12 iterative clustering from vertex 0.
+func iterclustTrial(g *graph.Graph, p iterclust.Params) func(seed uint64) (uint64, int, bool) {
+	return broadcastTrial(radio.Config{Graph: g, Model: p.Model},
 		func(v int, o *iterclust.DeviceResult) radio.Proc { return iterclust.Proc(p, v == 0, "m", o) },
 		func(o *iterclust.DeviceResult) bool { return o.Informed })
 }
@@ -146,9 +150,9 @@ func pathProc(g *graph.Graph) func(v int, o *pathcast.DeviceResult) radio.Proc {
 	}
 }
 
-// pathTrial runs the Section 8 path algorithm from vertex 0.
-func pathTrial(g *graph.Graph, seed uint64) (uint64, int, bool) {
-	return informedTrial(radio.Config{Graph: g, Model: radio.Local, Seed: seed}, pathProc(g),
+// pathTrial is the Section 8 path algorithm from vertex 0.
+func pathTrial(g *graph.Graph) func(seed uint64) (uint64, int, bool) {
+	return broadcastTrial(radio.Config{Graph: g, Model: radio.Local}, pathProc(g),
 		func(o *pathcast.DeviceResult) bool { return o.Informed })
 }
 
@@ -167,7 +171,7 @@ func rowIterClust() {
 		g := graph.GNP(n, 4.0/float64(n)*2, 11)
 		for _, model := range []radio.Model{radio.Local, radio.NoCD} {
 			p := iterclust.NewParams(model, g.N(), g.MaxDegree())
-			slots, maxE := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, p, seed) })
+			slots, maxE := measure(iterclustTrial(g, p))
 			tbl.Add(model.String(), g.Name(), n, slots, maxE)
 			if model == radio.Local {
 				ns = append(ns, float64(n))
@@ -191,7 +195,7 @@ func rowTheorem12() {
 	for _, n := range sizes([]int{16, 32, 64, 128}, []int{16, 32}) {
 		g := graph.GNP(n, 8.0/float64(n), 13)
 		p := iterclust.NewTheorem12Params(g.N(), g.MaxDegree(), 0.5)
-		slots, maxE := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, p, seed) })
+		slots, maxE := measure(iterclustTrial(g, p))
 		tbl.Add(g.Name(), n, slots, maxE)
 		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
 	}
@@ -213,11 +217,9 @@ func rowCDMerge() {
 			continue
 		}
 		p = p.Tune(10, 3, g.N())
-		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			return informedTrial(radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62},
-				func(v int, o *cdmerge.DeviceResult) radio.Proc { return cdmerge.Proc(p, v == 0, "m", o) },
-				func(o *cdmerge.DeviceResult) bool { return o.Informed })
-		})
+		slots, maxE := measure(broadcastTrial(radio.Config{Graph: g, Model: radio.CD, MaxSlots: 1 << 62},
+			func(v int, o *cdmerge.DeviceResult) radio.Proc { return cdmerge.Proc(p, v == 0, "m", o) },
+			func(o *cdmerge.DeviceResult) bool { return o.Informed }))
 		tbl.Add(g.Name(), n, slots, maxE)
 		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
 	}
@@ -241,13 +243,11 @@ func rowDiamTime() {
 			continue
 		}
 		p = p.Tune(g.N(), 10, 6, 10, 1)
-		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			return informedTrial(radio.Config{Graph: g, Model: radio.CD, Seed: seed, MaxSlots: 1 << 62},
-				func(v int, o *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", o) },
-				func(o *dtime.DeviceResult) bool { return o.Informed })
-		})
+		slots, maxE := measure(broadcastTrial(radio.Config{Graph: g, Model: radio.CD, MaxSlots: 1 << 62},
+			func(v int, o *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", o) },
+			func(o *dtime.DeviceResult) bool { return o.Informed }))
 		ip := iterclust.NewParams(radio.CD, g.N(), g.MaxDegree())
-		icSlots, _ := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, ip, seed) })
+		icSlots, _ := measure(iterclustTrial(g, ip))
 		tbl.Add(g.Name(), n, 2, slots, maxE, icSlots)
 	}
 	fmt.Print(tbl)
@@ -345,7 +345,7 @@ func rowLowerBounds() {
 	for _, k := range sizes([]int{4, 8, 16, 32}, []int{4, 16}) {
 		g := graph.K2k(k)
 		p := iterclust.NewParams(radio.CD, g.N(), g.MaxDegree())
-		_, maxE := measure(func(seed uint64) (uint64, int, bool) { return iterclustTrial(g, p, seed) })
+		_, maxE := measure(iterclustTrial(g, p))
 		// Single-hop CD leader election time on a k-clique for reference.
 		le := measureLE(k)
 		tbl.Add("K2k CD energy vs LE time", k, maxE, le)
@@ -353,7 +353,7 @@ func rowLowerBounds() {
 	// Theorem 1 on paths: worst-vertex energy of the best path algorithm.
 	for _, n := range sizes([]int{64, 256, 1024}, []int{64, 256}) {
 		g := graph.Path(n)
-		_, maxE := measure(func(seed uint64) (uint64, int, bool) { return pathTrial(g, seed) })
+		_, maxE := measure(pathTrial(g))
 		tbl.Add("path worst-vertex energy", n, maxE, fmt.Sprintf("Omega(log n)=%d/5", logi(n)))
 	}
 	fmt.Print(tbl)
@@ -488,12 +488,10 @@ func rowBaselineComparison() {
 		g := graph.Path(n)
 		d, _ := g.Diameter()
 		bp := baseline.NewParams(g.N(), g.MaxDegree(), d)
-		bSlots, bE := measure(func(seed uint64) (uint64, int, bool) {
-			return informedTrial(radio.Config{Graph: g, Model: radio.NoCD, Seed: seed},
-				func(v int, o *baseline.DeviceResult) radio.Proc { return baseline.Proc(bp, v == 0, "m", o) },
-				func(o *baseline.DeviceResult) bool { return o.Informed })
-		})
-		pSlots, pE := measure(func(seed uint64) (uint64, int, bool) { return pathTrial(g, seed) })
+		bSlots, bE := measure(broadcastTrial(radio.Config{Graph: g, Model: radio.NoCD},
+			func(v int, o *baseline.DeviceResult) radio.Proc { return baseline.Proc(bp, v == 0, "m", o) },
+			func(o *baseline.DeviceResult) bool { return o.Informed }))
+		pSlots, pE := measure(pathTrial(g))
 		tbl.Add(g.Name(), n, bSlots, bE, pSlots, pE)
 	}
 	fmt.Print(tbl)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -80,34 +81,58 @@ func TestPortPin(t *testing.T) {
 	}
 	var sb strings.Builder
 	for _, sc := range scens {
-		n := sc.g.N()
-		d, err := sc.g.Diameter()
-		if err != nil {
-			t.Fatal(err)
+		sb.WriteString(pinLine(t, sc.name, sc.g, sc.model, sc.seed, sc.iters, fault.Spec{}))
+	}
+	// The two-iteration scenarios again under each fault kind: Lemma 17
+	// sweeps and partition epochs with devices that crash, sleep through
+	// windows or lose deliveries.
+	faults := []fault.Spec{{Kind: fault.Crash, Rate: 0.01},
+		{Kind: fault.Sleep, Rate: 0.02, Window: 4}, {Kind: fault.Loss, Rate: 0.05}}
+	for _, sc := range scens {
+		if sc.iters != 2 {
+			continue
 		}
-		p, err := NewParamsBeta(sc.model, n, sc.g.MaxDegree(), d, 0.25)
-		if err != nil {
-			t.Fatal(err)
+		for _, f := range faults {
+			sb.WriteString(pinLine(t, sc.name+" "+f.Label(), sc.g, sc.model, sc.seed, sc.iters, f))
 		}
-		p = p.Tune(n, 4, 3, 2, sc.iters)
-		devs := make([]DeviceResult, n)
-		h := fnv.New64a()
-		pop := make([]radio.Device, n)
-		for v := 0; v < n; v++ {
-			pop[v].Proc = Proc(p, v == 0, "pin", &devs[v])
-		}
-		res, err := radio.RunDevices(radio.Config{Graph: sc.g, Model: p.SR.Model, Seed: sc.seed,
-			MaxSlots: 1 << 62,
-			Trace:    func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		oh := fnv.New64a()
-		for v, dres := range devs {
-			fmt.Fprintf(oh, "%d %v %v %d %d\n", v, dres.Informed, dres.Msg, dres.Label, dres.Cluster)
-		}
-		fmt.Fprintf(&sb, "%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d\n",
-			sc.name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
 	}
 	comparePin(t, sb.String())
+}
+
+// pinLine runs one pin scenario under fault f and renders its line. A
+// faulted line also carries the fault counters.
+func pinLine(t *testing.T, name string, g *graph.Graph, model radio.Model, seed uint64, iters int, f fault.Spec) string {
+	t.Helper()
+	n := g.N()
+	d, err := g.Diameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewParamsBeta(model, n, g.MaxDegree(), d, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = p.Tune(n, 4, 3, 2, iters)
+	devs := make([]DeviceResult, n)
+	h := fnv.New64a()
+	pop := make([]radio.Device, n)
+	for v := 0; v < n; v++ {
+		pop[v].Proc = Proc(p, v == 0, "pin", &devs[v])
+	}
+	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.SR.Model, Seed: seed,
+		MaxSlots: 1 << 62, Fault: f,
+		Trace: func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	oh := fnv.New64a()
+	for v, dres := range devs {
+		fmt.Fprintf(oh, "%d %v %v %d %d\n", v, dres.Informed, dres.Msg, dres.Label, dres.Cluster)
+	}
+	line := fmt.Sprintf("%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d",
+		name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
+	if f.Active() {
+		line += fmt.Sprintf(" faults=%d/%d/%d", res.FaultCrashes, res.FaultSleeps, res.FaultErasures)
+	}
+	return line + "\n"
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -69,28 +70,48 @@ func TestPortPin(t *testing.T) {
 	}
 	var sb strings.Builder
 	for _, sc := range scens {
-		p, err := NewParams(sc.model, sc.g.N(), sc.g.MaxDegree(), sc.beta)
-		if err != nil {
-			t.Fatal(err)
+		sb.WriteString(pinLine(t, sc.name, sc.g, sc.model, sc.beta, sc.seed, fault.Spec{}))
+	}
+	// Every scenario again under each fault kind: epochs with devices
+	// that crash, sleep through windows or lose deliveries.
+	faults := []fault.Spec{{Kind: fault.Crash, Rate: 0.01},
+		{Kind: fault.Sleep, Rate: 0.02, Window: 4}, {Kind: fault.Loss, Rate: 0.05}}
+	for _, sc := range scens {
+		for _, f := range faults {
+			sb.WriteString(pinLine(t, sc.name+" "+f.Label(), sc.g, sc.model, sc.beta, sc.seed, f))
 		}
-		n := sc.g.N()
-		devs := make([]Result, n)
-		h := fnv.New64a()
-		pop := make([]radio.Device, n)
-		for v := 0; v < n; v++ {
-			pop[v].Proc = Proc(p, 1, &devs[v])
-		}
-		res, err := radio.RunDevices(radio.Config{Graph: sc.g, Model: p.SR.Model, Seed: sc.seed,
-			Trace: func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		oh := fnv.New64a()
-		for v, d := range devs {
-			fmt.Fprintf(oh, "%d %d %d %v %d\n", v, d.Cluster, d.Layer, d.Delta, d.Start)
-		}
-		fmt.Fprintf(&sb, "%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d\n",
-			sc.name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
 	}
 	comparePin(t, sb.String())
+}
+
+// pinLine runs one pin scenario under fault f and renders its line. A
+// faulted line also carries the fault counters.
+func pinLine(t *testing.T, name string, g *graph.Graph, model radio.Model, beta float64, seed uint64, f fault.Spec) string {
+	t.Helper()
+	p, err := NewParams(model, g.N(), g.MaxDegree(), beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	devs := make([]Result, n)
+	h := fnv.New64a()
+	pop := make([]radio.Device, n)
+	for v := 0; v < n; v++ {
+		pop[v].Proc = Proc(p, 1, &devs[v])
+	}
+	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.SR.Model, Seed: seed, Fault: f,
+		Trace: func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	oh := fnv.New64a()
+	for v, d := range devs {
+		fmt.Fprintf(oh, "%d %d %d %v %d\n", v, d.Cluster, d.Layer, d.Delta, d.Start)
+	}
+	line := fmt.Sprintf("%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d",
+		name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
+	if f.Active() {
+		line += fmt.Sprintf(" faults=%d/%d/%d", res.FaultCrashes, res.FaultSleeps, res.FaultErasures)
+	}
+	return line + "\n"
 }

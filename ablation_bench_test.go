@@ -1,4 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the SR-communication design choices described
+// in internal/srcomm's package doc:
 //
 //   - the Remark 9 pre-check (CD receivers/senders leave irrelevant
 //     SR-communication windows after O(1) slots) — the mechanism behind
@@ -27,25 +28,21 @@ func runCDWindow(b *testing.B, p srcomm.CDParams, seed uint64) (*radio.Result, b
 	b.Helper()
 	const n = 32
 	g := graph.Path(n)
-	got := make([]any, n)
-	ok := make([]bool, n)
+	wins := make([]srcomm.Window, n)
 	procs := make([]radio.Proc, n)
 	for v := 0; v < n; v++ {
-		switch v {
-		case 0:
-			procs[v] = srcomm.CDSendProc(1, p, "m")
-		default:
-			// Every other vertex is a would-be receiver; only vertex 1
-			// has a sender neighbor.
-			procs[v] = srcomm.CDReceiveProc(1, p, &got[v], &ok[v])
-		}
+		// Vertex 0 sends. Every other vertex is a would-be receiver;
+		// only vertex 1 has a sender neighbor.
+		wins[v].ArmCD(1, p, v == 0, "m")
+		procs[v] = &wins[v]
 	}
 	res, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.CD, Seed: seed},
 		radio.Procs(procs))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res, ok[1]
+	_, ok := wins[1].Delivery()
+	return res, ok
 }
 
 // BenchmarkAblationPrecheck compares CD SR-communication energy with and
@@ -81,14 +78,11 @@ func BenchmarkAblationAck(b *testing.B) {
 			p := srcomm.CDParams{Delta: 1, Epochs: 100, Ack: ack}
 			var senderE float64
 			for i := 0; i < b.N; i++ {
-				var got any
-				var ok bool
-				procs := []radio.Proc{
-					srcomm.CDSendProc(1, p, "m"),
-					srcomm.CDReceiveProc(1, p, &got, &ok),
-				}
+				var send, recv srcomm.Window
+				send.ArmCD(1, p, true, "m")
+				recv.ArmCD(1, p, false, nil)
 				res, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.CD,
-					Seed: uint64(i + 1)}, radio.Procs(procs))
+					Seed: uint64(i + 1)}, radio.Procs([]radio.Proc{&send, &recv}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -110,12 +104,11 @@ func BenchmarkAblationDecayPhases(b *testing.B) {
 			p := srcomm.DecayParams{Delta: k, Phases: phases}
 			var maxE, delivered float64
 			for i := 0; i < b.N; i++ {
-				var got any
-				var ok bool
+				wins := make([]srcomm.Window, k+1)
 				procs := make([]radio.Proc, k+1)
-				procs[0] = srcomm.DecayReceiveProc(1, p, &got, &ok)
-				for j := 1; j <= k; j++ {
-					procs[j] = srcomm.DecaySendProc(1, p, j)
+				for j := range wins {
+					wins[j].ArmDecay(1, p, j > 0, j)
+					procs[j] = &wins[j]
 				}
 				res, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.NoCD,
 					Seed: uint64(i + 1)}, radio.Procs(procs))
@@ -123,7 +116,7 @@ func BenchmarkAblationDecayPhases(b *testing.B) {
 					b.Fatal(err)
 				}
 				maxE += float64(res.MaxEnergy())
-				if ok {
+				if _, ok := wins[0].Delivery(); ok {
 					delivered++
 				}
 			}

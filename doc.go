@@ -35,7 +35,10 @@
 // the label refinement — are one flat step machine per device
 // (internal/cluster) that re-arms a single SR-communication window
 // (srcomm.Window) in place, so a whole phase costs O(1) allocations per
-// device however many windows it spans.
+// device however many windows it spans. srcomm.Window is the one way to
+// run an SR-communication window: dtime's Lemma 17 repetitions,
+// partition's epochs, cdmerge's merge windows and detcast's Lemma 24
+// windows each re-arm one Window per device as well.
 //
 // Cohorts are ordered (slot, then device index). A request fewer than 64
 // slots ahead sets its device's bit in that slot's bucket of a 64-slot

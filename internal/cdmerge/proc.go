@@ -10,8 +10,8 @@ package cdmerge
 // deferred into an Eval thunk that runs at its window's start. That
 // fixes the evaluation order at window start, which is what keeps the
 // event stream byte-identical run over run (proc_test.go) and across
-// changes (pin_test.go). SR sub-windows run srcomm's CD step machines
-// through radio.ProcCont.
+// changes (pin_test.go). Every UpSR and ReqSR sub-window re-arms the
+// device's one srcomm.Window, embedded in the chain with radio.ProcCont.
 
 import (
 	"repro/internal/cluster"
@@ -42,6 +42,8 @@ type pdev struct {
 	newLayer  int // -1 until set during a relabel
 	newParent int
 	newPCols  []int
+
+	win srcomm.Window // re-armed for each UpSR and ReqSR window
 }
 
 // txIndex transmits the device's own index at slot, then k. The payload
@@ -160,7 +162,8 @@ func (d *pdev) upPassK(start uint64, send func() (any, bool), recv func(any), k 
 				}
 				j := d.ind - 1
 				ws := base + (uint64(j)*uint64(p.K)+uint64(d.parentColors[j]-1))*w
-				return radio.ProcCont(srcomm.CDSendProc(ws, p.UpSR, payload), sleep)
+				d.win.ArmCD(ws, p.UpSR, true, payload)
+				return radio.ProcCont(&d.win, sleep)
 			}
 			if d.layer == it-1 {
 				var win func(j int) cont
@@ -169,15 +172,13 @@ func (d *pdev) upPassK(start uint64, send func() (any, bool), recv func(any), k 
 						return sleep
 					}
 					ws := base + (uint64(j)*uint64(p.K)+uint64(d.colors[j]-1))*w
-					var m any
-					var ok bool
-					return radio.ProcCont(srcomm.CDReceiveProc(ws, p.UpSR, &m, &ok),
-						radio.Eval(func() cont {
-							if ok {
-								recv(m)
-							}
-							return win(j + 1)
-						}))
+					d.win.ArmCD(ws, p.UpSR, false, nil)
+					return radio.ProcCont(&d.win, radio.Eval(func() cont {
+						if m, ok := d.win.Delivery(); ok {
+							recv(m)
+						}
+						return win(j + 1)
+					}))
 				}
 				return win(0)
 			}
@@ -288,20 +289,18 @@ func (d *pdev) innerIterationK(start uint64, k cont) cont {
 		d.captured = nil
 		switch d.state {
 		case stateActive:
-			return radio.ProcCont(srcomm.CDSendProc(start, p.ReqSR,
-				reqMsg{from: d.index, fromColors: d.colors, fromLayer: d.layer}), gather)
+			d.win.ArmCD(start, p.ReqSR, true, reqMsg{from: d.index, fromColors: d.colors, fromLayer: d.layer})
+			return radio.ProcCont(&d.win, gather)
 		case stateWait:
-			var m any
-			var ok bool
-			return radio.ProcCont(srcomm.CDReceiveProc(start, p.ReqSR, &m, &ok),
-				radio.Eval(func() cont {
-					if ok {
-						if rm, isReq := m.(reqMsg); isReq {
-							d.captured = &rm
-						}
+			d.win.ArmCD(start, p.ReqSR, false, nil)
+			return radio.ProcCont(&d.win, radio.Eval(func() cont {
+				if m, ok := d.win.Delivery(); ok {
+					if rm, isReq := m.(reqMsg); isReq {
+						d.captured = &rm
 					}
-					return gather
-				}))
+				}
+				return gather
+			}))
 		default:
 			return radio.Then(radio.Sleep(start+p.ReqSR.Slots()-1), gather)
 		}

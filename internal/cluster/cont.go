@@ -6,7 +6,7 @@ package cluster
 // blocking counterpart does and evaluates mutable device state (roles,
 // Has/Msg, labels) at window start, so a ported protocol produces the
 // byte-identical slot-level event stream of its blocking original — the
-// property the cdmerge, iterclust and dtime port pins check.
+// property the cdmerge, iterclust, dtime and partition port pins check.
 //
 // Layered sweeps are sparse. A device at layer L can act in at most two
 // windows of a sweep: the one whose receiver layer is L and the one
@@ -21,7 +21,9 @@ package cluster
 // for the others, so a whole Broadcast or refinement costs O(1)
 // allocations per device. SendCont, ReceiveCont, SkipCont and SweepCont
 // are the continuation forms of single windows and sweeps, for
-// protocols that compose their own (dtime's Lemma 17 sweeps, partition).
+// protocols that compose their own (dtime's Lemma 17 sweeps, partition);
+// SendCont and ReceiveCont re-arm a Window the caller holds, one per
+// device, so a window allocates no machine.
 
 import (
 	"repro/internal/labeling"
@@ -43,24 +45,25 @@ func (s Spec) arm(w *srcomm.Window, start uint64, send bool, payload any) {
 	}
 }
 
-// SendCont participates in the window at start as a sender, then
-// resumes with k. payload is read at window start.
-func (s Spec) SendCont(start uint64, payload func() any, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		w := new(srcomm.Window)
-		s.arm(w, start, true, payload())
-		return radio.ProcCont(w, k)
-	})
+// SendCont arms w as the sender of payload in the window at start and
+// runs it, then resumes with k. Call it at window start: it arms w
+// when called.
+func (s Spec) SendCont(w *srcomm.Window, start uint64, payload any, k radio.Cont) radio.Cont {
+	s.arm(w, start, true, payload)
+	return radio.ProcCont(w, k)
 }
 
-// ReceiveCont participates in the window as a receiver; done observes
-// the delivery (message, ok) when the window ends, before k resumes.
-func (s Spec) ReceiveCont(start uint64, done func(any, bool), k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		w := new(srcomm.Window)
-		s.arm(w, start, false, nil)
-		return radio.ProcCont(w, radio.Do(func() { done(w.Delivery()) }, k))
-	})
+// ReceiveCont arms w as a receiver in the window at start and runs it;
+// when the window ends, recv takes its delivery, if any, before k
+// resumes. Like SendCont, it arms w when called.
+func (s Spec) ReceiveCont(w *srcomm.Window, start uint64, recv func(any), k radio.Cont) radio.Cont {
+	s.arm(w, start, false, nil)
+	return radio.ProcCont(w, radio.Eval(func() radio.Cont {
+		if m, ok := w.Delivery(); ok {
+			recv(m)
+		}
+		return k
+	}))
 }
 
 // SkipCont advances a non-participant's clock to the end of the window,

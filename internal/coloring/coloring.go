@@ -433,19 +433,14 @@ func (d *simDriver) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	}
 }
 
-// SimulateCont emits setup and then drives the inner LOCAL step machine
-// through the simulation, all starting at physical slot start. The inner
-// proc sees a fresh virtual clock starting at 0; *out holds the coloring
-// when k resumes.
-func SimulateCont(start uint64, p Params, inner radio.Proc, out *ColoringResult, k radio.Cont) radio.Cont {
-	return SetupCont(start, p, out, radio.Eval(func() radio.Cont {
-		return radio.ProcCont(newSimDriver(start+p.SetupSlots()-1, p, *out, inner), k)
-	}))
-}
-
-// SimulateProc wraps SimulateCont as a standalone device step machine.
+// SimulateProc returns a device step machine that emits setup and then
+// drives the inner LOCAL step machine through the simulation, all
+// starting at physical slot start. The inner proc sees a fresh virtual
+// clock starting at 0; *out holds the coloring once setup ends.
 func SimulateProc(start uint64, p Params, inner radio.Proc, out *ColoringResult) radio.Proc {
-	return radio.ContProc(func(ch radio.Channel) radio.Cont {
-		return SimulateCont(start, p, inner, out, nil)
+	return radio.ContProc(func(radio.Channel) radio.Cont {
+		return SetupCont(start, p, out, radio.Eval(func() radio.Cont {
+			return radio.ProcCont(newSimDriver(start+p.SetupSlots()-1, p, *out, inner), nil)
+		}))
 	})
 }

@@ -14,7 +14,8 @@
 // layer, messages carry addresses). In CD, traffic uses the Appendix A.3
 // discipline: the slot window of a parent is indexed by its unique ID, so
 // distinct trees never collide (Lemma 28), and many-children contention
-// inside one window is resolved with the Lemma 24 binary search over IDs.
+// inside one window is resolved with the Lemma 24 binary search over IDs
+// (srcomm's Window.ArmDet).
 // Ruling sets follow Lemma 26: a sequential recursion over the ID space
 // for the (2, logN) CD set, a parallel recursion with distance-2 checks
 // for the (3, 2logN) LOCAL set; cluster members participate only in the
@@ -29,7 +30,9 @@
 // (Then, Recv, Do), while every read of mutable protocol state (roles,
 // labels, cluster ids) is deferred into a radio.Eval thunk that runs
 // when its window starts, reproducing the evaluation order of
-// the historical blocking implementation exactly. The scheduler steps
+// the historical blocking implementation exactly. Every cast window
+// (offers, cluster rounds, the CD up-pass) re-arms the device's one
+// srcomm.Window: ArmLocal in LOCAL, ArmDet in CD. The scheduler steps
 // the proc inline, so the algorithm's enormous idle stretches (most CD
 // windows touch a single cluster) cost neither goroutine parks nor
 // virtual time.
@@ -40,6 +43,7 @@ import (
 
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/srcomm"
 )
 
 // Params configures a deterministic run; all fields are global knowledge.
@@ -93,18 +97,13 @@ func (p Params) bits() int {
 
 // ---- deterministic communication windows ----------------------------
 
-// castSlots is the slot cost of one deterministic SR window (Lemma 24
-// style, two stages: binary search over the key space, then one delivery
-// slot per key).
+// castSlots is the slot cost of one cast window: one slot in LOCAL, a
+// Lemma 24 window over the ID space in CD.
 func (p Params) castSlots() uint64 {
 	if p.Model == radio.Local {
 		return 1
 	}
-	total := uint64(0)
-	for x := 0; x < p.bits(); x++ {
-		total += uint64(1) << uint(x+1)
-	}
-	return total + uint64(p.IDSpace)
+	return srcomm.DetParams{IDSpace: p.IDSpace}.Slots()
 }
 
 type addressed struct {
@@ -153,95 +152,49 @@ type dev struct {
 	newParID int
 	newCID   int
 	newCIDID int
+
+	win srcomm.Window // re-armed for each cast window
 }
 
-// castWindowK runs one deterministic SR window in [start,
-// start+castSlots). role (evaluated at window start) yields the
-// device's part — 0 send, 1 receive, else skip — with the sender's key
-// and body. Senders hold (key, body); receivers obtain the body of the
-// minimum key among adjacent senders (plus, in LOCAL, simply every
-// message, filtered by accept). done receives the delivery (if any)
-// before k resumes.
-func (d *dev) castWindowK(start uint64, role func() (int, int, any),
-	accept func(addressed) bool, done func(addressed, bool), k radio.Cont) radio.Cont {
+// A device's part in a cast window.
+const (
+	castSend = iota
+	castRecv
+	castSkip
+)
+
+// castWindowK runs one cast window in [start, start+castSlots) on the
+// device's Window: ArmLocal in LOCAL, Lemma 24's ArmDet in CD. role,
+// evaluated at window start, yields the device's part and a sender's
+// body. A receiver obtains the message of its lowest-ID sending
+// neighbor in CD and of its lowest-index one in LOCAL; done takes it,
+// if any, before k resumes.
+func (d *dev) castWindowK(start uint64, role func() (int, any), done func(addressed), k radio.Cont) radio.Cont {
 	p := d.p
-	if p.Model == radio.Local {
-		return radio.Eval(func() radio.Cont {
-			r, key, body := role()
-			switch r {
-			case 0:
-				return radio.Then(radio.Transmit(start, addressed{from: d.index, to: -1, key: key, body: body}),
-					radio.Do(func() { done(addressed{}, false) }, k))
-			case 1:
-				return radio.Recv(start, func(fb radio.Feedback) radio.Cont {
-					for _, raw := range fb.Payloads() {
-						if m, ok := raw.(addressed); ok && accept(m) {
-							done(m, true)
-							return k
-						}
-					}
-					done(addressed{}, false)
-					return k
-				})
-			default:
-				return radio.Then(radio.Sleep(start), radio.Do(func() { done(addressed{}, false) }, k))
-			}
-		})
-	}
-	// CD: stage 1 is a prefix binary search over keys (non-silence marks
-	// live prefixes), stage 2 delivers the body in the winner's ID slot.
-	bits := p.bits()
 	return radio.Eval(func() radio.Cont {
-		r, key, body := role()
-		miss := radio.Then(radio.Sleep(start+p.castSlots()-1), radio.Do(func() { done(addressed{}, false) }, k))
-		if r == 0 {
-			key0 := key - 1
-			var tx func(x int, base uint64) radio.Cont
-			tx = func(x int, base uint64) radio.Cont {
-				if x >= bits {
-					return radio.Then(radio.Transmit(base+uint64(key0),
-						addressed{from: d.index, to: -1, key: key, body: body}), miss)
-				}
-				prefix := key0 >> uint(bits-x-1)
-				return radio.Then(radio.Transmit(base+uint64(prefix), key), tx(x+1, base+uint64(1)<<uint(x+1)))
+		r, body := role()
+		if r == castSkip {
+			return radio.Then(radio.Sleep(start+p.castSlots()-1), k)
+		}
+		send := r == castSend
+		var m any
+		if send {
+			m = addressed{from: d.index, to: -1, key: d.id, body: body}
+		}
+		if p.Model == radio.Local {
+			d.win.ArmLocal(start, send, m)
+		} else {
+			d.win.ArmDet(start, srcomm.DetParams{IDSpace: p.IDSpace}, send, m)
+		}
+		if send {
+			return radio.ProcCont(&d.win, k)
+		}
+		return radio.ProcCont(&d.win, radio.Eval(func() radio.Cont {
+			if got, ok := d.win.Delivery(); ok {
+				done(got.(addressed))
 			}
-			return tx(0, start)
-		}
-		if r != 1 {
-			return miss
-		}
-		var search func(x, prefix int, base uint64) radio.Cont
-		search = func(x, prefix int, base uint64) radio.Cont {
-			if x >= bits {
-				// Stage two: fetch the body in the winning key's slot.
-				return radio.Recv(base+uint64(prefix), func(fb radio.Feedback) radio.Cont {
-					return radio.Then(radio.Sleep(start+p.castSlots()-1), radio.Eval(func() radio.Cont {
-						if fb.Status == radio.Received {
-							if m, ok := fb.Payload.(addressed); ok && accept(m) {
-								done(m, true)
-								return k
-							}
-						}
-						done(addressed{}, false)
-						return k
-					}))
-				})
-			}
-			p0 := prefix << 1
-			p1 := p0 | 1
-			return radio.Recv(base+uint64(p0), func(fb radio.Feedback) radio.Cont {
-				if fb.Status != radio.Silence {
-					return search(x+1, p0, base+uint64(1)<<uint(x+1))
-				}
-				return radio.Recv(base+uint64(p1), func(fb radio.Feedback) radio.Cont {
-					if fb.Status != radio.Silence {
-						return search(x+1, p1, base+uint64(1)<<uint(x+1))
-					}
-					return miss
-				})
-			})
-		}
-		return search(0, 0, start)
+			return k
+		}))
 	})
 }
 
@@ -369,24 +322,19 @@ func (d *dev) upPassK(start uint64, participate func() bool,
 			ws := start + uint64(wi)*per + uint64(id-1)*p.castSlots()
 			next := radio.Then(radio.Sleep(ws+p.castSlots()-1), radio.Eval(func() radio.Cont { return win(wi, id+1) }))
 			return d.castWindowK(ws,
-				func() (int, int, any) {
+				func() (int, any) {
 					if part && d.layer == layer && d.parentID == id {
 						if body, ok := send(); ok {
-							return 0, d.id, body
+							return castSend, body
 						}
-						return 2, d.id, nil
+						return castSkip, nil
 					}
 					if part && d.layer == layer-1 && d.id == id {
-						return 1, d.id, nil
+						return castRecv, nil
 					}
-					return 2, d.id, nil
+					return castSkip, nil
 				},
-				func(addressed) bool { return true },
-				func(m addressed, got bool) {
-					if got {
-						recvFn(m.body)
-					}
-				},
+				func(m addressed) { recvFn(m.body) },
 				next)
 		}
 		return win(0, 1)
@@ -416,21 +364,16 @@ func (d *dev) clusterRoundK(start uint64, args func() (bool, bool, bool),
 		radio.Do(func() { done(heard) }, k))
 	castEnd := radio.Then(radio.Sleep(castStart+p.castSlots()-1), endUp)
 	castK := d.castWindowK(castStart,
-		func() (int, int, any) {
-			castRole := 2
-			if part && role == 1 {
-				castRole = 0
-			} else if part && role == 2 {
-				castRole = 1
+		func() (int, any) {
+			switch {
+			case part && role == 1:
+				return castSend, d.cid
+			case part && role == 2:
+				return castRecv, nil
 			}
-			return castRole, d.id, d.cid
+			return castSkip, nil
 		},
-		func(addressed) bool { return true },
-		func(_ addressed, got bool) {
-			if got {
-				heard = true
-			}
-		},
+		func(addressed) { heard = true },
 		castEnd)
 	down := d.downPassK(start, func() bool { return part },
 		func() (any, bool) { return role, role != 0 },
@@ -684,22 +627,16 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.C
 	}, gather)
 	// Offers.
 	offer := d.castWindowK(start,
-		func() (int, int, any) {
+		func() (int, any) {
 			if offering {
-				return 0, d.id, offerBody{layer: d.layer, cid: d.cid, cidID: d.cidID, id: d.id}
+				return castSend, offerBody{layer: d.layer, cid: d.cid, cidID: d.cidID, id: d.id}
 			}
 			if capturing {
-				return 1, d.id, nil
+				return castRecv, nil
 			}
-			return 2, d.id, nil
+			return castSkip, nil
 		},
-		func(m addressed) bool { _, isOffer := m.body.(offerBody); return isOffer },
-		func(m addressed, got bool) {
-			if got {
-				mc := m
-				d.captured = &mc
-			}
-		},
+		func(m addressed) { d.captured = &m },
 		prepGather)
 	return radio.Do(func() {
 		offering = d.joined

@@ -36,6 +36,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/srcomm"
 )
 
 // Params configures a Theorem 16 run; all fields are global knowledge.
@@ -100,12 +101,19 @@ func newParams(model radio.Model, n, delta, diam int, beta float64) (Params, err
 	}
 	// Iterate until the estimated cluster-graph diameter reaches the
 	// polylog floor (the Lemma 15 analysis permits any Theta(polylog)
-	// floor; the constant here keeps K > 0 on experiment-scale graphs).
+	// floor; the constant here keeps K > 0 on experiment-scale graphs),
+	// or until the estimate stops shrinking: at beta = 1/4 the update
+	// has fixed points (8 to 11) above the floor of small graphs, and
+	// another iteration there only lengthens the schedule.
 	floor := logN + 2
 	k := 0
 	d := float64(diam)
 	for d > float64(floor) && k < 64 {
-		d = math.Ceil(3*beta*d) + 2
+		next := math.Ceil(3*beta*d) + 2
+		if next >= d {
+			break
+		}
+		d = next
 		k++
 	}
 	t := int(math.Ceil(2 * float64(logN) / beta))
@@ -262,6 +270,10 @@ type devState struct {
 	dDelta float64 // root only: exponential shift
 	start  int     // root only: start epoch
 
+	// win runs every Lemma 17 repetition and offer window the device
+	// takes part in. The first partition iteration allocates it, so a
+	// run with no iteration allocates none.
+	win   *srcomm.Window
 	final cluster.Broadcaster // the closing Lemma 10 Broadcast
 }
 
@@ -306,13 +318,9 @@ func (s *devState) sweepCont(start uint64, dir int,
 					}
 					switch {
 					case isSender && p.coin(seed, rs):
-						return p.SR.SendCont(rs, func() any { return payload }, after)
+						return p.SR.SendCont(s.win, rs, payload, after)
 					case s.oldLayer == rl:
-						return p.SR.ReceiveCont(rs, func(m any, ok bool) {
-							if ok {
-								recv(m)
-							}
-						}, after)
+						return p.SR.ReceiveCont(s.win, rs, recv, after)
 					default:
 						return p.SR.SkipCont(rs, after)
 					}
@@ -332,38 +340,21 @@ type DeviceResult struct {
 	Cluster  int
 }
 
-// RunCont is the continuation form of the Theorem 16 device program
-// starting at slot 1, resuming with k when the schedule ends. The
-// device's first private draw (the shared cluster seed) happens when the
-// continuation first runs; out is complete before k resumes. The
-// continuation is single-use.
-func RunCont(p Params, isSource bool, msg any, out *DeviceResult, k radio.Cont) radio.Cont {
-	s := newDevState(p, isSource, msg, out)
-	return radio.EvalCh(func(ch radio.Channel) radio.Cont { return s.begin(ch, k) })
-}
-
-// Proc returns the device step machine implementing Theorem 16.
+// Proc returns the device step machine implementing Theorem 16. The
+// device's state is allocated here, once per run; its first private
+// draw (the shared cluster seed) happens at its first step.
 func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
-	s := newDevState(p, isSource, msg, out)
-	return radio.ContProc(func(ch radio.Channel) radio.Cont { return s.begin(ch, nil) })
-}
-
-// newDevState allocates a device's whole state, once per run.
-func newDevState(p Params, isSource bool, msg any, out *DeviceResult) *devState {
-	return &devState{p: p, isSource: isSource, msg: msg, out: out, newLayer: -1, newCID: -1}
-}
-
-// begin takes the device's identity and its first private draw, then
-// emits the whole program.
-func (s *devState) begin(ch radio.Channel, k radio.Cont) radio.Cont {
-	s.idx, s.oldCID = ch.Index(), ch.Index()
-	s.oldSeed = ch.Rand().Uint64()
-	return s.runCont(0, 1, k)
+	s := &devState{p: p, isSource: isSource, msg: msg, out: out, newLayer: -1, newCID: -1}
+	return radio.ContProc(func(ch radio.Channel) radio.Cont {
+		s.idx, s.oldCID = ch.Index(), ch.Index()
+		s.oldSeed = ch.Rand().Uint64()
+		return s.runCont(0, 1)
+	})
 }
 
 // runCont emits partition iterations iter.. from slot t, then the
 // closing Lemma 10 Broadcast over the final clustering.
-func (s *devState) runCont(iter int, t uint64, k radio.Cont) radio.Cont {
+func (s *devState) runCont(iter int, t uint64) radio.Cont {
 	p := &s.p
 	if iter == p.Iterations {
 		b := &s.final
@@ -375,11 +366,11 @@ func (s *devState) runCont(iter int, t uint64, k radio.Cont) radio.Cont {
 				s.out.Msg = b.Msg
 				s.out.Label = s.oldLayer
 				s.out.Cluster = s.oldCID
-			}, k))
+			}, nil))
 		})
 	}
 	return s.iterationCont(iter, t, radio.Eval(func() radio.Cont {
-		return s.runCont(iter+1, t+p.iterSlots(p.lb[iter]), k)
+		return s.runCont(iter+1, t+p.iterSlots(p.lb[iter]))
 	}))
 }
 
@@ -391,6 +382,9 @@ func (s *devState) iterationCont(iter int, start uint64, k radio.Cont) radio.Con
 	return radio.EvalCh(func(ch radio.Channel) radio.Cont {
 		p := &s.p
 		s.iter = iter
+		if s.win == nil {
+			s.win = new(srcomm.Window)
+		}
 		// Reset per-iteration state; the previous clustering is "old".
 		s.active, s.joined = false, false
 		s.newCID, s.newLayer, s.newSeed = -1, -1, 0
@@ -522,15 +516,12 @@ func (s *devState) offerPhaseCont(start uint64, epoch int, k radio.Cont) radio.C
 	return radio.Eval(func() radio.Cont {
 		switch {
 		case s.active && epoch <= p.EpochsPerIter:
-			return p.SR.SendCont(start, func() any {
-				return offerMsg{newCID: s.newCID, newLayer: s.newLayer, newSeed: s.newSeed}
-			}, k)
+			return p.SR.SendCont(s.win, start,
+				offerMsg{newCID: s.newCID, newLayer: s.newLayer, newSeed: s.newSeed}, k)
 		case !s.joined && s.captured == nil && epoch <= p.EpochsPerIter:
-			return p.SR.ReceiveCont(start, func(m any, ok bool) {
-				if ok {
-					if om, isOffer := m.(offerMsg); isOffer {
-						s.captured = &om
-					}
+			return p.SR.ReceiveCont(s.win, start, func(m any) {
+				if om, isOffer := m.(offerMsg); isOffer {
+					s.captured = &om
 				}
 			}, k)
 		default:

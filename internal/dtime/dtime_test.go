@@ -247,3 +247,37 @@ func TestBroadcastCostIndependentOfRounds(t *testing.T) {
 		}
 	}
 }
+
+// TestIterationCountStopsAtFixedPoint checks the Lemma 15 count on
+// paths. At beta = 1/4 the estimate d <- ceil(3 beta d) + 2 stalls at 11
+// above the floor of path:24 (8) and path:12 (7); the count must stop
+// there instead of running to its cap of 64, which made path:24's
+// schedule 1.24e9 slots. Counts that reach the floor are unchanged.
+func TestIterationCountStopsAtFixedPoint(t *testing.T) {
+	cases := []struct {
+		n      int
+		beta   float64
+		k      int
+		finalD int
+	}{
+		{12, 0.25, 0, 12},
+		{24, 0.25, 7, 12},
+		{1024, 0.25, 20, 14},
+		{12, 1.0 / 16, 1, 6},
+		{24, 1.0 / 16, 1, 8},
+		{1024, 1.0 / 16, 3, 11},
+		{12, 1.0 / 8, 1, 8},
+		{24, 1.0 / 8, 2, 8},
+		{1024, 1.0 / 8, 5, 12},
+	}
+	for _, c := range cases {
+		p, err := NewParamsBeta(radio.NoCD, c.n, 2, c.n-1, c.beta)
+		if err != nil {
+			t.Fatalf("path:%d beta=%v: %v", c.n, c.beta, err)
+		}
+		if p.Iterations != c.k || p.FinalD != c.finalD {
+			t.Errorf("path:%d beta=%v: K=%d FinalD=%d, want K=%d FinalD=%d",
+				c.n, c.beta, p.Iterations, p.FinalD, c.k, c.finalD)
+		}
+	}
+}

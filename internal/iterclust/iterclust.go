@@ -94,44 +94,37 @@ type DeviceResult struct {
 	Label int
 }
 
-// RunCont is the continuation form of the device side of the protocol
-// starting at slot 1: Iterations labeling refinements followed by the
-// Lemma 10 Broadcast, resuming with k when the schedule ends. isSource
-// marks the broadcasting vertex (which holds msg); out is complete
-// before k resumes. The same continuation runs on the physical network
-// or through the Theorem 3 LOCAL-over-No-CD simulation (Corollary 13).
-func RunCont(p Params, isSource bool, msg any, out *DeviceResult, k radio.Cont) radio.Cont {
-	per := cluster.RefineSlots(p.SR, p.Layers, p.S)
-	lab := 0 // the trivial all-zero good labeling
-	// One Refiner serves every refinement: RefineCont re-arms it.
-	r := &cluster.Refiner{SR: p.SR, Layers: p.Layers}
-	var iter func(it int, t uint64) radio.Cont
-	iter = func(it int, t uint64) radio.Cont {
-		if it == p.Iterations {
-			b := &cluster.Broadcaster{SR: p.SR, Layers: p.Layers}
-			return radio.Do(func() {
-				b.Label, b.Has, b.Msg = lab, isSource, msg
-			}, b.BroadcastCont(t, p.FinalD, radio.Do(func() {
-				out.Informed = b.Has
-				out.Msg = b.Msg
-				out.Label = lab
-			}, k)))
-		}
-		return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-			becomeRoot := lab == 0 && rng.Bernoulli(ch.Rand(), p.P)
-			r.Old = lab
-			return r.RefineCont(t, p.S, becomeRoot,
-				radio.Do(func() { lab = r.New }, iter(it+1, t+per)))
-		})
-	}
-	return iter(0, 1)
-}
-
-// Proc returns the device step machine for one device. isSource marks
-// the broadcasting vertex (which holds msg); out receives the device's
-// final state.
+// Proc returns the device step machine for one device: Iterations
+// labeling refinements from slot 1, followed by the Lemma 10 Broadcast.
+// isSource marks the broadcasting vertex (which holds msg); out receives
+// the device's final state. The same machine runs on the physical
+// network or through the Theorem 3 LOCAL-over-No-CD simulation
+// (Corollary 13).
 func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
-	return radio.ContProc(func(ch radio.Channel) radio.Cont {
-		return RunCont(p, isSource, msg, out, nil)
+	return radio.ContProc(func(radio.Channel) radio.Cont {
+		per := cluster.RefineSlots(p.SR, p.Layers, p.S)
+		lab := 0 // the trivial all-zero good labeling
+		// One Refiner serves every refinement: RefineCont re-arms it.
+		r := &cluster.Refiner{SR: p.SR, Layers: p.Layers}
+		var iter func(it int, t uint64) radio.Cont
+		iter = func(it int, t uint64) radio.Cont {
+			if it == p.Iterations {
+				b := &cluster.Broadcaster{SR: p.SR, Layers: p.Layers}
+				return radio.Do(func() {
+					b.Label, b.Has, b.Msg = lab, isSource, msg
+				}, b.BroadcastCont(t, p.FinalD, radio.Do(func() {
+					out.Informed = b.Has
+					out.Msg = b.Msg
+					out.Label = lab
+				}, nil)))
+			}
+			return radio.EvalCh(func(ch radio.Channel) radio.Cont {
+				becomeRoot := lab == 0 && rng.Bernoulli(ch.Rand(), p.P)
+				r.Old = lab
+				return r.RefineCont(t, p.S, becomeRoot,
+					radio.Do(func() { lab = r.New }, iter(it+1, t+per)))
+			})
+		}
+		return iter(0, 1)
 	})
 }

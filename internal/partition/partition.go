@@ -25,6 +25,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/srcomm"
 )
 
 // Params configures one Partition(beta) run; all fields are global
@@ -80,13 +81,15 @@ type msg struct {
 	layer   int
 }
 
-// RunCont is the continuation form of the device side of Partition(beta)
-// in the window [start, start+Slots()), resuming with k when the window
-// ends. The exponential shift is drawn when the continuation first runs;
-// out is complete (every device clustered) before k resumes.
-func RunCont(p Params, start uint64, out *Result, k radio.Cont) radio.Cont {
+// Proc returns the device step machine executing Partition(beta) in the
+// window [start, start+Slots()). The exponential shift is drawn at the
+// device's first step; every device ends clustered, and the device
+// halts when the window ends. Every epoch re-arms the device's one
+// SR-communication window.
+func Proc(p Params, start uint64, out *Result) radio.Proc {
 	w := p.SR.Slots()
-	return radio.EvalCh(func(ch radio.Channel) radio.Cont {
+	return radio.ContProc(func(ch radio.Channel) radio.Cont {
+		win := new(srcomm.Window)
 		delta := rng.Exponential(ch.Rand(), p.Beta)
 		st := p.Epochs - int(math.Ceil(delta))
 		if st < 1 {
@@ -100,7 +103,7 @@ func RunCont(p Params, start uint64, out *Result, k radio.Cont) radio.Cont {
 				out.Cluster = ch.Index()
 				out.Layer = 0
 			}
-		}, k)
+		}, nil)
 		var epoch func(t int) radio.Cont
 		epoch = func(t int) radio.Cont {
 			if t > p.Epochs {
@@ -115,30 +118,17 @@ func RunCont(p Params, start uint64, out *Result, k radio.Cont) radio.Cont {
 					out.Layer = 0
 				}
 				if out.Cluster >= 0 {
-					return p.SR.SendCont(ws, func() any {
-						return msg{cluster: out.Cluster, layer: out.Layer}
-					}, next)
+					return p.SR.SendCont(win, ws, msg{cluster: out.Cluster, layer: out.Layer}, next)
 				}
-				return p.SR.ReceiveCont(ws, func(m any, ok bool) {
-					if ok {
-						if mm, isMsg := m.(msg); isMsg {
-							out.Cluster = mm.cluster
-							out.Layer = mm.layer + 1
-						}
+				return p.SR.ReceiveCont(win, ws, func(m any) {
+					if mm, isMsg := m.(msg); isMsg {
+						out.Cluster = mm.cluster
+						out.Layer = mm.layer + 1
 					}
 				}, next)
 			})
 		}
 		return epoch(1)
-	})
-}
-
-// Proc returns the device step machine executing Partition(beta) in the
-// window [start, start+Slots()). Every device ends clustered; the device
-// halts when the window ends.
-func Proc(p Params, start uint64, out *Result) radio.Proc {
-	return radio.ContProc(func(ch radio.Channel) radio.Cont {
-		return RunCont(p, start, out, nil)
 	})
 }
 

@@ -17,6 +17,9 @@ package radio
 // proportion to its length. A phase that runs many windows of one shape
 // is cheaper as a flat Proc that re-arms one sub-machine in place,
 // embedded in the chain with one ProcCont (see cluster's cast machine).
+// Every SR-communication window runs that way: the protocol re-arms the
+// device's one srcomm.Window and embeds it with ProcCont, so a window
+// allocates no machine.
 
 // Then performs a, then resumes with k.
 func Then(a Action, k Cont) Cont {
@@ -80,8 +83,8 @@ func Do(f func(), k Cont) Cont {
 
 // ProcCont drives a sub-proc to completion inside a continuation chain,
 // then resumes with k — the nesting adapter that lets a continuation
-// protocol run one of srcomm's SR-communication step machines as a
-// window of its schedule. The sub-proc's halt is consumed (it ends the
+// protocol run an armed srcomm.Window as an SR-communication window of
+// its schedule. The sub-proc's halt is consumed (it ends the
 // sub-window, not the device), and k resumes with the zero Feedback. A
 // sub-proc may halt on the step that carries its last listen's feedback
 // (srcomm's LOCAL receiver does); that feedback was the sub-proc's to

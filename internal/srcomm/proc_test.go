@@ -26,7 +26,7 @@ func traceOf(t *testing.T, cfg radio.Config, devs []radio.Device) string {
 }
 
 // TestProcsTraceDeterministic pins every SR-communication realization's
-// determinism: a population of step procs produces the byte-identical
+// determinism: a population of armed Windows produces the byte-identical
 // event stream run over run — including identical random draws, which
 // the decay and Lemma 8 machines must replay in a fixed stream order.
 func TestProcsTraceDeterministic(t *testing.T) {
@@ -40,59 +40,41 @@ func TestProcsTraceDeterministic(t *testing.T) {
 		{
 			name: "decay", graph: graph.Star(9), model: radio.NoCD,
 			build: func(v int) radio.Proc {
-				p := DecayParams{Delta: 8, Phases: 6}
-				if v == 0 {
-					var got any
-					var ok bool
-					return DecayReceiveProc(1, p, &got, &ok)
-				}
-				return DecaySendProc(1, p, v*10)
+				w := new(Window)
+				w.ArmDecay(1, DecayParams{Delta: 8, Phases: 6}, v > 0, v*10)
+				return w
 			},
 		},
 		{
 			name: "cd-precheck-ack", graph: graph.K2k(5), model: radio.CD,
 			build: func(v int) radio.Proc {
-				p := CDParams{Delta: 5, Epochs: 7, Precheck: true, Ack: true}
-				if v < 2 {
-					var got any
-					var ok bool
-					return CDReceiveProc(1, p, &got, &ok)
-				}
-				return CDSendProc(1, p, v)
+				w := new(Window)
+				w.ArmCD(1, CDParams{Delta: 5, Epochs: 7, Precheck: true, Ack: true}, v >= 2, v)
+				return w
 			},
 		},
 		{
 			name: "cd-plain", graph: graph.Clique(6), model: radio.CD,
 			build: func(v int) radio.Proc {
-				p := CDParams{Delta: 6, Epochs: 9}
-				if v == 0 {
-					var got any
-					var ok bool
-					return CDReceiveProc(1, p, &got, &ok)
-				}
-				return CDSendProc(1, p, v)
+				w := new(Window)
+				w.ArmCD(1, CDParams{Delta: 6, Epochs: 9}, v > 0, v)
+				return w
 			},
 		},
 		{
-			name: "det-two-stage", graph: graph.Star(7), model: radio.CD, idsp: 7,
+			name: "det", graph: graph.Star(7), model: radio.CD, idsp: 7,
 			build: func(v int) radio.Proc {
-				p := DetParams{M: 50, IDSpace: 7}
-				if v == 0 {
-					var got int
-					var ok bool
-					return DetReceiveProc(1, p, 0, 0, &got, &ok)
-				}
-				return DetSendProc(1, p, v+20)
+				w := new(Window)
+				w.ArmDet(1, DetParams{IDSpace: 7}, v > 0, v+20)
+				return w
 			},
 		},
 		{
 			name: "local", graph: graph.Star(5), model: radio.Local,
 			build: func(v int) radio.Proc {
-				if v == 0 {
-					var got []any
-					return LocalReceiveProc(1, &got)
-				}
-				return LocalSendProc(1, v)
+				w := new(Window)
+				w.ArmLocal(1, v > 0, v)
+				return w
 			},
 		},
 	}
@@ -115,20 +97,20 @@ func TestProcsTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecayProcResults checks the proc constructors' out-parameters.
+// TestDecayProcResults checks a decay receiver Window's delivery.
 func TestDecayProcResults(t *testing.T) {
 	g := graph.Star(4)
 	p := DecayParams{Delta: 3, Phases: 8}
-	var got any
-	var ok bool
+	wins := make([]Window, g.N())
 	devs := make([]radio.Device, g.N())
-	devs[0].Proc = DecayReceiveProc(1, p, &got, &ok)
-	for v := 1; v < g.N(); v++ {
-		devs[v].Proc = DecaySendProc(1, p, v*11)
+	for v := range wins {
+		wins[v].ArmDecay(1, p, v > 0, v*11)
+		devs[v].Proc = &wins[v]
 	}
 	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.NoCD, Seed: 5}, devs); err != nil {
 		t.Fatal(err)
 	}
+	got, ok := wins[0].Delivery()
 	if !ok {
 		t.Fatal("decay receiver proc heard nothing in 8 phases on a 3-leaf star")
 	}
@@ -175,6 +157,7 @@ func (d *windowSeq) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 func TestWindowRearmKeepsDeliveriesApart(t *testing.T) {
 	cd := CDParams{Delta: 2, Epochs: 8, Precheck: true}
 	decay := DecayParams{Delta: 2, Phases: 8}
+	det := DetParams{IDSpace: 2}
 	cases := []struct {
 		name  string
 		model radio.Model
@@ -184,6 +167,7 @@ func TestWindowRearmKeepsDeliveriesApart(t *testing.T) {
 		{"local", radio.Local, 1, func(win *Window, s uint64, send bool, m any) { win.ArmLocal(s, send, m) }},
 		{"cd", radio.CD, cd.Slots(), func(win *Window, s uint64, send bool, m any) { win.ArmCD(s, cd, send, m) }},
 		{"decay", radio.NoCD, decay.Slots(), func(win *Window, s uint64, send bool, m any) { win.ArmDecay(s, decay, send, m) }},
+		{"det", radio.CD, det.Slots(), func(win *Window, s uint64, send bool, m any) { win.ArmDet(s, det, send, m) }},
 	}
 	for _, tc := range cases {
 		recv := &windowSeq{w: tc.w, n: 3, arm: func(win *Window, _ int, start uint64) {
@@ -192,7 +176,7 @@ func TestWindowRearmKeepsDeliveriesApart(t *testing.T) {
 		send := &windowSeq{w: tc.w, n: 3, arm: func(win *Window, i int, start uint64) {
 			tc.arm(win, start, i != 1, i)
 		}}
-		cfg := radio.Config{Graph: graph.Path(2), Model: tc.model, Seed: 4}
+		cfg := radio.Config{Graph: graph.Path(2), Model: tc.model, Seed: 4, IDSpace: 2}
 		if _, err := radio.RunDevices(cfg, radio.Procs([]radio.Proc{recv, send})); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -227,22 +211,21 @@ func TestDecayWindowSteps(t *testing.T) {
 	for _, model := range []radio.Model{radio.NoCD, radio.CD} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			g := graph.Path(5)
+			wins := make([]Window, g.N())
 			counters := make([]*stepCounter, g.N())
 			devs := make([]radio.Device, g.N())
-			got := make([]any, g.N())
-			ok := make([]bool, g.N())
 			for v := range devs {
-				c := &stepCounter{p: DecayReceiveProc(1, p, &got[v], &ok[v])}
-				if v == 0 {
-					c.p = DecaySendProc(1, p, "m")
-				}
+				wins[v].ArmDecay(1, p, v == 0, "m")
+				c := &stepCounter{p: &wins[v]}
 				counters[v], devs[v].Proc = c, c
 			}
 			if _, err := radio.RunDevices(radio.Config{Graph: g, Model: model, Seed: seed}, devs); err != nil {
 				t.Fatal(err)
 			}
-			if !ok[1] || got[1] != "m" || ok[2] {
-				t.Fatalf("%v seed %d: deliveries %v %v", model, seed, got, ok)
+			m1, ok1 := wins[1].Delivery()
+			m2, ok2 := wins[2].Delivery()
+			if !ok1 || m1 != "m" || ok2 {
+				t.Fatalf("%v seed %d: deliveries %v %v, %v %v", model, seed, m1, ok1, m2, ok2)
 			}
 			if s := counters[0].steps; s > p.Phases+2 {
 				t.Errorf("%v seed %d: sender took %d steps for %d phases", model, seed, s, p.Phases)

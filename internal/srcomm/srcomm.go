@@ -13,20 +13,23 @@
 //     steer a leader.Schedule; O(log log Delta + log 1/f) receiver energy,
 //     plus the Remark 9 relevance pre-check and the single-receiver ACK
 //     optimization.
-//   - CD deterministic: binary search over message prefixes (Lemma 24):
-//     O(min{M,N}) time and O(log min{M,N}) energy.
+//   - CD deterministic: Lemma 24 over IDs. A binary search over ID
+//     prefixes finds the minimum sender ID in a receiver's neighborhood,
+//     then that sender's message arrives in the slot indexed by its ID:
+//     O(N) time and O(log N) energy for ID space N.
 //
 // Every protocol occupies a fixed slot window [start, start+Slots()).
 // A participant finishes the window with its local clock at
 // start+Slots()-1, so the next block can begin at start+Slots(). Devices
-// not participating sleep past the window with the Skip helpers; all
-// devices of a larger protocol must agree on start and parameters, which
-// is how the paper's algorithms keep global synchronization.
+// not participating sleep past the window; all devices of a larger
+// protocol must agree on start and parameters, which is how the paper's
+// algorithms keep global synchronization.
 //
-// Each role is a resumable step machine. The Proc constructors return a
-// fresh one per window; a Window holds one of each LOCAL, CD and decay
-// machine and re-arms one in place, for a device that runs window after
-// window without allocating per window.
+// Each role is a resumable step machine, and a Window is how to run one:
+// arm it as the sender or the receiver of one realization for one
+// window, step it as a radio.Proc until it halts, and read a receiver's
+// delivery. A device that runs window after window re-arms its one
+// Window in place instead of allocating a machine per window.
 package srcomm
 
 import (
@@ -81,12 +84,6 @@ type decaySend struct {
 	done    bool
 }
 
-// DecaySendProc returns the sender role as an inline step proc
-// occupying [start, start+Slots()). Procs are single-use.
-func DecaySendProc(start uint64, p DecayParams, payload any) radio.Proc {
-	return &decaySend{p: p, start: start, payload: payload}
-}
-
 func (s *decaySend) Step(ch radio.Channel, _ radio.Feedback) radio.Action {
 	if s.done {
 		return radio.Halt()
@@ -110,16 +107,8 @@ func (s *decaySend) Step(ch radio.Channel, _ radio.Feedback) radio.Action {
 type decayRecv struct {
 	p     DecayParams
 	start uint64
-	got   *any
-	ok    *bool
+	got   *delivery
 	pc    int // 0 window start, 1 run issued, 2 done
-}
-
-// DecayReceiveProc returns the receiver role as an inline step proc.
-// The first received payload (if any) is stored through got/ok when the
-// proc halts. Procs are single-use.
-func DecayReceiveProc(start uint64, p DecayParams, got *any, ok *bool) radio.Proc {
-	return &decayRecv{p: p, start: start, got: got, ok: ok}
 }
 
 func (r *decayRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
@@ -132,7 +121,7 @@ func (r *decayRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
 		}
 	case 1: // the run ended at the first delivery or the window's last slot
 		if fb.Status == radio.Received {
-			*r.got, *r.ok = fb.Payload, true
+			*r.got = delivery{fb.Payload, true}
 		}
 		r.pc = 2
 	default:
@@ -207,12 +196,6 @@ type cdSend struct {
 	ep      int
 	pending [2]uint64 // this epoch's transmit slots
 	np, pi  int
-}
-
-// CDSendProc returns the sender role as an inline step proc. Procs are
-// single-use.
-func CDSendProc(start uint64, p CDParams, payload any) radio.Proc {
-	return &cdSend{p: p, start: start, payload: payload}
 }
 
 func (s *cdSend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
@@ -301,20 +284,12 @@ func (s *cdSend) finish() radio.Action {
 type cdRecv struct {
 	p     CDParams
 	start uint64
-	got   *any
-	ok    *bool
+	got   *delivery
 
 	pc    int // 0 start, 1 probe sent, 2 precheck fb, 3 epoch fb, 4 ack sent, 5 done
 	kMax  int
 	ep    int
 	sched leader.Schedule
-}
-
-// CDReceiveProc returns the receiver role as an inline step proc. The
-// received payload (if any) is stored through got/ok. Procs are
-// single-use.
-func CDReceiveProc(start uint64, p CDParams, got *any, ok *bool) radio.Proc {
-	return &cdRecv{p: p, start: start, got: got, ok: ok}
 }
 
 func (r *cdRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
@@ -340,16 +315,16 @@ func (r *cdRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 		return r.epochListen()
 	case 3:
 		if fb.Status == radio.Received {
-			*r.got, *r.ok = fb.Payload, true
+			*r.got = delivery{fb.Payload, true}
 		} else {
 			r.sched.Update(fb.Status)
 		}
-		if p.Ack && *r.ok {
+		if p.Ack && r.got.ok {
 			base := r.start + uint64(p.precheckSlots()+r.ep*p.EpochLen())
 			r.pc = 4
 			return radio.Transmit(base+uint64(r.kMax), nil)
 		}
-		if *r.ok {
+		if r.got.ok {
 			return r.finish()
 		}
 		r.ep++
@@ -381,171 +356,89 @@ func (r *cdRecv) finish() radio.Action {
 	return radio.Sleep(r.start + r.p.Slots() - 1)
 }
 
-// DetParams configures the deterministic CD protocol of Lemma 24.
-// Messages are integers in {1..M}. When M exceeds the ID space N, the
-// two-stage variant applies: the binary search runs over IDs, then one
-// slot per ID carries the actual message.
+// DetParams configures the deterministic CD protocol of Lemma 24 over
+// IDs: stage one binary-searches the minimum sender ID in a receiver's
+// neighborhood, and stage two carries that sender's payload in the slot
+// indexed by its ID.
 type DetParams struct {
-	// M is the message-space bound (at least 1).
-	M int
-	// IDSpace is the deterministic ID bound N (0 if IDs are unavailable,
-	// forcing the direct O(M) schedule).
+	// IDSpace is the deterministic ID bound N (at least 1).
 	IDSpace int
 }
 
-// TwoStage reports whether the M > N two-stage variant applies.
-func (p DetParams) TwoStage() bool {
-	return p.IDSpace > 0 && p.M > p.IDSpace
-}
-
-// searchSpace returns the value space binary-searched in stage one.
-func (p DetParams) searchSpace() int {
-	if p.TwoStage() {
-		return p.IDSpace
-	}
-	return p.M
-}
-
+// bits returns the rounds of stage one: one per ID bit.
 func (p DetParams) bits() int {
-	b := rng.Log2Ceil(p.searchSpace())
-	if b == 0 {
-		b = 1
-	}
-	return b
+	return max(rng.Log2Ceil(p.IDSpace), 1)
 }
 
-// Slots returns the total window length.
+// Slots returns the total window length: round x of stage one has one
+// slot per (x+1)-bit prefix, 2^(x+1) in all, and stage two one per ID.
 func (p DetParams) Slots() uint64 {
-	// Round x (x = 0..bits-1) uses 2^(x+1) slots: one per (x+1)-bit prefix.
-	total := uint64(0)
-	for x := 0; x < p.bits(); x++ {
-		total += uint64(1) << uint(x+1)
-	}
-	if p.TwoStage() {
-		total += uint64(p.IDSpace)
-	}
-	return total
+	return uint64(1)<<uint(p.bits()+1) - 2 + uint64(p.IDSpace)
 }
 
-// detSend is the sender role of Lemma 24: in round x it transmits at
-// the slot indexed by the (x+1)-bit prefix of its search key (the
-// message, or its ID in the two-stage variant); in the two-stage
-// variant it finally transmits m in the slot indexed by its ID.
+// detSend is the sender role of Lemma 24: in round x it transmits its ID
+// in the slot indexed by the ID's (x+1)-bit prefix, then its payload in
+// the stage-two slot indexed by the ID.
 type detSend struct {
-	p     DetParams
-	start uint64
-	m     int
-
-	inited  bool
-	bits, x int
-	base    uint64
-	key     int
-	stage2  bool
-	slept   bool
+	p       DetParams
+	start   uint64
+	payload any
+	base    uint64 // first slot of the next round
+	x       int    // rounds sent; bits+1 once the payload is sent
 }
 
-// DetSendProc returns the sender role as an inline step proc. Senders
-// must not simultaneously be receivers (a receiver that also holds a
-// message instead passes it to DetReceive as ownKey). Procs are
-// single-use.
-func DetSendProc(start uint64, p DetParams, m int) radio.Proc {
-	return &detSend{p: p, start: start, m: m}
-}
-
-func (s *detSend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
-	if !s.inited {
-		s.inited = true
-		s.key = s.m
-		if s.p.TwoStage() {
-			s.key = ch.AssignedID()
-		}
-		s.bits = s.p.bits()
-		s.base = s.start
-	}
-	key0 := s.key - 1 // work in {0..space-1}
-	if s.x < s.bits {
-		prefix := key0 >> uint(s.bits-s.x-1)
-		act := radio.Transmit(s.base+uint64(prefix), s.key)
+func (s *detSend) Step(ch radio.Channel, _ radio.Feedback) radio.Action {
+	id := ch.AssignedID()
+	bits := s.p.bits()
+	switch {
+	case s.x < bits:
+		prefix := (id - 1) >> uint(bits-s.x-1)
+		act := radio.Transmit(s.base+uint64(prefix), id)
 		s.base += uint64(1) << uint(s.x+1)
 		s.x++
 		return act
-	}
-	if s.p.TwoStage() && !s.stage2 {
-		s.stage2 = true
-		return radio.Transmit(s.base+uint64(key0), s.m)
-	}
-	if !s.slept {
-		s.slept = true
+	case s.x == bits:
+		s.x++
+		return radio.Transmit(s.base+uint64(id-1), s.payload)
+	case s.x == bits+1:
+		s.x++
 		return radio.Sleep(s.start + s.p.Slots() - 1)
 	}
 	return radio.Halt()
 }
 
-// detRecv is the receiver role: it binary-searches the minimum key
-// present in its inclusive neighborhood and (in the two-stage variant)
-// fetches the winner's message.
+// detRecv is the receiver role: it binary-searches the minimum ID among
+// its sending neighbors, one bit per round, and fetches that sender's
+// payload in stage two.
 type detRecv struct {
-	p              DetParams
-	start          uint64
-	ownKey, ownMsg int
-	got            *int
-	ok             *bool
-
-	pc     int // 0 round start, 1 await p0, 2 await p1, 3 await stage-2, 4 done
-	inited bool
-	bits   int
-	base   uint64
-	prefix int
-	heard  bool
-	own0   int
-	x      int
+	p      DetParams
+	start  uint64
+	got    *delivery
+	pc     int    // 0 window start, 1 await p0, 2 await p1, 3 await stage two, 4 done
+	base   uint64 // first slot of the current round
+	prefix int    // the live ID prefix, 0-based
+	x      int    // rounds decided
 }
 
-// DetReceiveProc returns the receiver role as an inline step proc.
-//
-// ownKey (0 if absent) injects the receiver's own key into the minimum,
-// implementing Lemma 24's N+(v) semantics for vertices in both S and R
-// without transmitting; ownMsg is the receiver's own message, returned
-// when its own key wins (only consulted in the two-stage variant — in
-// the single-stage variant the key is the message). The result is
-// stored through got/ok. Procs are single-use.
-func DetReceiveProc(start uint64, p DetParams, ownKey, ownMsg int, got *int, ok *bool) radio.Proc {
-	return &detRecv{p: p, start: start, ownKey: ownKey, ownMsg: ownMsg, got: got, ok: ok}
-}
-
-func (r *detRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
-	if !r.inited {
-		r.inited = true
-		r.bits = r.p.bits()
-		r.base = r.start
-		r.own0 = r.ownKey - 1
-	}
+func (r *detRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
 	switch r.pc {
 	case 0:
 		return r.round()
 	case 1: // feedback of the p0 probe
 		if fb.Status != radio.Silence {
-			r.heard = true
 			return r.take(r.prefix << 1)
 		}
-		p1 := r.prefix<<1 | 1
-		if r.ownKey > 0 && (r.own0>>uint(r.bits-r.x-1)) == p1 {
-			return r.take(p1)
-		}
 		r.pc = 2
-		return radio.Listen(r.base + uint64(p1))
+		return radio.Listen(r.base + uint64(r.prefix<<1|1))
 	case 2: // feedback of the p1 probe
 		if fb.Status != radio.Silence {
-			r.heard = true
 			return r.take(r.prefix<<1 | 1)
 		}
-		// No key matches: no sender in N+(v).
+		// No ID matches: no sender in the neighborhood.
 		return r.finish()
 	case 3: // feedback of the stage-two fetch
 		if fb.Status == radio.Received {
-			if m, isInt := fb.Payload.(int); isInt {
-				*r.got, *r.ok = m, true
-			}
+			*r.got = delivery{fb.Payload, true}
 		}
 		return r.finish()
 	default:
@@ -553,19 +446,15 @@ func (r *detRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	}
 }
 
-// round begins search round x: resolve what the receiver's own key
-// contributes, and probe the 0-extension of the live prefix when it
-// doesn't settle the bit by itself.
+// round probes the 0-extension of the live prefix, or, once every bit
+// is decided, listens in the winning ID's stage-two slot.
 func (r *detRecv) round() radio.Action {
-	if r.x >= r.bits {
-		return r.conclude()
-	}
-	p0 := r.prefix << 1
-	if r.ownKey > 0 && (r.own0>>uint(r.bits-r.x-1)) == p0 {
-		return r.take(p0)
+	if r.x == r.p.bits() {
+		r.pc = 3
+		return radio.Listen(r.base + uint64(r.prefix))
 	}
 	r.pc = 1
-	return radio.Listen(r.base + uint64(p0))
+	return radio.Listen(r.base + uint64(r.prefix<<1))
 }
 
 // take commits the round's winning prefix and moves to the next round.
@@ -573,32 +462,7 @@ func (r *detRecv) take(prefix int) radio.Action {
 	r.prefix = prefix
 	r.base += uint64(1) << uint(r.x+1)
 	r.x++
-	r.pc = 0
 	return r.round()
-}
-
-// conclude runs the post-search logic: deliver the key itself (single-stage), the receiver's own message
-// (own key won), or fetch stage two.
-func (r *detRecv) conclude() radio.Action {
-	key := r.prefix + 1
-	if !r.p.TwoStage() {
-		// In single-stage, the key is the message itself.
-		*r.got, *r.ok = key, true
-		return r.finish()
-	}
-	if r.ownKey > 0 && key == r.ownKey {
-		// Our own key is the minimum; the message is our own.
-		*r.got, *r.ok = r.ownMsg, true
-		return r.finish()
-	}
-	if !r.heard {
-		// Defensive: cannot happen when key != ownKey, but keep the
-		// invariant that we only fetch what the channel promised.
-		return r.finish()
-	}
-	// Stage two: fetch the message at the slot indexed by the winning ID.
-	r.pc = 3
-	return radio.Listen(r.base + uint64(r.prefix))
 }
 
 func (r *detRecv) finish() radio.Action {
@@ -615,11 +479,6 @@ type localSend struct {
 	done    bool
 }
 
-// LocalSendProc returns the LOCAL sender role as an inline step proc.
-func LocalSendProc(start uint64, payload any) radio.Proc {
-	return &localSend{start: start, payload: payload}
-}
-
 func (s *localSend) Step(radio.Channel, radio.Feedback) radio.Action {
 	if s.done {
 		return radio.Halt()
@@ -629,18 +488,13 @@ func (s *localSend) Step(radio.Channel, radio.Feedback) radio.Action {
 }
 
 // localRecv is the LOCAL receiver role: one listen in the window's
-// single slot. It halts on the step that carries the listen's feedback.
+// single slot. It halts on the step that carries the listen's feedback,
+// copying everything heard out of the engine's delivery buffer into
+// *got, reusing its backing array.
 type localRecv struct {
 	start    uint64
 	got      *[]any
 	listened bool
-}
-
-// LocalReceiveProc returns the LOCAL receiver role as an inline step
-// proc; everything heard is copied out of the engine's delivery buffer
-// into *got, reusing its backing array.
-func LocalReceiveProc(start uint64, got *[]any) radio.Proc {
-	return &localRecv{start: start, got: got}
 }
 
 func (r *localRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
@@ -656,11 +510,13 @@ func (r *localRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
 
 // Window is a re-armable SR-communication window: armed as the sender
 // or the receiver of one realization for one window, then stepped until
-// it halts. It holds the role machines the Proc constructors return by
-// value and steps the armed one, so a device that runs window after
-// window re-arms one Window in place instead of allocating a machine per
-// window. A receiver's delivery stays in the Window (see Delivery).
-// Step on a Window that was never armed panics.
+// it halts. It holds the role machines by value and steps the armed one,
+// so a device that runs window after window re-arms one Window in place
+// instead of allocating a machine per window. The Lemma 24 machines sit
+// behind a pointer that the first ArmDet allocates: protocols embed a
+// Window per device, and only detcast arms one for Lemma 24. A
+// receiver's delivery stays in the Window (see Delivery). Step on a
+// Window that was never armed panics.
 type Window struct {
 	role radio.Proc // the armed machine, one of the fields below
 
@@ -670,10 +526,23 @@ type Window struct {
 	cdRecv    cdRecv
 	decaySend decaySend
 	decayRecv decayRecv
+	det       *detRoles
 
-	heard []any // LOCAL receiver: everything heard
-	got   any   // CD and decay receivers: the delivered message
-	ok    bool
+	heard []any    // LOCAL receiver: everything heard
+	got   delivery // CD, decay and Lemma 24 receivers
+}
+
+// delivery is what a receiver window delivered: the message, and
+// whether there was one.
+type delivery struct {
+	msg any
+	ok  bool
+}
+
+// detRoles holds a Window's Lemma 24 machines.
+type detRoles struct {
+	send detSend
+	recv detRecv
 }
 
 // ArmLocal arms w for the LOCAL window at start, as the sender of
@@ -698,7 +567,7 @@ func (w *Window) ArmCD(start uint64, p CDParams, send bool, payload any) {
 		w.role = &w.cdSend
 		return
 	}
-	w.cdRecv = cdRecv{p: p, start: start, got: &w.got, ok: &w.ok}
+	w.cdRecv = cdRecv{p: p, start: start, got: &w.got}
 	w.role = &w.cdRecv
 }
 
@@ -711,14 +580,32 @@ func (w *Window) ArmDecay(start uint64, p DecayParams, send bool, payload any) {
 		w.role = &w.decaySend
 		return
 	}
-	w.decayRecv = decayRecv{p: p, start: start, got: &w.got, ok: &w.ok}
+	w.decayRecv = decayRecv{p: p, start: start, got: &w.got}
 	w.role = &w.decayRecv
+}
+
+// ArmDet arms w for the Lemma 24 window at start, as the sender of
+// payload when send is set and as a receiver otherwise. Senders search
+// by their assigned IDs, so the run needs an IDSpace of at most
+// p.IDSpace.
+func (w *Window) ArmDet(start uint64, p DetParams, send bool, payload any) {
+	w.clearDelivery()
+	if w.det == nil {
+		w.det = new(detRoles)
+	}
+	if send {
+		w.det.send = detSend{p: p, start: start, payload: payload, base: start}
+		w.role = &w.det.send
+		return
+	}
+	w.det.recv = detRecv{p: p, start: start, got: &w.got, base: start}
+	w.role = &w.det.recv
 }
 
 func (w *Window) clearDelivery() {
 	clear(w.heard)
 	w.heard = w.heard[:0]
-	w.got, w.ok = nil, false
+	w.got = delivery{}
 }
 
 // Step steps the armed role machine.
@@ -734,5 +621,5 @@ func (w *Window) Delivery() (any, bool) {
 	if len(w.heard) > 0 {
 		return w.heard[0], true
 	}
-	return w.got, w.ok
+	return w.got.msg, w.got.ok
 }

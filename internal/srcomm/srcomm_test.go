@@ -1,40 +1,36 @@
 package srcomm
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
 
-// Role constants for runSR's device builder.
-const (
-	roleSend = iota
-	roleRecv
-	roleSkip
-)
-
-// runSR runs an SR-communication on g with the given sender payloads and
-// receiver set, returning received payloads (absent where nothing was
-// received). mk builds the device proc for one vertex; receivers write
-// their result through got/ok.
+// runSR runs one SR window on g: the vertices in senders send their
+// payloads, the receivers receive, and every other vertex sits the
+// window out. arm arms a participant's Window for its role. It returns
+// every receiver's delivery.
 func runSR(t *testing.T, g *graph.Graph, model radio.Model, seed uint64,
 	senders map[int]any, receivers map[int]bool,
-	mk func(role int, payload any, got *any, ok *bool) radio.Proc) (map[int]any, *radio.Result) {
+	arm func(w *Window, send bool, payload any)) (map[int]any, *radio.Result) {
 	t.Helper()
 	n := g.N()
-	heard := make([]any, n)
-	oks := make([]bool, n)
+	wins := make([]Window, n)
 	procs := make([]radio.Proc, n)
 	for v := 0; v < n; v++ {
 		switch {
 		case senders[v] != nil:
-			procs[v] = mk(roleSend, senders[v], &heard[v], &oks[v])
+			arm(&wins[v], true, senders[v])
+			procs[v] = &wins[v]
 		case receivers[v]:
-			procs[v] = mk(roleRecv, nil, &heard[v], &oks[v])
+			arm(&wins[v], false, nil)
+			procs[v] = &wins[v]
 		default:
-			procs[v] = mk(roleSkip, nil, &heard[v], &oks[v])
+			procs[v] = idleProc()
 		}
 	}
 	res, err := radio.RunDevices(radio.Config{Graph: g, Model: model, Seed: seed, IDSpace: n},
@@ -43,9 +39,9 @@ func runSR(t *testing.T, g *graph.Graph, model radio.Model, seed uint64,
 		t.Fatalf("run: %v", err)
 	}
 	got := make(map[int]any)
-	for v := range heard {
-		if oks[v] && heard[v] != nil {
-			got[v] = heard[v]
+	for v := range receivers {
+		if m, ok := wins[v].Delivery(); ok && m != nil {
+			got[v] = m
 		}
 	}
 	return got, res
@@ -59,55 +55,19 @@ func idleProc() radio.Proc {
 	})
 }
 
-// decayMk builds decay devices for runSR.
-func decayMk(p DecayParams) func(role int, payload any, got *any, ok *bool) radio.Proc {
-	return func(role int, payload any, got *any, ok *bool) radio.Proc {
-		switch role {
-		case roleSend:
-			return DecaySendProc(1, p, payload)
-		case roleRecv:
-			return DecayReceiveProc(1, p, got, ok)
-		default:
-			return idleProc()
-		}
-	}
+// decayArm arms decay windows for runSR.
+func decayArm(p DecayParams) func(w *Window, send bool, payload any) {
+	return func(w *Window, send bool, payload any) { w.ArmDecay(1, p, send, payload) }
 }
 
-// cdMk builds CD devices for runSR.
-func cdMk(p CDParams) func(role int, payload any, got *any, ok *bool) radio.Proc {
-	return func(role int, payload any, got *any, ok *bool) radio.Proc {
-		switch role {
-		case roleSend:
-			return CDSendProc(1, p, payload)
-		case roleRecv:
-			return CDReceiveProc(1, p, got, ok)
-		default:
-			return idleProc()
-		}
-	}
+// cdArm arms CD windows for runSR.
+func cdArm(p CDParams) func(w *Window, send bool, payload any) {
+	return func(w *Window, send bool, payload any) { w.ArmCD(1, p, send, payload) }
 }
 
-// detMk builds deterministic-SR devices for runSR; receivers carry
-// ownKey/ownMsg and their int result is widened to any after the window.
-func detMk(p DetParams, ownKey, ownMsg int) func(role int, payload any, got *any, ok *bool) radio.Proc {
-	return func(role int, payload any, got *any, ok *bool) radio.Proc {
-		switch role {
-		case roleSend:
-			return DetSendProc(1, p, payload.(int))
-		case roleRecv:
-			gi := new(int)
-			return radio.ContProc(func(radio.Channel) radio.Cont {
-				return radio.ProcCont(DetReceiveProc(1, p, ownKey, ownMsg, gi, ok),
-					radio.Do(func() {
-						if *ok {
-							*got = *gi
-						}
-					}, nil))
-			})
-		default:
-			return idleProc()
-		}
-	}
+// detArm arms Lemma 24 windows for runSR.
+func detArm(p DetParams) func(w *Window, send bool, payload any) {
+	return func(w *Window, send bool, payload any) { w.ArmDet(1, p, send, payload) }
 }
 
 func TestDecayDeliversOnStar(t *testing.T) {
@@ -120,7 +80,7 @@ func TestDecayDeliversOnStar(t *testing.T) {
 		for i := 1; i <= k; i++ {
 			senders[i] = i * 100
 		}
-		got, _ := runSR(t, g, radio.NoCD, 11, senders, map[int]bool{0: true}, decayMk(p))
+		got, _ := runSR(t, g, radio.NoCD, 11, senders, map[int]bool{0: true}, decayArm(p))
 		if got[0] == nil {
 			t.Errorf("k=%d: center received nothing", k)
 		}
@@ -141,7 +101,7 @@ func TestDecayAllReceiversHear(t *testing.T) {
 		}
 	}
 	p := DecayParams{Delta: g.MaxDegree(), Phases: DecayPhasesForFailure(g.N())}
-	got, _ := runSR(t, g, radio.NoCD, 13, senders, receivers, decayMk(p))
+	got, _ := runSR(t, g, radio.NoCD, 13, senders, receivers, decayArm(p))
 	for v := range receivers {
 		hasSender := false
 		for _, w := range g.Neighbors(v) {
@@ -162,7 +122,7 @@ func TestDecayAllReceiversHear(t *testing.T) {
 func TestDecayWindowRespected(t *testing.T) {
 	g := graph.Path(3)
 	p := DecayParams{Delta: 2, Phases: 4}
-	_, res := runSR(t, g, radio.NoCD, 1, map[int]any{0: "m"}, map[int]bool{1: true}, decayMk(p))
+	_, res := runSR(t, g, radio.NoCD, 1, map[int]any{0: "m"}, map[int]bool{1: true}, decayArm(p))
 	if res.Slots > p.Slots() {
 		t.Errorf("used slot %d beyond window %d", res.Slots, p.Slots())
 	}
@@ -176,7 +136,7 @@ func TestCDDeliversOnStar(t *testing.T) {
 		for i := 1; i <= k; i++ {
 			senders[i] = i * 100
 		}
-		got, _ := runSR(t, g, radio.CD, 21, senders, map[int]bool{0: true}, cdMk(p))
+		got, _ := runSR(t, g, radio.CD, 21, senders, map[int]bool{0: true}, cdArm(p))
 		if got[0] == nil {
 			t.Errorf("k=%d: center received nothing", k)
 		}
@@ -194,7 +154,7 @@ func TestCDReceiverEnergySmall(t *testing.T) {
 	for i := 1; i <= k; i++ {
 		senders[i] = i
 	}
-	_, res := runSR(t, g, radio.CD, 5, senders, map[int]bool{0: true}, cdMk(p))
+	_, res := runSR(t, g, radio.CD, 5, senders, map[int]bool{0: true}, cdArm(p))
 	if res.Listens[0] > p.Epochs {
 		t.Errorf("receiver listened %d times (> %d epochs)", res.Listens[0], p.Epochs)
 	}
@@ -211,7 +171,7 @@ func TestCDPrecheckDropsIrrelevant(t *testing.T) {
 	p := CDParams{Delta: 2, Epochs: CDEpochsForFailure(6, 2), Precheck: true}
 	senders := map[int]any{0: "m", 4: "w"}
 	receivers := map[int]bool{1: true}
-	_, res := runSR(t, g, radio.CD, 31, senders, receivers, cdMk(p))
+	_, res := runSR(t, g, radio.CD, 31, senders, receivers, cdArm(p))
 	// Sender 4 has no receiver neighbors: energy exactly 1 (the precheck
 	// listen).
 	if res.Energy[4] != 1 {
@@ -226,7 +186,7 @@ func TestCDPrecheckDropsIrrelevant(t *testing.T) {
 func TestCDPrecheckDropsReceiverWithoutSenders(t *testing.T) {
 	g := graph.Path(4) // S={0}, R={1,3}; 3's neighbor 2 is idle.
 	p := CDParams{Delta: 2, Epochs: CDEpochsForFailure(4, 2), Precheck: true}
-	_, res := runSR(t, g, radio.CD, 33, map[int]any{0: "m"}, map[int]bool{1: true, 3: true}, cdMk(p))
+	_, res := runSR(t, g, radio.CD, 33, map[int]any{0: "m"}, map[int]bool{1: true, 3: true}, cdArm(p))
 	// Receiver 3: precheck transmit + one listen = 2, then out.
 	if res.Energy[3] != 2 {
 		t.Errorf("irrelevant receiver energy = %d, want 2", res.Energy[3])
@@ -238,7 +198,7 @@ func TestCDAckReleasesSenders(t *testing.T) {
 	// and ACKs, the sender stops; its energy stays far below epochs*2.
 	g := graph.Path(2)
 	p := CDParams{Delta: 1, Epochs: 200, Ack: true}
-	_, res := runSR(t, g, radio.CD, 41, map[int]any{0: "m"}, map[int]bool{1: true}, cdMk(p))
+	_, res := runSR(t, g, radio.CD, 41, map[int]any{0: "m"}, map[int]bool{1: true}, cdArm(p))
 	if res.Energy[0] > 40 {
 		t.Errorf("acked sender energy = %d; should stop early", res.Energy[0])
 	}
@@ -247,105 +207,73 @@ func TestCDAckReleasesSenders(t *testing.T) {
 	}
 }
 
-func TestDetSRSingleStage(t *testing.T) {
-	// K_{2,k}-ish: receivers 0 and 1, senders in the middle with distinct
-	// messages; receivers must learn the minimum message of their
-	// neighborhoods.
-	g := graph.K2k(5)
-	p := DetParams{M: 16}
-	senders := map[int]any{}
-	msgs := []int{9, 3, 12, 7, 5}
-	for i, m := range msgs {
-		senders[2+i] = m
-	}
-	got, res := runSR(t, g, radio.CD, 0, senders, map[int]bool{0: true, 1: true}, detMk(p, 0, 0))
-	for _, v := range []int{0, 1} {
-		if got[v] != 3 {
-			t.Errorf("receiver %d got %v, want minimum 3", v, got[v])
-		}
-	}
-	if res.Slots > p.Slots() {
-		t.Errorf("slots %d beyond window %d", res.Slots, p.Slots())
-	}
-	// Energy O(log M): each receiver at most 2 listens per bit round.
-	if res.Energy[0] > 2*rng.Log2Ceil(p.M)+2 {
-		t.Errorf("receiver energy %d exceeds 2 log M", res.Energy[0])
-	}
-}
-
 func TestDetSRSameMessageManySenders(t *testing.T) {
 	// All senders hold the same message (broadcast relay): collisions in
 	// the prefix slots are noise, still non-silence, so CD resolves it.
 	g := graph.Star(9)
-	p := DetParams{M: 64}
+	p := DetParams{IDSpace: g.N()}
 	senders := map[int]any{}
 	for i := 1; i <= 8; i++ {
 		senders[i] = 42
 	}
-	got, _ := runSR(t, g, radio.CD, 0, senders, map[int]bool{0: true}, detMk(p, 0, 0))
+	got, _ := runSR(t, g, radio.CD, 0, senders, map[int]bool{0: true}, detArm(p))
 	if got[0] != 42 {
 		t.Errorf("receiver got %v, want 42", got[0])
 	}
 }
 
+// TestDetSRTwoStage checks Lemma 24 over IDs on K_{2,k}: stage one
+// finds the minimum sender ID in each receiver's neighborhood and stage
+// two ships that sender's payload, whatever its type. A receiver listens
+// at most twice per ID bit plus once in stage two, O(log N) energy.
 func TestDetSRTwoStage(t *testing.T) {
-	// M > N: the message space exceeds the ID space; stage one finds the
-	// min sender ID, stage two ships the payload.
-	g := graph.Star(4)
-	p := DetParams{M: 1 << 20, IDSpace: 4}
-	senders := map[int]any{1: 999999, 2: 123456, 3: 777777}
-	got, _ := runSR(t, g, radio.CD, 0, senders, map[int]bool{0: true}, detMk(p, 0, 0))
-	// Min sender ID is device 1 (ID 2 under the default assignment);
-	// its message must arrive.
-	if got[0] != 999999 {
-		t.Errorf("receiver got %v, want message of lowest-ID sender (999999)", got[0])
+	g := graph.K2k(5)
+	p := DetParams{IDSpace: g.N()}
+	senders := map[int]any{}
+	for v := 2; v < g.N(); v++ {
+		senders[v] = fmt.Sprintf("from %d", v)
+	}
+	got, res := runSR(t, g, radio.CD, 0, senders, map[int]bool{0: true, 1: true}, detArm(p))
+	// The lowest sender ID is device 2's (ID 3 under the default
+	// assignment); both receivers are adjacent to every sender.
+	for _, v := range []int{0, 1} {
+		if got[v] != "from 2" {
+			t.Errorf("receiver %d got %v, want the lowest-ID sender's \"from 2\"", v, got[v])
+		}
+		if bound := 2*max(rng.Log2Ceil(p.IDSpace), 1) + 1; res.Listens[v] > bound {
+			t.Errorf("receiver %d listened %d times, above 2 log N + 1 = %d", v, res.Listens[v], bound)
+		}
+	}
+	if res.Slots > p.Slots() {
+		t.Errorf("slots %d beyond window %d", res.Slots, p.Slots())
 	}
 }
 
 func TestDetSRNoSenders(t *testing.T) {
 	g := graph.Path(2)
-	p := DetParams{M: 8}
-	got, _ := runSR(t, g, radio.CD, 0, map[int]any{}, map[int]bool{0: true, 1: true}, detMk(p, 0, 0))
+	p := DetParams{IDSpace: g.N()}
+	got, _ := runSR(t, g, radio.CD, 0, map[int]any{}, map[int]bool{0: true, 1: true}, detArm(p))
 	if len(got) != 0 {
 		t.Errorf("receivers heard %v from nobody", got)
 	}
 }
 
-func TestDetSROwnKey(t *testing.T) {
-	// Receiver also holds key 2; neighbors send 5 and 9. Minimum over
-	// N+(v) is its own 2.
-	g := graph.Star(3)
-	p := DetParams{M: 16}
-	got, _ := runSR(t, g, radio.CD, 0, map[int]any{1: 5, 2: 9}, map[int]bool{0: true}, detMk(p, 2, 2))
-	if got[0] != 2 {
-		t.Errorf("receiver got %v, want own key 2", got[0])
-	}
-}
-
-func TestDetSROwnKeyLoses(t *testing.T) {
-	// Receiver holds key 9; neighbor sends 5: the channel minimum wins.
-	g := graph.Path(2)
-	p := DetParams{M: 16}
-	got, _ := runSR(t, g, radio.CD, 0, map[int]any{1: 5}, map[int]bool{0: true}, detMk(p, 9, 9))
-	if got[0] != 5 {
-		t.Errorf("receiver got %v, want 5", got[0])
-	}
-}
-
 func TestLocalSR(t *testing.T) {
 	g := graph.Star(4)
-	var heard []any
-	procs := []radio.Proc{
-		LocalReceiveProc(1, &heard),
-		LocalSendProc(1, "a"),
-		LocalSendProc(1, "b"),
-		LocalSendProc(1, "c"),
+	wins := make([]Window, g.N())
+	procs := make([]radio.Proc, g.N())
+	for v := range wins {
+		wins[v].ArmLocal(1, v > 0, string(rune('a'+v)))
+		procs[v] = &wins[v]
 	}
 	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.Local}, radio.Procs(procs)); err != nil {
 		t.Fatal(err)
 	}
-	if len(heard) != 3 {
-		t.Fatalf("LOCAL receiver heard %d of 3 messages", len(heard))
+	if len(wins[0].heard) != 3 {
+		t.Fatalf("LOCAL receiver heard %d of 3 messages", len(wins[0].heard))
+	}
+	if m, ok := wins[0].Delivery(); !ok || m != "b" {
+		t.Fatalf("LOCAL receiver delivered %v %v, want the lowest-index sender's \"b\"", m, ok)
 	}
 }
 
@@ -361,19 +289,20 @@ func TestParamsSlotsConsistency(t *testing.T) {
 	if c.EpochLen() != rng.Log2Ceil(7)+2 {
 		t.Error("CDParams.EpochLen mismatch")
 	}
-	p1 := DetParams{M: 8}
-	if p1.TwoStage() {
-		t.Error("M=8 without IDSpace should be single-stage")
+	if p := (DetParams{IDSpace: 8}); p.Slots() != 2+4+8+8 {
+		t.Errorf("DetParams{IDSpace: 8}.Slots = %d, want 22", p.Slots())
 	}
-	if p1.Slots() != 2+4+8 {
-		t.Errorf("DetParams{M:8}.Slots = %d, want 14", p1.Slots())
+	if p := (DetParams{IDSpace: 1}); p.Slots() != 2+1 {
+		t.Errorf("DetParams{IDSpace: 1}.Slots = %d, want 3", p.Slots())
 	}
-	p2 := DetParams{M: 100, IDSpace: 8}
-	if !p2.TwoStage() {
-		t.Error("M=100 > N=8 should be two-stage")
-	}
-	if p2.Slots() != 2+4+8+8 {
-		t.Errorf("two-stage Slots = %d, want 22", p2.Slots())
+}
+
+// TestWindowSize keeps Window in its 480-byte size class: protocols
+// embed one per device (the cast machine one per Broadcaster and per
+// Refiner), so a larger Window costs every device.
+func TestWindowSize(t *testing.T) {
+	if s := unsafe.Sizeof(Window{}); s > 480 {
+		t.Errorf("unsafe.Sizeof(Window{}) = %d, want at most 480", s)
 	}
 }
 
@@ -387,7 +316,7 @@ func TestDecayDeliveryProbabilityHigh(t *testing.T) {
 		senders[i] = i
 	}
 	for seed := uint64(0); seed < 20; seed++ {
-		got, _ := runSR(t, g, radio.NoCD, seed, senders, map[int]bool{0: true}, decayMk(p))
+		got, _ := runSR(t, g, radio.NoCD, seed, senders, map[int]bool{0: true}, decayArm(p))
 		if got[0] == nil {
 			t.Errorf("seed %d: decay failed to deliver", seed)
 		}
@@ -402,7 +331,7 @@ func TestCDDeliveryProbabilityHigh(t *testing.T) {
 		senders[i] = i
 	}
 	for seed := uint64(0); seed < 20; seed++ {
-		got, _ := runSR(t, g, radio.CD, 0+seed, senders, map[int]bool{0: true}, cdMk(p))
+		got, _ := runSR(t, g, radio.CD, 0+seed, senders, map[int]bool{0: true}, cdArm(p))
 		if got[0] == nil {
 			t.Errorf("seed %d: CD SR-communication failed to deliver", seed)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -114,24 +115,32 @@ func broadcastMeasures(res *core.Result) Measures {
 
 func (broadcastWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options) (Measures, error) {
 	opts := append(broadcastOptions(pt.Value.(broadcastPoint), opt), core.WithSeed(seed))
-	if !opt.Fault.Active() {
-		res, err := core.Broadcast(g, opt.Source, opts...)
-		if err != nil {
-			return Measures{}, err
-		}
-		return broadcastMeasures(res), nil
-	}
-	res, err := core.Broadcast(g, opt.Source, append(opts, core.WithFault(opt.Fault))...)
+	res, extras, err := runTrial(g, opt.Source, opts, opt.Fault)
 	if err != nil {
 		return Measures{}, err
 	}
-	twin, err := core.Broadcast(g, opt.Source, opts...)
-	if err != nil {
-		return Measures{}, twinErr(err)
-	}
 	m := broadcastMeasures(res)
-	m.Extra = faultExtras(g.N(), res, twin)
+	m.Extra = extras
 	return m, nil
+}
+
+// runTrial runs one core.Broadcast trial. A faulted trial also runs its
+// same-seed fault-free twin and returns the graceful-degradation
+// columns computed from the pair; a fault-free trial returns none.
+func runTrial(g *graph.Graph, source int, opts []core.Option, f fault.Spec) (*core.Result, []Sample, error) {
+	if !f.Active() {
+		res, err := core.Broadcast(g, source, opts...)
+		return res, nil, err
+	}
+	res, err := core.Broadcast(g, source, append(opts, core.WithFault(f))...)
+	if err != nil {
+		return nil, nil, err
+	}
+	twin, err := core.Broadcast(g, source, opts...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("workload: fault-free twin: %w", err)
+	}
+	return res, faultExtras(g.N(), res, twin), nil
 }
 
 // faultExtras computes the graceful-degradation columns of a faulted
@@ -148,11 +157,6 @@ func faultExtras(n int, res, twin *core.Result) []Sample {
 		{Name: "energyOverhead", X: float64(res.TotalEnergy() - twin.TotalEnergy())},
 		{Name: "wastedAwake", X: float64(res.FaultErasures)},
 	}
-}
-
-// twinErr labels a fault-free twin run's failure.
-func twinErr(err error) error {
-	return fmt.Errorf("workload: fault-free twin: %w", err)
 }
 
 // countInformed counts the true entries of an informed vector.
@@ -261,28 +265,17 @@ func (msrcWorkload) Run(g *graph.Graph, pt Point, seed uint64, opt Options) (Mea
 	}
 	srcs := SpreadSources(g.N(), mp.k, opt.Source)
 	opts := append(msrcOptions(srcs, opt), core.WithSeed(seed))
-	if !opt.Fault.Active() {
-		res, err := core.Broadcast(g, srcs[0], opts...)
-		if err != nil {
-			return Measures{}, err
-		}
-		return msrcMeasures(g, res), nil
-	}
-	res, err := core.Broadcast(g, srcs[0], append(opts, core.WithFault(opt.Fault))...)
+	res, extras, err := runTrial(g, srcs[0], opts, opt.Fault)
 	if err != nil {
 		return Measures{}, err
 	}
-	twin, err := core.Broadcast(g, srcs[0], opts...)
-	if err != nil {
-		return Measures{}, twinErr(err)
-	}
 	m := msrcMeasures(g, res)
-	m.Extra = append(m.Extra, faultExtras(g.N(), res, twin)...)
+	m.Extra = append(m.Extra, extras...)
 	return m, nil
 }
 
-// msrcMeasures maps one k-source result to its measurement row,
-// including the per-source front columns.
+// msrcMeasures maps one k-source result to its measurement row: the
+// broadcast row plus the per-source front columns.
 func msrcMeasures(g *graph.Graph, res *core.Result) Measures {
 	fronts := res.Fronts()
 	min, max := g.N(), 0
@@ -299,16 +292,7 @@ func msrcMeasures(g *graph.Graph, res *core.Result) Measures {
 	extra = append(extra,
 		Sample{Name: "frontMin", X: float64(min)},
 		Sample{Name: "frontMax", X: float64(max)})
-	return Measures{
-		Slots:         res.Slots,
-		Events:        res.Events,
-		MaxEnergy:     res.MaxEnergy(),
-		TotalEnergy:   res.TotalEnergy(),
-		Completed:     res.AllInformed(),
-		Informed:      countInformed(res.Informed),
-		Extra:         extra,
-		FaultCrashes:  res.FaultCrashes,
-		FaultSleeps:   res.FaultSleeps,
-		FaultErasures: res.FaultErasures,
-	}
+	m := broadcastMeasures(res)
+	m.Extra = extra
+	return m
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/labeling"
@@ -241,5 +242,21 @@ func TestBroadcasterScheduleAgreement(t *testing.T) {
 	}
 	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.CD, Seed: 1}, devs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCastMachineSizeClass keeps Broadcaster and Refiner, which embed a
+// srcomm.Window for their cast machine, in the 704-byte size class
+// together with the 8-byte header Go puts on pointerful objects above
+// 512 bytes: a few bytes more move every per-device Broadcaster and
+// Refiner to the 768-byte class.
+func TestCastMachineSizeClass(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"Broadcaster": unsafe.Sizeof(Broadcaster{}),
+		"Refiner":     unsafe.Sizeof(Refiner{}),
+	} {
+		if size+8 > 704 {
+			t.Errorf("%s is %d bytes; with its 8-byte malloc header it leaves the 704-byte size class", name, size)
+		}
 	}
 }

@@ -48,12 +48,16 @@ const (
 // stepped once, after the run's last slot, with that slot's feedback;
 // Env.Now is then that slot. A listen run ends early at its first
 // delivery (Status Received): noise, silence and a delivery erased by a
-// loss fault do not end it. Every slot of a run is charged, traced,
-// fault-injected and budget-checked exactly as a single-slot action in
-// that slot would be, so a run and its expansion into single-slot
-// actions produce the same event stream and Result. A crash ends the
-// run with the device; a full-duplex run is invalid. Run sits in Kind's
-// padding, so Action stays four words.
+// loss fault do not end it. Every slot of a run is charged, traced and
+// fault-injected as a single-slot action in that slot would be, so a
+// run and its expansion into single-slot actions produce the same event
+// stream and Result. In an untraced run without a crash or sleep fault,
+// the silent slots of a listen run are charged in bulk, when a
+// neighbour's transmission wakes the listener or the run ends (see the
+// package doc); a completed run's Result is unchanged, and a budget
+// abort names the same budget. A crash ends the run with the device; a
+// full-duplex run is invalid. Run sits in Kind's padding, so Action
+// stays four words.
 type Action struct {
 	Kind    ActionKind
 	Run     uint32

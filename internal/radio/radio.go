@@ -53,9 +53,24 @@
 // device for the next slot itself and steps the proc once, after the
 // run's last slot — a listen run ends at its first delivery — so a
 // Lemma 7 decay window costs a receiver one step instead of one per
-// slot. Each slot of a run is charged, traced and fault-injected as a
-// single-slot action would be. A slot in which nobody transmits
-// resolves every listener to silence without scanning its neighbors.
+// slot. A slot in which nobody transmits resolves every listener to
+// silence without scanning its neighbors.
+//
+// A listen run is parked after its first slot when the run has no
+// Config.Trace and its fault kind is none or loss. A parked listener
+// is filed once, for its run's last slot (or MaxSlots+1, when the run
+// crosses the slot budget), and a transmitter wakes its parked
+// neighbours into the slot's cohort, in device order. Every other slot
+// of the run is silence for it; it is charged those slots in one step
+// when it is woken or its run ends. A loss fault needs no per-slot
+// draw, since it only erases a delivery, and a woken listener resolves
+// that delivery as any listener does. Transmit runs are visited in
+// every slot: their listeners read them there. A run with a trace sink
+// keeps the per-slot path, because only that path emits each silent
+// slot's event in slot order, and so does a run with a crash or sleep
+// fault, because those draw a fault hash per device and slot. Both
+// paths give the same Result; TestEngineMatchesReference checks them
+// against a slot-by-slot reference engine.
 //
 // Transmit payloads are interned in the transmitter's lane cell for
 // the action's run: listeners resolve them at delivery and the
@@ -210,7 +225,11 @@ type Config struct {
 	// (0 means a generous default of 1<<40).
 	MaxSlots uint64
 	// MaxEvents aborts the run after this many device actions
-	// (0 means a default of 1<<28).
+	// (0 means a default of 1<<28). Events are checked when they are
+	// charged: a parked listen run's silent slots are charged when it is
+	// woken or its run ends, so an aborted untraced run can stop later
+	// than a traced one, with a different partial Result but the same
+	// error. A completed run's Result does not depend on it.
 	MaxEvents uint64
 	// KnowDiameter, if true, exposes the exact diameter to devices.
 	KnowDiameter bool
@@ -303,6 +322,16 @@ const (
 // the current slot. The flagged kind matches no action, and clearing
 // the flag restores it for a run's next slot.
 const actAsleep actionKind = 0x80
+
+// actParked flags a listen-run member that is not visited in its run's
+// silent slots: its slots cell holds its first uncharged slot, and it
+// is filed once, for its run's last slot (see Simulator.parkSlot).
+// actWoken replaces actParked when a transmitting neighbour brings the
+// member into a slot's cohort before that filing.
+const (
+	actParked actionKind = 0x40
+	actWoken  actionKind = 0x20
+)
 
 // Env is a device's handle to the network: the Channel implementation
 // the scheduler passes to Proc.Step. It is informational only — devices

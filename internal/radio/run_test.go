@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -113,6 +114,9 @@ func runPopulation(n int, seed uint64, expand bool, obs *[]string) []Device {
 // single-slot actions, under every model and fault kind. Listen runs
 // hear noise (CD), erased deliveries (loss) and sleep-suppressed slots
 // without ending; transmit runs keep their payload in every slot.
+// Seeds 3 and 4 run without a trace sink, so that without a crash or
+// sleep fault the listen runs park and are charged in bulk, while
+// their single-slot expansion is visited slot by slot.
 func TestActionRunsMatchSingleSlots(t *testing.T) {
 	faults := []fault.Spec{
 		{},
@@ -122,13 +126,15 @@ func TestActionRunsMatchSingleSlots(t *testing.T) {
 	}
 	for _, model := range []Model{NoCD, CD, CDStar, Local} {
 		for _, fs := range faults {
-			for seed := uint64(1); seed <= 2; seed++ {
+			for seed := uint64(1); seed <= 4; seed++ {
 				g := graph.GNP(80, 0.06, seed)
 				run := func(expand bool) ([]Event, *Result, []string) {
 					var events []Event
 					var obs []string
-					cfg := Config{Graph: g, Model: model, Seed: seed, Fault: fs,
-						Trace: func(ev Event) { events = append(events, ev) }}
+					cfg := Config{Graph: g, Model: model, Seed: seed, Fault: fs}
+					if seed <= 2 {
+						cfg.Trace = func(ev Event) { events = append(events, ev) }
+					}
 					res, err := RunDevices(cfg, runPopulation(g.N(), seed, expand, &obs))
 					if err != nil {
 						t.Fatal(err)
@@ -197,5 +203,66 @@ func TestRunLimits(t *testing.T) {
 	}
 	if _, err := RunDevices(Config{Graph: g}, devs); err == nil || !strings.Contains(err.Error(), "full-duplex run") {
 		t.Errorf("want the full-duplex run rejected, got %v", err)
+	}
+}
+
+// TestParkedRunEdges pins the edges of a parked listen run against the
+// per-slot path (a traced run) and the reference engine: a run that
+// crosses MaxSlots fails in slot MaxSlots+1, not at its last slot; a
+// run whose silent slots exhaust MaxEvents fails on the event budget,
+// before the slot budget too; and a run that a delivery ends leaves a
+// filing behind, in the wheel or in the far heap, that must not be
+// visited, whether the wheel is empty when the filing comes due or
+// not.
+func TestParkedRunEdges(t *testing.T) {
+	script := func(acts ...Action) Proc {
+		return ProcFunc(func(Channel, Feedback) Action {
+			if len(acts) == 0 {
+				return Halt()
+			}
+			a := acts[0]
+			acts = acts[1:]
+			return a
+		})
+	}
+	for _, c := range []struct {
+		name               string
+		maxSlots, maxEvent uint64
+		a, b               []Action // devices 0 and 1 of a two-device path
+		err                string
+	}{
+		{"crosses MaxSlots", 10, 0, []Action{ListenRun(1, 100)}, nil, "slot 11 > MaxSlots 10"},
+		{"exhausts MaxEvents", 0, 10, []Action{ListenRun(1, 100)}, nil, "events > MaxEvents 10"},
+		{"MaxEvents before MaxSlots", 50, 20, []Action{ListenRun(1, 100)}, nil, "events > MaxEvents 20"},
+		{"MaxSlots 2^64-1", math.MaxUint64, 0, []Action{ListenRun(1, 100)}, nil, ""},
+		{"ended in the wheel", 10, 0, []Action{ListenRun(1, 100)}, []Action{Transmit(5, 1)}, ""},
+		{"ended in the far heap", 0, 0, []Action{ListenRun(1, 1000), ListenRun(1500, 3)},
+			[]Action{Transmit(5, 1), TransmitRun(960, 100, 1), Listen(2000)}, ""},
+		{"ended past MaxSlots", 1200, 0, []Action{ListenRun(1, 2000), Listen(1500)},
+			[]Action{Transmit(5, 1)}, "slot 1500 > MaxSlots 1200"},
+	} {
+		var results []string
+		for _, engine := range []string{"untraced", "traced", "reference"} {
+			cfg := Config{Graph: graph.Path(2), MaxSlots: c.maxSlots, MaxEvents: c.maxEvent}
+			run := RunDevices
+			switch engine {
+			case "traced":
+				cfg.Trace = func(Event) {}
+			case "reference":
+				run = refRun
+			}
+			res, err := run(cfg, []Device{{Proc: script(c.a...)}, {Proc: script(c.b...)}})
+			switch {
+			case c.err == "" && err != nil:
+				t.Fatalf("%s, %s: %v", c.name, engine, err)
+			case c.err != "" && (err == nil || !strings.HasSuffix(err.Error(), c.err)):
+				t.Fatalf("%s, %s: error %v, want %q", c.name, engine, err, c.err)
+			case c.err == "":
+				results = append(results, fmt.Sprintf("%+v", *res))
+			}
+		}
+		if len(results) > 0 && (results[0] != results[1] || results[0] != results[2]) {
+			t.Errorf("%s: Results differ:\n untraced  %s\n traced    %s\n reference %s", c.name, results[0], results[1], results[2])
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -46,6 +47,15 @@ type farEntry struct {
 // or more slots ahead wait in the far min-heap and move into the wheel
 // once now comes within wheelSlots of them.
 //
+// A listen run is parked after its first slot when the run has no
+// trace sink and no crash or sleep fault: it is filed once, for its
+// last slot, and a transmitter wakes its parked neighbours into the
+// slot's cohort. A parked member hears silence in every slot it is not
+// visited in, and is charged those slots in one step when it is woken
+// or its run ends. A delivery to a woken member ends its run before
+// its filing, which is then withdrawn from the wheel or dropped from
+// the far heap when it comes due.
+//
 // A Simulator is NOT safe for concurrent use; run one per goroutine
 // (internal/sweep keeps one cache per worker). Determinism is untouched
 // by reuse: every run fully reseeds and resets the per-device state, so
@@ -78,10 +88,17 @@ type Simulator struct {
 	faultLoss  bool
 	sleepUntil []uint64
 
+	// park is set when the run parks listen runs: it has no trace sink
+	// and no crash or sleep fault, the two things that need each slot
+	// of a run visited. parked counts the members flagged actParked.
+	park   bool
+	parked int
+
 	// preallocated machinery. slots/runEnd/kinds/payloads/fbs/errs are
 	// the per-device action lanes: the device's pending request, from
-	// its first to its last slot (written by stepDevice), and its
-	// feedback for the next step (written by the cohort resolution).
+	// its first to its last slot (written by stepDevice; a parked listen
+	// run keeps its first uncharged slot in slots), and its feedback for
+	// the next step (written by the cohort resolution).
 	envs     []Env
 	pcgs     []rand.PCG
 	slots    []uint64
@@ -215,6 +232,7 @@ func (s *Simulator) bind(cfg Config) error {
 	s.faultCrash = s.fplan.Kind() == fault.Crash
 	s.faultSleep = s.fplan.Kind() == fault.Sleep
 	s.faultLoss = s.fplan.Kind() == fault.Loss
+	s.park = cfg.Trace == nil && !s.faultCrash && !s.faultSleep
 	s.idSpace = cfg.IDSpace
 	if cfg.IDSpace > 0 {
 		if cfg.IDs != nil {
@@ -293,14 +311,16 @@ func (s *Simulator) prepare(cfg Config, devs []Device) (*Result, error) {
 	res := s.newResult()
 	s.res = res
 	// An aborted run can leave requests behind in the wheel (run members
-	// filed for the next slot among them) and the far heap; the
-	// occupancy word says which buckets to clear.
+	// filed for the next slot among them) and the far heap, and listen
+	// runs parked; the occupancy word says which buckets to clear, and
+	// the kinds reset below clears the parked flags.
 	for occ := s.occ; occ != 0; occ &= occ - 1 {
 		b := bits.TrailingZeros64(occ)
 		clear(s.wheel[b*s.words : (b+1)*s.words])
 	}
 	s.occ, s.now = 0, 0
 	s.far = s.far[:0]
+	s.parked = 0
 	s.cohort = s.cohort[:0]
 	s.awaiting = s.awaiting[:0]
 	for v := 0; v < n; v++ {
@@ -411,11 +431,7 @@ func (s *Simulator) gather() (t uint64, done bool) {
 			continue
 		}
 		// Every poster acted at now, so its request lies past it.
-		if slot := s.slots[v]; slot-s.now < wheelSlots {
-			s.mark(slot, v)
-		} else {
-			s.farPush(farEntry{slot: slot, dev: v})
-		}
+		s.file(s.slots[v], v)
 	}
 	s.awaiting = s.awaiting[:0]
 	if s.live == 0 {
@@ -424,16 +440,22 @@ func (s *Simulator) gather() (t uint64, done bool) {
 	// The next populated slot is the wheel's first non-empty bucket
 	// after now, or the far minimum when the wheel is empty (every far
 	// request lies past every wheel request). Far requests that the new
-	// now brings within wheelSlots move into the wheel.
+	// now brings within wheelSlots move into the wheel. Filings that a
+	// woken listen run left behind are dropped on the way, so no slot
+	// is visited for them.
 	if s.occ == 0 {
+		for !s.current(s.far[0]) {
+			s.farPop()
+		}
 		t = s.far[0].slot
 	} else {
 		t = s.now + uint64(bits.TrailingZeros64(bits.RotateLeft64(s.occ, -int(s.now%wheelSlots))))
 	}
 	s.now = t
 	for len(s.far) > 0 && s.far[0].slot-t < wheelSlots {
-		e := s.farPop()
-		s.mark(e.slot, e.dev)
+		if e := s.farPop(); s.current(e) {
+			s.mark(e.slot, e.dev)
+		}
 	}
 	// Read the cohort out of slot t's bucket: bit order is device order.
 	b := int(t % wheelSlots)
@@ -449,6 +471,17 @@ func (s *Simulator) gather() (t uint64, done bool) {
 	return t, false
 }
 
+// file files device v's request for slot, which must lie past now: in
+// the wheel when it is fewer than wheelSlots slots ahead, else in the
+// far heap.
+func (s *Simulator) file(slot uint64, v int32) {
+	if slot-s.now < wheelSlots {
+		s.mark(slot, v)
+	} else {
+		s.farPush(farEntry{slot: slot, dev: v})
+	}
+}
+
 // mark files device v's request for slot, which must lie in
 // [now, now+wheelSlots), in the slot's wheel bucket.
 func (s *Simulator) mark(slot uint64, v int32) {
@@ -457,13 +490,55 @@ func (s *Simulator) mark(slot uint64, v int32) {
 	s.occ |= 1 << b
 }
 
+// unfile withdraws the filing of a woken listen run that a delivery
+// ended before it: from the wheel when its slot lies within wheelSlots
+// of now, where gather has moved every such far request; a far filing
+// stays in the heap, and gather drops it (see current).
+func (s *Simulator) unfile(slot uint64, v int32) {
+	if slot-s.now >= wheelSlots {
+		return
+	}
+	b := int(slot % wheelSlots)
+	bucket := s.wheel[b*s.words : (b+1)*s.words]
+	bucket[v>>6] &^= 1 << (v & 63)
+	for _, w := range bucket {
+		if w != 0 {
+			return
+		}
+	}
+	s.occ &^= 1 << b
+}
+
+// parkSlot is the slot a parked listen run is filed for: its last
+// slot, or MaxSlots+1 when the run crosses the slot budget, so that
+// the run fails in the slot the per-slot path fails in.
+func (s *Simulator) parkSlot(v int32) uint64 {
+	if s.runEnd[v] > s.maxSlots {
+		return s.maxSlots + 1
+	}
+	return s.runEnd[v]
+}
+
+// current reports whether far entry e is still its device's filing.
+// A listen run that a delivery ended before its filing leaves the
+// entry behind, and a halted device has no filing.
+func (s *Simulator) current(e farEntry) bool {
+	switch k := s.kinds[e.dev]; {
+	case k&actParked != 0:
+		return s.parkSlot(e.dev) == e.slot
+	default:
+		return k != actHalt && s.slots[e.dev] == e.slot
+	}
+}
+
 // resolveSlot resolves the gathered cohort at slot t: budget checks,
 // energy accounting, trace emission and listener feedback, in ascending
 // device order. A member whose run goes on is filed for slot t+1
-// without a step; the others are re-awaited for the next gather round.
+// without a step, or parked (see parkRun); the others are re-awaited
+// for the next gather round.
 func (s *Simulator) resolveSlot(t uint64) error {
 	if t > s.maxSlots {
-		return fmt.Errorf("%w: slot %d > MaxSlots %d", ErrBudget, t, s.maxSlots)
+		return s.slotBudgetErr(t)
 	}
 	if t > s.res.Slots {
 		s.res.Slots = t
@@ -478,19 +553,42 @@ func (s *Simulator) resolveSlot(t uint64) error {
 	}
 	// Record transmissions first so every listener sees them; payloads
 	// stay parked in the transmitters' lane cells. In a slot nobody
-	// transmits in, every listener hears silence: no neighbor scan.
+	// transmits in, every listener hears silence: no neighbor scan, and
+	// no parked listen run is woken.
 	silent := true
+	woken := s.txs[:0]
 	for _, v := range s.cohort {
 		k := s.kinds[v]
 		if k == actTransmit || k == actTransmitListen {
 			s.lastTxSlot[v] = t + 1
 			silent = false
+			if s.parked > 0 {
+				woken = s.wake(v, t, woken)
+			}
 		}
+	}
+	if len(woken) > 0 {
+		s.merge(woken)
 	}
 	// Account energy, emit traces, compute feedback — in device order.
 	awaiting := s.awaiting // empty: gather stepped every awaited device
 	for _, v := range s.cohort {
 		k := s.kinds[v]
+		parked := k & (actParked | actWoken)
+		if parked != 0 {
+			// A parked member heard silence in every slot it was not
+			// visited in: charge them now, as the per-slot path would
+			// have slot by slot.
+			skipped := t - s.slots[v]
+			s.res.Energy[v] += int(skipped)
+			s.res.Listens[v] += int(skipped)
+			s.res.Events += skipped
+			k = actListen
+			s.kinds[v] = k
+			if parked == actParked {
+				s.parked--
+			}
+		}
 		switch k {
 		case actTransmit:
 			s.res.Energy[v]++
@@ -521,11 +619,20 @@ func (s *Simulator) resolveSlot(t uint64) error {
 		// delivered to it. A sleep fault neither charges nor ends it:
 		// the run's kind comes back for the next slot, and the zero
 		// Feedback a step would leave replaces this slot's.
-		if t < s.runEnd[v] && s.fbs[v].Status != Received {
+		switch {
+		case t < s.runEnd[v] && s.fbs[v].Status != Received:
 			s.kinds[v] = k &^ actAsleep
 			s.fbs[v] = Feedback{}
-			s.mark(t+1, v)
-		} else {
+			if k == actListen && s.park {
+				s.parkRun(v, t, parked == actWoken)
+			} else {
+				s.mark(t+1, v)
+			}
+		case parked == actWoken:
+			// A delivery ended the run before the slot it is filed for.
+			s.unfile(s.parkSlot(v), v)
+			awaiting = append(awaiting, v)
+		default:
 			awaiting = append(awaiting, v)
 		}
 		if s.res.Events > s.maxEvents {
@@ -542,6 +649,72 @@ func (s *Simulator) resolveSlot(t uint64) error {
 	}
 	s.awaiting = awaiting
 	return nil
+}
+
+// parkRun parks listen-run member v after slot t: it is not visited in
+// the run's later slots unless a neighbour transmits in one of them
+// (see wake), and its first uncharged slot is t+1. A member parked for
+// the first time is filed for parkSlot; a woken one still is.
+func (s *Simulator) parkRun(v int32, t uint64, filed bool) {
+	s.kinds[v] = actListen | actParked
+	s.slots[v] = t + 1
+	s.parked++
+	if !filed {
+		s.file(s.parkSlot(v), v)
+	}
+}
+
+// wake appends to woken every parked listen-run member next to
+// transmitter v that is filed for a slot after t, flagging it actWoken
+// so that a second transmitter does not wake it again. A member filed
+// for t is in the cohort already.
+func (s *Simulator) wake(v int32, t uint64, woken []int32) []int32 {
+	for _, w := range s.adj[s.off[v]:s.off[v+1]] {
+		if s.kinds[w] == actListen|actParked && s.parkSlot(w) > t {
+			s.kinds[w] = actListen | actWoken
+			s.parked--
+			woken = append(woken, w)
+		}
+	}
+	return woken
+}
+
+// merge adds the woken members to the cohort, keeping it in ascending
+// device order: step order is observable. The two are disjoint, so
+// the cohort's capacity of n holds both.
+func (s *Simulator) merge(woken []int32) {
+	slices.Sort(woken)
+	c := s.cohort
+	i, j := len(c)-1, len(woken)-1
+	c = c[:len(c)+len(woken)]
+	for k := len(c) - 1; j >= 0; k-- {
+		if i >= 0 && c[i] > woken[j] {
+			c[k] = c[i]
+			i--
+		} else {
+			c[k] = woken[j]
+			j--
+		}
+	}
+	s.cohort = c
+	s.txs = woken
+}
+
+// slotBudgetErr is the error of a run that reaches slot t past
+// MaxSlots. Parked listen runs have not been charged their silent
+// slots before t yet; when those would have exhausted MaxEvents first,
+// the per-slot path fails on the event budget, and so does this one.
+func (s *Simulator) slotBudgetErr(t uint64) error {
+	events := s.res.Events
+	for v := 0; s.parked > 0 && v < s.n; v++ {
+		if s.kinds[v]&actParked != 0 {
+			events += t - s.slots[v]
+		}
+	}
+	if events > s.maxEvents {
+		return fmt.Errorf("%w: events > MaxEvents %d", ErrBudget, s.maxEvents)
+	}
+	return fmt.Errorf("%w: slot %d > MaxSlots %d", ErrBudget, t, s.maxSlots)
 }
 
 // injectCrashes applies crash-stop faults to the slot-t cohort: a device

@@ -78,9 +78,9 @@ func TestSimulatorSeedEntry(t *testing.T) {
 // TestSimulatorReuseAfterAbort exercises the error/reset path: a budget
 // abort ends the run mid-flight with requests still pending in the
 // scheduler's wheel and in its far heap — and, for an abort mid-slot,
-// run members already filed for the next slot — and the next run on
-// the same Simulator must match a fresh engine's run event for event
-// and in every Result field.
+// run members already filed for the next slot and listen runs parked —
+// and the next run on the same Simulator must match a fresh engine's
+// run event for event and in every Result field.
 func TestSimulatorReuseAfterAbort(t *testing.T) {
 	const n = 130
 	g := graph.GNP(n, 0.05, 3)
@@ -105,9 +105,15 @@ func TestSimulatorReuseAfterAbort(t *testing.T) {
 				members++
 			}
 		}
-		if sim.occ == 0 || len(sim.far) == 0 || (abort.members && members == 0) {
-			t.Fatalf("abort left wheel occupancy %#x, %d far requests and %d run members filed; the test needs them pending",
-				sim.occ, len(sim.far), members)
+		parked := 0
+		for v := 2; v < n; v += 5 {
+			if sim.kinds[v]&actParked != 0 {
+				parked++
+			}
+		}
+		if sim.occ == 0 || len(sim.far) == 0 || (abort.members && (members == 0 || parked == 0)) {
+			t.Fatalf("abort left wheel occupancy %#x, %d far requests, %d run members filed and %d listen runs parked; the test needs them pending",
+				sim.occ, len(sim.far), members, parked)
 		}
 		// Clean run on the recycled, previously aborted engine. It runs
 		// past slot 90, where the far leftovers were due, and each device
@@ -142,9 +148,10 @@ func TestSimulatorReuseAfterAbort(t *testing.T) {
 
 // overProcs is the population the abort test overruns: every fifth
 // device jumps 90 slots per action, every fifth from device 1 transmits
-// in runs of 30 slots, and the others step 1 to 4 slots, so an abort
-// past slot 10 leaves near requests in the wheel and far ones in the
-// far heap.
+// in runs of 30 slots, every fifth from device 2 listens in runs of 30
+// slots, and the others step 1 to 4 slots, so an abort past slot 10
+// leaves near requests in the wheel, far ones in the far heap and,
+// without a trace sink, listen runs parked.
 func overProcs(n int) []Device {
 	devs := make([]Device, n)
 	for v := range devs {
@@ -152,15 +159,18 @@ func overProcs(n int) []Device {
 		switch v % 5 {
 		case 0:
 			step = 90
-		case 1:
+		case 1, 2:
 			step = 30
 		}
 		var s uint64
 		devs[v].Proc = ProcFunc(func(Channel, Feedback) Action {
 			first := s + 1
 			s += step
-			if step == 30 {
+			switch {
+			case v%5 == 1:
 				return TransmitRun(first, int(step), nil)
+			case v%5 == 2:
+				return ListenRun(first, int(step))
 			}
 			return Transmit(s, nil)
 		})

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench_smoke.sh — run the engine perf-smoke benchmark trio and write the
+# bench_smoke.sh — run the engine perf-smoke benchmarks and write the
 # results as JSON (ns/op, B/op, allocs/op per benchmark), one data point
 # of the repo's benchmark trajectory. Usage:
 #
@@ -15,7 +15,9 @@
 #
 # CI runs this with -benchtime=100x: fast enough for every push, stable
 # enough to catch order-of-magnitude regressions in the scheduler and
-# simulator hot paths.
+# simulator hot paths. NoCDIterClust (n = 16, 32, 64) is the one
+# protocol benchmark here whose devices issue action runs, so the
+# engine's run and parked-listener paths show in the trajectory.
 set -euo pipefail
 out="${1:-bench-smoke.json}"
 # The default baseline is the highest-numbered BENCH_prN.json at the
@@ -23,7 +25,7 @@ out="${1:-bench-smoke.json}"
 baseline="${2:-$(ls BENCH_pr*.json 2>/dev/null | sort -V | tail -n 1)}"
 
 go test -run '^$' \
-  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$' \
+  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$|BenchmarkNoCDIterClust$' \
   -benchmem -benchtime=100x . |
   awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     /^Benchmark/ {

@@ -20,7 +20,10 @@ import (
 const wheelSlots = 64
 
 // farEntry is one pending request in the far min-heap. Each device has
-// at most one pending request, so the heap never exceeds n.
+// at most one current request, so the heap holds at most n of them. A
+// listen run that a delivery ends before its far filing leaves that
+// entry behind until it comes due (see current), so those can grow the
+// heap past n.
 type farEntry struct {
 	slot uint64
 	dev  int32
@@ -523,12 +526,11 @@ func (s *Simulator) parkSlot(v int32) uint64 {
 // A listen run that a delivery ended before its filing leaves the
 // entry behind, and a halted device has no filing.
 func (s *Simulator) current(e farEntry) bool {
-	switch k := s.kinds[e.dev]; {
-	case k&actParked != 0:
+	k := s.kinds[e.dev]
+	if k&actParked != 0 {
 		return s.parkSlot(e.dev) == e.slot
-	default:
-		return k != actHalt && s.slots[e.dev] == e.slot
 	}
+	return k != actHalt && s.slots[e.dev] == e.slot
 }
 
 // resolveSlot resolves the gathered cohort at slot t: budget checks,

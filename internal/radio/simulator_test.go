@@ -124,6 +124,11 @@ func TestSimulatorReuseAfterAbort(t *testing.T) {
 		if gotTrace != wantTrace || !reflect.DeepEqual(got, want) {
 			t.Fatalf("post-abort reuse diverges from a fresh run:\n got %+v\nwant %+v", got, want)
 		}
+		// The traced run parks nothing, so a parked count left over from
+		// the abort would still show.
+		if sim.parked != 0 {
+			t.Fatalf("%d listen runs still counted parked after a clean run", sim.parked)
+		}
 	}
 	cfg := Config{Graph: g, Model: NoCD, Seed: 2}
 	// Same again after a device-panic run.

@@ -56,10 +56,16 @@
 // for each next slot itself and steps the proc once, after the run's
 // last slot, and a listen run ends at its first delivery. The Lemma 7
 // decay roles (srcomm) and the decay comparator (baseline) emit runs,
-// so a receiver's decay window costs one step instead of one per slot;
-// every slot is still charged, traced and fault-injected on its own. A
-// slot nobody transmits in resolves every listener to silence without
-// a neighbor scan.
+// so a receiver's decay window costs one step instead of one per slot.
+// A slot nobody transmits in resolves every listener to silence without
+// a neighbor scan. In a run with no trace sink and no crash or sleep
+// fault, a listen run is parked after its first slot: the engine visits
+// it again only in a slot in which a neighbour transmits, or at the
+// run's end, and charges the silent slots in between in one step. A
+// traced or crash- or sleep-faulted run visits every slot of a listen
+// run, as its per-slot events and fault draws need. Both give the same
+// Result, which TestEngineMatchesReference checks against a slot-by-slot
+// reference engine.
 //
 // Transmit payloads are interned in per-device mailbox cells for the
 // action's run (listeners resolve them at delivery; a cell is cleared

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -58,7 +59,7 @@ func comparePin(t *testing.T, got string) {
 }
 
 // TestPortPin covers the graphs of TestProcTraceDeterministic at both of
-// its seeds.
+// its seeds, and cd-path8 at seed 0 under each fault kind.
 func TestPortPin(t *testing.T) {
 	scens := []struct {
 		name string
@@ -70,28 +71,44 @@ func TestPortPin(t *testing.T) {
 	}
 	var sb strings.Builder
 	for _, sc := range scens {
-		p := testParams(t, sc.g, 0.5)
-		n := sc.g.N()
 		for seed := uint64(0); seed < 2; seed++ {
-			devs := make([]DeviceResult, n)
-			h := fnv.New64a()
-			pop := make([]radio.Device, n)
-			for v := 0; v < n; v++ {
-				pop[v].Proc = Proc(p, v == 0, "pin", &devs[v])
-			}
-			res, err := radio.RunDevices(radio.Config{Graph: sc.g, Model: radio.CD, Seed: seed,
-				MaxSlots: 1 << 62,
-				Trace:    func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", sc.name, seed, err)
-			}
-			oh := fnv.New64a()
-			for v, d := range devs {
-				fmt.Fprintf(oh, "%d %v %v %d %d\n", v, d.Informed, d.Msg, d.Label, d.Parent)
-			}
-			fmt.Fprintf(&sb, "%s-s%d events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d\n",
-				sc.name, seed, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
+			sb.WriteString(pinLine(t, fmt.Sprintf("%s-s%d", sc.name, seed), sc.g, seed, fault.Spec{}))
 		}
 	}
+	faults := []fault.Spec{{Kind: fault.Crash, Rate: 0.01},
+		{Kind: fault.Sleep, Rate: 0.02, Window: 4}, {Kind: fault.Loss, Rate: 0.05}}
+	for _, f := range faults {
+		sb.WriteString(pinLine(t, "cd-path8-s0 "+f.Label(), graph.Path(8), 0, f))
+	}
 	comparePin(t, sb.String())
+}
+
+// pinLine runs one pin scenario under fault f and renders its line. A
+// faulted line also carries the fault counters.
+func pinLine(t *testing.T, name string, g *graph.Graph, seed uint64, f fault.Spec) string {
+	t.Helper()
+	p := testParams(t, g, 0.5)
+	n := g.N()
+	devs := make([]DeviceResult, n)
+	h := fnv.New64a()
+	pop := make([]radio.Device, n)
+	for v := 0; v < n; v++ {
+		pop[v].Proc = Proc(p, v == 0, "pin", &devs[v])
+	}
+	res, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.CD, Seed: seed,
+		MaxSlots: 1 << 62, Fault: f,
+		Trace: func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	oh := fnv.New64a()
+	for v, d := range devs {
+		fmt.Fprintf(oh, "%d %v %v %d %d\n", v, d.Informed, d.Msg, d.Label, d.Parent)
+	}
+	line := fmt.Sprintf("%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d",
+		name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
+	if f.Active() {
+		line += fmt.Sprintf(" faults=%d/%d/%d", res.FaultCrashes, res.FaultSleeps, res.FaultErasures)
+	}
+	return line + "\n"
 }

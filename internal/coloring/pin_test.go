@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -61,30 +62,56 @@ func comparePin(t *testing.T, got string) {
 
 func TestPortPin(t *testing.T) {
 	scens := []struct {
-		name string
-		g    *graph.Graph
-		seed uint64
+		name    string
+		g       *graph.Graph
+		seed    uint64
+		faulted bool // also pinned under each fault kind
 	}{
-		{"bounded-path6", graph.Path(6), 3},
-		{"bounded-cycle8", graph.Cycle(8), 5},
+		{"bounded-path6", graph.Path(6), 3, false},
+		{"bounded-cycle8", graph.Cycle(8), 5, true},
+		{"bounded-grid3x3", graph.Grid(3, 3), 7, false}, // Delta = 4
 	}
 	var sb strings.Builder
 	for _, sc := range scens {
-		h := fnv.New64a()
-		res, err := core.Broadcast(sc.g, 0,
-			core.WithModel(radio.NoCD),
-			core.WithAlgorithm(core.AlgoBoundedDegree),
-			core.WithSeed(sc.seed),
-			core.WithTrace(func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }))
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
+		sb.WriteString(pinLine(t, sc.name, sc.g, sc.seed, fault.Spec{}))
+	}
+	// Setup and simulation with devices that crash, sleep through their
+	// slots or lose deliveries.
+	faults := []fault.Spec{{Kind: fault.Crash, Rate: 0.01},
+		{Kind: fault.Sleep, Rate: 0.02, Window: 4}, {Kind: fault.Loss, Rate: 0.05}}
+	for _, sc := range scens {
+		if !sc.faulted {
+			continue
 		}
-		oh := fnv.New64a()
-		for v, inf := range res.Informed {
-			fmt.Fprintf(oh, "%d %v\n", v, inf)
+		for _, f := range faults {
+			sb.WriteString(pinLine(t, sc.name+" "+f.Label(), sc.g, sc.seed, f))
 		}
-		fmt.Fprintf(&sb, "%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d\n",
-			sc.name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
 	}
 	comparePin(t, sb.String())
+}
+
+// pinLine runs one pin scenario under fault f and renders its line. A
+// faulted line also carries the fault counters.
+func pinLine(t *testing.T, name string, g *graph.Graph, seed uint64, f fault.Spec) string {
+	t.Helper()
+	h := fnv.New64a()
+	res, err := core.Broadcast(g, 0,
+		core.WithModel(radio.NoCD),
+		core.WithAlgorithm(core.AlgoBoundedDegree),
+		core.WithSeed(seed),
+		core.WithFault(f),
+		core.WithTrace(func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	oh := fnv.New64a()
+	for v, inf := range res.Informed {
+		fmt.Fprintf(oh, "%d %v\n", v, inf)
+	}
+	line := fmt.Sprintf("%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d",
+		name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
+	if f.Active() {
+		line += fmt.Sprintf(" faults=%d/%d/%d", res.FaultCrashes, res.FaultSleeps, res.FaultErasures)
+	}
+	return line + "\n"
 }

@@ -25,17 +25,24 @@
 // # Execution model
 //
 // The device is a radio.Proc written in continuation-passing style: the
-// whole schedule — whose slot layout is a pure function of Params — is
-// assembled as a tree of radio.Cont nodes with radio's combinators
-// (Then, Recv, Do), while every read of mutable protocol state (roles,
-// labels, cluster ids) is deferred into a radio.Eval thunk that runs
-// when its window starts, reproducing the evaluation order of
-// the historical blocking implementation exactly. Every cast window
-// (offers, cluster rounds, the CD up-pass) re-arms the device's one
-// srcomm.Window: ArmLocal in LOCAL, ArmDet in CD. The scheduler steps
-// the proc inline, so the algorithm's enormous idle stretches (most CD
-// windows touch a single cluster) cost neither goroutine parks nor
-// virtual time.
+// schedule — whose slot layout is a pure function of Params — is
+// assembled from radio's combinators (Then, Recv, Do), while every read
+// of mutable protocol state (roles, labels, cluster ids) is deferred
+// into a radio.Eval thunk that runs when its window starts, reproducing
+// the evaluation order of the historical blocking implementation
+// exactly. A Downward or Upward pass has Layers-1 steps, but a device
+// acts in at most two of them: it receives in the step that reaches its
+// layer and sends in the step that leaves it. The pass builds just those
+// two at its start, from the device's layer, parent and IDs (which
+// change only between passes), and one sleep to the pass's last slot
+// covers the rest, so a step the device sits out costs no Step call.
+// The CD ruling-set recursion still builds every combine, at a few
+// closures each for the combines off the device's path. Every cast
+// window (offers, cluster rounds, the CD up-pass) re-arms the device's
+// one srcomm.Window: ArmLocal in LOCAL, ArmDet in CD. The scheduler
+// steps the proc inline, so the algorithm's enormous idle stretches
+// (most CD windows touch a single cluster) cost neither goroutine parks
+// nor virtual time.
 package detcast
 
 import (
@@ -112,23 +119,29 @@ type addressed struct {
 	body     any
 }
 
-// downSlots is the slot cost of one Downward pass.
-func (p Params) downSlots() uint64 {
-	per := uint64(1)
+// downStep is the slot cost of one step of a Downward pass: one slot,
+// or in CD one slot per ID.
+func (p Params) downStep() uint64 {
 	if p.Model == radio.CD {
-		per = uint64(p.IDSpace)
+		return uint64(p.IDSpace)
 	}
-	return uint64(maxInt(p.Layers-1, 0)) * per
+	return 1
 }
 
-// upSlots is the slot cost of one Upward pass.
-func (p Params) upSlots() uint64 {
-	per := uint64(1)
+// upStep is the slot cost of one step of an Upward pass: one slot, or
+// in CD one cast window per ID.
+func (p Params) upStep() uint64 {
 	if p.Model == radio.CD {
-		per = uint64(p.IDSpace) * p.castSlots()
+		return uint64(p.IDSpace) * p.castSlots()
 	}
-	return uint64(maxInt(p.Layers-1, 0)) * per
+	return 1
 }
+
+// downSlots is the slot cost of one Downward pass.
+func (p Params) downSlots() uint64 { return uint64(maxInt(p.Layers-1, 0)) * p.downStep() }
+
+// upSlots is the slot cost of one Upward pass.
+func (p Params) upSlots() uint64 { return uint64(maxInt(p.Layers-1, 0)) * p.upStep() }
 
 // dev is the per-device protocol state.
 type dev struct {
@@ -198,146 +211,117 @@ func (d *dev) castWindowK(start uint64, role func() (int, any), done func(addres
 	})
 }
 
-// downPassK: parents push payloads to children (participate gates both
-// sides; the send callback runs on senders at each layer). Occupies
-// [start, start+downSlots).
+// downPassK: parents push payloads to children (participate, read at
+// pass start, gates both sides). Step i carries layer i to layer i+1,
+// so a device receives from its parent in step layer-1 and then, if
+// send yields a payload, sends in step layer; it builds nothing for the
+// other steps. Occupies [start, start+downSlots).
 func (d *dev) downPassK(start uint64, participate func() bool,
 	send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
 	p := d.p
+	if p.Layers < 2 {
+		return k
+	}
+	step := p.downStep()
+	end := radio.Then(radio.Sleep(start+p.downSlots()-1), k)
 	return radio.Eval(func() radio.Cont {
-		part := participate()
-		if p.Model == radio.Local {
-			var it func(i int) radio.Cont
-			it = func(i int) radio.Cont {
-				if i > p.Layers-2 {
-					return k
-				}
-				slot := start + uint64(i)
-				next := radio.Then(radio.Sleep(slot), radio.Eval(func() radio.Cont { return it(i + 1) }))
+		if !participate() {
+			return end
+		}
+		sendK := end
+		if d.layer <= p.Layers-2 {
+			base := start + uint64(d.layer)*step
+			sendK = radio.Eval(func() radio.Cont {
+				body, ok := send()
 				switch {
-				case part && d.layer == i:
-					return radio.Eval(func() radio.Cont {
-						if body, ok := send(); ok {
-							return radio.Then(radio.Transmit(slot, addressed{from: d.index, to: -1, body: body}), next)
-						}
-						return next
-					})
-				case part && d.layer == i+1 && d.parent >= 0:
-					return radio.Recv(slot, func(fb radio.Feedback) radio.Cont {
-						for _, raw := range fb.Payloads() {
-							if m, ok := raw.(addressed); ok && m.from == d.parent {
-								recvFn(m.body)
-							}
-						}
-						return next
-					})
-				default:
-					return next
+				case !ok:
+					return end
+				case p.Model == radio.Local:
+					return radio.Then(radio.Transmit(base, addressed{from: d.index, to: -1, body: body}), end)
 				}
-			}
-			return it(0)
+				return radio.Then(radio.Transmit(base+uint64(d.id-1), body), end)
+			})
 		}
-		per := uint64(p.IDSpace)
-		var it func(i int) radio.Cont
-		it = func(i int) radio.Cont {
-			if i > p.Layers-2 {
-				return k
-			}
-			base := start + uint64(i)*per
-			next := radio.Then(radio.Sleep(base+per-1), radio.Eval(func() radio.Cont { return it(i + 1) }))
-			switch {
-			case part && d.layer == i:
-				return radio.Eval(func() radio.Cont {
-					if body, ok := send(); ok {
-						return radio.Then(radio.Transmit(base+uint64(d.id-1), body), next)
-					}
-					return next
-				})
-			case part && d.layer == i+1 && d.parent >= 0:
-				return radio.Recv(base+uint64(d.parentID-1), func(fb radio.Feedback) radio.Cont {
-					if fb.Status == radio.Received {
-						recvFn(fb.Payload)
-					}
-					return next
-				})
-			default:
-				return next
-			}
+		if d.parent < 0 || d.layer < 1 || d.layer > p.Layers-1 {
+			return sendK
 		}
-		return it(0)
+		base := start + uint64(d.layer-1)*step
+		if p.Model == radio.Local {
+			return radio.Recv(base, func(fb radio.Feedback) radio.Cont {
+				for _, raw := range fb.Payloads() {
+					if m, ok := raw.(addressed); ok && m.from == d.parent {
+						recvFn(m.body)
+					}
+				}
+				return sendK
+			})
+		}
+		return radio.Recv(base+uint64(d.parentID-1), func(fb radio.Feedback) radio.Cont {
+			if fb.Status == radio.Received {
+				recvFn(fb.Payload)
+			}
+			return sendK
+		})
 	})
 }
 
-// upPassK: children push payloads to parents; in CD each parent's ID
-// indexes a deterministic SR window resolving sibling contention.
-// Occupies [start, start+upSlots).
+// upPassK: children push payloads to parents (participate, read at pass
+// start, gates both sides). Step i carries layer Layers-1-i to its
+// parents, so a device receives from its children in step Layers-2-layer
+// and then, if send yields a payload, sends in step Layers-1-layer; it
+// builds nothing for the other steps. In CD a step is one Lemma 24
+// window per ID, a parent's ID indexing the window that resolves its
+// children's contention. Occupies [start, start+upSlots).
 func (d *dev) upPassK(start uint64, participate func() bool,
 	send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
 	p := d.p
+	if p.Layers < 2 {
+		return k
+	}
+	step := p.upStep()
+	end := radio.Then(radio.Sleep(start+p.upSlots()-1), k)
 	return radio.Eval(func() radio.Cont {
-		part := participate()
-		if p.Model == radio.Local {
-			var it func(wi int) radio.Cont
-			it = func(wi int) radio.Cont {
-				layer := p.Layers - 1 - wi
-				if layer < 1 {
-					return k
-				}
-				slot := start + uint64(wi)
-				next := radio.Then(radio.Sleep(slot), radio.Eval(func() radio.Cont { return it(wi + 1) }))
-				switch {
-				case part && d.layer == layer && d.parent >= 0:
-					return radio.Eval(func() radio.Cont {
-						if body, ok := send(); ok {
-							return radio.Then(radio.Transmit(slot, addressed{from: d.index, to: d.parent, body: body}), next)
-						}
-						return radio.Then(radio.Sleep(slot), next)
-					})
-				case part && d.layer == layer-1:
-					return radio.Recv(slot, func(fb radio.Feedback) radio.Cont {
-						for _, raw := range fb.Payloads() {
-							if m, ok := raw.(addressed); ok && m.to == d.index {
-								recvFn(m.body)
-								break
-							}
-						}
-						return next
-					})
-				default:
-					return next
-				}
-			}
-			return it(0)
+		if !participate() {
+			return end
 		}
-		per := uint64(p.IDSpace) * p.castSlots()
-		var win func(wi, id int) radio.Cont
-		win = func(wi, id int) radio.Cont {
-			layer := p.Layers - 1 - wi
-			if layer < 1 {
-				return k
-			}
-			if id > p.IDSpace {
-				return radio.Eval(func() radio.Cont { return win(wi+1, 1) })
-			}
-			ws := start + uint64(wi)*per + uint64(id-1)*p.castSlots()
-			next := radio.Then(radio.Sleep(ws+p.castSlots()-1), radio.Eval(func() radio.Cont { return win(wi, id+1) }))
-			return d.castWindowK(ws,
-				func() (int, any) {
-					if part && d.layer == layer && d.parentID == id {
+		sendK := end
+		if d.parent >= 0 && d.layer >= 1 && d.layer <= p.Layers-1 {
+			base := start + uint64(p.Layers-1-d.layer)*step
+			if p.Model == radio.Local {
+				sendK = radio.Eval(func() radio.Cont {
+					if body, ok := send(); ok {
+						return radio.Then(radio.Transmit(base, addressed{from: d.index, to: d.parent, body: body}), end)
+					}
+					return end
+				})
+			} else {
+				sendK = d.castWindowK(base+uint64(d.parentID-1)*p.castSlots(),
+					func() (int, any) {
 						if body, ok := send(); ok {
 							return castSend, body
 						}
 						return castSkip, nil
-					}
-					if part && d.layer == layer-1 && d.id == id {
-						return castRecv, nil
-					}
-					return castSkip, nil
-				},
-				func(m addressed) { recvFn(m.body) },
-				next)
+					}, nil, end)
+			}
 		}
-		return win(0, 1)
+		if d.layer > p.Layers-2 {
+			return sendK
+		}
+		base := start + uint64(p.Layers-2-d.layer)*step
+		if p.Model == radio.Local {
+			return radio.Recv(base, func(fb radio.Feedback) radio.Cont {
+				for _, raw := range fb.Payloads() {
+					if m, ok := raw.(addressed); ok && m.to == d.index {
+						recvFn(m.body)
+						break
+					}
+				}
+				return sendK
+			})
+		}
+		return d.castWindowK(base+uint64(d.id-1)*p.castSlots(),
+			func() (int, any) { return castRecv, nil },
+			func(m addressed) { recvFn(m.body) }, sendK)
 	})
 }
 
@@ -661,14 +645,15 @@ type relabelBody struct {
 func (p Params) ackSlots() uint64 { return uint64(p.IDSpace) }
 
 // ackPassK: every vertex that merged under an external parent this
-// refinement beeps in its new parent's ID slot; each vertex listens in
-// its own slot, then the bit is ORed up to the root. Occupies
+// refinement beeps to its new parent; every other vertex listens for
+// such beeps, then the bit is ORed up to the root. In LOCAL the beeps
+// share the pass's first slot, addressed to the parent; in CD a vertex
+// beeps in its parent's ID slot and listens in its own. Occupies
 // ackSlots + upSlots.
 func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k radio.Cont) radio.Cont {
 	p := d.p
 	gotJoiner := false
-	upStart := start + p.ackSlots()
-	up := d.upPassK(upStart, func() bool { return true },
+	up := d.upPassK(start+p.ackSlots(), func() bool { return true },
 		func() (any, bool) { return orBit(gotJoiner), gotJoiner },
 		func(m any) {
 			if _, ok := m.(orBit); ok {
@@ -681,9 +666,9 @@ func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k radio.Cont) r
 			}
 		}, k))
 	endBeeps := radio.Then(radio.Sleep(start+p.ackSlots()-1), up)
-	if p.Model == radio.Local {
-		return radio.Eval(func() radio.Cont {
-			gotJoiner = false
+	return radio.Eval(func() radio.Cont {
+		gotJoiner = false
+		if p.Model == radio.Local {
 			if mergedExternal() {
 				return radio.Then(radio.Transmit(start, addressed{from: d.index, to: d.parent}), endBeeps)
 			}
@@ -695,31 +680,17 @@ func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k radio.Cont) r
 				}
 				return endBeeps
 			})
-		})
-	}
-	var slot func(id int) radio.Cont
-	slot = func(id int) radio.Cont {
-		if id > p.IDSpace {
-			return endBeeps
 		}
-		s := start + uint64(id-1)
-		next := radio.Eval(func() radio.Cont { return slot(id + 1) })
-		return radio.Eval(func() radio.Cont {
-			if mergedExternal() && d.parentID == id {
-				return radio.Then(radio.Transmit(s, 1), next)
+		if mergedExternal() {
+			return radio.Then(radio.Transmit(start+uint64(d.parentID-1), 1), endBeeps)
+		}
+		return radio.Recv(start+uint64(d.id-1), func(fb radio.Feedback) radio.Cont {
+			if fb.Status != radio.Silence {
+				gotJoiner = true
 			}
-			if !mergedExternal() && d.id == id {
-				return radio.Recv(s, func(fb radio.Feedback) radio.Cont {
-					if fb.Status != radio.Silence {
-						gotJoiner = true
-					}
-					return next
-				})
-			}
-			return next
+			return endBeeps
 		})
-	}
-	return radio.Do(func() { gotJoiner = false }, slot(1))
+	})
 }
 
 type orBit bool

@@ -187,3 +187,40 @@ func TestSlotsAccounting(t *testing.T) {
 		}
 	}
 }
+
+// stepCounter counts the Step calls of the proc it wraps.
+type stepCounter struct {
+	p radio.Proc
+	n *int
+}
+
+func (c stepCounter) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	*c.n++
+	return c.p.Step(ch, fb)
+}
+
+// TestPassesAreSparse checks that a device builds only the steps it acts
+// in: a pass step it sits out must cost no Step call, so the population
+// steps at most a few times per event. Stepping every layer of every
+// pass costs tens to hundreds of Step calls per event.
+func TestPassesAreSparse(t *testing.T) {
+	g := graph.Path(12)
+	for _, model := range []radio.Model{radio.Local, radio.CD} {
+		p, err := NewParams(model, g.N(), g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := 0
+		res, _, err := radio.Run(radio.Config{Graph: g, Model: model, IDSpace: p.IDSpace, MaxSlots: 1 << 62},
+			func(v int, out *DeviceResult) radio.Proc {
+				return stepCounter{Proc(p, v == 0, "sparse", out), &steps}
+			})
+		if err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		t.Logf("%v: %d Step calls for %d events", model, steps, res.Events)
+		if uint64(steps) > 3*res.Events {
+			t.Errorf("%v: %d Step calls for %d events, want at most 3 per event", model, steps, res.Events)
+		}
+	}
+}

@@ -10,8 +10,11 @@ package cdmerge
 // deferred into an Eval thunk that runs at its window's start. That
 // fixes the evaluation order at window start, which is what keeps the
 // event stream byte-identical run over run (proc_test.go) and across
-// changes (pin_test.go). Every UpSR and ReqSR sub-window re-arms the
-// device's one srcomm.Window, embedded in the chain with radio.ProcCont.
+// changes (pin_test.go). A Downward or Upward pass builds only the two
+// steps a device acts in, its receive and its send; layer, parent and
+// Ind change only between passes, so the pass reads them at its start.
+// Every UpSR and ReqSR sub-window re-arms the device's one
+// srcomm.Window, embedded in the chain with radio.ProcCont.
 
 import (
 	"repro/internal/cluster"
@@ -95,97 +98,94 @@ func (d *pdev) lemma19K(start uint64, k cont) cont {
 	return radio.Do(func() { d.ind = 0 }, coloring(0))
 }
 
-// downPassK floods down every tree: per layer iteration, senders at layer
-// it transmit in their color slots, children listen at (Ind, parent
-// color), and every iteration ends with a sleep to its boundary.
+// downPassK floods down every tree. Step it carries layer it to layer
+// it+1: a device receives at (Ind, parent color) in step layer-1, then,
+// if send yields a payload, transmits in its own color slot of every
+// coloring in step layer. It builds nothing for the other steps, which
+// one sleep to the pass's last slot covers.
 func (d *pdev) downPassK(start uint64, send func() (any, bool), recv func(any), k cont) cont {
 	p := d.p
+	if p.Layers < 2 {
+		return k
+	}
 	per := uint64(p.C) * uint64(p.K)
-	var iter func(it int) cont
-	iter = func(it int) cont {
-		if it > p.Layers-2 {
-			return k
-		}
-		base := start + uint64(it)*per
-		sleep := radio.Then(radio.Sleep(base+per-1), radio.Eval(func() cont { return iter(it + 1) }))
-		return radio.Eval(func() cont {
-			switch {
-			case d.layer == it:
+	end := radio.Then(radio.Sleep(start+p.downSlots()-1), k)
+	return radio.Eval(func() cont {
+		sendK := end
+		if d.layer <= p.Layers-2 {
+			base := start + uint64(d.layer)*per
+			sendK = radio.Eval(func() cont {
 				payload, ok := send()
 				if !ok {
-					return sleep
+					return end
 				}
-				var tx func(j int) cont
-				tx = func(j int) cont {
-					if j >= p.C {
-						return sleep
-					}
-					return radio.Then(radio.Transmit(base+uint64(j*p.K+d.colors[j]-1), payload),
-						radio.Eval(func() cont { return tx(j + 1) }))
+				tx := end
+				for j := p.C - 1; j >= 0; j-- {
+					tx = radio.Then(radio.Transmit(base+uint64(j*p.K+d.colors[j]-1), payload), tx)
 				}
-				return tx(0)
-			case d.layer == it+1 && d.parent >= 0 && d.ind > 0:
-				j := d.ind - 1
-				return radio.Recv(base+uint64(j*p.K+d.parentColors[j]-1), func(fb radio.Feedback) cont {
-					if fb.Status == radio.Received {
-						recv(fb.Payload)
-					}
-					return sleep
-				})
-			default:
-				return sleep
+				return tx
+			})
+		}
+		if d.parent < 0 || d.ind == 0 || d.layer < 1 || d.layer > p.Layers-1 {
+			return sendK
+		}
+		j := d.ind - 1
+		return radio.Recv(start+uint64(d.layer-1)*per+uint64(j*p.K+d.parentColors[j]-1), func(fb radio.Feedback) cont {
+			if fb.Status == radio.Received {
+				recv(fb.Payload)
 			}
+			return sendK
 		})
-	}
-	return iter(0)
+	})
 }
 
-// upPassK gathers up every tree: per descending layer iteration, the
-// sender joins the SR sub-window indexed by (Ind, parent color) and the
-// parent listens in the sub-windows of its own colors.
+// upPassK gathers up every tree. Step i carries layer Layers-1-i to its
+// parents: a device receives in the UpSR sub-windows of its own colors
+// in step Layers-2-layer, then, if send yields a payload, joins the
+// sub-window indexed by (Ind, parent color) in step Layers-1-layer. It
+// builds nothing for the other steps, which one sleep to the pass's
+// last slot covers.
 func (d *pdev) upPassK(start uint64, send func() (any, bool), recv func(any), k cont) cont {
 	p := d.p
+	if p.Layers < 2 {
+		return k
+	}
 	w := p.UpSR.Slots()
 	per := uint64(p.C) * uint64(p.K) * w
-	var iter func(it int) cont
-	iter = func(it int) cont {
-		if it < 1 {
-			return k
-		}
-		base := start + uint64(p.Layers-1-it)*per
-		sleep := radio.Then(radio.Sleep(base+per-1), radio.Eval(func() cont { return iter(it - 1) }))
-		return radio.Eval(func() cont {
-			if d.layer == it && d.parent >= 0 && d.ind > 0 {
-				payload, sending := send()
-				if !sending {
-					return sleep
+	end := radio.Then(radio.Sleep(start+p.upSlots()-1), k)
+	return radio.Eval(func() cont {
+		sendK := end
+		if d.parent >= 0 && d.ind > 0 && d.layer >= 1 && d.layer <= p.Layers-1 {
+			base := start + uint64(p.Layers-1-d.layer)*per
+			sendK = radio.Eval(func() cont {
+				payload, ok := send()
+				if !ok {
+					return end
 				}
 				j := d.ind - 1
-				ws := base + (uint64(j)*uint64(p.K)+uint64(d.parentColors[j]-1))*w
-				d.win.ArmCD(ws, p.UpSR, true, payload)
-				return radio.ProcCont(&d.win, sleep)
+				d.win.ArmCD(base+(uint64(j)*uint64(p.K)+uint64(d.parentColors[j]-1))*w, p.UpSR, true, payload)
+				return radio.ProcCont(&d.win, end)
+			})
+		}
+		if d.layer > p.Layers-2 {
+			return sendK
+		}
+		base := start + uint64(p.Layers-2-d.layer)*per
+		var win func(j int) cont
+		win = func(j int) cont {
+			if j >= p.C {
+				return sendK
 			}
-			if d.layer == it-1 {
-				var win func(j int) cont
-				win = func(j int) cont {
-					if j >= p.C {
-						return sleep
-					}
-					ws := base + (uint64(j)*uint64(p.K)+uint64(d.colors[j]-1))*w
-					d.win.ArmCD(ws, p.UpSR, false, nil)
-					return radio.ProcCont(&d.win, radio.Eval(func() cont {
-						if m, ok := d.win.Delivery(); ok {
-							recv(m)
-						}
-						return win(j + 1)
-					}))
+			d.win.ArmCD(base+(uint64(j)*uint64(p.K)+uint64(d.colors[j]-1))*w, p.UpSR, false, nil)
+			return radio.ProcCont(&d.win, radio.Eval(func() cont {
+				if m, ok := d.win.Delivery(); ok {
+					recv(m)
 				}
-				return win(0)
-			}
-			return sleep
-		})
-	}
-	return iter(p.Layers - 1)
+				return win(j + 1)
+			}))
+		}
+		return win(0)
+	})
 }
 
 // innerIterationK is one merge iteration: request window, gather

@@ -63,3 +63,35 @@ func TestProcTraceDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// stepCounter counts the Step calls of the proc it wraps.
+type stepCounter struct {
+	p radio.Proc
+	n *int
+}
+
+func (c stepCounter) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	*c.n++
+	return c.p.Step(ch, fb)
+}
+
+// TestPassesAreSparse checks that the Down and Up passes build only the
+// steps a device acts in: a layer it sits out must cost no Step call,
+// so the population steps at most twice per event.
+func TestPassesAreSparse(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Path(12), graph.GNP(16, 0.3, 5)} {
+		p := testParams(t, g, 0.5)
+		steps := 0
+		res, _, err := radio.Run(radio.Config{Graph: g, Model: radio.CD, Seed: 1, MaxSlots: 1 << 62},
+			func(v int, out *DeviceResult) radio.Proc {
+				return stepCounter{Proc(p, v == 0, "sparse", out), &steps}
+			})
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name(), err)
+		}
+		t.Logf("%s: %d Step calls for %d events", g.Name(), steps, res.Events)
+		if uint64(steps) > 2*res.Events {
+			t.Errorf("%s: %d Step calls for %d events, want at most 2 per event", g.Name(), steps, res.Events)
+		}
+	}
+}

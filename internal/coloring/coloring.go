@@ -10,6 +10,11 @@
 // entirely. The simulation multiplies time by k and energy by at most
 // Delta+1, which is what makes it attractive exactly when Delta = O(1)
 // (Corollary 13).
+//
+// SimulateProc is the package's device: one flat step machine that runs
+// the setup (Learn-degree, the coloring iterations and a closing color
+// exchange, one transmit or listen per slot) and then drives the inner
+// LOCAL proc through the simulation.
 package coloring
 
 import (
@@ -64,60 +69,10 @@ func (p Params) SetupSlots() uint64 {
 	return uint64(p.LearnSlots) + uint64(p.ColorIters)*uint64(p.StepSlots) + uint64(p.LearnSlots)
 }
 
-// SimSlots returns the physical-slot cost of simulating the given number
-// of virtual LOCAL slots after setup.
-func (p Params) SimSlots(virtual uint64) uint64 {
-	return virtual * uint64(p.Colors())
-}
-
-// TotalSlots returns setup plus simulation cost.
-func (p Params) TotalSlots(virtual uint64) uint64 {
-	return p.SetupSlots() + p.SimSlots(virtual)
-}
-
 // learnMsg is the payload of Learn-degree and color-exchange slots.
 type learnMsg struct {
 	id    int
 	color int
-}
-
-// LearnDegreeCont emits the Lemma 4 protocol in the window
-// [start, start+LearnSlots): in each slot a device transmits its ID with
-// probability 1/(Delta+1) and listens otherwise (the +1 keeps the
-// Delta = 1 case from transmitting always). When the window ends, *out
-// holds the IDs of all neighbors heard (w.h.p. all of them), sorted,
-// and k resumes.
-func LearnDegreeCont(start uint64, p Params, out *[]int, k radio.Cont) radio.Cont {
-	seen := make(map[int]bool)
-	var slotC func(i int) radio.Cont
-	slotC = func(i int) radio.Cont {
-		if i == p.LearnSlots {
-			return radio.Do(func() {
-				ids := make([]int, 0, len(seen))
-				for id := range seen {
-					ids = append(ids, id)
-				}
-				sort.Ints(ids)
-				*out = ids
-			}, k)
-		}
-		slot := start + uint64(i)
-		next := radio.Eval(func() radio.Cont { return slotC(i + 1) })
-		return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-			if rng.Bernoulli(ch.Rand(), 1/float64(p.Delta+1)) {
-				return radio.Then(radio.Transmit(slot, learnMsg{id: ch.Index()}), next)
-			}
-			return radio.Recv(slot, func(fb radio.Feedback) radio.Cont {
-				if fb.Status == radio.Received {
-					if m, ok := fb.Payload.(learnMsg); ok {
-						seen[m.id] = true
-					}
-				}
-				return next
-			})
-		})
-	}
-	return slotC(0)
 }
 
 // colorMsg is the gossip payload of Two-Hop-Coloring's step 3.
@@ -127,122 +82,16 @@ type colorMsg struct {
 	list  map[int]int // sender's view of its neighbors' colors (its L)
 }
 
-// ColoringResult is a device's outcome of Two-Hop-Coloring.
+// ColoringResult is a device's outcome of the setup.
 type ColoringResult struct {
+	// Neighbors holds the IDs Learn-degree heard (w.h.p. every
+	// neighbor), sorted.
+	Neighbors []int
 	// Color is the device's color in {1..k}; 0 when never fixed
 	// (probability 1/poly(n)).
 	Color int
 	// NeighborColors maps neighbor ID to its final color.
 	NeighborColors map[int]int
-}
-
-// TwoHopColoringCont emits the Section 3.1 algorithm in the window
-// [start, start+ColorIters*StepSlots+LearnSlots). *neighbors must hold
-// the Learn-degree output when the window starts. When the window ends,
-// *out is a proper coloring of G+G^2 w.h.p. (within every distance-2
-// neighborhood all colors are distinct) and k resumes.
-//
-// One deviation from the paper's prose, for airtight safety: the color
-// lists L(v) (and the cached copies of neighbors' lists) are reset at the
-// start of every iteration, so a vertex only fixes its color based on
-// colors announced in the same iteration. The paper's step 4 already
-// rejects undefined entries; the reset makes staleness impossible rather
-// than just unlikely.
-func TwoHopColoringCont(start uint64, p Params, neighbors *[]int, out *ColoringResult, k radio.Cont) radio.Cont {
-	kColors := p.Colors()
-	color := 0
-	fixed := false
-	finalList := make(map[int]int)
-	var list map[int]int           // neighbor id -> announced color
-	var copies map[int]map[int]int // neighbor id -> its announced list
-
-	finish := radio.Do(func() {
-		if !fixed {
-			color = 0
-		}
-		*out = ColoringResult{Color: color, NeighborColors: finalList}
-	}, k)
-
-	// Final color-exchange pass so every device leaves with fresh
-	// neighbor colors (needed for the simulation's listen schedule).
-	exchange := func(t uint64) radio.Cont {
-		var slotC func(i int) radio.Cont
-		slotC = func(i int) radio.Cont {
-			if i == p.LearnSlots {
-				return finish
-			}
-			slot := t + uint64(i)
-			next := radio.Eval(func() radio.Cont { return slotC(i + 1) })
-			return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-				if rng.Bernoulli(ch.Rand(), 1/float64(p.Delta+1)) {
-					return radio.Then(radio.Transmit(slot, learnMsg{id: ch.Index(), color: color}), next)
-				}
-				return radio.Recv(slot, func(fb radio.Feedback) radio.Cont {
-					if fb.Status == radio.Received {
-						if m, ok := fb.Payload.(learnMsg); ok {
-							finalList[m.id] = m.color
-						}
-					}
-					return next
-				})
-			})
-		}
-		return slotC(0)
-	}
-
-	var iterC func(iter int, t uint64) radio.Cont
-	iterC = func(iter int, t uint64) radio.Cont {
-		if iter == p.ColorIters {
-			return exchange(t)
-		}
-		post := radio.Do(func() {
-			if fixed {
-				for id, c := range list {
-					finalList[id] = c
-				}
-				return
-			}
-			if acceptColor(color, *neighbors, list, copies) {
-				fixed = true
-				for id, c := range list {
-					finalList[id] = c
-				}
-			}
-		}, radio.Eval(func() radio.Cont { return iterC(iter+1, t+uint64(p.StepSlots)) }))
-		var slotC func(i int) radio.Cont
-		slotC = func(i int) radio.Cont {
-			if i == p.StepSlots {
-				return post
-			}
-			slot := t + uint64(i)
-			next := radio.Eval(func() radio.Cont { return slotC(i + 1) })
-			return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-				if rng.Bernoulli(ch.Rand(), 1/float64(p.Delta+1)) {
-					return radio.Then(radio.Transmit(slot,
-						colorMsg{id: ch.Index(), color: color, list: cloneList(list)}), next)
-				}
-				return radio.Recv(slot, func(fb radio.Feedback) radio.Cont {
-					if fb.Status == radio.Received {
-						if m, ok := fb.Payload.(colorMsg); ok {
-							list[m.id] = m.color
-							copies[m.id] = m.list
-						}
-					}
-					return next
-				})
-			})
-		}
-		return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-			if !fixed {
-				color = 1 + ch.Rand().IntN(kColors)
-			}
-			// Fresh views for this iteration.
-			list = make(map[int]int)
-			copies = make(map[int]map[int]int)
-			return slotC(0)
-		})
-	}
-	return iterC(0, start)
 }
 
 // acceptColor applies the paper's step 4: reject when (i) some entry of
@@ -282,13 +131,119 @@ func cloneList(m map[int]int) map[int]int {
 	return c
 }
 
-// SetupCont emits Learn-degree followed by Two-Hop-Coloring; when the
-// setup window ends, *out holds the device's schedule information for
-// the simulation and k resumes.
-func SetupCont(start uint64, p Params, out *ColoringResult, k radio.Cont) radio.Cont {
-	neighbors := new([]int)
-	return LearnDegreeCont(start, p, neighbors,
-		TwoHopColoringCont(start+uint64(p.LearnSlots), p, neighbors, out, k))
+// setupProc is SimulateProc's step machine: the setup as one flat
+// sequence of windows, then the simulation. Window 0 is Learn-degree
+// (Lemma 4), windows 1..ColorIters are the Two-Hop-Coloring iterations
+// (Section 3.1), and the last is a color exchange, so every device
+// leaves with fresh neighbor colors for the simulation's listen
+// schedule. In every slot a device transmits the window's message with
+// probability 1/(Delta+1) (the +1 keeps the Delta = 1 case from
+// transmitting always) and listens otherwise.
+//
+// One deviation from the paper's prose, for airtight safety: the color
+// lists L(v) (and the cached copies of neighbors' lists) are reset at
+// the start of every iteration, so a vertex only fixes its color based
+// on colors announced in the same iteration. The paper's step 4 already
+// rejects undefined entries; the reset makes staleness impossible
+// rather than just unlikely.
+type setupProc struct {
+	p     Params
+	slot  uint64 // the device's latest setup slot
+	inner radio.Proc
+	out   *ColoringResult
+	drv   *simDriver // the simulation, once the setup has ended
+
+	win  int // current window
+	left int // slots left in it
+
+	seen   map[int]bool // IDs heard in Learn-degree
+	res    ColoringResult
+	fixed  bool
+	list   map[int]int         // neighbor ID -> color announced this iteration
+	copies map[int]map[int]int // neighbor ID -> its list announced this iteration
+}
+
+func (s *setupProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	if s.drv != nil {
+		return s.drv.Step(ch, fb)
+	}
+	p := s.p
+	if fb.Status == radio.Received {
+		s.hear(fb.Payload)
+	}
+	if s.left == 0 {
+		s.closeWindow()
+		s.win++
+		if s.win > p.ColorIters+1 {
+			*s.out = s.res
+			s.drv = newSimDriver(s.slot, p, s.res, s.inner)
+			return s.drv.Step(ch, radio.Feedback{})
+		}
+		if s.win > p.ColorIters {
+			s.left = p.LearnSlots
+		} else {
+			s.left = p.StepSlots
+			if !s.fixed {
+				s.res.Color = 1 + ch.Rand().IntN(p.Colors())
+			}
+			// Fresh views for this iteration.
+			s.list, s.copies = make(map[int]int), make(map[int]map[int]int)
+		}
+	}
+	s.left--
+	s.slot++
+	if !rng.Bernoulli(ch.Rand(), 1/float64(p.Delta+1)) {
+		return radio.Listen(s.slot)
+	}
+	switch {
+	case s.win == 0:
+		return radio.Transmit(s.slot, learnMsg{id: ch.Index()})
+	case s.win <= p.ColorIters:
+		return radio.Transmit(s.slot, colorMsg{id: ch.Index(), color: s.res.Color, list: cloneList(s.list)})
+	}
+	return radio.Transmit(s.slot, learnMsg{id: ch.Index(), color: s.res.Color})
+}
+
+// hear takes a delivery of the current window.
+func (s *setupProc) hear(payload any) {
+	switch m := payload.(type) {
+	case learnMsg:
+		if s.win == 0 {
+			s.seen[m.id] = true
+		} else if s.win > s.p.ColorIters {
+			s.res.NeighborColors[m.id] = m.color
+		}
+	case colorMsg:
+		if s.win > 0 && s.win <= s.p.ColorIters {
+			s.list[m.id] = m.color
+			s.copies[m.id] = m.list
+		}
+	}
+}
+
+// closeWindow ends the current window: Learn-degree sorts the IDs it
+// heard, an iteration fixes the color by step 4 (a fixed color keeps
+// its neighbors' announced colors), and the exchange zeroes a color
+// never fixed.
+func (s *setupProc) closeWindow() {
+	switch {
+	case s.win == 0:
+		for id := range s.seen {
+			s.res.Neighbors = append(s.res.Neighbors, id)
+		}
+		sort.Ints(s.res.Neighbors)
+	case s.win <= s.p.ColorIters:
+		if !s.fixed {
+			s.fixed = acceptColor(s.res.Color, s.res.Neighbors, s.list, s.copies)
+		}
+		if s.fixed {
+			for id, c := range s.list {
+				s.res.NeighborColors[id] = c
+			}
+		}
+	case !s.fixed:
+		s.res.Color = 0
+	}
 }
 
 // localChannel is the virtual LOCAL channel handle handed to a simulated
@@ -433,14 +388,13 @@ func (d *simDriver) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	}
 }
 
-// SimulateProc returns a device step machine that emits setup and then
-// drives the inner LOCAL step machine through the simulation, all
-// starting at physical slot start. The inner proc sees a fresh virtual
-// clock starting at 0; *out holds the coloring once setup ends.
+// SimulateProc returns a device step machine that runs the setup and
+// then drives the inner LOCAL step machine through the simulation, all
+// starting at physical slot start: the setup takes SetupSlots slots,
+// and virtual slot 1's frame follows it. The inner proc sees a fresh
+// virtual clock starting at 0; *out holds the setup's outcome once the
+// setup ends.
 func SimulateProc(start uint64, p Params, inner radio.Proc, out *ColoringResult) radio.Proc {
-	return radio.ContProc(func(radio.Channel) radio.Cont {
-		return SetupCont(start, p, out, radio.Eval(func() radio.Cont {
-			return radio.ProcCont(newSimDriver(start+p.SetupSlots()-1, p, *out, inner), nil)
-		}))
-	})
+	return &setupProc{p: p, slot: start - 1, inner: inner, out: out, left: p.LearnSlots,
+		seen: make(map[int]bool), res: ColoringResult{NeighborColors: make(map[int]int)}}
 }

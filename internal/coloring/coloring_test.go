@@ -9,33 +9,26 @@ import (
 	"repro/internal/radio"
 )
 
+// halt is an inner proc that ends the device as soon as the setup does.
+var halt = radio.ProcFunc(func(radio.Channel, radio.Feedback) radio.Action { return radio.Halt() })
+
 func TestLearnDegreeFindsAllNeighbors(t *testing.T) {
 	gs := []*graph.Graph{graph.Path(8), graph.Cycle(10), graph.Star(6), graph.Grid(3, 4)}
 	for _, g := range gs {
 		n := g.N()
-		p := NewParams(n, g.MaxDegree())
-		learned := make([][]int, n)
-		pop := make([]radio.Device, n)
+		results := runColoring(t, g, 5)
 		for v := 0; v < n; v++ {
-			v := v
-			pop[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
-				return LearnDegreeCont(1, p, &learned[v], nil)
-			})
-		}
-		if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.NoCD, Seed: 5}, pop); err != nil {
-			t.Fatalf("%s: %v", g.Name(), err)
-		}
-		for v := 0; v < n; v++ {
+			learned := results[v].Neighbors
 			want := append([]int(nil), g.Neighbors(v)...)
-			if len(learned[v]) != len(want) {
-				t.Errorf("%s: vertex %d learned %v, want %d neighbors", g.Name(), v, learned[v], len(want))
+			if len(learned) != len(want) {
+				t.Errorf("%s: vertex %d learned %v, want %d neighbors", g.Name(), v, learned, len(want))
 				continue
 			}
 			wantSet := make(map[int]bool, len(want))
 			for _, u := range want {
 				wantSet[u] = true
 			}
-			for _, u := range learned[v] {
+			for _, u := range learned {
 				if !wantSet[u] {
 					t.Errorf("%s: vertex %d learned non-neighbor %d", g.Name(), v, u)
 				}
@@ -48,17 +41,10 @@ func TestLearnDegreeFindsAllNeighbors(t *testing.T) {
 // results.
 func runColoring(t *testing.T, g *graph.Graph, seed uint64) []ColoringResult {
 	t.Helper()
-	n := g.N()
-	p := NewParams(n, g.MaxDegree())
-	results := make([]ColoringResult, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		v := v
-		pop[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
-			return SetupCont(1, p, &results[v], nil)
-		})
-	}
-	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.NoCD, Seed: seed}, pop); err != nil {
+	p := NewParams(g.N(), g.MaxDegree())
+	_, results, err := radio.Run(radio.Config{Graph: g, Model: radio.NoCD, Seed: seed},
+		func(_ int, out *ColoringResult) radio.Proc { return SimulateProc(1, p, halt, out) })
+	if err != nil {
 		t.Fatalf("%s: %v", g.Name(), err)
 	}
 	return results
@@ -229,12 +215,6 @@ func TestParamsSlotAccounting(t *testing.T) {
 	want := uint64(p.LearnSlots) + uint64(p.ColorIters*p.StepSlots) + uint64(p.LearnSlots)
 	if p.SetupSlots() != want {
 		t.Errorf("SetupSlots = %d, want %d", p.SetupSlots(), want)
-	}
-	if p.SimSlots(10) != 10*uint64(p.Colors()) {
-		t.Errorf("SimSlots wrong")
-	}
-	if p.TotalSlots(10) != p.SetupSlots()+p.SimSlots(10) {
-		t.Errorf("TotalSlots wrong")
 	}
 	// Delta clamp.
 	p0 := NewParams(4, 0)

@@ -248,21 +248,18 @@ func (s *setupProc) closeWindow() {
 
 // localChannel is the virtual LOCAL channel handle handed to a simulated
 // step machine: informational queries forward to the physical channel,
-// the model reads LOCAL, and the clock is the driver's virtual clock.
+// and the clock is the driver's virtual clock.
 type localChannel struct {
 	phys radio.Channel
 	drv  *simDriver
 }
 
-func (l *localChannel) Index() int            { return l.phys.Index() }
-func (l *localChannel) N() int                { return l.phys.N() }
-func (l *localChannel) MaxDegree() int        { return l.phys.MaxDegree() }
-func (l *localChannel) Diameter() (int, bool) { return l.phys.Diameter() }
-func (l *localChannel) IDSpace() int          { return l.phys.IDSpace() }
-func (l *localChannel) AssignedID() int       { return l.phys.AssignedID() }
-func (l *localChannel) Model() radio.Model    { return radio.Local }
-func (l *localChannel) Rand() *rand.Rand      { return l.phys.Rand() }
-func (l *localChannel) Now() uint64           { return l.drv.vnow }
+func (l *localChannel) Index() int       { return l.phys.Index() }
+func (l *localChannel) N() int           { return l.phys.N() }
+func (l *localChannel) IDSpace() int     { return l.phys.IDSpace() }
+func (l *localChannel) AssignedID() int  { return l.phys.AssignedID() }
+func (l *localChannel) Rand() *rand.Rand { return l.phys.Rand() }
+func (l *localChannel) Now() uint64      { return l.drv.vnow }
 
 // simDriver executes a LOCAL step machine over a physical No-CD (or CD)
 // channel using a two-hop coloring (Theorem 3). Virtual slot s maps to

@@ -10,22 +10,19 @@ import "math/rand/v2"
 // Channel is purely informational: devices act on the network by
 // returning Actions from Step, never by calling into the engine, so a
 // virtual channel only has to answer queries — the driver that steps
-// the inner proc interprets its actions.
+// the inner proc interprets its actions. It answers only what devices
+// read at run time: their identity and IDs, the network size, their
+// random stream and their clock. Delta, the diameter and the model are
+// global knowledge that every protocol takes from its Params.
 type Channel interface {
 	// Index is the device's vertex index (see Env.Index).
 	Index() int
 	// N is the number of vertices.
 	N() int
-	// MaxDegree is the maximum-degree bound Delta.
-	MaxDegree() int
-	// Diameter returns the diameter and whether devices know it.
-	Diameter() (int, bool)
 	// IDSpace is the deterministic ID bound N (0 if unassigned).
 	IDSpace() int
 	// AssignedID is the device's distinct ID in {1..IDSpace}, or 0.
 	AssignedID() int
-	// Model is the channel's collision model.
-	Model() Model
 	// Rand is the device's private random stream.
 	Rand() *rand.Rand
 	// Now is the device's local clock (last slot acted or slept through).

@@ -213,7 +213,9 @@ type Event struct {
 	From    int // transmitter index for EventReceive; -1 otherwise
 }
 
-// Config describes one simulation run.
+// Config describes one simulation run. Devices learn from it only their
+// IDs and n (Channel.AssignedID, IDSpace and N); a protocol takes Delta,
+// the diameter and the model from its own Params.
 type Config struct {
 	// Graph is the network topology. Required, and must be non-empty.
 	Graph *graph.Graph
@@ -231,11 +233,6 @@ type Config struct {
 	// than a traced one, with a different partial Result but the same
 	// error. A completed run's Result does not depend on it.
 	MaxEvents uint64
-	// KnowDiameter, if true, exposes the exact diameter to devices.
-	KnowDiameter bool
-	// Diameter is the value exposed when KnowDiameter is set. If zero it
-	// is computed from the graph.
-	Diameter int
 	// IDSpace is the deterministic-model ID space bound N. When positive,
 	// each device is assigned a distinct ID in {1..N} (IDs[i] if given,
 	// else i+1).
@@ -354,26 +351,12 @@ func (e *Env) Index() int { return e.index }
 // N returns the number of vertices n (global knowledge per the model).
 func (e *Env) N() int { return e.sim.n }
 
-// MaxDegree returns Delta (global knowledge per the model).
-func (e *Env) MaxDegree() int { return e.sim.maxDeg }
-
-// Diameter returns the diameter D and whether it is known to devices.
-func (e *Env) Diameter() (int, bool) {
-	if e.sim.diam < 0 {
-		return 0, false
-	}
-	return e.sim.diam, true
-}
-
 // IDSpace returns the deterministic ID space bound N (0 if unassigned).
 func (e *Env) IDSpace() int { return e.sim.idSpace }
 
 // AssignedID returns the device's distinct ID in {1..IDSpace}, or 0 when
 // the run has no ID assignment.
 func (e *Env) AssignedID() int { return e.devID }
-
-// Model returns the channel model of the run.
-func (e *Env) Model() Model { return e.sim.model }
 
 // Rand returns the device's private deterministic random stream.
 func (e *Env) Rand() *rand.Rand { return e.rand }

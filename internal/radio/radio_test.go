@@ -404,38 +404,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestDiameterExposure(t *testing.T) {
-	g := graph.Path(5)
-	var d int
-	var known bool
-	devs := fill(5, map[int]Proc{0: probe(func(ch Channel) { d, known = ch.Diameter() })})
-	if _, err := RunDevices(Config{Graph: g, Model: NoCD}, devs); err != nil {
-		t.Fatal(err)
-	}
-	if known {
-		t.Error("diameter known without KnowDiameter")
-	}
-	devs = fill(5, map[int]Proc{0: probe(func(ch Channel) { d, known = ch.Diameter() })})
-	if _, err := RunDevices(Config{Graph: g, Model: NoCD, KnowDiameter: true}, devs); err != nil {
-		t.Fatal(err)
-	}
-	if !known || d != 4 {
-		t.Errorf("diameter = %d, known = %v", d, known)
-	}
-}
-
 func TestEnvAccessors(t *testing.T) {
 	g := graph.Star(4)
-	var n, maxDeg, idx int
-	var model Model
-	devs := fill(4, map[int]Proc{2: probe(func(ch Channel) {
-		n, maxDeg, idx, model = ch.N(), ch.MaxDegree(), ch.Index(), ch.Model()
-	})})
+	var n, idx int
+	devs := fill(4, map[int]Proc{2: probe(func(ch Channel) { n, idx = ch.N(), ch.Index() })})
 	if _, err := RunDevices(Config{Graph: g, Model: CDStar}, devs); err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 || maxDeg != 3 || idx != 2 || model != CDStar {
-		t.Errorf("accessors: n=%d maxDeg=%d idx=%d model=%v", n, maxDeg, idx, model)
+	if n != 4 || idx != 2 {
+		t.Errorf("accessors: n=%d idx=%d", n, idx)
 	}
 }
 

@@ -60,13 +60,7 @@ func refRun(cfg Config, devs []Device) (*Result, error) {
 	}
 	// Env reads the run's global knowledge through its sim pointer; this
 	// Simulator carries only those fields and never runs.
-	info := &Simulator{n: n, maxDeg: g.MaxDegree(), model: cfg.Model, diam: -1, idSpace: cfg.IDSpace}
-	if cfg.KnowDiameter {
-		info.diam = cfg.Diameter
-		if info.diam == 0 {
-			info.diam, _ = g.Diameter()
-		}
-	}
+	info := &Simulator{n: n, model: cfg.Model, idSpace: cfg.IDSpace}
 	r := &refEngine{
 		g:     g,
 		model: cfg.Model,

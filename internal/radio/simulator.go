@@ -65,19 +65,17 @@ type farEntry struct {
 // a run yields the byte-identical event stream whether the Simulator is
 // fresh or recycled.
 type Simulator struct {
-	g      *graph.Graph
-	off    []int32 // CSR row offsets, shared with g
-	adj    []int32 // CSR neighbor array, shared with g
-	n      int
-	maxDeg int
-	base   Config // template captured by NewSimulator (Seed overridden per run)
+	g    *graph.Graph
+	off  []int32 // CSR row offsets, shared with g
+	adj  []int32 // CSR neighbor array, shared with g
+	n    int
+	base Config // template captured by NewSimulator (Seed overridden per run)
 
 	// per-run binding (scalars from the run's Config).
 	model     Model
 	trace     func(Event)
 	maxSlots  uint64
 	maxEvents uint64
-	diam      int // exposed to devices; -1 when unknown
 	idSpace   int
 	ids       []int
 
@@ -159,7 +157,6 @@ func NewSimulator(g *graph.Graph, cfg Config) (*Simulator, error) {
 		off:        off,
 		adj:        adj,
 		n:          n,
-		maxDeg:     g.MaxDegree(),
 		base:       cfg,
 		ids:        make([]int, n),
 		envs:       make([]Env, n),
@@ -216,17 +213,6 @@ func (s *Simulator) bind(cfg Config) error {
 	s.maxEvents = cfg.MaxEvents
 	if s.maxEvents == 0 {
 		s.maxEvents = 1 << 28
-	}
-	s.diam = -1
-	if cfg.KnowDiameter {
-		d := cfg.Diameter
-		if d == 0 {
-			var err error
-			if d, err = s.g.Diameter(); err != nil {
-				return fmt.Errorf("radio: KnowDiameter: %w", err)
-			}
-		}
-		s.diam = d
 	}
 	if err := cfg.Fault.Validate(); err != nil {
 		return fmt.Errorf("radio: %w", err)

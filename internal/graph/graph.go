@@ -134,16 +134,6 @@ func (g *Graph) MaxDegree() int {
 	return d
 }
 
-// SortAdjacency sorts every adjacency list ascending. Since AddEdge now
-// maintains sortedness as an invariant it is a no-op for graphs built
-// through the public API; it is kept as a repair valve for callers that
-// reach into a graph by other means.
-func (g *Graph) SortAdjacency() {
-	for _, nb := range g.adj {
-		sort.Ints(nb)
-	}
-}
-
 // CSR returns the graph's adjacency in compressed-sparse-row form: the
 // neighbors of v are adj[off[v]:off[v+1]], sorted ascending. The two
 // slices are built lazily on first call, cached, and shared by every
@@ -276,17 +266,6 @@ func (g *Graph) TwoHopNeighbors(v int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.N())
-	c.m = g.m
-	c.name = g.name
-	for v, nb := range g.adj {
-		c.adj[v] = append([]int(nil), nb...)
-	}
-	return c
 }
 
 // Validate checks structural invariants (symmetry, no self-loops, no

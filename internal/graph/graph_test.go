@@ -159,23 +159,6 @@ func TestTwoHopNeighbors(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := Path(4)
-	c := g.Clone()
-	if err := c.AddEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(0, 2) {
-		t.Fatal("Clone shares adjacency with original")
-	}
-	if c.M() != g.M()+1 {
-		t.Fatalf("clone M=%d orig M=%d", c.M(), g.M())
-	}
-	if c.Name() != g.Name() {
-		t.Fatal("clone lost name")
-	}
-}
-
 func TestGeneratorsValidateAndConnect(t *testing.T) {
 	gs := []*Graph{
 		Path(1), Path(17), Cycle(3), Cycle(12), Clique(9), Star(11),
@@ -266,22 +249,6 @@ func TestLollipopShape(t *testing.T) {
 	}
 	if d != 7 { // across clique (1) + tail (6)
 		t.Fatalf("lollipop diameter = %d", d)
-	}
-}
-
-func TestSortAdjacency(t *testing.T) {
-	g := New(4)
-	for _, e := range [][2]int{{3, 0}, {2, 0}, {1, 0}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.SortAdjacency()
-	nb := g.Neighbors(0)
-	for i := 0; i+1 < len(nb); i++ {
-		if nb[i] > nb[i+1] {
-			t.Fatalf("adjacency not sorted: %v", nb)
-		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package rng provides deterministic, splittable pseudo-random number
 // generation and the samplers used by the broadcast protocols (Bernoulli
-// trials, geometric and exponential variates).
+// trials and exponential variates).
 //
 // Every protocol in this repository draws randomness exclusively through
 // this package so that simulations are reproducible from a single root
@@ -8,10 +8,7 @@
 // SplitMix64, and each stream is a PCG generator from math/rand/v2.
 package rng
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // SplitMix64 advances the state by one step and returns the next output of
 // the splitmix64 sequence. It is used to derive independent child seeds
@@ -91,28 +88,6 @@ func BernoulliPow2(r *rand.Rand, k int) bool {
 		k -= step
 	}
 	return true
-}
-
-// Geometric samples from the geometric distribution on {1, 2, 3, ...} with
-// success probability p, i.e. the number of Bernoulli(p) trials up to and
-// including the first success. The mean is 1/p.
-func Geometric(r *rand.Rand, p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		panic("rng: Geometric requires p > 0")
-	}
-	// Inversion method: ceil(ln(U) / ln(1-p)).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	g := int(math.Ceil(math.Log(u) / math.Log(1-p)))
-	if g < 1 {
-		g = 1
-	}
-	return g
 }
 
 // Exponential samples from the exponential distribution with rate lambda

@@ -113,38 +113,6 @@ func TestBernoulliPow2(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(4)
-	const trials = 100000
-	for _, p := range []float64{0.5, 0.25} {
-		sum := 0
-		for i := 0; i < trials; i++ {
-			g := Geometric(r, p)
-			if g < 1 {
-				t.Fatalf("Geometric(%v) returned %d < 1", p, g)
-			}
-			sum += g
-		}
-		got := float64(sum) / trials
-		want := 1 / p
-		if math.Abs(got-want) > 0.05*want {
-			t.Errorf("Geometric(%v): empirical mean %v, want %v", p, got, want)
-		}
-	}
-	if Geometric(r, 1) != 1 {
-		t.Error("Geometric(1) must be 1")
-	}
-}
-
-func TestGeometricPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(r, 0) did not panic")
-		}
-	}()
-	Geometric(New(1), 0)
-}
-
 func TestExponentialMean(t *testing.T) {
 	r := New(5)
 	const trials = 100000

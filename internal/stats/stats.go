@@ -88,14 +88,6 @@ func LogLogSlope(xs, ys []float64) float64 {
 	return num / den
 }
 
-// GrowthRatio returns y_last/y_first — the overall growth across a sweep.
-func GrowthRatio(ys []float64) float64 {
-	if len(ys) < 2 || ys[0] == 0 {
-		return math.NaN()
-	}
-	return ys[len(ys)-1] / ys[0]
-}
-
 // Table renders rows as an aligned plain-text table with a header.
 type Table struct {
 	Header []string

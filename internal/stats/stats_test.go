@@ -53,18 +53,6 @@ func TestLogLogSlope(t *testing.T) {
 	}
 }
 
-func TestGrowthRatio(t *testing.T) {
-	if got := GrowthRatio([]float64{2, 4, 8}); got != 4 {
-		t.Errorf("GrowthRatio = %v", got)
-	}
-	if !math.IsNaN(GrowthRatio([]float64{5})) {
-		t.Error("short input should be NaN")
-	}
-	if !math.IsNaN(GrowthRatio([]float64{0, 5})) {
-		t.Error("zero first element should be NaN")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{Header: []string{"name", "n", "value"}}
 	tbl.Add("alpha", 16, 3.14159)

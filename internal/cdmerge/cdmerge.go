@@ -186,10 +186,3 @@ type DeviceResult struct {
 	Label    int
 	Parent   int
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -98,8 +98,8 @@ func (d *pdev) lemma19K(start uint64, k cont) cont {
 	return radio.Do(func() { d.ind = 0 }, coloring(0))
 }
 
-// downPassK floods down every tree. Step it carries layer it to layer
-// it+1: a device receives at (Ind, parent color) in step layer-1, then,
+// downPassK floods down every tree. Step i carries layer i to layer
+// i+1: a device receives at (Ind, parent color) in step layer-1, then,
 // if send yields a payload, transmits in its own color slot of every
 // coloring in step layer. It builds nothing for the other steps, which
 // one sleep to the pass's last slot covers.

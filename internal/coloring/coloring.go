@@ -171,7 +171,7 @@ func (s *setupProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	if fb.Status == radio.Received {
 		s.hear(fb.Payload)
 	}
-	if s.left == 0 {
+	for s.left == 0 {
 		s.closeWindow()
 		s.win++
 		if s.win > p.ColorIters+1 {

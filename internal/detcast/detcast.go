@@ -36,8 +36,8 @@
 // two at its start, from the device's layer, parent and IDs (which
 // change only between passes), and one sleep to the pass's last slot
 // covers the rest, so a step the device sits out costs no Step call.
-// The CD ruling-set recursion still builds every combine, at a few
-// closures each for the combines off the device's path. Every cast
+// The CD ruling-set recursion builds every combine; one off the
+// device's path costs a few closures and a sleep per pass. Every cast
 // window (offers, cluster rounds, the CD up-pass) re-arms the device's
 // one srcomm.Window: ArmLocal in LOCAL, ArmDet in CD. The scheduler
 // steps the proc inline, so the algorithm's enormous idle stretches

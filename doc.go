@@ -31,7 +31,9 @@
 // structure of iterclust and dtime) are written against radio.Cont, a
 // continuation-passing layer over the same interface, and procs nest
 // under virtual channels (coloring's Theorem 3 simulation) by plain
-// composition. The Section 5 cluster phases — the Lemma 10 Broadcast and
+// composition. A device builds only the steps it acts in: a detcast or
+// cdmerge tree pass builds its receive and its send and sleeps through
+// the rest, and coloring's Section 3 setup is one flat step machine. The Section 5 cluster phases — the Lemma 10 Broadcast and
 // the label refinement — are one flat step machine per device
 // (internal/cluster) that re-arms a single SR-communication window
 // (srcomm.Window) in place, so a whole phase costs O(1) allocations per

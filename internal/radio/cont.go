@@ -9,14 +9,16 @@ package radio
 // state is deferred into an Eval thunk that runs at its window's start —
 // reproducing the evaluation order of the blocking implementation
 // exactly, which is what makes proc-vs-blocking trace pinning possible.
-// Sleeps emit no events and draw no randomness, so a port may cover the
-// windows a device sits out with one Sleep instead of building them
-// (see cluster.SweepCont), or emit nothing for them at all.
+// Sleeps emit no events and draw no randomness, so a port covers the
+// windows a device sits out with one Sleep instead of building them:
+// cluster.SweepCont builds a sweep's two live windows, and detcast's and
+// cdmerge's tree passes build a device's receive and send steps only.
 //
 // Every combinator allocates a closure, so a chain costs allocations in
 // proportion to its length. A phase that runs many windows of one shape
 // is cheaper as a flat Proc that re-arms one sub-machine in place,
-// embedded in the chain with one ProcCont (see cluster's cast machine).
+// embedded in the chain with one ProcCont (see cluster's cast machine),
+// or as a flat Proc outright (coloring's setup).
 // Every SR-communication window runs that way: the protocol re-arms the
 // device's one srcomm.Window and embeds it with ProcCont, so a window
 // allocates no machine.

@@ -142,7 +142,7 @@ type Simulator struct {
 }
 
 // NewSimulator builds a reusable engine for g. cfg provides the run
-// template: model, budgets, diameter/ID exposure, and trace sink; its
+// template: model, budgets, ID assignment, and trace sink; its
 // Graph field is ignored in favor of g and its Seed is overridden by
 // each run call. The per-run scalars can also be rebound wholesale by
 // the package-level RunDevices with a SimCache.

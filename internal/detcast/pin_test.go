@@ -54,8 +54,14 @@ func TestPortPin(t *testing.T) {
 		{"cd-star8", graph.Star(8), radio.CD, 5, 8, nil, true},
 		{"cd-gnp10", graph.GNP(10, 0.35, 2), radio.CD, 0, 10, nil, false},
 		// Sparser graphs of 16 IDs: deeper trees, longer passes.
-		{"local-gnp16", graph.GNP(16, 0.2, 3), radio.Local, 0, 16, nil, false},
-		{"cd-gnp16", graph.GNP(16, 0.2, 3), radio.CD, 0, 16, nil, false},
+		{"local-gnp16", graph.GNP(16, 0.2, 3), radio.Local, 0, 16, nil, true},
+		{"cd-gnp16", graph.GNP(16, 0.2, 3), radio.CD, 0, 16, nil, true},
+		// CD ruling sets whose root IDs differ from the root indices: a
+		// permuted and a sparse ID space, and a grid's many clusters.
+		{"cd-path6-perm", graph.Path(6), radio.CD, 2, 8, []int{7, 3, 8, 1, 5, 2}, true},
+		{"cd-gnp12-ids20", graph.GNP(12, 0.3, 5), radio.CD, 4, 20,
+			[]int{20, 3, 17, 9, 1, 14, 6, 11, 19, 2, 8, 13}, true},
+		{"cd-grid9", graph.Grid(3, 3), radio.CD, 4, 9, nil, true},
 	}
 	var sb strings.Builder
 	for _, sc := range scens {

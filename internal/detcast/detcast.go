@@ -28,17 +28,20 @@
 // schedule — whose slot layout is a pure function of Params — is
 // assembled from radio's combinators (Then, Recv, Do), while every read
 // of mutable protocol state (roles, labels, cluster ids) is deferred
-// into a radio.Eval thunk that runs when its window starts, reproducing
-// the evaluation order of the historical blocking implementation
-// exactly. A Downward or Upward pass has Layers-1 steps, but a device
-// acts in at most two of them: it receives in the step that reaches its
-// layer and sends in the step that leaves it. The pass builds just those
-// two at its start, from the device's layer, parent and IDs (which
-// change only between passes), and one sleep to the pass's last slot
-// covers the rest, so a step the device sits out costs no Step call.
-// The CD ruling-set recursion builds every combine; one off the
-// device's path costs a few closures and a sleep per pass. Every cast
-// window (offers, cluster rounds, the CD up-pass) re-arms the device's
+// into a radio.Eval thunk that runs when its window starts, which fixes
+// the order of those reads and so the event stream the port pin checks.
+// Each phase decides at its start whether the device takes part and
+// builds only the phases it takes part in; one sleep covers the rest. A
+// cluster round's non-participant sleeps through it, a merge iteration
+// builds the gather, decision and relabel passes only for a capturing
+// device, and the CD ruling set builds only the bits combines on the
+// path of the device's root ID. A Downward or Upward pass has Layers-1
+// steps, but a device acts in at most two of them: it receives in the
+// step that reaches its layer and sends in the step that leaves it. The
+// pass builds just those two at its start, from the device's layer,
+// parent and IDs (which change only between passes), so a step the
+// device sits out costs no Step call. Every cast window (offers,
+// cluster rounds, the CD up-pass) re-arms the device's
 // one srcomm.Window: ArmLocal in LOCAL, ArmDet in CD. The scheduler
 // steps the proc inline, so the algorithm's enormous idle stretches
 // (most CD windows touch a single cluster) cost neither goroutine parks
@@ -211,13 +214,11 @@ func (d *dev) castWindowK(start uint64, role func() (int, any), done func(addres
 	})
 }
 
-// downPassK: parents push payloads to children (participate, read at
-// pass start, gates both sides). Step i carries layer i to layer i+1,
-// so a device receives from its parent in step layer-1 and then, if
-// send yields a payload, sends in step layer; it builds nothing for the
-// other steps. Occupies [start, start+downSlots).
-func (d *dev) downPassK(start uint64, participate func() bool,
-	send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
+// downPassK: parents push payloads to children. Step i carries layer i
+// to layer i+1, so a device receives from its parent in step layer-1
+// and then, if send yields a payload, sends in step layer; it builds
+// nothing for the other steps. Occupies [start, start+downSlots).
+func (d *dev) downPassK(start uint64, send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
 	p := d.p
 	if p.Layers < 2 {
 		return k
@@ -225,9 +226,6 @@ func (d *dev) downPassK(start uint64, participate func() bool,
 	step := p.downStep()
 	end := radio.Then(radio.Sleep(start+p.downSlots()-1), k)
 	return radio.Eval(func() radio.Cont {
-		if !participate() {
-			return end
-		}
 		sendK := end
 		if d.layer <= p.Layers-2 {
 			base := start + uint64(d.layer)*step
@@ -265,15 +263,13 @@ func (d *dev) downPassK(start uint64, participate func() bool,
 	})
 }
 
-// upPassK: children push payloads to parents (participate, read at pass
-// start, gates both sides). Step i carries layer Layers-1-i to its
-// parents, so a device receives from its children in step Layers-2-layer
-// and then, if send yields a payload, sends in step Layers-1-layer; it
-// builds nothing for the other steps. In CD a step is one Lemma 24
-// window per ID, a parent's ID indexing the window that resolves its
-// children's contention. Occupies [start, start+upSlots).
-func (d *dev) upPassK(start uint64, participate func() bool,
-	send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
+// upPassK: children push payloads to parents. Step i carries layer
+// Layers-1-i to its parents, so a device receives from its children in
+// step Layers-2-layer and then, if send yields a payload, sends in step
+// Layers-1-layer; it builds nothing for the other steps. In CD a step is
+// one Lemma 24 window per ID, a parent's ID indexing the window that
+// resolves its children's contention. Occupies [start, start+upSlots).
+func (d *dev) upPassK(start uint64, send func() (any, bool), recvFn func(any), k radio.Cont) radio.Cont {
 	p := d.p
 	if p.Layers < 2 {
 		return k
@@ -281,9 +277,6 @@ func (d *dev) upPassK(start uint64, participate func() bool,
 	step := p.upStep()
 	end := radio.Then(radio.Sleep(start+p.upSlots()-1), k)
 	return radio.Eval(func() radio.Cont {
-		if !participate() {
-			return end
-		}
 		sendK := end
 		if d.parent >= 0 && d.layer >= 1 && d.layer <= p.Layers-1 {
 			base := start + uint64(p.Layers-1-d.layer)*step
@@ -329,48 +322,20 @@ func (d *dev) upPassK(start uint64, participate func() bool,
 // root's flag floods down, flagged clusters' members All-cast,
 // receptions OR up to the root. args is evaluated at round start and
 // yields (participate, sendFlag, listenFlag); done receives whether
-// this device's cluster heard anything (meaningful at the root).
+// this device's cluster heard anything (meaningful at the root). A
+// device that does not participate sleeps to the round's end, where
+// done hears false.
 func (d *dev) clusterRoundK(start uint64, args func() (bool, bool, bool),
 	done func(heard bool), k radio.Cont) radio.Cont {
 	p := d.p
-	var part bool
-	role := 0 // cluster role: 0 idle, 1 send, 2 listen
-	heard := false
 	castStart := start + p.downSlots()
 	upStart := castStart + p.castSlots()
-	endUp := d.upPassK(upStart, func() bool { return part },
-		func() (any, bool) { return true, heard },
-		func(m any) {
-			if b, ok := m.(bool); ok && b {
-				heard = true
-			}
-		},
-		radio.Do(func() { done(heard) }, k))
-	castEnd := radio.Then(radio.Sleep(castStart+p.castSlots()-1), endUp)
-	castK := d.castWindowK(castStart,
-		func() (int, any) {
-			switch {
-			case part && role == 1:
-				return castSend, d.cid
-			case part && role == 2:
-				return castRecv, nil
-			}
-			return castSkip, nil
-		},
-		func(addressed) { heard = true },
-		castEnd)
-	down := d.downPassK(start, func() bool { return part },
-		func() (any, bool) { return role, role != 0 },
-		func(m any) {
-			if r, ok := m.(int); ok {
-				role = r
-			}
-		},
-		castK)
-	return radio.Do(func() {
+	return radio.Eval(func() radio.Cont {
 		participate, sendFlag, listenFlag := args()
-		part = participate
-		role, heard = 0, false
+		if !participate {
+			return radio.Then(radio.Sleep(upStart+p.upSlots()-1), radio.Do(func() { done(false) }, k))
+		}
+		role := 0 // cluster role: 0 idle, 1 send, 2 listen
 		if d.parent < 0 {
 			if sendFlag {
 				role = 1
@@ -378,11 +343,40 @@ func (d *dev) clusterRoundK(start uint64, args func() (bool, bool, bool),
 				role = 2
 			}
 		}
-	}, down)
+		heard := false
+		up := d.upPassK(upStart,
+			func() (any, bool) { return true, heard },
+			func(m any) {
+				if b, ok := m.(bool); ok && b {
+					heard = true
+				}
+			},
+			radio.Do(func() { done(heard) }, k))
+		cast := d.castWindowK(castStart,
+			func() (int, any) {
+				switch role {
+				case 1:
+					return castSend, d.cid
+				case 2:
+					return castRecv, nil
+				}
+				return castSkip, nil
+			},
+			func(addressed) { heard = true },
+			radio.Then(radio.Sleep(upStart-1), up))
+		return d.downPassK(start,
+			func() (any, bool) { return role, role != 0 },
+			func(m any) {
+				if r, ok := m.(int); ok {
+					role = r
+				}
+			},
+			cast)
+	})
 }
 
 // statusFloodK pushes the root's current inI value down the tree.
-func (d *dev) statusFloodK(start uint64, participate func() bool, k radio.Cont) radio.Cont {
+func (d *dev) statusFloodK(start uint64, k radio.Cont) radio.Cont {
 	var fresh *bool
 	return radio.Do(func() {
 		fresh = nil
@@ -390,7 +384,7 @@ func (d *dev) statusFloodK(start uint64, participate func() bool, k radio.Cont) 
 			v := d.inI
 			fresh = &v
 		}
-	}, d.downPassK(start, participate,
+	}, d.downPassK(start,
 		func() (any, bool) {
 			if fresh != nil {
 				return *fresh, true
@@ -413,50 +407,46 @@ func (p Params) combineSlots() uint64 {
 }
 
 // rulingSetCDK computes the (2, logN) ruling set of the cluster graph by
-// the Lemma 26 sequential recursion over ID prefixes. The device's
-// cluster participates only in the rounds along its root ID's path.
+// the Lemma 26 sequential recursion over ID prefixes. A level-l call
+// runs its two level-(l-1) halves, then a combine of its in-I clusters
+// (I0 with prefix||0 announce, I1 with prefix||1 listen and drop out if
+// they hear). The device's cluster takes part only in the combines on
+// its root ID's path, one per level, and builds nothing for the others.
 // Cluster roots end with inI set. Occupies the CD rsSlots window.
 func (d *dev) rulingSetCDK(start uint64, k radio.Cont) radio.Cont {
 	p := d.p
-	bits := p.bits()
 	// A level-l call covers 2^l - 1 combines.
 	levelSlots := func(level int) uint64 {
 		return (uint64(1)<<uint(level) - 1) * p.combineSlots()
 	}
-	var rec func(level, prefix int, t uint64, k radio.Cont) radio.Cont
-	rec = func(level, prefix int, t uint64, k radio.Cont) radio.Cont {
-		if level == 0 {
-			return k
-		}
-		t1 := t + levelSlots(level-1)
-		t2 := t1 + levelSlots(level-1)
-		// Combine: I0 = in-I clusters with prefix||0, I1 with prefix||1.
-		mine := func() (m bool, bit int) {
-			myPrefix := (d.cidID - 1) >> uint(level-1)
-			return myPrefix>>1 == prefix, myPrefix & 1
-		}
-		combine := d.clusterRoundK(t2,
-			func() (bool, bool, bool) {
-				m, bit := mine()
-				return m && d.inI, m && d.inI && bit == 0, m && d.inI && bit == 1
-			},
-			func(heard bool) {
-				m, bit := mine()
-				if m && d.inI && bit == 1 && d.parent < 0 && heard {
-					d.inI = false
-				}
-			},
-			// Drop-outs must inform members so they stop participating:
-			// the root's updated status floods down (each member relays
-			// the fresh value it received earlier in the same pass).
-			d.statusFloodK(t2+p.downSlots()+p.castSlots()+p.upSlots(),
-				func() bool { m, _ := mine(); return m }, k))
-		return rec(level-1, prefix<<1, t, rec(level-1, prefix<<1|1, t1, combine))
-	}
-	return radio.Do(func() {
+	return radio.Eval(func() radio.Cont {
 		// Leaf: every cluster starts in I of its own singleton call.
 		d.inI = true
-	}, rec(bits, 0, start, k))
+		// Walk the path from the top level down: the level-l call's
+		// combine follows its two halves, and the path goes on into the
+		// second half when bit l-1 of the root ID's prefix is 1. The
+		// level-l combine runs after the level-(l-1) one, so each wraps
+		// the chain built so far. cidID changes only at a merge commit.
+		path := d.cidID - 1
+		t := start
+		for l := p.bits(); l >= 1; l-- {
+			bit := path >> uint(l-1) & 1
+			t2 := t + 2*levelSlots(l-1)
+			k = d.clusterRoundK(t2,
+				func() (bool, bool, bool) { return d.inI, d.inI && bit == 0, d.inI && bit == 1 },
+				func(heard bool) {
+					if d.inI && bit == 1 && d.parent < 0 && heard {
+						d.inI = false
+					}
+				},
+				// Drop-outs must inform members so they stop participating:
+				// the root's updated status floods down (each member relays
+				// the fresh value it received earlier in the same pass).
+				d.statusFloodK(t2+p.downSlots()+p.castSlots()+p.upSlots(), k))
+			t += uint64(bit) * levelSlots(l-1)
+		}
+		return k
+	})
 }
 
 // rulingSetLocalK computes the (3, 2logN) ruling set of the cluster
@@ -500,7 +490,7 @@ func (d *dev) rulingSetLocalK(start uint64, k radio.Cont) radio.Cont {
 						d.inI = false
 					}
 				},
-				d.statusFloodK(t+2*round, func() bool { return true },
+				d.statusFloodK(t+2*round,
 					radio.Eval(func() radio.Cont { return level(l+1, t+levelLen) }))))
 		return hop1
 	}
@@ -513,15 +503,44 @@ func (d *dev) rulingSetLocalK(start uint64, k radio.Cont) radio.Cont {
 // new labels propagate along the old tree (Section 6.4). reversed
 // selects the singleton-fix round, where only clusters known to be
 // non-singleton groups offer and only childless ruling-set clusters
-// capture. Occupies castSlots + 2*(upSlots+downSlots).
+// capture. Whether the device offers or captures is decided at
+// iteration start; a device that does not capture offers or skips the
+// offer window and sleeps to the iteration's end. Occupies mergeSlots.
 func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.Cont {
 	p := d.p
-	var offering, capturing bool
-	cand := -1
+	return radio.Eval(func() radio.Cont {
+		offering := d.joined
+		capturing := !d.joined
+		if reversed {
+			offering = d.joined || (d.inI && d.hasJoin)
+			capturing = d.inI && !d.hasJoin && !d.joined
+		}
+		if capturing {
+			return d.captureK(start, k)
+		}
+		end := radio.Then(radio.Sleep(start+p.mergeSlots()-1), k)
+		if !offering {
+			return end
+		}
+		return d.castWindowK(start,
+			func() (int, any) {
+				return castSend, offerBody{layer: d.layer, cid: d.cid, cidID: d.cidID, id: d.id}
+			}, nil, end)
+	})
+}
+
+// captureK is a capturing device's merge iteration: it listens for
+// offers, gathers a candidate to the root, floods the root's winner
+// down, relabels from the winner up and down the old tree and commits
+// the new label. It is built at iteration start.
+func (d *dev) captureK(start uint64, k radio.Cont) radio.Cont {
+	p := d.p
 	t1 := start + p.castSlots()
 	t2 := t1 + p.upSlots()
 	t3 := t2 + p.downSlots()
 	t4 := t3 + p.upSlots()
+	d.captured = nil
+	cand := -1
 
 	relabelSend := func() (any, bool) {
 		if d.newLayer >= 0 {
@@ -532,7 +551,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.C
 	}
 	acceptUp := func(m any) {
 		rb, ok := m.(relabelBody)
-		if !ok || d.newLayer >= 0 || d.winner < 0 || !capturing {
+		if !ok || d.newLayer >= 0 || d.winner < 0 {
 			return
 		}
 		d.newLayer = rb.layer + 1
@@ -543,7 +562,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.C
 	}
 	acceptDown := func(m any) {
 		rb, ok := m.(relabelBody)
-		if !ok || d.newLayer >= 0 || d.winner < 0 || !capturing {
+		if !ok || d.newLayer >= 0 || d.winner < 0 {
 			return
 		}
 		d.newLayer = rb.layer + 1
@@ -565,8 +584,8 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.C
 		}
 	}, k)
 	// Relabel from the winner along the old tree.
-	relabelDown := d.downPassK(t4, func() bool { return capturing }, relabelSend, acceptDown, commit)
-	relabelUp := d.upPassK(t3, func() bool { return capturing }, relabelSend, acceptUp, relabelDown)
+	relabelDown := d.downPassK(t4, relabelSend, acceptDown, commit)
+	relabelUp := d.upPassK(t3, relabelSend, acceptUp, relabelDown)
 	prepRelabel := radio.Do(func() {
 		d.newLayer, d.newPar, d.newParID = -1, -1, 0
 		if d.winner == d.index && d.captured != nil {
@@ -580,7 +599,7 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.C
 		}
 	}, relabelUp)
 	// Decision flood.
-	decide := d.downPassK(t2, func() bool { return capturing },
+	decide := d.downPassK(t2,
 		func() (any, bool) { return d.winner, d.winner >= 0 },
 		func(m any) {
 			if w, ok := m.(int); ok {
@@ -590,12 +609,12 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.C
 		prepRelabel)
 	pickWinner := radio.Do(func() {
 		d.winner = -1
-		if d.parent < 0 && capturing && cand >= 0 {
+		if d.parent < 0 && cand >= 0 {
 			d.winner = cand
 		}
 	}, decide)
 	// Gather a candidate to the root.
-	gather := d.upPassK(t1, func() bool { return capturing },
+	gather := d.upPassK(t1,
 		func() (any, bool) { return cand, cand >= 0 },
 		func(m any) {
 			if c, ok := m.(int); ok && cand < 0 {
@@ -603,34 +622,14 @@ func (d *dev) mergeIterationK(start uint64, reversed bool, k radio.Cont) radio.C
 			}
 		},
 		pickWinner)
-	prepGather := radio.Do(func() {
-		cand = -1
-		if d.captured != nil && capturing {
+	// Offers: a device that hears one is its cluster's candidate.
+	return d.castWindowK(start,
+		func() (int, any) { return castRecv, nil },
+		func(m addressed) {
+			d.captured = &m
 			cand = d.index
-		}
-	}, gather)
-	// Offers.
-	offer := d.castWindowK(start,
-		func() (int, any) {
-			if offering {
-				return castSend, offerBody{layer: d.layer, cid: d.cid, cidID: d.cidID, id: d.id}
-			}
-			if capturing {
-				return castRecv, nil
-			}
-			return castSkip, nil
 		},
-		func(m addressed) { d.captured = &m },
-		prepGather)
-	return radio.Do(func() {
-		offering = d.joined
-		capturing = !d.joined
-		if reversed {
-			offering = d.joined || (d.inI && d.hasJoin)
-			capturing = d.inI && !d.hasJoin && !d.joined
-		}
-		d.captured = nil
-	}, offer)
+		gather)
 }
 
 type offerBody struct {
@@ -653,7 +652,7 @@ func (p Params) ackSlots() uint64 { return uint64(p.IDSpace) }
 func (d *dev) ackPassK(start uint64, mergedExternal func() bool, k radio.Cont) radio.Cont {
 	p := d.p
 	gotJoiner := false
-	up := d.upPassK(start+p.ackSlots(), func() bool { return true },
+	up := d.upPassK(start+p.ackSlots(),
 		func() (any, bool) { return orBit(gotJoiner), gotJoiner },
 		func(m any) {
 			if _, ok := m.(orBit); ok {
@@ -794,7 +793,6 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 			index: ch.Index(),
 			id:    ch.AssignedID(),
 			layer: 0, parent: -1, parentID: 0,
-			newLayer: -1,
 		}
 		d.cid, d.cidID = d.index, d.id
 		has := isSource
@@ -816,9 +814,8 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 			}
 		}
 		relaySend := func() (any, bool) { return msgBody{body: body}, has }
-		relay := d.upPassK(relayStart, func() bool { return true }, relaySend, relayRecv,
-			d.downPassK(relayStart+p.upSlots(), func() bool { return true }, relaySend, relayRecv,
-				finish))
+		relay := d.upPassK(relayStart, relaySend, relayRecv,
+			d.downPassK(relayStart+p.upSlots(), relaySend, relayRecv, finish))
 		var chain radio.Cont = relay
 		for r := p.Refinements - 1; r >= 0; r-- {
 			t := uint64(1) + uint64(r)*p.refineSlots()

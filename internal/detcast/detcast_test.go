@@ -199,28 +199,40 @@ func (c stepCounter) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	return c.p.Step(ch, fb)
 }
 
-// TestPassesAreSparse checks that a device builds only the steps it acts
-// in: a pass step it sits out must cost no Step call, so the population
-// steps at most a few times per event. Stepping every layer of every
-// pass costs tens to hundreds of Step calls per event.
+// TestPassesAreSparse checks that a device builds only the steps and
+// phases it acts in: a pass step it sits out, a cluster round its
+// cluster does not take part in and a CD combine off its root ID's path
+// must cost no Step call, so the population steps at most twice per
+// event. Building every combine costs close to four Step calls per
+// event in a 64-ID space, and stepping every layer of every pass tens
+// to hundreds.
 func TestPassesAreSparse(t *testing.T) {
 	g := graph.Path(12)
-	for _, model := range []radio.Model{radio.Local, radio.CD} {
-		p, err := NewParams(model, g.N(), g.N())
+	cases := []struct {
+		name    string
+		model   radio.Model
+		idSpace int
+	}{
+		{"LOCAL", radio.Local, 12},
+		{"CD", radio.CD, 12},
+		{"CD ids64", radio.CD, 64},
+	}
+	for _, c := range cases {
+		p, err := NewParams(c.model, g.N(), c.idSpace)
 		if err != nil {
 			t.Fatal(err)
 		}
 		steps := 0
-		res, _, err := radio.Run(radio.Config{Graph: g, Model: model, IDSpace: p.IDSpace, MaxSlots: 1 << 62},
+		res, _, err := radio.Run(radio.Config{Graph: g, Model: c.model, IDSpace: p.IDSpace, MaxSlots: 1 << 62},
 			func(v int, out *DeviceResult) radio.Proc {
 				return stepCounter{Proc(p, v == 0, "sparse", out), &steps}
 			})
 		if err != nil {
-			t.Fatalf("%v: %v", model, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		t.Logf("%v: %d Step calls for %d events", model, steps, res.Events)
-		if uint64(steps) > 3*res.Events {
-			t.Errorf("%v: %d Step calls for %d events, want at most 3 per event", model, steps, res.Events)
+		t.Logf("%s: %d Step calls for %d events", c.name, steps, res.Events)
+		if uint64(steps) > 2*res.Events {
+			t.Errorf("%s: %d Step calls for %d events, want at most 2 per event", c.name, steps, res.Events)
 		}
 	}
 }

@@ -161,6 +161,10 @@ type setupProc struct {
 	fixed  bool
 	list   map[int]int         // neighbor ID -> color announced this iteration
 	copies map[int]map[int]int // neighbor ID -> its list announced this iteration
+	// sent is the snapshot of list that gossip transmits, shared by
+	// every transmit until list changes (nil then). Receivers only read
+	// the maps they keep in copies, and a snapshot is never written.
+	sent map[int]int
 }
 
 func (s *setupProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
@@ -187,7 +191,7 @@ func (s *setupProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 				s.res.Color = 1 + ch.Rand().IntN(p.Colors())
 			}
 			// Fresh views for this iteration.
-			s.list, s.copies = make(map[int]int), make(map[int]map[int]int)
+			s.list, s.copies, s.sent = make(map[int]int), make(map[int]map[int]int), nil
 		}
 	}
 	s.left--
@@ -199,7 +203,10 @@ func (s *setupProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	case s.win == 0:
 		return radio.Transmit(s.slot, learnMsg{id: ch.Index()})
 	case s.win <= p.ColorIters:
-		return radio.Transmit(s.slot, colorMsg{id: ch.Index(), color: s.res.Color, list: cloneList(s.list)})
+		if s.sent == nil {
+			s.sent = cloneList(s.list)
+		}
+		return radio.Transmit(s.slot, colorMsg{id: ch.Index(), color: s.res.Color, list: s.sent})
 	}
 	return radio.Transmit(s.slot, learnMsg{id: ch.Index(), color: s.res.Color})
 }
@@ -215,7 +222,10 @@ func (s *setupProc) hear(payload any) {
 		}
 	case colorMsg:
 		if s.win > 0 && s.win <= s.p.ColorIters {
-			s.list[m.id] = m.color
+			if c, ok := s.list[m.id]; !ok || c != m.color {
+				s.list[m.id] = m.color
+				s.sent = nil
+			}
 			s.copies[m.id] = m.list
 		}
 	}

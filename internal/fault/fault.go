@@ -40,9 +40,6 @@ const (
 	Loss  Kind = "loss"
 )
 
-// Kinds lists the injectable kinds (None excluded), for CLI help.
-func Kinds() []Kind { return []Kind{Crash, Sleep, Loss} }
-
 // Spec declares one fault configuration. The zero value — and any spec
 // with Rate 0 — is inactive: the engine behaves exactly as if the field
 // had never been set.

@@ -74,91 +74,3 @@ func (l Labeling) Roots() []int {
 	}
 	return roots
 }
-
-// NumLayers returns one plus the maximum label (0 for an empty labeling).
-func (l Labeling) NumLayers() int {
-	m := -1
-	for _, lab := range l {
-		if lab > m {
-			m = lab
-		}
-	}
-	return m + 1
-}
-
-// Territories returns, for each vertex, the set of roots r such that the
-// vertex is reachable from r along a path whose labels are 0,1,2,...
-// (i.e. the vertex can appear in the "arm" of r in the L-adjacency
-// definition). Roots belong to their own territory.
-func (l Labeling) Territories(g *graph.Graph) []map[int]bool {
-	n := g.N()
-	terr := make([]map[int]bool, n)
-	for v := range terr {
-		terr[v] = make(map[int]bool)
-	}
-	// Process vertices layer by layer.
-	byLayer := make(map[int][]int)
-	maxLayer := 0
-	for v, lab := range l {
-		byLayer[lab] = append(byLayer[lab], v)
-		if lab > maxLayer {
-			maxLayer = lab
-		}
-	}
-	for _, r := range byLayer[0] {
-		terr[r][r] = true
-	}
-	for layer := 1; layer <= maxLayer; layer++ {
-		for _, v := range byLayer[layer] {
-			for _, u := range g.Neighbors(v) {
-				if l[u] == layer-1 {
-					for r := range terr[u] {
-						terr[v][r] = true
-					}
-				}
-			}
-		}
-	}
-	return terr
-}
-
-// ClusterGraph builds G_L: vertices are the roots, and two roots are
-// adjacent when an edge of g connects their territories (including the
-// roots themselves). The returned graph is on indices 0..len(roots)-1,
-// parallel to the returned roots slice.
-func (l Labeling) ClusterGraph(g *graph.Graph) (*graph.Graph, []int) {
-	roots := l.Roots()
-	idx := make(map[int]int, len(roots))
-	for i, r := range roots {
-		idx[r] = i
-	}
-	terr := l.Territories(g)
-	cg := graph.New(len(roots))
-	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(v) {
-			if w < v {
-				continue
-			}
-			for rv := range terr[v] {
-				for rw := range terr[w] {
-					if rv != rw && !cg.HasEdge(idx[rv], idx[rw]) {
-						// Edge {v,w} joins the arms of rv and rw.
-						if err := cg.AddEdge(idx[rv], idx[rw]); err != nil {
-							panic(err)
-						}
-					}
-				}
-			}
-		}
-	}
-	cg.SetName(fmt.Sprintf("clusters-of-%s", g.Name()))
-	return cg, roots
-}
-
-// ClusterDiameter returns the diameter of G_L, or an error when G_L is
-// disconnected (which cannot happen for a good labeling on a connected
-// graph).
-func (l Labeling) ClusterDiameter(g *graph.Graph) (int, error) {
-	cg, _ := l.ClusterGraph(g)
-	return cg.Diameter()
-}

@@ -2,7 +2,6 @@ package labeling
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 )
@@ -15,9 +14,6 @@ func TestAllZeroIsGood(t *testing.T) {
 		}
 		if len(l.Roots()) != g.N() {
 			t.Errorf("%s: all-zero labeling should have n roots", g.Name())
-		}
-		if l.NumLayers() != 1 {
-			t.Errorf("%s: NumLayers = %d", g.Name(), l.NumLayers())
 		}
 	}
 }
@@ -59,114 +55,14 @@ func TestValidateAcceptsBFSLayers(t *testing.T) {
 	}
 }
 
-func TestNumLayersAndRoots(t *testing.T) {
+func TestRoots(t *testing.T) {
 	g := graph.Path(5)
 	l := Labeling{0, 1, 2, 1, 0}
 	if err := l.Validate(g); err != nil {
 		t.Fatal(err)
-	}
-	if l.NumLayers() != 3 {
-		t.Errorf("NumLayers = %d", l.NumLayers())
 	}
 	roots := l.Roots()
 	if len(roots) != 2 || roots[0] != 0 || roots[1] != 4 {
 		t.Errorf("Roots = %v", roots)
-	}
-}
-
-func TestTerritories(t *testing.T) {
-	// Path 0-1-2-3-4 with labels 0,1,2,1,0: vertex 2 is in both
-	// territories (via 1 and via 3).
-	g := graph.Path(5)
-	l := Labeling{0, 1, 2, 1, 0}
-	terr := l.Territories(g)
-	if !terr[0][0] || len(terr[0]) != 1 {
-		t.Errorf("territory of 0 = %v", terr[0])
-	}
-	if !terr[1][0] || len(terr[1]) != 1 {
-		t.Errorf("territory of 1 = %v", terr[1])
-	}
-	if !terr[2][0] || !terr[2][4] {
-		t.Errorf("territory of 2 = %v (want both roots)", terr[2])
-	}
-	if !terr[3][4] || len(terr[3]) != 1 {
-		t.Errorf("territory of 3 = %v", terr[3])
-	}
-}
-
-func TestClusterGraphPathTwoClusters(t *testing.T) {
-	g := graph.Path(6)
-	l := Labeling{0, 1, 2, 2, 1, 0}
-	if err := l.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	cg, roots := l.ClusterGraph(g)
-	if len(roots) != 2 || roots[0] != 0 || roots[1] != 5 {
-		t.Fatalf("roots = %v", roots)
-	}
-	if cg.N() != 2 || cg.M() != 1 {
-		t.Fatalf("cluster graph: N=%d M=%d, want adjacent pair", cg.N(), cg.M())
-	}
-	d, err := l.ClusterDiameter(g)
-	if err != nil || d != 1 {
-		t.Fatalf("cluster diameter = %d, %v", d, err)
-	}
-}
-
-func TestClusterGraphAllZero(t *testing.T) {
-	// All-zero labeling: G_L == G.
-	g := graph.Cycle(5)
-	l := AllZero(5)
-	cg, roots := l.ClusterGraph(g)
-	if len(roots) != 5 || cg.M() != g.M() {
-		t.Fatalf("G_L of all-zero should equal G: M=%d want %d", cg.M(), g.M())
-	}
-	d, err := l.ClusterDiameter(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd, _ := g.Diameter()
-	if d != gd {
-		t.Errorf("cluster diameter %d != graph diameter %d", d, gd)
-	}
-}
-
-func TestClusterGraphSingleRoot(t *testing.T) {
-	g := graph.Grid(3, 3)
-	dist := g.BFS(0)
-	l := make(Labeling, g.N())
-	copy(l, dist)
-	cg, roots := l.ClusterGraph(g)
-	if len(roots) != 1 || cg.N() != 1 || cg.M() != 0 {
-		t.Fatalf("single-root cluster graph wrong: %d roots, M=%d", len(roots), cg.M())
-	}
-	d, err := l.ClusterDiameter(g)
-	if err != nil || d != 0 {
-		t.Fatalf("single-cluster diameter = %d, %v", d, err)
-	}
-}
-
-func TestClusterGraphConnectedProperty(t *testing.T) {
-	// For a good labeling on a connected graph, G_L is connected.
-	f := func(seed uint16) bool {
-		g := graph.GNP(24, 0.15, uint64(seed))
-		// Build a good labeling: BFS from a few roots.
-		r1, r2 := 0, g.N()/2
-		d1, d2 := g.BFS(r1), g.BFS(r2)
-		l := make(Labeling, g.N())
-		for v := range l {
-			l[v] = d1[v]
-			if d2[v] < l[v] {
-				l[v] = d2[v]
-			}
-		}
-		if err := l.Validate(g); err != nil {
-			return false
-		}
-		cg, _ := l.ClusterGraph(g)
-		return cg.IsConnected()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }

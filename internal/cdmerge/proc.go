@@ -51,7 +51,7 @@ type pdev struct {
 
 // txIndex transmits the device's own index at slot, then k. The payload
 // is served from the simulator's interning table (radio.BoxInt) — the
-// same integer value the blocking form transmits, without its per-call
+// same integer value a boxed int would carry, without its per-call
 // boxing allocation.
 func txIndex(slot uint64, k cont) cont {
 	return func(ch radio.Channel, fb radio.Feedback) (radio.Action, cont) {
@@ -74,9 +74,9 @@ func (d *pdev) lemma19K(start uint64, k cont) cont {
 			base := start + uint64(j)*uint64(p.K)
 			next := radio.Eval(func() cont { return coloring(j + 1) })
 			ownSlot := base + uint64(d.colors[j]-1)
-			// The blocking loop's if/else makes the transmit branch win
-			// when the parent's color equals the device's own, so only a
-			// distinct parent color yields a listen.
+			// The transmit branch wins when the parent's color equals the
+			// device's own, so only a distinct parent color yields a
+			// listen; the port pin fixes that choice.
 			if d.parent >= 0 && d.ind == 0 && d.parentColors[j] != d.colors[j] {
 				lSlot := base + uint64(d.parentColors[j]-1)
 				listen := func(k cont) cont {
@@ -247,7 +247,7 @@ func (d *pdev) innerIterationK(start uint64, k cont) cont {
 
 	// (b)+(c) gather candidates up to the root, which announces the
 	// winning capturer down the tree. cand lives for this iteration only
-	// (the chain instance is single-use, like the blocking local).
+	// (the chain instance is single-use).
 	var cand *gatherCand
 	decision := radio.Do(func() {
 		d.winner = -1

@@ -2,11 +2,11 @@ package cluster
 
 // Step-machine forms of the SR-communication windows, the Lemma 10
 // Broadcaster and the refinement, for protocols ported to the inline
-// step ABI (radio.Proc). Each form occupies exactly the window its
-// blocking counterpart does and evaluates mutable device state (roles,
-// Has/Msg, labels) at window start, so a ported protocol produces the
-// byte-identical slot-level event stream of its blocking original — the
-// property the cdmerge, iterclust, dtime and partition port pins check.
+// step ABI (radio.Proc). Each form occupies exactly the slots its
+// parameters give it and evaluates mutable device state (roles, Has/Msg,
+// labels) at window start, which fixes the slot-level event stream a
+// protocol emits — the stream the cdmerge, iterclust, dtime and
+// partition port pins check.
 //
 // Layered sweeps are sparse. A device at layer L can act in at most two
 // windows of a sweep: the one whose receiver layer is L and the one
@@ -120,8 +120,9 @@ func SweepCont(start, w uint64, nw int, down bool, label int,
 }
 
 // A castRole is the device state a cast machine runs over: the
-// Broadcaster's or the Refiner's. Each method runs at the point where
-// the blocking form read or changed that state.
+// Broadcaster's or the Refiner's. Each method runs at a fixed point of
+// the machine's windows (as documented below), which fixes the event
+// stream the port pins check.
 type castRole interface {
 	// enter runs at the machine's first step and exit after its last
 	// window.
@@ -311,7 +312,8 @@ func (r *Refiner) adopt(m any) {
 // root coin at entry and the keep-old-label fallback at exit. It
 // occupies exactly RefineSlots(SR, Layers, s) slots from start.
 // becomeRoot must already be decided by the caller at assembly time
-// (the coin is drawn at refinement start, matching the blocking form).
+// (the coin is drawn at refinement start, a fixed point of the random
+// stream that the port pins check).
 // It re-arms r's own cast machine, so a Refiner runs one RefineCont at a
 // time and can be reused for the next refinement.
 func (r *Refiner) RefineCont(start uint64, s int, becomeRoot bool, k radio.Cont) radio.Cont {

@@ -292,8 +292,8 @@ func (p Params) coin(seed uint64, ws uint64) bool {
 // the payload and the sampling seed for the device's cluster. The sweep
 // is sparse (cluster.SweepCont): only the device's receive and send
 // windows are built, and participation is evaluated at each of their
-// repetitions' start, so the emitted event stream matches the blocking
-// original slot for slot.
+// repetitions' start, which fixes the event stream the port pin checks
+// slot for slot.
 func (s *devState) sweepCont(start uint64, dir int,
 	send func() (any, uint64, bool), recv func(m any), k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {

@@ -89,12 +89,13 @@ func DefaultHorizon(n int) uint64 {
 	return 2*uint64(rng.NextPow2(n)) + 2
 }
 
-// pathProc is one vertex's resumable step machine for Algorithm 1: the
-// action schedule, the per-device blocking-time draws (in oriented-
-// instance order), and the rule that feedback is only processed for
-// slots with a listen alarm are those of the historical blocking
-// program, but the scheduler steps it inline, so the path algorithm's
-// long idle stretches cost neither virtual time nor goroutine parks.
+// pathProc is one vertex's resumable step machine for Algorithm 1. Its
+// action schedule, its per-device blocking-time draws (in oriented-
+// instance order) and the rule that feedback is only processed for
+// slots with a listen alarm fix its Result, which core's plan pin
+// checks, and the Figure 1 trace that cmd/pathtrace prints. The
+// scheduler steps it inline, so the path algorithm's long idle
+// stretches cost neither virtual time nor goroutine parks.
 type pathProc struct {
 	p         Params
 	neighbors []int

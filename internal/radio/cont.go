@@ -1,18 +1,20 @@
 package radio
 
-// This file exports the continuation-combinator vocabulary for porting
-// blocking protocols to the step ABI. detcast, cdmerge, dtime, iterclust
-// and partition all build on these forms.
+// This file exports the continuation-combinator vocabulary for writing
+// structured protocols against the step ABI. detcast, cdmerge, dtime,
+// iterclust and partition all build on these forms.
 //
 // The discipline the combinators encode: the slot schedule is a pure
 // function of the protocol parameters, but every read of mutable device
-// state is deferred into an Eval thunk that runs at its window's start —
-// reproducing the evaluation order of the blocking implementation
-// exactly, which is what makes proc-vs-blocking trace pinning possible.
-// Sleeps emit no events and draw no randomness, so a port covers the
+// state is deferred into an Eval thunk that runs at its window's start.
+// That fixes when each read happens, and so the event stream the
+// protocol emits: the stream its port pin checks.
+// Sleeps emit no events and draw no randomness, so a protocol covers the
 // windows a device sits out with one Sleep instead of building them:
-// cluster.SweepCont builds a sweep's two live windows, and detcast's and
-// cdmerge's tree passes build a device's receive and send steps only.
+// cluster.SweepCont builds a sweep's two live windows, detcast's and
+// cdmerge's tree passes build a device's receive and send steps only,
+// and detcast decides at each phase's start (an Eval) whether the
+// device takes part, building nothing for a phase it sits out.
 //
 // Every combinator allocates a closure, so a chain costs allocations in
 // proportion to its length. A phase that runs many windows of one shape
@@ -48,10 +50,11 @@ func bindFeedback(f func(Feedback) Cont) Cont {
 }
 
 // Eval defers building the continuation until the moment it runs — the
-// mechanism that keeps every read of mutable device state at the
-// blocking implementation's evaluation point even though the
-// surrounding continuation tree is assembled eagerly. A nil result
-// halts.
+// mechanism that keeps every read of mutable device state at its
+// window's start even though the surrounding continuation tree is
+// assembled eagerly, which fixes the event stream the port pins check.
+// A phase that decides at its start what to build is an Eval too. A nil
+// result halts.
 func Eval(f func() Cont) Cont {
 	return func(ch Channel, fb Feedback) (Action, Cont) {
 		k := f()
@@ -63,8 +66,8 @@ func Eval(f func() Cont) Cont {
 }
 
 // EvalCh is Eval with access to the channel handle, for deferred state
-// that needs the device's identity or random stream (the blocking form's
-// Env reads). A nil result halts.
+// that needs the device's identity or random stream (Index, AssignedID,
+// Rand). A nil result halts.
 func EvalCh(f func(ch Channel) Cont) Cont {
 	return func(ch Channel, fb Feedback) (Action, Cont) {
 		k := f(ch)

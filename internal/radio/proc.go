@@ -141,9 +141,10 @@ func (f ProcFunc) Step(ch Channel, fb Feedback) Action { return f(ch, fb) }
 // previously returned action and yields the next action together with
 // the continuation to resume afterwards. A nil continuation halts the
 // device. Conts are how deeply structured protocols (detcast's nested
-// passes and recursions) port to the step ABI without hand-flattening
-// every loop into a state enum: each blocking call site becomes a
-// closure over the surrounding state.
+// passes and recursions) run on the step ABI without hand-flattening
+// every loop into a state enum: each window becomes a closure over the
+// surrounding state that reads device state when the window starts
+// (see Eval), which fixes the event stream the port pins check.
 type Cont func(ch Channel, fb Feedback) (Action, Cont)
 
 // contProc drives a continuation chain as a Proc, building the chain

@@ -17,10 +17,11 @@
 # enough to catch order-of-magnitude regressions in the scheduler and
 # simulator hot paths. NoCDIterClust (n = 16, 32, 64) is the protocol
 # benchmark whose devices issue action runs, so the engine's run and
-# parked-listener paths show in the trajectory. DetCD, NoCDBoundedDegree
-# and CDMerge cover the protocols whose devices build only the steps
-# they act in: detcast's and cdmerge's tree passes and coloring's
-# Section 3 setup.
+# parked-listener paths show in the trajectory. DetLocal, DetCD,
+# NoCDBoundedDegree and CDMerge cover the protocols whose devices build
+# only the steps and phases they act in: detcast's tree passes, cluster
+# rounds, merge iterations and CD ruling-set combines, cdmerge's tree
+# passes and coloring's Section 3 setup.
 set -euo pipefail
 out="${1:-bench-smoke.json}"
 # The default baseline is the highest-numbered BENCH_prN.json at the
@@ -28,7 +29,7 @@ out="${1:-bench-smoke.json}"
 baseline="${2:-$(ls BENCH_pr*.json 2>/dev/null | sort -V | tail -n 1)}"
 
 go test -run '^$' \
-  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$|BenchmarkNoCDIterClust$|BenchmarkDetCD$|BenchmarkNoCDBoundedDegree$|BenchmarkCDMerge$' \
+  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$|BenchmarkNoCDIterClust$|BenchmarkDetLocal$|BenchmarkDetCD$|BenchmarkNoCDBoundedDegree$|BenchmarkCDMerge$' \
   -benchmem -benchtime=100x . |
   awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     /^Benchmark/ {

@@ -30,19 +30,20 @@
 // of mutable protocol state (roles, labels, cluster ids) is deferred
 // into a radio.Eval thunk that runs when its window starts, which fixes
 // the order of those reads and so the event stream the port pin checks.
-// Each phase decides at its start whether the device takes part and
-// builds only the phases it takes part in; one sleep covers the rest. A
-// cluster round's non-participant sleeps through it, a merge iteration
-// builds the gather, decision and relabel passes only for a capturing
-// device, and the CD ruling set builds only the bits combines on the
-// path of the device's root ID. A Downward or Upward pass has Layers-1
-// steps, but a device acts in at most two of them: it receives in the
-// step that reaches its layer and sends in the step that leaves it. The
-// pass builds just those two at its start, from the device's layer,
-// parent and IDs (which change only between passes), so a step the
-// device sits out costs no Step call. Every cast window (offers,
-// cluster rounds, the CD up-pass) re-arms the device's
-// one srcomm.Window: ArmLocal in LOCAL, ArmDet in CD. The scheduler
+// Each phase decides at its start whether the device takes part in it,
+// and the device builds only the phases it takes part in; one sleep
+// covers each phase it sits out. A cluster round's non-participant
+// sleeps through it, a merge iteration builds the gather, decision and
+// relabel passes only for a capturing device, and the CD ruling set
+// builds only the combines on the path of the device's root ID, one per
+// ID bit. A Downward or Upward pass has Layers-1 steps, but a device
+// acts in at most two of them: it receives in the step that reaches its
+// layer and sends in the step that leaves it. The pass builds just
+// those two at its start, from the device's layer, parent and IDs
+// (which change only between passes), so a step the device sits out
+// costs no Step call. Every cast window (offers, cluster rounds, the CD
+// up-pass) re-arms the device's one srcomm.Window: ArmLocal in LOCAL,
+// ArmDet in CD. The scheduler
 // steps the proc inline, so the algorithm's enormous idle stretches
 // (most CD windows touch a single cluster) cost neither goroutine parks
 // nor virtual time.
@@ -412,7 +413,7 @@ func (p Params) combineSlots() uint64 {
 // (I0 with prefix||0 announce, I1 with prefix||1 listen and drop out if
 // they hear). The device's cluster takes part only in the combines on
 // its root ID's path, one per level, and builds nothing for the others.
-// Cluster roots end with inI set. Occupies the CD rsSlots window.
+// Cluster roots end with inI set. Occupies rulingSlots.
 func (d *dev) rulingSetCDK(start uint64, k radio.Cont) radio.Cont {
 	p := d.p
 	// A level-l call covers 2^l - 1 combines.

@@ -96,6 +96,18 @@ func TestPortPin(t *testing.T) {
 			sb.WriteString(pinLine(t, sc.name+" "+f.Label(), sc.g, sc.model, sc.seed, sc.iters, f))
 		}
 	}
+	// The other scenarios under the same faults: one partition iteration
+	// at label bound 1 and the closing Broadcast alone (the star rows),
+	// with faults landing in the iteration handover and in the
+	// Broadcaster's windows.
+	for _, sc := range scens {
+		if sc.iters == 2 {
+			continue
+		}
+		for _, f := range faults {
+			sb.WriteString(pinLine(t, sc.name+" "+f.Label(), sc.g, sc.model, sc.seed, sc.iters, f))
+		}
+	}
 	comparePin(t, sb.String())
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -80,26 +81,46 @@ func TestPortPin(t *testing.T) {
 	}
 	var sb strings.Builder
 	for _, sc := range scens {
-		n := sc.g.N()
-		p := sc.p(sc.g)
-		devs := make([]DeviceResult, n)
-		h := fnv.New64a()
-		pop := make([]radio.Device, n)
-		for v := 0; v < n; v++ {
-			pop[v].Proc = Proc(p, v == 0, "pin", &devs[v])
+		sb.WriteString(pinLine(t, sc.name, sc.g, sc.p(sc.g), sc.seed, fault.Spec{}))
+	}
+	// The same scenarios under each fault kind: refinements and the
+	// closing Broadcast with devices that crash, sleep through windows or
+	// lose deliveries.
+	faults := []fault.Spec{{Kind: fault.Crash, Rate: 0.01},
+		{Kind: fault.Sleep, Rate: 0.02, Window: 4}, {Kind: fault.Loss, Rate: 0.05}}
+	for _, sc := range scens {
+		for _, f := range faults {
+			sb.WriteString(pinLine(t, sc.name+" "+f.Label(), sc.g, sc.p(sc.g), sc.seed, f))
 		}
-		res, err := radio.RunDevices(radio.Config{Graph: sc.g, Model: p.Model, Seed: sc.seed,
-			MaxSlots: 1 << 62,
-			Trace:    func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		oh := fnv.New64a()
-		for v, d := range devs {
-			fmt.Fprintf(oh, "%d %v %v %d\n", v, d.Informed, d.Msg, d.Label)
-		}
-		fmt.Fprintf(&sb, "%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d\n",
-			sc.name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
 	}
 	comparePin(t, sb.String())
+}
+
+// pinLine runs one pin scenario under fault f and renders its line. A
+// faulted line also carries the fault counters.
+func pinLine(t *testing.T, name string, g *graph.Graph, p Params, seed uint64, f fault.Spec) string {
+	t.Helper()
+	n := g.N()
+	devs := make([]DeviceResult, n)
+	h := fnv.New64a()
+	pop := make([]radio.Device, n)
+	for v := 0; v < n; v++ {
+		pop[v].Proc = Proc(p, v == 0, "pin", &devs[v])
+	}
+	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.Model, Seed: seed,
+		MaxSlots: 1 << 62, Fault: f,
+		Trace: func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	oh := fnv.New64a()
+	for v, d := range devs {
+		fmt.Fprintf(oh, "%d %v %v %d\n", v, d.Informed, d.Msg, d.Label)
+	}
+	line := fmt.Sprintf("%s events=%d trace=%016x out=%016x slots=%d maxE=%d totE=%d",
+		name, res.Events, h.Sum64(), oh.Sum64(), res.Slots, res.MaxEnergy(), res.TotalEnergy())
+	if f.Active() {
+		line += fmt.Sprintf(" faults=%d/%d/%d", res.FaultCrashes, res.FaultSleeps, res.FaultErasures)
+	}
+	return line + "\n"
 }

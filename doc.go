@@ -27,8 +27,8 @@
 // goroutine, no park/wake per action, just one function call per
 // device decision. The paper's algorithms are slot-driven state
 // machines by construction, and every protocol package ships a native
-// step machine; deeply nested passes (detcast, cdmerge, the iteration
-// structure of iterclust and dtime) are written against radio.Cont, a
+// step machine; deeply nested passes (detcast, cdmerge, dtime's
+// partition iterations) are written against radio.Cont, a
 // continuation-passing layer over the same interface, and procs nest
 // under virtual channels (coloring's Theorem 3 simulation) by plain
 // composition. A device builds only the steps it acts in: a detcast or
@@ -37,7 +37,12 @@
 // the label refinement — are one flat step machine per device
 // (internal/cluster) that re-arms a single SR-communication window
 // (srcomm.Window) in place, so a whole phase costs O(1) allocations per
-// device however many windows it spans. srcomm.Window is the one way to
+// device however many windows it spans. An iterclust device and a dtime
+// device are each one flat step machine too, which arms its Refiner or
+// Broadcaster in place for each phase, so under CD and No-CD an
+// iterclust device, and a dtime device with no partition iteration to
+// run (a star), allocates only its own state.
+// srcomm.Window is the one way to
 // run an SR-communication window: dtime's Lemma 17 repetitions,
 // partition's epochs, cdmerge's merge windows and detcast's Lemma 24
 // windows each re-arm one Window per device as well.

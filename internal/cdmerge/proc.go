@@ -360,7 +360,8 @@ func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
 			return radio.EvalCh(func(ch radio.Channel) cont {
 				b := &cluster.Broadcaster{SR: p.SR, Layers: p.Layers,
 					Label: d.layer, Has: isSource, Msg: msg}
-				return b.BroadcastCont(t, p.FinalD, radio.Do(func() {
+				b.Arm(t, p.FinalD)
+				return radio.ProcCont(b, radio.Do(func() {
 					out.Informed = b.Has
 					out.Msg = b.Msg
 					out.Label = d.layer

@@ -51,7 +51,9 @@ func (s Spec) Slots() uint64 {
 }
 
 // Broadcaster is the per-device state of the Lemma 10 Broadcast over a
-// fixed good labeling.
+// fixed good labeling. It is a radio.Proc armed in place: Arm it for a
+// Broadcast, then Step it until it halts at the end of the Broadcast's
+// BroadcastSlots window.
 type Broadcaster struct {
 	// SR is the shared SR-communication spec.
 	SR Spec
@@ -64,7 +66,7 @@ type Broadcaster struct {
 	// Msg is the message (valid when Has).
 	Msg any
 
-	cast caster // runs BroadcastCont
+	cast caster // runs the armed Broadcast
 }
 
 // BroadcastSlots returns the total window length of Broadcast(d) with the
@@ -76,7 +78,10 @@ func BroadcastSlots(sr Spec, layers, d int) uint64 {
 }
 
 // Refiner is the per-device state of the "compute L' from L" step of
-// Section 5. Labels use labeling.Bottom for the paper's ⊥.
+// Section 5. Labels use labeling.Bottom for the paper's ⊥. It is a
+// radio.Proc armed in place: Arm it for a refinement, then Step it until
+// it halts at the end of the refinement's RefineSlots window; re-armed,
+// it runs the next refinement.
 type Refiner struct {
 	// SR is the shared SR-communication spec.
 	SR Spec
@@ -89,7 +94,7 @@ type Refiner struct {
 	New int
 
 	root bool   // the Step 1 coin of the running refinement
-	cast caster // runs RefineCont
+	cast caster // runs the armed refinement
 }
 
 // RefineSlots returns the total window length of a refinement with

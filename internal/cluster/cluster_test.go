@@ -25,7 +25,8 @@ func runWithLabels(t *testing.T, g *graph.Graph, model radio.Model, labels []int
 		devs[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
 			b := &Broadcaster{SR: sr, Layers: layers,
 				Label: labels[v], Has: v == source, Msg: "M"}
-			return b.BroadcastCont(1, d, radio.Do(func() {
+			b.Arm(1, d)
+			return radio.ProcCont(b, radio.Do(func() {
 				informed[v] = b.Has
 			}, nil))
 		})
@@ -123,7 +124,8 @@ func runRefine(t *testing.T, g *graph.Graph, model radio.Model, old []int,
 		v := v
 		devs[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
 			r := &Refiner{SR: sr, Layers: n, Old: old[v]}
-			return r.RefineCont(1, 1, becomeRoot(ch, v), radio.Do(func() {
+			r.Arm(1, 1, becomeRoot(ch, v))
+			return radio.ProcCont(r, radio.Do(func() {
 				newLabels[v] = r.New
 			}, nil))
 		})
@@ -230,7 +232,8 @@ func TestBroadcasterScheduleAgreement(t *testing.T) {
 		devs[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
 			b := &Broadcaster{SR: sr, Layers: 6,
 				Label: labels[v], Has: v == 0, Msg: 1}
-			return b.BroadcastCont(1, 0, radio.EvalCh(func(ch radio.Channel) radio.Cont {
+			b.Arm(1, 0)
+			return radio.ProcCont(b, radio.EvalCh(func(ch radio.Channel) radio.Cont {
 				if ch.Now() > end {
 					t.Errorf("device %d: clock %d past schedule end %d", v, ch.Now(), end)
 				}

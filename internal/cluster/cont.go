@@ -14,16 +14,21 @@ package cluster
 // events and draw no randomness, so passing over every other window
 // leaves the event stream as a window-by-window sweep produces it.
 //
-// The Broadcaster and the Refiner each run as one flat cast machine per
-// device (caster): a (segment, window) cursor over their sequence of
-// sweeps and All-cast windows that re-arms one embedded srcomm.Window
-// for each window the device takes part in and builds and emits nothing
-// for the others, so a whole Broadcast or refinement costs O(1)
-// allocations per device. SendCont, ReceiveCont, SkipCont and SweepCont
-// are the continuation forms of single windows and sweeps, for
-// protocols that compose their own (dtime's Lemma 17 sweeps, partition);
-// SendCont and ReceiveCont re-arm a Window the caller holds, one per
-// device, so a window allocates no machine.
+// The Broadcaster and the Refiner are radio.Procs armed in place. Arm
+// points the device's one flat cast machine (caster) at a Broadcast or
+// a refinement from a given slot, and Step runs it until it halts at the
+// end of the form's BroadcastSlots or RefineSlots window. The machine is
+// a (segment, window) cursor over the form's sequence of sweeps and
+// All-cast windows that re-arms one embedded srcomm.Window for each
+// window the device takes part in and builds and emits nothing for the
+// others, so running a Broadcast or a refinement builds no closure and
+// no machine. A protocol runs the armed machine from its own step machine (dtime,
+// iterclust) or embeds it in a continuation chain with radio.ProcCont
+// (cdmerge), and re-arms it for its next form. SendCont, ReceiveCont,
+// SkipCont and SweepCont are the continuation forms of single windows
+// and sweeps, for protocols that compose their own (dtime's Lemma 17
+// sweeps, partition); SendCont and ReceiveCont re-arm a Window the
+// caller holds, one per device, so a window allocates no machine.
 
 import (
 	"repro/internal/labeling"
@@ -271,14 +276,21 @@ func (b *Broadcaster) holds() bool  { return b.Has }
 func (b *Broadcaster) payload() any { return b.Msg }
 func (b *Broadcaster) adopt(m any)  { b.Has, b.Msg = true, m }
 
-// BroadcastCont is the continuation form of Broadcast: Up-cast, d rounds
-// of (Down-cast, All-cast, Up-cast), final Down-cast, then k. It
-// occupies exactly BroadcastSlots(SR, Layers, d) slots from start. It
-// re-arms b's own cast machine, so a Broadcaster runs one BroadcastCont
-// at a time.
-func (b *Broadcaster) BroadcastCont(start uint64, d int, k radio.Cont) radio.Cont {
+// Arm readies b's cast machine for Broadcast(d) from slot start: Up-cast,
+// d rounds of (Down-cast, All-cast, Up-cast), final Down-cast. The
+// Broadcast occupies exactly BroadcastSlots(SR, Layers, d) slots from
+// start. Arm reads no device state: the machine reads Label at each
+// sweep's start and Has and Msg at each window's start, so set them
+// before its first Step.
+func (b *Broadcaster) Arm(start uint64, d int) {
 	b.cast.reset(b, b.SR, b.Layers, start, segUp, 3*d+2)
-	return radio.ProcCont(&b.cast, k)
+}
+
+// Step runs the armed Broadcast, returning each action of the windows
+// the device takes part in; it halts after the Broadcast's last window,
+// with the outcome in Has and Msg. The first Step ignores its Feedback.
+func (b *Broadcaster) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	return b.cast.Step(ch, fb)
 }
 
 // enter is the Step 1 root coin: a layer-0 vertex that became a root
@@ -307,17 +319,22 @@ func (r *Refiner) adopt(m any) {
 	}
 }
 
-// RefineCont is the continuation form of Refine: s rounds of (Down-cast,
-// All-cast, Up-cast) plus a final Down-cast, bracketed by the Step 1
-// root coin at entry and the keep-old-label fallback at exit. It
-// occupies exactly RefineSlots(SR, Layers, s) slots from start.
-// becomeRoot must already be decided by the caller at assembly time
-// (the coin is drawn at refinement start, a fixed point of the random
-// stream that the port pins check).
-// It re-arms r's own cast machine, so a Refiner runs one RefineCont at a
-// time and can be reused for the next refinement.
-func (r *Refiner) RefineCont(start uint64, s int, becomeRoot bool, k radio.Cont) radio.Cont {
+// Arm readies r's cast machine for a refinement with parameter s from
+// slot start: s rounds of (Down-cast, All-cast, Up-cast) plus a final
+// Down-cast, bracketed by the Step 1 root coin at the first Step and the
+// keep-old-label fallback at the last. The refinement occupies exactly
+// RefineSlots(SR, Layers, s) slots from start. becomeRoot is the coin,
+// drawn by the caller (at refinement start, a fixed point of the random
+// stream that the port pins check); set Old before the first Step. A
+// Refiner re-armed after its halt runs the next refinement.
+func (r *Refiner) Arm(start uint64, s int, becomeRoot bool) {
 	r.root = becomeRoot
 	r.cast.reset(r, r.SR, r.Layers, start, segDown, 3*s+1)
-	return radio.ProcCont(&r.cast, k)
+}
+
+// Step runs the armed refinement; it halts after the refinement's last
+// window, with the new label in New. The first Step ignores its
+// Feedback.
+func (r *Refiner) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	return r.cast.Step(ch, fb)
 }

@@ -26,11 +26,11 @@ func contTraceOf(t *testing.T, cfg radio.Config, devs []radio.Device) string {
 	return sb.String()
 }
 
-// TestBroadcastContTraceDeterministic pins the continuation Broadcaster's
-// determinism: identical event streams — including identical random
-// draws inside the SR machines — run over run, for every model on a
-// two-cluster labeling, with every vertex informed.
-func TestBroadcastContTraceDeterministic(t *testing.T) {
+// TestBroadcasterTraceDeterministic pins the Broadcaster's determinism,
+// run inside a continuation chain: identical event streams — including
+// identical random draws inside the SR machines — run over run, for
+// every model on a two-cluster labeling, with every vertex informed.
+func TestBroadcasterTraceDeterministic(t *testing.T) {
 	g := graph.Path(8)
 	labels := []int{0, 1, 2, 3, 3, 2, 1, 0}
 	n := g.N()
@@ -46,7 +46,8 @@ func TestBroadcastContTraceDeterministic(t *testing.T) {
 					devs[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
 						b := &Broadcaster{SR: spec, Layers: n,
 							Label: labels[v], Has: v == 0, Msg: "M"}
-						return b.BroadcastCont(1, 1, radio.Do(func() {
+						b.Arm(1, 1)
+						return radio.ProcCont(b, radio.Do(func() {
 							has[v] = b.Has
 						}, nil))
 					})
@@ -59,7 +60,7 @@ func TestBroadcastContTraceDeterministic(t *testing.T) {
 			got := contTraceOf(t, cfg, build(firstHas))
 			again := contTraceOf(t, cfg, build(secondHas))
 			if got != again {
-				t.Fatalf("%v seed %d: cont broadcaster trace differs run over run", model, seed)
+				t.Fatalf("%v seed %d: broadcaster trace differs run over run", model, seed)
 			}
 			for v := range firstHas {
 				if firstHas[v] != secondHas[v] {

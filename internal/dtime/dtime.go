@@ -27,6 +27,13 @@
 // Epochs pipeline decisions with one epoch of lag: offers captured in
 // epoch t are gathered to the old root in epoch t and announced (with
 // relabeling) in epoch t+1.
+//
+// A device is one flat step machine that walks its phases: its first
+// step draws the cluster seed, each partition iteration runs a
+// continuation chain (the Lemma 17 sweeps), and the closing Lemma 10
+// Broadcast runs on a cluster.Broadcaster armed in place. A run with no
+// partition iteration (a star) therefore allocates only the devices'
+// state under CD and No-CD.
 package dtime
 
 import (
@@ -242,9 +249,9 @@ type relabelMsg struct {
 	newLayer int
 }
 
-// devState is a device's state: its cluster bookkeeping and the closing
-// Broadcaster, allocated once per run. It holds the device's only copy
-// of Params.
+// devState is a device's step machine and state: its cluster
+// bookkeeping, the closing Broadcaster and the phase it runs, allocated
+// once per run. It holds the device's only copy of Params.
 type devState struct {
 	idx      int
 	p        Params
@@ -275,6 +282,10 @@ type devState struct {
 	// run with no iteration allocates none.
 	win   *srcomm.Window
 	final cluster.Broadcaster // the closing Lemma 10 Broadcast
+
+	phase int        // the running phase (phaseInit, ...)
+	t     uint64     // first slot of the running phase
+	k     radio.Cont // the running partition iteration's chain
 }
 
 // coin reports whether the cluster with the given seed participates in
@@ -340,45 +351,75 @@ type DeviceResult struct {
 	Cluster  int
 }
 
-// Proc returns the device step machine implementing Theorem 16. The
-// device's state is allocated here, once per run; its first private
-// draw (the shared cluster seed) happens at its first step.
+// Proc returns the device step machine implementing Theorem 16, its
+// devState, which holds the closing Broadcaster. Its first private draw
+// (the shared cluster seed) happens at its first step.
 func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
-	s := &devState{p: p, isSource: isSource, msg: msg, out: out, newLayer: -1, newCID: -1}
-	return radio.ContProc(func(ch radio.Channel) radio.Cont {
-		s.idx, s.oldCID = ch.Index(), ch.Index()
-		s.oldSeed = ch.Rand().Uint64()
-		return s.runCont(0, 1)
-	})
+	return &devState{p: p, isSource: isSource, msg: msg, out: out, newLayer: -1, newCID: -1}
 }
 
-// runCont emits partition iterations iter.. from slot t, then the
-// closing Lemma 10 Broadcast over the final clustering.
-func (s *devState) runCont(iter int, t uint64) radio.Cont {
+// Device phases, in the order Step runs them.
+const (
+	phaseInit      = iota // the first step: identity and cluster seed
+	phaseIterate          // a partition iteration runs its chain k
+	phaseBroadcast        // the closing Lemma 10 Broadcast runs on final
+	phaseDone
+)
+
+// Step walks the device's phases. Each phase starts in the step in
+// which the previous one ended, on that step's Feedback: an iteration's
+// chain ends with its clustering handover, and the next iteration or
+// the closing Broadcast starts right after it.
+func (s *devState) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	p := &s.p
-	if iter == p.Iterations {
-		b := &s.final
-		return radio.Eval(func() radio.Cont {
-			*b = cluster.Broadcaster{SR: p.SR, Layers: p.LayerBound(),
-				Label: s.oldLayer, Has: s.isSource, Msg: s.msg}
-			return b.BroadcastCont(t, p.FinalD, radio.Do(func() {
-				s.out.Informed = b.Has
-				s.out.Msg = b.Msg
-				s.out.Label = s.oldLayer
-				s.out.Cluster = s.oldCID
-			}, nil))
-		})
+	for {
+		switch s.phase {
+		case phaseInit:
+			s.idx, s.oldCID = ch.Index(), ch.Index()
+			s.oldSeed = ch.Rand().Uint64()
+			s.enter(0, 1)
+		case phaseIterate:
+			act, next := s.k(ch, fb)
+			if act.Kind != radio.ActHalt {
+				s.k = next
+				return act
+			}
+			// The chain set s.iter at its first step.
+			s.enter(s.iter+1, s.t+p.iterSlots(p.lb[s.iter]))
+		case phaseBroadcast:
+			if act := s.final.Step(ch, fb); act.Kind != radio.ActHalt {
+				return act
+			}
+			s.out.Informed, s.out.Msg = s.final.Has, s.final.Msg
+			s.out.Label, s.out.Cluster = s.oldLayer, s.oldCID
+			s.phase = phaseDone
+		default:
+			return radio.Halt()
+		}
 	}
-	return s.iterationCont(iter, t, radio.Eval(func() radio.Cont {
-		return s.runCont(iter+1, t+p.iterSlots(p.lb[iter]))
-	}))
+}
+
+// enter starts partition iteration iter at slot t, or, once iter reaches
+// Iterations, the closing Broadcast over the final clustering, which it
+// reads here.
+func (s *devState) enter(iter int, t uint64) {
+	p := &s.p
+	s.t = t
+	if iter < p.Iterations {
+		s.phase, s.k = phaseIterate, s.iterationCont(iter, t)
+		return
+	}
+	s.phase, s.k = phaseBroadcast, nil
+	s.final = cluster.Broadcaster{SR: p.SR, Layers: p.LayerBound(),
+		Label: s.oldLayer, Has: s.isSource, Msg: s.msg}
+	s.final.Arm(t, p.FinalD)
 }
 
 // iterationCont emits one Partition(beta) round on the cluster graph:
 // per-iteration reset and the root's exponential draw at round start,
 // T+1 pipelined epochs, the healing relabel pass, and the old/new
-// clustering handover before k resumes.
-func (s *devState) iterationCont(iter int, start uint64, k radio.Cont) radio.Cont {
+// clustering handover, on whose step the chain halts.
+func (s *devState) iterationCont(iter int, start uint64) radio.Cont {
 	return radio.EvalCh(func(ch radio.Channel) radio.Cont {
 		p := &s.p
 		s.iter = iter
@@ -412,7 +453,7 @@ func (s *devState) iterationCont(iter int, start uint64, k radio.Cont) radio.Con
 						s.newCID, s.newLayer, s.newSeed = s.oldCID, s.oldLayer, s.oldSeed
 					}
 					s.oldCID, s.oldLayer, s.oldSeed = s.newCID, s.newLayer, s.newSeed
-				}, k)))
+				}, nil)))
 			}
 			return s.announcePhaseCont(t, epoch,
 				s.relabelUpCont(t+sw,

@@ -248,6 +248,48 @@ func TestBroadcastCostIndependentOfRounds(t *testing.T) {
 	}
 }
 
+// TestStarRunAllocatesOncePerDevice pins the flat device machine: on a
+// star no partition iteration runs, and a device's devState, which holds
+// the closing Broadcaster, is its only allocation. With the engine
+// reused from a warm SimCache, a run allocates at most n + 4 objects,
+// Run's report and device slices among them; a continuation chain
+// around the closing Broadcast cost ~10 per device.
+func TestStarRunAllocatesOncePerDevice(t *testing.T) {
+	g := graph.Star(64)
+	n := g.N()
+	d, err := g.Diameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []radio.Model{radio.CD, radio.NoCD} {
+		p, err := NewParamsBeta(model, n, g.MaxDegree(), d, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Iterations != 0 {
+			t.Fatalf("%v: %d partition iterations on a star, want 0", model, p.Iterations)
+		}
+		cfg := radio.Config{Graph: g, Model: model, Seed: 3, MaxSlots: 1 << 62, Sims: &radio.SimCache{}}
+		run := func() {
+			_, devs, err := radio.Run(cfg, func(v int, out *DeviceResult) radio.Proc {
+				return Proc(p, v == 0, "m", out)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, d := range devs {
+				if !d.Informed {
+					t.Fatalf("%v: device %d uninformed", model, v)
+				}
+			}
+		}
+		run() // warm the cache
+		if a := testing.AllocsPerRun(4, run); a > float64(n+4) {
+			t.Errorf("%v: %.0f allocations per run of %d devices, want at most %d", model, a, n, n+4)
+		}
+	}
+}
+
 // TestIterationCountStopsAtFixedPoint checks the Lemma 15 count on
 // paths. At beta = 1/4 the estimate d <- ceil(3 beta d) + 2 stalls at 11
 // above the floor of path:24 (8) and path:12 (7); the count must stop

@@ -13,7 +13,10 @@
 //     eps log log n factor of energy.
 //
 // Every device executes the same slot layout derived from (n, Delta,
-// model, parameters); no global coordinator exists.
+// model, parameters); no global coordinator exists. A device is one flat
+// step machine that re-arms one cluster.Refiner for every refinement and
+// then arms one cluster.Broadcaster, so a run allocates O(1) objects per
+// device however many refinements it runs.
 package iterclust
 
 import (
@@ -99,32 +102,61 @@ type DeviceResult struct {
 // isSource marks the broadcasting vertex (which holds msg); out receives
 // the device's final state. The same machine runs on the physical
 // network or through the Theorem 3 LOCAL-over-No-CD simulation
-// (Corollary 13).
+// (Corollary 13). The machine holds the device's whole state.
 func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
-	return radio.ContProc(func(radio.Channel) radio.Cont {
-		per := cluster.RefineSlots(p.SR, p.Layers, p.S)
-		lab := 0 // the trivial all-zero good labeling
-		// One Refiner serves every refinement: RefineCont re-arms it.
-		r := &cluster.Refiner{SR: p.SR, Layers: p.Layers}
-		var iter func(it int, t uint64) radio.Cont
-		iter = func(it int, t uint64) radio.Cont {
-			if it == p.Iterations {
-				b := &cluster.Broadcaster{SR: p.SR, Layers: p.Layers}
-				return radio.Do(func() {
-					b.Label, b.Has, b.Msg = lab, isSource, msg
-				}, b.BroadcastCont(t, p.FinalD, radio.Do(func() {
-					out.Informed = b.Has
-					out.Msg = b.Msg
-					out.Label = lab
-				}, nil)))
-			}
-			return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-				becomeRoot := lab == 0 && rng.Bernoulli(ch.Rand(), p.P)
-				r.Old = lab
-				return r.RefineCont(t, p.S, becomeRoot,
-					radio.Do(func() { lab = r.New }, iter(it+1, t+per)))
-			})
+	return &device{p: p, isSource: isSource, msg: msg, out: out, t: 1,
+		r: cluster.Refiner{SR: p.SR, Layers: p.Layers},
+		b: cluster.Broadcaster{SR: p.SR, Layers: p.Layers}}
+}
+
+// device is one device's step machine: one Refiner re-armed for every
+// refinement, then one Broadcaster for the closing Broadcast.
+type device struct {
+	p        Params
+	isSource bool
+	msg      any
+	out      *DeviceResult
+
+	lab   int    // the device's label; 0 in the trivial all-zero labeling
+	it    int    // refinements done; the Broadcast runs at Iterations
+	t     uint64 // first slot of the running phase
+	armed bool   // the running phase has started
+	r     cluster.Refiner
+	b     cluster.Broadcaster
+}
+
+// Step runs the refinements and then the closing Broadcast. Each phase
+// starts in the step in which the previous one halted, on the zero
+// Feedback: a refinement draws its root coin there, and the Broadcast
+// copies in the final label and the source's message there.
+func (d *device) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	p := &d.p
+	for d.it < p.Iterations {
+		if !d.armed {
+			d.armed = true
+			d.r.Old = d.lab
+			d.r.Arm(d.t, p.S, d.lab == 0 && rng.Bernoulli(ch.Rand(), p.P))
 		}
-		return iter(0, 1)
-	})
+		if act := d.r.Step(ch, fb); act.Kind != radio.ActHalt {
+			return act
+		}
+		d.lab = d.r.New
+		d.t += cluster.RefineSlots(p.SR, p.Layers, p.S)
+		d.it++
+		d.armed = false
+		fb = radio.Feedback{}
+	}
+	if d.it == p.Iterations {
+		if !d.armed {
+			d.armed = true
+			d.b.Label, d.b.Has, d.b.Msg = d.lab, d.isSource, d.msg
+			d.b.Arm(d.t, p.FinalD)
+		}
+		if act := d.b.Step(ch, fb); act.Kind != radio.ActHalt {
+			return act
+		}
+		d.out.Informed, d.out.Msg, d.out.Label = d.b.Has, d.b.Msg, d.lab
+		d.it++
+	}
+	return radio.Halt()
 }

@@ -202,7 +202,8 @@ func TestIntermediateLabelingsStayGood(t *testing.T) {
 				return radio.EvalCh(func(ch radio.Channel) radio.Cont {
 					becomeRoot := lab == 0 && ch.Rand().Float64() < 0.5
 					r.Old = lab
-					return r.RefineCont(t, 1, becomeRoot, radio.Do(func() {
+					r.Arm(t, 1, becomeRoot)
+					return radio.ProcCont(r, radio.Do(func() {
 						lab = r.New
 						perIter[it][v] = lab
 					}, iter(it+1, t+per)))
@@ -269,6 +270,36 @@ func TestSweepCostIndependentOfLayerBound(t *testing.T) {
 		if ratio := a4 / a1; ratio < 0.9 || ratio > 1.1 {
 			t.Errorf("%v: %.0f allocations at Layers=n, %.0f at 4n (ratio %.2f, want within 10%%)",
 				model, a1, a4, ratio)
+		}
+	}
+}
+
+// TestRunCostIndependentOfIterations pins the flat device machine: a
+// device re-arms one Refiner for every refinement, so with the engine
+// reused from a warm SimCache a run allocates the same number of objects
+// at 16 refinements as at 4. A continuation chain per refinement cost
+// ~6 closures per device each. LOCAL is left out: a LOCAL receive
+// window's delivery buffer grows to the most senders the device has
+// heard at once, which more refinements can raise.
+func TestRunCostIndependentOfIterations(t *testing.T) {
+	g := graph.GNP(16, 0.3, 2)
+	for _, model := range []radio.Model{radio.NoCD, radio.CD} {
+		run := func(iters int) float64 {
+			p := NewParams(model, g.N(), g.MaxDegree())
+			p.Iterations = iters
+			cfg := radio.Config{Graph: g, Model: model, Seed: 3, Sims: &radio.SimCache{}}
+			run := func() {
+				if _, _, err := radio.Run(cfg, func(v int, out *DeviceResult) radio.Proc {
+					return Proc(p, v == 0, "m", out)
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the cache
+			return testing.AllocsPerRun(4, run)
+		}
+		if a4, a16 := run(4), run(16); a16 != a4 {
+			t.Errorf("%v: %.0f allocations per run at 4 refinements, %.0f at 16", model, a4, a16)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package radio
 
 // This file exports the continuation-combinator vocabulary for writing
-// structured protocols against the step ABI. detcast, cdmerge, dtime,
-// iterclust and partition all build on these forms.
+// structured protocols against the step ABI. detcast, cdmerge,
+// partition and dtime's partition iterations build on these forms.
 //
 // The discipline the combinators encode: the slot schedule is a pure
 // function of the protocol parameters, but every read of mutable device
@@ -19,8 +19,10 @@ package radio
 // Every combinator allocates a closure, so a chain costs allocations in
 // proportion to its length. A phase that runs many windows of one shape
 // is cheaper as a flat Proc that re-arms one sub-machine in place,
-// embedded in the chain with one ProcCont (see cluster's cast machine),
-// or as a flat Proc outright (coloring's setup).
+// embedded in the chain with one ProcCont (cdmerge runs its closing
+// cluster.Broadcaster that way), or as a flat Proc outright: coloring's
+// setup, and the iterclust and dtime devices, which step their phases
+// directly and arm a cluster.Refiner or Broadcaster in place for each.
 // Every SR-communication window runs that way: the protocol re-arms the
 // device's one srcomm.Window and embeds it with ProcCont, so a window
 // allocates no machine.

@@ -41,9 +41,8 @@
 // device are each one flat step machine too, which arms its Refiner or
 // Broadcaster in place for each phase, so under CD and No-CD an
 // iterclust device, and a dtime device with no partition iteration to
-// run (a star), allocates only its own state.
-// srcomm.Window is the one way to
-// run an SR-communication window: dtime's Lemma 17 repetitions,
+// run (a star), allocates only its own state. srcomm.Window is the one
+// way to run an SR-communication window: dtime's Lemma 17 repetitions,
 // partition's epochs, cdmerge's merge windows and detcast's Lemma 24
 // windows each re-arm one Window per device as well.
 //

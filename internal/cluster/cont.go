@@ -22,13 +22,14 @@ package cluster
 // All-cast windows that re-arms one embedded srcomm.Window for each
 // window the device takes part in and builds and emits nothing for the
 // others, so running a Broadcast or a refinement builds no closure and
-// no machine. A protocol runs the armed machine from its own step machine (dtime,
-// iterclust) or embeds it in a continuation chain with radio.ProcCont
-// (cdmerge), and re-arms it for its next form. SendCont, ReceiveCont,
-// SkipCont and SweepCont are the continuation forms of single windows
-// and sweeps, for protocols that compose their own (dtime's Lemma 17
-// sweeps, partition); SendCont and ReceiveCont re-arm a Window the
-// caller holds, one per device, so a window allocates no machine.
+// no machine. A protocol runs the armed machine from its own step
+// machine (dtime, iterclust) or embeds it in a continuation chain with
+// radio.ProcCont (cdmerge), and re-arms it for its next form. SendCont,
+// ReceiveCont, SkipCont and SweepCont are the continuation forms of
+// single windows and sweeps, for protocols that compose their own
+// (dtime's Lemma 17 sweeps, partition); SendCont and ReceiveCont re-arm
+// a Window the caller holds, one per device, so a window allocates no
+// machine.
 
 import (
 	"repro/internal/labeling"

@@ -20,12 +20,9 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/baseline"
-	"repro/internal/cdmerge"
 	"repro/internal/core"
 	"repro/internal/dtime"
 	"repro/internal/graph"
-	"repro/internal/iterclust"
 	"repro/internal/leader"
 	"repro/internal/partition"
 	"repro/internal/pathcast"
@@ -116,45 +113,26 @@ func measure(fn func(seed uint64) (uint64, int, bool)) (float64, float64) {
 	return stats.Mean(ts), stats.Mean(es)
 }
 
-// broadcastTrial returns a measure trial: one protocol device per vertex
-// of cfg.Graph, run on the trial's seed. A run that fails or leaves some
+// broadcastTrial returns a measure trial: core.Broadcast from vertex 0
+// under opts, on the trial's seed. A run that fails or leaves some
 // device uninformed is skipped.
-func broadcastTrial[R any](cfg radio.Config, proc func(v int, out *R) radio.Proc, informed func(*R) bool) func(seed uint64) (uint64, int, bool) {
+func broadcastTrial(g *graph.Graph, opts ...core.Option) func(seed uint64) (uint64, int, bool) {
 	return func(seed uint64) (uint64, int, bool) {
-		c := cfg // trials run concurrently
-		c.Seed = seed
-		res, devs, err := radio.Run(c, proc)
-		if err != nil {
+		res, err := core.Broadcast(g, 0, append([]core.Option{core.WithSeed(seed)}, opts...)...)
+		if err != nil || !res.AllInformed() {
 			return 0, 0, false
-		}
-		for i := range devs {
-			if !informed(&devs[i]) {
-				return 0, 0, false
-			}
 		}
 		return res.Slots, res.MaxEnergy(), true
 	}
 }
 
-// iterclustTrial is Theorem 11/12 iterative clustering from vertex 0.
-func iterclustTrial(g *graph.Graph, p iterclust.Params) func(seed uint64) (uint64, int, bool) {
-	return broadcastTrial(radio.Config{Graph: g, Model: p.Model},
-		func(v int, o *iterclust.DeviceResult) radio.Proc { return iterclust.Proc(p, v == 0, "m", o) },
-		func(o *iterclust.DeviceResult) bool { return o.Informed })
+// iterclustOpts select Theorem 11 iterative clustering under model.
+func iterclustOpts(model radio.Model) []core.Option {
+	return []core.Option{core.WithModel(model), core.WithAlgorithm(core.AlgoIterClust)}
 }
 
-// pathProc builds vertex v's Algorithm 1 device broadcasting from vertex 0.
-func pathProc(g *graph.Graph) func(v int, o *pathcast.DeviceResult) radio.Proc {
-	return func(v int, o *pathcast.DeviceResult) radio.Proc {
-		return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), v == 0, "m", o)
-	}
-}
-
-// pathTrial is the Section 8 path algorithm from vertex 0.
-func pathTrial(g *graph.Graph) func(seed uint64) (uint64, int, bool) {
-	return broadcastTrial(radio.Config{Graph: g, Model: radio.Local}, pathProc(g),
-		func(o *pathcast.DeviceResult) bool { return o.Informed })
-}
+// pathOpts select the Section 8 path algorithm.
+var pathOpts = []core.Option{core.WithModel(radio.Local), core.WithAlgorithm(core.AlgoPath)}
 
 func fitNote(ns, slot, energy []float64) string {
 	return fmt.Sprintf("growth: time ~ n^%.2f, energy ~ n^%.2f",
@@ -170,8 +148,7 @@ func rowIterClust() {
 	for _, n := range sizes([]int{16, 32, 64, 128}, []int{16, 32}) {
 		g := graph.GNP(n, 4.0/float64(n)*2, 11)
 		for _, model := range []radio.Model{radio.Local, radio.NoCD} {
-			p := iterclust.NewParams(model, g.N(), g.MaxDegree())
-			slots, maxE := measure(iterclustTrial(g, p))
+			slots, maxE := measure(broadcastTrial(g, iterclustOpts(model)...))
 			tbl.Add(model.String(), g.Name(), n, slots, maxE)
 			if model == radio.Local {
 				ns = append(ns, float64(n))
@@ -194,8 +171,7 @@ func rowTheorem12() {
 	var ns, ts, es []float64
 	for _, n := range sizes([]int{16, 32, 64, 128}, []int{16, 32}) {
 		g := graph.GNP(n, 8.0/float64(n), 13)
-		p := iterclust.NewTheorem12Params(g.N(), g.MaxDegree(), 0.5)
-		slots, maxE := measure(iterclustTrial(g, p))
+		slots, maxE := measure(broadcastTrial(g, core.WithModel(radio.CD), core.WithAlgorithm(core.AlgoTheorem12)))
 		tbl.Add(g.Name(), n, slots, maxE)
 		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
 	}
@@ -211,15 +187,7 @@ func rowCDMerge() {
 	var ns, ts, es []float64
 	for _, n := range sizes([]int{12, 16, 24, 32}, []int{12, 16}) {
 		g := graph.GNP(n, 6.0/float64(n), 17)
-		p, err := cdmerge.NewParams(g.N(), g.MaxDegree(), 0.5)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			continue
-		}
-		p = p.Tune(10, 3, g.N())
-		slots, maxE := measure(broadcastTrial(radio.Config{Graph: g, Model: radio.CD, MaxSlots: 1 << 62},
-			func(v int, o *cdmerge.DeviceResult) radio.Proc { return cdmerge.Proc(p, v == 0, "m", o) },
-			func(o *cdmerge.DeviceResult) bool { return o.Informed }))
+		slots, maxE := measure(broadcastTrial(g, core.WithAlgorithm(core.AlgoCDMerge), core.WithLeanScale()))
 		tbl.Add(g.Name(), n, slots, maxE)
 		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
 	}
@@ -242,12 +210,22 @@ func rowDiamTime() {
 			fmt.Fprintln(os.Stderr, err)
 			continue
 		}
+		// One partition iteration, which core's lean scale does not run.
 		p = p.Tune(g.N(), 10, 6, 10, 1)
-		slots, maxE := measure(broadcastTrial(radio.Config{Graph: g, Model: radio.CD, MaxSlots: 1 << 62},
-			func(v int, o *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", o) },
-			func(o *dtime.DeviceResult) bool { return o.Informed }))
-		ip := iterclust.NewParams(radio.CD, g.N(), g.MaxDegree())
-		icSlots, _ := measure(iterclustTrial(g, ip))
+		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
+			res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.CD, MaxSlots: 1 << 62, Seed: seed},
+				func(v int, o *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", o) })
+			if err != nil {
+				return 0, 0, false
+			}
+			for _, d := range devs {
+				if !d.Informed {
+					return 0, 0, false
+				}
+			}
+			return res.Slots, res.MaxEnergy(), true
+		})
+		icSlots, _ := measure(broadcastTrial(g, iterclustOpts(radio.CD)...))
 		tbl.Add(g.Name(), n, 2, slots, maxE, icSlots)
 	}
 	fmt.Print(tbl)
@@ -261,14 +239,7 @@ func rowBoundedDegree() {
 	var ns, ts, es []float64
 	for _, n := range sizes([]int{12, 16, 24, 32}, []int{12, 16}) {
 		g := graph.Cycle(n)
-		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			res, err := core.Broadcast(g, 0, core.WithAlgorithm(core.AlgoBoundedDegree),
-				core.WithSeed(seed))
-			if err != nil || !res.AllInformed() {
-				return 0, 0, false
-			}
-			return res.Slots, res.MaxEnergy(), true
-		})
+		slots, maxE := measure(broadcastTrial(g, core.WithAlgorithm(core.AlgoBoundedDegree)))
 		tbl.Add(g.Name(), n, slots, maxE)
 		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
 	}
@@ -286,7 +257,10 @@ func rowPath() {
 		g := graph.Path(n)
 		type sample struct{ recv, meanE, maxE float64 }
 		samples := sweep.CollectTrials(*seeds, *workers, func(i int) (sample, bool) {
-			res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.Local, Seed: uint64(i + 1)}, pathProc(g))
+			res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.Local, Seed: uint64(i + 1)},
+				func(v int, o *pathcast.DeviceResult) radio.Proc {
+					return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), v == 0, "m", o)
+				})
 			if err != nil {
 				return sample{}, false
 			}
@@ -344,8 +318,7 @@ func rowLowerBounds() {
 	tbl := &stats.Table{Header: []string{"experiment", "param", "measured", "bound side"}}
 	for _, k := range sizes([]int{4, 8, 16, 32}, []int{4, 16}) {
 		g := graph.K2k(k)
-		p := iterclust.NewParams(radio.CD, g.N(), g.MaxDegree())
-		_, maxE := measure(iterclustTrial(g, p))
+		_, maxE := measure(broadcastTrial(g, iterclustOpts(radio.CD)...))
 		// Single-hop CD leader election time on a k-clique for reference.
 		le := measureLE(k)
 		tbl.Add("K2k CD energy vs LE time", k, maxE, le)
@@ -353,7 +326,7 @@ func rowLowerBounds() {
 	// Theorem 1 on paths: worst-vertex energy of the best path algorithm.
 	for _, n := range sizes([]int{64, 256, 1024}, []int{64, 256}) {
 		g := graph.Path(n)
-		_, maxE := measure(pathTrial(g))
+		_, maxE := measure(broadcastTrial(g, pathOpts...))
 		tbl.Add("path worst-vertex energy", n, maxE, fmt.Sprintf("Omega(log n)=%d/5", logi(n)))
 	}
 	fmt.Print(tbl)
@@ -486,12 +459,8 @@ func rowBaselineComparison() {
 	tbl := &stats.Table{Header: []string{"graph", "n", "decay slots", "decay maxE", "paper slots", "paper maxE"}}
 	for _, n := range sizes([]int{32, 64, 128}, []int{32, 64}) {
 		g := graph.Path(n)
-		d, _ := g.Diameter()
-		bp := baseline.NewParams(g.N(), g.MaxDegree(), d)
-		bSlots, bE := measure(broadcastTrial(radio.Config{Graph: g, Model: radio.NoCD},
-			func(v int, o *baseline.DeviceResult) radio.Proc { return baseline.Proc(bp, v == 0, "m", o) },
-			func(o *baseline.DeviceResult) bool { return o.Informed }))
-		pSlots, pE := measure(pathTrial(g))
+		bSlots, bE := measure(broadcastTrial(g, core.WithAlgorithm(core.AlgoBaselineDecay)))
+		pSlots, pE := measure(broadcastTrial(g, pathOpts...))
 		tbl.Add(g.Name(), n, bSlots, bE, pSlots, pE)
 	}
 	fmt.Print(tbl)

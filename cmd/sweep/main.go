@@ -29,22 +29,24 @@
 // columns (success, informedFrac, energyOverhead, wastedAwake) that
 // adaptive runs can target with -ci-measure.
 //
-// # Observability
+// # Reports and observability
 //
-// -status addr serves the run live over HTTP (see internal/telemetry):
-// /status returns a JSON snapshot — run counters, per-cell committed
-// trials and wall-clock, convergence traces of adaptive runs — and
-// /debug/pprof/ exposes the standard profiling handlers. The resolved
-// address is printed to stderr (useful with ":0"). -progress prints a
-// periodic one-line stderr report with an ETA extrapolated from the
-// trial-commit rate. -manifest writes a run manifest (spec, seed,
-// worker count, counters, per-cell trials and timings, phase
-// timings); with -json but no -manifest, the manifest is derived next
-// to the report as <report>.manifest.json (-manifest none disables
-// the default). Telemetry counters live in
-// per-worker shards updated once per trial batch, so none of this
-// perturbs measurements: the report JSON is byte-identical with and
-// without it.
+// The output flags -json, -manifest, -status, -progress and -events
+// are shared with cmd/sweepd (internal/cli). -json writes the aggregate
+// report. -status addr serves the run live over HTTP (see
+// internal/telemetry): /status returns a JSON snapshot — run counters,
+// per-cell committed trials and wall-clock, convergence traces of
+// adaptive runs — /metrics a Prometheus exposition, and /debug/pprof/
+// the standard profiling handlers. The resolved address is printed to
+// stderr (useful with ":0"). -progress prints a periodic one-line
+// stderr report with an ETA extrapolated from the trial-commit rate.
+// -events appends one JSON line per lifecycle event. -manifest writes a
+// run manifest (spec, seed, worker count, counters, per-cell trials and
+// timings, phase timings); with -json but no -manifest, the manifest is
+// derived next to the report as <report>.manifest.json (-manifest none
+// disables the default). Telemetry counters live in per-worker shards
+// updated once per trial batch, so none of this perturbs measurements:
+// the report JSON is byte-identical with and without it.
 //
 // # Adaptive runs and checkpoint/resume
 //
@@ -54,8 +56,10 @@
 // once every -ci-measure's Student-t relative CI half-width (confidence
 // -ci-conf) is within the -ci target, reallocating workers to the cells
 // that still need trials. -checkpoint journals every completed batch
-// (CRC-framed, fsync'd); after a crash or Ctrl-C, `sweep -resume
-// run.ckpt` continues the run — the journal holds the full experiment
+// (CRC-framed, fsync'd). The first SIGINT or SIGTERM drains the
+// in-flight batches and exits 130, naming the resume command; after
+// that or a crash, `sweep -resume run.ckpt` continues the run — the
+// journal holds the full experiment
 // definition, so -resume conflicts with every matrix flag — and
 // produces aggregate JSON byte-identical to an uninterrupted run.
 // -checkpoint without -ci journals a fixed -trials sweep.
@@ -111,31 +115,23 @@ import (
 	"io"
 	"log"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 )
 
 func main() {
 	m := cli.Register(flag.CommandLine)
+	out := cli.RegisterOutputs(flag.CommandLine)
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	jsonPath := flag.String("json", "", "write aggregate JSON to this file")
 	csvPath := flag.String("csv", "", "write aggregate CSV to this file")
 	rawPath := flag.String("raw", "", "write per-trial raw CSV (cell, trial, seed, slots, energy, informed, ...) to this file")
-	progress := flag.Bool("progress", false, "print a periodic one-line progress report with ETA to stderr")
-	eventsPath := flag.String("events", "", "append one JSON line per lifecycle event (cell start/stop, batch commits, checkpoint fsyncs, phase transitions) to this file")
-	status := flag.String("status", "", "serve live run status and pprof over HTTP on this address (e.g. :8080 or 127.0.0.1:0; resolved address printed to stderr)")
-	manifestPath := flag.String("manifest", "", "write a run manifest (spec, counters, per-cell trials and timings) to this file; defaults to <json>.manifest.json when -json is set; 'none' disables the default")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the sweep) to this file")
 	tracePath := flag.String("trace", "", "write a runtime/trace of the sweep to this file (view with go tool trace)")
@@ -145,125 +141,72 @@ func main() {
 	// Worker mode: the coordinator owns the experiment; everything local
 	// is just capacity.
 	if *worker != "" {
-		runWorker(*worker, *workers)
+		runWorker(out, *worker, *workers)
 		return
-	}
-
-	// The manifest rides along with every exported report: derive its
-	// default path before validation so collisions are caught up front.
-	// -manifest none opts out (e.g. to compare against a telemetry-free
-	// run; the report bytes must not change either way).
-	manifest := *manifestPath
-	if manifest == "" && *jsonPath != "" {
-		manifest = strings.TrimSuffix(*jsonPath, ".json") + ".manifest.json"
-	} else if manifest == "none" {
-		manifest = ""
 	}
 
 	// Up-front flag validation: a bad combination exits 2 with a one-line
 	// reason before any graph is built or file touched.
-	outputs := [][2]string{
-		{"json", *jsonPath}, {"csv", *csvPath}, {"raw", *rawPath},
-		{"checkpoint", m.Checkpoint}, {"manifest", manifest}, {"events", *eventsPath},
-		{"cpuprofile", *cpuProfile}, {"memprofile", *memProfile}, {"trace", *tracePath},
+	err := m.Validate(out.Files(m, [][2]string{{"csv", *csvPath}, {"raw", *rawPath}},
+		[][2]string{{"cpuprofile", *cpuProfile}, {"memprofile", *memProfile}, {"trace", *tracePath}}))
+	if err == nil && m.Controlled() {
+		// The fixed-sweep-only outputs are refused for runs through the
+		// experiment controller, by the same test main routes on.
+		if *rawPath != "" {
+			err = errors.New("-raw is only available for fixed (non-adaptive, non-checkpointed) sweeps")
+		} else if *csvPath != "" {
+			err = errors.New("adaptive reports export JSON only; -csv is only for fixed sweeps")
+		}
 	}
-	if err := validateFlags(m, *rawPath, *csvPath, outputs); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
+	s := out.Start("sweep")
 
 	// Profiling hooks: real sweep workloads are what the engine's perf
 	// work optimizes for, so make them profileable directly instead of
-	// approximating with microbenchmarks.
+	// approximating with microbenchmarks. The session stops and flushes
+	// the CPU profile and the trace at every exit, so a failure after a
+	// long sweep still leaves them usable.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			s.Fatal(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			s.Fatal(err)
 		}
-		// fatal() also runs this (os.Exit skips defers), so a failure
-		// after a long sweep still leaves a usable flushed profile.
-		cpuProfileStop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			cpuProfileStop = nil
-		}
-		defer stopCPUProfile()
+		s.Defer(func() error { pprof.StopCPUProfile(); return f.Close() })
 	}
 	if *memProfile != "" {
+		// Runs once main returns, after the session's cleanups: only a
+		// completed sweep has a post-sweep live set to profile.
 		defer func() {
-			f, err := os.Create(*memProfile)
+			err := cli.WriteFile(*memProfile, func(w io.Writer) error {
+				runtime.GC() // materialize the post-sweep live set
+				return pprof.WriteHeapProfile(w)
+			})
 			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // materialize the post-sweep live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
+				s.Fatal(err)
 			}
 		}()
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fatal(err)
+			s.Fatal(err)
 		}
 		if err := rtrace.Start(f); err != nil {
-			fatal(err)
+			s.Fatal(err)
 		}
-		// fatal() also runs this (os.Exit skips defers), so a failure
-		// after a long sweep still leaves a usable flushed trace.
-		traceStop = func() {
-			rtrace.Stop()
-			f.Close()
-			traceStop = nil
-		}
-		defer stopTrace()
+		s.Defer(func() error { rtrace.Stop(); return f.Close() })
 	}
-
-	// Telemetry powers -status, -progress, -events, and the manifest;
-	// off (nil recorder, zero instrumentation) unless one of them asks
-	// for it.
-	var rec *telemetry.Recorder
-	if *status != "" || *progress || manifest != "" || *eventsPath != "" {
-		rec = telemetry.New()
-	}
-	if *eventsPath != "" {
-		lg, err := telemetry.CreateEventLog(*eventsPath)
-		if err != nil {
-			fatal(err)
-		}
-		rec.SetEventLog(lg)
-		// fatal() also runs this (os.Exit skips defers), so a failure
-		// still leaves the events written so far closed cleanly; a write
-		// error inside the log surfaces here as a non-zero exit.
-		eventsClose = func() {
-			eventsClose = nil
-			if err := lg.Close(); err != nil {
-				fatal(fmt.Errorf("events: %w", err))
-			}
-		}
-		defer closeEvents()
-	}
-	if *status != "" {
-		addr, shutdown, err := telemetry.StartStatusServer(*status, rec)
-		if err != nil {
-			fatal(err)
-		}
-		// The resolved address makes ":0" usable by scripts, and the
-		// manifest records it so tooling can find the endpoint later.
-		fmt.Fprintf(os.Stderr, "sweep: status endpoint on http://%s/status\n", addr)
-		rec.SetStatusAddr(addr)
-		defer shutdown()
-	}
+	s.Serve("")
 
 	// Resume: the journal holds the whole experiment definition.
 	if m.Resume != "" {
-		runResume(m.Resume, *workers, *jsonPath, manifest, *progress, rec)
+		runControlled(s, m, experiment.Config{}, *workers)
 		return
 	}
 
@@ -272,176 +215,79 @@ func main() {
 	// is built, listing the valid names.
 	cfg, err := m.Build()
 	if err != nil {
-		fatal(err)
+		s.Fatal(err)
 	}
-	spec := cfg.Spec
-
-	// Adaptive / checkpointed runs go through the experiment controller.
 	if m.Controlled() {
-		cfg.Workers, cfg.Telemetry = *workers, rec
-		runAdaptive(cfg, *jsonPath, manifest, *progress)
+		runControlled(s, m, cfg, *workers)
 		return
 	}
 
-	opt := sweep.Options{Workers: *workers, Telemetry: rec}
+	spec := cfg.Spec
+	opt := sweep.Options{Workers: *workers, Telemetry: s.Rec}
 	if *rawPath != "" {
 		// Buffer the raw export so million-trial sweeps don't pay a
-		// syscall per row.
+		// syscall per row. The session flushes it at every exit, so a
+		// failure after the sweep — e.g. a bad -json path — still leaves
+		// the completed raw rows on disk.
 		f, err := os.Create(*rawPath)
 		if err != nil {
-			fatal(err)
+			s.Fatal(err)
 		}
 		bw := bufio.NewWriterSize(f, 1<<20)
 		opt.Raw = bw
-		// fatal() also runs this (os.Exit skips defers), so a failure
-		// after the sweep — e.g. a bad -json path — still leaves the
-		// completed raw rows flushed on disk.
-		rawFlush = func() {
-			rawFlush = nil
+		s.Defer(func() error {
 			if err := bw.Flush(); err != nil {
-				fatal(err)
+				f.Close()
+				return err
 			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}
-		defer flushRaw()
+			return f.Close()
+		})
 	}
-	var stopProgress func()
-	if *progress {
-		// spec.Expand already validated above, so the error is impossible
-		// here; the cell count sizes the ETA's trial total.
-		cells, _ := spec.Expand()
-		stopProgress = rec.StartProgress(os.Stderr, time.Second, uint64(len(cells))*uint64(spec.Trials), false)
-	}
-	rep, err := sweep.Run(spec, opt)
-	if stopProgress != nil {
-		stopProgress()
-	}
-	if err != nil {
-		fatal(err)
-	}
-	rec.Phase("output")
-	fmt.Print(rep.Table())
-	if *jsonPath != "" {
-		if err := writeFile(*jsonPath, rep.WriteJSON); err != nil {
-			fatal(err)
-		}
-	}
-	if *csvPath != "" {
-		if err := writeFile(*csvPath, rep.WriteCSV); err != nil {
-			fatal(err)
-		}
-	}
-	writeManifest(rec, manifest, spec, nil, *workers)
+	// Build expanded the spec already; the cell count sizes the ETA's
+	// trial total.
+	cells, _ := spec.Expand()
+	rep := cli.Run(s, uint64(len(cells))*uint64(spec.Trials), false, "",
+		func() (*sweep.Report, error) { return sweep.Run(spec, opt) })
+	s.Finish(rep, spec, nil, *workers, cli.Export{Path: *csvPath, Write: rep.WriteCSV})
 }
 
-// validateFlags adds cmd/sweep's own rules to the shared matrix-flag
-// validation: the fixed-sweep-only outputs are refused for runs that go
-// through the experiment controller — the same test main routes on, so
-// validation and execution can never disagree about which engine runs.
-func validateFlags(m *cli.Matrix, rawPath, csvPath string, outputs [][2]string) error {
-	if err := m.Validate(outputs); err != nil {
-		return err
-	}
-	if m.Controlled() {
-		if rawPath != "" {
-			return errors.New("-raw is only available for fixed (non-adaptive, non-checkpointed) sweeps")
-		}
-		if csvPath != "" {
-			return errors.New("adaptive reports export JSON only; -csv is only for fixed sweeps")
-		}
-	}
-	return nil
-}
-
-// interruptChannel converts the first SIGINT or SIGTERM into a graceful
-// controller stop: in-flight batches drain, the checkpoint flushes, any
-// -trace stops cleanly, and the process exits with a resume hint.
-// SIGTERM gets the identical treatment because orchestrators (systemd,
-// Kubernetes, CI timeouts) deliver it where a terminal sends ^C — the
-// journal must survive either. A second signal kills the process the
-// default way (the handler resets after the first).
-func interruptChannel() <-chan struct{} {
-	intr := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		signal.Stop(sig)
-		fmt.Fprintln(os.Stderr, "sweep: interrupt — draining in-flight batches and flushing the checkpoint (signal again to kill)")
-		close(intr)
-	}()
-	return intr
-}
-
-// finishAdaptive renders and exports an adaptive report.
-func finishAdaptive(rep *experiment.Report, jsonPath string) {
-	fmt.Print(rep.Table())
-	if jsonPath != "" {
-		if err := writeFile(jsonPath, rep.WriteJSON); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// writeManifest builds and writes the run manifest; a no-op when no
-// manifest was requested (path empty, rec nil).
-func writeManifest(rec *telemetry.Recorder, path string, spec, adaptive any, workers int) {
-	if path == "" || rec == nil {
-		return
-	}
-	m := rec.BuildManifest("sweep", spec, adaptive, workers)
-	if err := m.WriteFile(path); err != nil {
-		fatal(err)
-	}
-}
-
-// exitInterrupted reports a graceful SIGINT/SIGTERM stop. 130 is the
-// conventional fatal-SIGINT exit status.
-func exitInterrupted(checkpoint string) {
-	stopCPUProfile()
-	stopTrace()
-	closeEvents()
-	if checkpoint != "" {
-		fmt.Fprintf(os.Stderr, "sweep: interrupted; completed batches are journaled — continue with: sweep -resume %s\n", checkpoint)
+// runControlled drives a run through the experiment controller: a fresh
+// adaptive or journaled one from cfg, or one resumed from -resume. A
+// resumed run's definition lives in its journal, so its manifest echoes
+// only the journal path; its deterministic fields (committed counts,
+// traces) still rebuild identically to the uninterrupted run's.
+func runControlled(s *cli.Session, m *cli.Matrix, cfg experiment.Config, workers int) {
+	var (
+		run   func() (*experiment.Report, error)
+		spec  any
+		meta  = cli.Meta{ResumedFrom: m.Resume}
+		total uint64 // 0 for a resume: its total lives in the journal
+	)
+	intr := s.Interrupt("draining in-flight batches")
+	if m.Resume != "" {
+		rc := experiment.ResumeConfig{Workers: workers, Interrupt: intr, Telemetry: s.Rec}
+		run = func() (*experiment.Report, error) { return experiment.Resume(m.Resume, rc) }
 	} else {
-		fmt.Fprintln(os.Stderr, "sweep: interrupted")
-	}
-	os.Exit(130)
-}
-
-// runAdaptive drives a fresh adaptive (or journaled fixed) run.
-func runAdaptive(cfg experiment.Config, jsonPath, manifest string, progress bool) {
-	cfg.Interrupt = interruptChannel()
-	var stopProgress func()
-	if progress {
-		// MaxTrials per cell is an upper bound — adaptive cells stop
-		// early — so the ETA renders as "<=".
+		cfg.Workers, cfg.Interrupt, cfg.Telemetry = workers, intr, s.Rec
+		run = func() (*experiment.Report, error) { return experiment.Run(cfg) }
 		cells, _ := cfg.Spec.Expand()
-		stopProgress = cfg.Telemetry.StartProgress(os.Stderr, time.Second,
-			uint64(len(cells))*uint64(cfg.MaxTrials), true)
+		total, spec, meta = uint64(len(cells))*uint64(cfg.MaxTrials), cfg.Spec, cli.MetaOf(cfg)
 	}
-	rep, err := experiment.Run(cfg)
-	if stopProgress != nil {
-		stopProgress()
+	hint := ""
+	if j := m.Journal(); j != "" {
+		hint = "completed batches are journaled — continue with: sweep -resume " + j
 	}
-	if errors.Is(err, experiment.ErrInterrupted) {
-		exitInterrupted(cfg.Checkpoint)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Telemetry.Phase("output")
-	finishAdaptive(rep, jsonPath)
-	writeManifest(cfg.Telemetry, manifest, cfg.Spec, cli.MetaOf(cfg), cfg.Workers)
+	// MaxTrials per cell is an upper bound — adaptive cells stop early —
+	// so the ETA renders as "<=".
+	rep := cli.Run(s, total, true, hint, run)
+	s.Finish(rep, spec, meta, workers)
 }
 
 // runWorker joins the fabric coordinator at addr as a worker. The
 // coordinator defines the experiment, so every flag except -workers is
 // a conflict; exits 0 on run completion, 2 on a refused handshake or a
 // conflicting flag, 130 on interrupt, 1 on an unreachable coordinator.
-func runWorker(addr string, capacity int) {
+func runWorker(out *cli.Outputs, addr string, capacity int) {
 	var conflicts []string
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name != "worker" && f.Name != "workers" {
@@ -453,8 +299,9 @@ func runWorker(addr string, capacity int) {
 			strings.Join(conflicts, " "))
 		os.Exit(2)
 	}
+	s := out.Start("sweep") // no output flag is set: no recorder, no files
 	err := fabric.RunWorker(fabric.WorkerConfig{
-		Addr: addr, Capacity: capacity, Interrupt: interruptChannel(),
+		Addr: addr, Capacity: capacity, Interrupt: s.Interrupt("draining in-flight batches"),
 		Log: log.New(os.Stderr, "sweep: ", 0),
 	})
 	switch {
@@ -463,98 +310,7 @@ func runWorker(addr string, capacity int) {
 	case errors.Is(err, fabric.ErrVersionMismatch):
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
-	case errors.Is(err, experiment.ErrInterrupted):
-		fmt.Fprintln(os.Stderr, "sweep: interrupted")
-		os.Exit(130)
 	default:
-		fatal(err)
+		s.Check(err, "")
 	}
-}
-
-// runResume continues a checkpointed run. The experiment definition
-// lives in the journal, so the manifest echoes only the journal path;
-// its deterministic fields (committed counts, traces) still rebuild
-// identically to the uninterrupted run's.
-func runResume(path string, workers int, jsonPath, manifest string, progress bool, rec *telemetry.Recorder) {
-	rc := experiment.ResumeConfig{Workers: workers, Interrupt: interruptChannel(), Telemetry: rec}
-	var stopProgress func()
-	if progress {
-		// The trial total lives in the journal header; report rate only.
-		stopProgress = rec.StartProgress(os.Stderr, time.Second, 0, false)
-	}
-	rep, err := experiment.Resume(path, rc)
-	if stopProgress != nil {
-		stopProgress()
-	}
-	if errors.Is(err, experiment.ErrInterrupted) {
-		exitInterrupted(path)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	rec.Phase("output")
-	finishAdaptive(rep, jsonPath)
-	writeManifest(rec, manifest, nil, cli.Meta{ResumedFrom: path}, workers)
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// cpuProfileStop flushes and closes an in-progress CPU profile; nil when
-// none is running. fatal calls it because os.Exit skips defers.
-var cpuProfileStop func()
-
-func stopCPUProfile() {
-	if cpuProfileStop != nil {
-		cpuProfileStop()
-	}
-}
-
-// rawFlush flushes and closes the raw per-trial export; nil when none
-// is open. fatal calls it because os.Exit skips defers.
-var rawFlush func()
-
-func flushRaw() {
-	if rawFlush != nil {
-		rawFlush()
-	}
-}
-
-// traceStop flushes and closes an in-progress runtime/trace; nil when
-// none is running. fatal calls it because os.Exit skips defers.
-var traceStop func()
-
-func stopTrace() {
-	if traceStop != nil {
-		traceStop()
-	}
-}
-
-// eventsClose closes the -events log; nil when none is open. fatal
-// calls it because os.Exit skips defers.
-var eventsClose func()
-
-func closeEvents() {
-	if eventsClose != nil {
-		eventsClose()
-	}
-}
-
-func fatal(err error) {
-	stopCPUProfile()
-	stopTrace()
-	flushRaw()
-	closeEvents()
-	// Package errors already carry the "sweep: " prefix; avoid doubling it.
-	fmt.Fprintln(os.Stderr, "sweep:", strings.TrimPrefix(err.Error(), "sweep: "))
-	os.Exit(1)
 }

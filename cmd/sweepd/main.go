@@ -31,213 +31,91 @@
 // refused at the handshake (exit 2 on its side): byte-identity across
 // machines is only claimed at one code version.
 //
-// -status serves /status (run counters, per-cell progress), /fabric
-// (per-worker health, lease ages, fleet telemetry), and /metrics
-// (Prometheus text exposition) over HTTP. -progress prints a periodic
-// one-line ETA from the lease-admission rate, and -events appends a
-// JSON-lines lifecycle log (cells, batch commits, worker joins/leaves,
-// lease grants/steals, checkpoint fsyncs). SIGINT/SIGTERM stops the
-// run gracefully: admitted batches are journaled, workers are
-// dismissed, and with -checkpoint the run continues later with
-// `sweepd -resume run.ckpt -listen ...`.
+// The matrix flags and the output flags -json, -manifest, -status,
+// -progress and -events are sweep's (internal/cli), with one run
+// session behind them. Here -status also serves /fabric (per-worker
+// health, lease ages, fleet telemetry), -progress extrapolates from the
+// lease-admission rate, and -events adds worker joins/leaves and lease
+// grants/steals. A worker whose result does not fit its cell is
+// evicted and its batch reissued. SIGINT/SIGTERM stops the run
+// gracefully: admitted batches are journaled, workers are dismissed,
+// and with -checkpoint the process exits 130 naming the command that
+// continues the run, `sweepd -resume run.ckpt -listen ...`.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/fabric"
-	"repro/internal/telemetry"
 )
 
 func main() {
 	m := cli.Register(flag.CommandLine)
+	out := cli.RegisterOutputs(flag.CommandLine)
 	listen := flag.String("listen", "127.0.0.1:0", "TCP address workers dial (resolved address printed to stderr)")
 	leaseTimeout := flag.Duration("lease-timeout", 10*time.Second, "evict workers silent this long and reissue their batches")
-	jsonPath := flag.String("json", "", "write aggregate JSON to this file")
-	manifestPath := flag.String("manifest", "", "write a run manifest to this file; defaults to <json>.manifest.json when -json is set; 'none' disables the default")
-	status := flag.String("status", "", "serve live run status (/status, /fabric, /metrics) and pprof over HTTP on this address")
-	progress := flag.Bool("progress", false, "print a periodic one-line progress report with ETA to stderr")
-	eventsPath := flag.String("events", "", "append one JSON line per lifecycle event (cells, batch commits, worker joins/leaves, lease grants/steals, checkpoint fsyncs) to this file")
 	flag.Parse()
 
-	manifest := *manifestPath
-	if manifest == "" && *jsonPath != "" {
-		manifest = strings.TrimSuffix(*jsonPath, ".json") + ".manifest.json"
-	} else if manifest == "none" {
-		manifest = ""
-	}
-
-	if err := m.Validate([][2]string{
-		{"json", *jsonPath}, {"checkpoint", m.Checkpoint}, {"manifest", manifest},
-		{"events", *eventsPath},
-	}); err != nil {
+	if err := m.Validate(out.Files(m, nil, nil)); err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(2)
 	}
-
-	var rec *telemetry.Recorder
-	if *status != "" || manifest != "" || *progress || *eventsPath != "" {
-		rec = telemetry.New()
-	}
-	if *eventsPath != "" {
-		lg, err := telemetry.CreateEventLog(*eventsPath)
-		if err != nil {
-			fatal(err)
-		}
-		rec.SetEventLog(lg)
-		// fatal() and the interrupt path also run this (os.Exit skips
-		// defers); a write error inside the log surfaces as a non-zero
-		// exit.
-		eventsClose = func() {
-			eventsClose = nil
-			if err := lg.Close(); err != nil {
-				fatal(fmt.Errorf("events: %w", err))
-			}
-		}
-		defer closeEvents()
-	}
+	s := out.Start("sweepd")
 
 	// Build the controller: resumed runs take the whole experiment from
 	// the journal, fresh runs from the matrix flags.
 	var (
 		lc   *experiment.LeaseController
-		meta cli.Meta
+		meta = cli.Meta{ResumedFrom: m.Resume}
 		spec any
 		err  error
 	)
 	if m.Resume != "" {
-		meta = cli.Meta{ResumedFrom: m.Resume}
-		lc, err = experiment.ResumeLeaseController(m.Resume, experiment.ResumeConfig{Telemetry: rec})
+		lc, err = experiment.ResumeLeaseController(m.Resume, experiment.ResumeConfig{Telemetry: s.Rec})
 	} else {
 		// The same spec and controller config `sweep` builds from these
 		// flags (a fixed run spends -trials per cell in both).
 		var cfg experiment.Config
 		if cfg, err = m.Build(); err == nil {
-			cfg.Telemetry = rec
+			cfg.Telemetry = s.Rec
 			spec, meta = cfg.Spec, cli.MetaOf(cfg)
 			lc, err = experiment.NewLeaseController(cfg)
 		}
 	}
 	if err != nil {
-		fatal(err)
+		s.Fatal(err)
 	}
 
 	co, err := fabric.StartCoordinator(fabric.CoordinatorConfig{
 		Controller:   lc,
 		ListenAddr:   *listen,
 		LeaseTimeout: *leaseTimeout,
-		Telemetry:    rec,
-		Interrupt:    interruptChannel(),
+		Telemetry:    s.Rec,
+		Interrupt:    s.Interrupt("dismissing workers"),
 		Log:          log.New(os.Stderr, "sweepd: ", 0),
 	})
 	if err != nil {
-		fatal(err)
+		s.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "sweepd: coordinating on %s — start workers with: sweep -worker %s\n",
 		co.Addr(), co.Addr())
+	s.Serve(" (workers on /fabric)", co.MountStatus)
 
-	if *status != "" {
-		addr, shutdown, err := telemetry.StartStatusServer(*status, rec, co.MountStatus)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "sweepd: status endpoint on http://%s/status (workers on /fabric)\n", addr)
-		rec.SetStatusAddr(addr)
-		defer shutdown()
+	hint := ""
+	if j := m.Journal(); j != "" {
+		hint = fmt.Sprintf("admitted batches are journaled — continue with: sweepd -resume %s -listen %s", j, *listen)
 	}
-
-	// -progress reuses cmd/sweep's reporter: the commit rate comes from
-	// admitted leases (LeaseController.Admit feeds the same recorder).
-	// MaxTrials per cell is exact for fixed runs and an upper bound for
-	// adaptive ones (cells stop early), so the ETA renders as "<=" there.
-	var stopProgress func()
-	if *progress {
-		lcCfg := lc.Config()
-		total := uint64(len(lc.Runner().Cells())) * uint64(lcCfg.MaxTrials)
-		stopProgress = rec.StartProgress(os.Stderr, time.Second, total, lcCfg.TargetRelCI > 0)
-	}
-
-	rep, err := co.Wait()
-	if stopProgress != nil {
-		stopProgress()
-	}
-	if errors.Is(err, experiment.ErrInterrupted) {
-		ckpt := m.Checkpoint
-		if m.Resume != "" {
-			ckpt = m.Resume
-		}
-		if ckpt != "" {
-			fmt.Fprintf(os.Stderr, "sweepd: interrupted; admitted batches are journaled — continue with: sweepd -resume %s -listen %s\n", ckpt, *listen)
-		} else {
-			fmt.Fprintln(os.Stderr, "sweepd: interrupted")
-		}
-		closeEvents()
-		os.Exit(130)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	rec.Phase("output")
-	fmt.Print(rep.Table())
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if manifest != "" && rec != nil {
-		m := rec.BuildManifest("sweepd", spec, meta, 0)
-		if err := m.WriteFile(manifest); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// interruptChannel converts the first SIGINT or SIGTERM into a
-// graceful coordinator stop; a second signal kills the process the
-// default way.
-func interruptChannel() <-chan struct{} {
-	intr := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		signal.Stop(sig)
-		fmt.Fprintln(os.Stderr, "sweepd: interrupt — dismissing workers and flushing the checkpoint (signal again to kill)")
-		close(intr)
-	}()
-	return intr
-}
-
-// eventsClose closes the -events log; nil when none is open. fatal and
-// the interrupt exit call it because os.Exit skips defers.
-var eventsClose func()
-
-func closeEvents() {
-	if eventsClose != nil {
-		eventsClose()
-	}
-}
-
-func fatal(err error) {
-	closeEvents()
-	fmt.Fprintln(os.Stderr, "sweepd:", strings.TrimPrefix(err.Error(), "sweepd: "))
-	os.Exit(1)
+	// The progress commit rate comes from admitted leases
+	// (LeaseController.Admit feeds the recorder). MaxTrials per cell is
+	// exact for fixed runs and an upper bound for adaptive ones (cells
+	// stop early), so the ETA renders as "<=" there.
+	lcCfg := lc.Config()
+	rep := cli.Run(s, uint64(len(lc.Runner().Cells()))*uint64(lcCfg.MaxTrials), lcCfg.TargetRelCI > 0, hint, co.Wait)
+	s.Finish(rep, spec, meta, 0)
 }

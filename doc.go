@@ -189,7 +189,8 @@
 // committed batch of an adaptive run), phase timings, and mergeable
 // power-of-two latency histograms (batch execution, checkpoint fsync,
 // fabric lease round-trip; recording is one bits.Len64 and an atomic
-// add, 0 allocs/op). cmd/sweep and cmd/sweepd surface it as -status
+// add, 0 allocs/op). cmd/sweep and cmd/sweepd surface it through one
+// set of output flags and one run session (internal/cli): -status
 // addr (live JSON snapshot at /status, a dependency-free Prometheus
 // text exposition at /metrics — counters, gauges, and the latency
 // histograms — plus net/http/pprof on the same mux), -progress
@@ -205,7 +206,12 @@
 // reasons, traces) are bit-identical for any worker count, like the
 // reports they describe; timings, speculation
 // counters, latency histograms, and the fleet table are explicitly
-// excluded from that pin. scripts/status_smoke.sh exercises the whole
+// excluded from that pin. The session that opens these also owns every
+// exit of both tools: the first SIGINT or SIGTERM stops a controlled run
+// gracefully (exit 130 with a resume hint when the run is journaled),
+// and a fatal error exits 1 after one last-in-first-out cleanup list
+// that stops and flushes profiles, traces, the raw export and the event
+// log. scripts/status_smoke.sh exercises the whole
 // surface end to end in CI, including a mid-run /metrics scrape,
 // jq-validating the event log, and byte-comparing an instrumented
 // run's report against a telemetry-off run's.
@@ -227,7 +233,9 @@
 // and the manifest's deterministic section are byte-identical to a
 // single-machine run at any worker count. Fault tolerance is lease-based: workers silent
 // past the lease timeout are evicted and their batches reissued, a
-// SIGKILLed worker's dead socket returns its leases immediately,
+// SIGKILLed worker's dead socket returns its leases immediately, a
+// worker whose result does not fit its cell (experiment.ErrBadRecord)
+// is evicted and its batch reissued,
 // outstanding batches are duplicated to idle workers near the end of a
 // run (admission deduplicates, so a twice-run batch merges exactly
 // once), and workers redial with bounded backoff across coordinator
@@ -245,7 +253,9 @@
 // monotonically. scripts/fabric_smoke.sh runs the whole story in CI:
 // coordinator plus two workers, one SIGKILLed mid-run, a live /metrics
 // scrape, event-log and fleet-table validation, report byte-compared
-// against the single-machine reference.
+// against the single-machine reference. sweepd takes its matrix and
+// output flags, and its run session, from the same internal/cli code as
+// sweep, so the same flags give the same report.
 //
 // # Workloads
 //

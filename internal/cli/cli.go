@@ -1,8 +1,26 @@
-// Package cli is the flag surface cmd/sweep and cmd/sweepd share: the
-// experiment-matrix and controller flags, their up-front validation,
-// and Build, the one function that turns them into a sweep spec and an
-// experiment.Config. Sharing it is what keeps a `sweepd` run
-// byte-identical to `sweep` run with the same flags.
+// Package cli is the command layer cmd/sweep and cmd/sweepd share.
+// Sharing it is what keeps a `sweepd` run byte-identical to `sweep` run
+// with the same flags.
+//
+// The flags: Register defines the experiment-matrix and controller
+// flags, Matrix.Validate checks them before any graph is built or file
+// touched, and Build turns them into a sweep spec and an
+// experiment.Config. RegisterOutputs defines the output flags -json,
+// -manifest (by default <json>.manifest.json; "none" turns it off),
+// -status, -progress and -events. Outputs.Files lists every file a run
+// writes, so Validate refuses two flags that name one file.
+//
+// The run session: Outputs.Start opens one run, with the telemetry
+// recorder (only when an output flag asks for it) and the event log.
+// Serve starts the status endpoint, with sweepd's /fabric mounted on
+// it; Interrupt turns the first SIGINT or SIGTERM into the controller's
+// graceful stop; Run runs the experiment under the -progress reporter.
+// The session owns every exit. Finish prints the table and writes
+// -json, a tool's other exports and the manifest; an interrupt exits
+// 130 with the tool's resume hint; Fatal exits 1. Each exit first runs
+// the cleanups added with Defer, once each and last added first, so
+// profiles, traces, the raw export and the event log are flushed
+// however the process ends.
 package cli
 
 import (
@@ -78,6 +96,15 @@ func Register(fs *flag.FlagSet) *Matrix {
 // controller: adaptive (-ci), journaled (-checkpoint), or resumed.
 func (m *Matrix) Controlled() bool {
 	return m.CI > 0 || m.Checkpoint != "" || m.Resume != ""
+}
+
+// Journal returns the run's checkpoint journal: -resume's when set,
+// else -checkpoint's ("" when the run journals nothing).
+func (m *Matrix) Journal() string {
+	if m.Resume != "" {
+		return m.Resume
+	}
+	return m.Checkpoint
 }
 
 // Validate rejects invalid flag combinations up front, before any

@@ -204,11 +204,12 @@ func (lc *LeaseController) Release(l Lease) {
 // Config.Progress. fresh is false for a record the committed state no
 // longer wants — a duplicate of an admitted batch, a batch past its
 // cell's stop point, or a replay race after a lease was stolen and
-// re-run — which is dropped without touching the journal. The error is
-// fatal (journal write failure or a record that violates the batch
-// grid); a coordinator should validate worker-supplied records with
-// BatchRecord.Validate before admitting, and treat validation failure
-// as the worker's fault, not the run's.
+// re-run — which is dropped without touching the journal. An
+// ErrBadRecord is the sender's fault, not the run's: nothing was
+// journaled and the batch is no longer in flight. Any other error is a
+// journal write failure, fatal to the run. A coordinator should also
+// validate worker-supplied records with BatchRecord.Validate before
+// admitting them.
 func (lc *LeaseController) Admit(rec *BatchRecord) (fresh bool, err error) {
 	if fresh, err = lc.check(rec); !fresh {
 		return false, err
@@ -262,7 +263,7 @@ func (lc *LeaseController) Close() error {
 // whether the committed state still wants the record: fresh is false
 // for a duplicate of an admitted batch or a batch at or past its cell's
 // stop point. A wanted record off the batch grid, or tracking the wrong
-// number of measures, is an error.
+// number of measures, is an ErrBadRecord.
 func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
 	if rec.Cell < 0 || rec.Cell >= len(lc.cells) {
 		return false, fmt.Errorf("experiment: batch record for cell %d of %d", rec.Cell, len(lc.cells))
@@ -274,11 +275,11 @@ func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
 		return false, nil
 	}
 	if lo, hi := lc.batchBounds(b); lo != rec.Lo || hi != rec.Hi {
-		return false, fmt.Errorf("experiment: batch record [%d,%d) of cell %d off the batch grid", rec.Lo, rec.Hi, rec.Cell)
+		return false, fmt.Errorf("%w: [%d,%d) of cell %d off the batch grid", ErrBadRecord, rec.Lo, rec.Hi, rec.Cell)
 	}
 	if len(rec.Moments) != len(lc.tracked[rec.Cell]) {
-		return false, fmt.Errorf("experiment: batch record of cell %d tracks %d measures, want %d",
-			rec.Cell, len(rec.Moments), len(lc.tracked[rec.Cell]))
+		return false, fmt.Errorf("%w: cell %d tracks %d measures, want %d",
+			ErrBadRecord, rec.Cell, len(rec.Moments), len(lc.tracked[rec.Cell]))
 	}
 	return true, nil
 }

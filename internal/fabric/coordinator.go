@@ -473,7 +473,13 @@ func (co *Coordinator) run() {
 						evict(w, fmt.Sprintf("bad batch record: %v", err))
 						continue
 					}
-					if _, err := lc.Admit(br); err != nil {
+					if _, err := lc.Admit(br); errors.Is(err, experiment.ErrBadRecord) {
+						// A record that does not fit its cell costs its
+						// sender, not the run: Admit cleared the batch's
+						// in-flight mark, so it is issued again.
+						evict(w, err.Error())
+						continue
+					} else if err != nil {
 						finish(nil, err) // journal write failure: fatal
 						return
 					}

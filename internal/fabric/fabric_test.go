@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
@@ -402,6 +403,80 @@ func TestFabricEvictsIdleWorker(t *testing.T) {
 	}
 	if got := reportJSON(t, rep); !bytes.Equal(want, got) {
 		t.Error("report after idle-worker eviction differs from single-machine run")
+	}
+}
+
+// A worker whose result has the wrong shape for its cell — here three
+// moments where the cell tracks four, which decodes and validates but
+// cannot merge — costs that worker its connection, not the run: the
+// batch is issued again, and a healthy worker finishes a byte-identical
+// report.
+func TestFabricEvictsMalformedResult(t *testing.T) {
+	cfg := fixedConfig()
+	ref, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportJSON(t, ref)
+
+	lc, err := experiment.NewLeaseController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := StartCoordinator(CoordinatorConfig{
+		Controller: lc, ListenAddr: "127.0.0.1:0", LeaseTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", co.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	err = writeMsg(conn, &msg{Type: msgHello, Hello: &helloMsg{
+		Name: "garbler", Version: telemetry.CodeVersion(), Capacity: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := readMsg(conn)
+	for err == nil && m.Type != msgLease {
+		m, err = readMsg(conn)
+	}
+	if err != nil {
+		t.Fatalf("no lease for the garbling worker: %v", err)
+	}
+	err = writeMsg(conn, &msg{Type: msgResult, Result: &resultMsg{
+		Lease: *m.Lease, Moments: stats.EncodeMoments(make([]stats.Moments, 3))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eviction closes the garbler's connection.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for err == nil {
+		m, err = readMsg(conn)
+		if err == nil && m.Type == msgDone {
+			t.Fatal("the run ended on a malformed result")
+		}
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the garbling worker was not evicted within 5s")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(WorkerConfig{
+			Addr: co.Addr(), Name: "healthy", Capacity: 2, Patience: 10 * time.Second})
+	}()
+	rep, err := co.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if werr := <-done; werr != nil {
+		t.Fatalf("healthy worker: %v", werr)
+	}
+	if got := reportJSON(t, rep); !bytes.Equal(want, got) {
+		t.Error("report after a malformed result differs from single-machine run")
 	}
 }
 

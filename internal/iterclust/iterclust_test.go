@@ -278,12 +278,11 @@ func TestSweepCostIndependentOfLayerBound(t *testing.T) {
 // device re-arms one Refiner for every refinement, so with the engine
 // reused from a warm SimCache a run allocates the same number of objects
 // at 16 refinements as at 4. A continuation chain per refinement cost
-// ~6 closures per device each. LOCAL is left out: a LOCAL receive
-// window's delivery buffer grows to the most senders the device has
-// heard at once, which more refinements can raise.
+// ~6 closures per device each, and a LOCAL receive window that buffered
+// everything it heard grew as later refinements heard more senders.
 func TestRunCostIndependentOfIterations(t *testing.T) {
 	g := graph.GNP(16, 0.3, 2)
-	for _, model := range []radio.Model{radio.NoCD, radio.CD} {
+	for _, model := range []radio.Model{radio.NoCD, radio.CD, radio.Local} {
 		run := func(iters int) float64 {
 			p := NewParams(model, g.N(), g.MaxDegree())
 			p.Iterations = iters

@@ -489,11 +489,11 @@ func (s *localSend) Step(radio.Channel, radio.Feedback) radio.Action {
 
 // localRecv is the LOCAL receiver role: one listen in the window's
 // single slot. It halts on the step that carries the listen's feedback,
-// copying everything heard out of the engine's delivery buffer into
-// *got, reusing its backing array.
+// delivering the first message heard, the lowest-index transmitting
+// neighbor's.
 type localRecv struct {
 	start    uint64
-	got      *[]any
+	got      *delivery
 	listened bool
 }
 
@@ -503,7 +503,7 @@ func (r *localRecv) Step(_ radio.Channel, fb radio.Feedback) radio.Action {
 		return radio.Listen(r.start)
 	}
 	if heard := fb.Payloads(); len(heard) > 0 {
-		*r.got = append((*r.got)[:0], heard...)
+		*r.got = delivery{heard[0], true}
 	}
 	return radio.Halt()
 }
@@ -528,8 +528,7 @@ type Window struct {
 	decayRecv decayRecv
 	det       *detRoles
 
-	heard []any    // LOCAL receiver: everything heard
-	got   delivery // CD, decay and Lemma 24 receivers
+	got delivery // what the armed receiver delivered
 }
 
 // delivery is what a receiver window delivered: the message, and
@@ -554,7 +553,7 @@ func (w *Window) ArmLocal(start uint64, send bool, payload any) {
 		w.role = &w.localSend
 		return
 	}
-	w.localRecv = localRecv{start: start, got: &w.heard}
+	w.localRecv = localRecv{start: start, got: &w.got}
 	w.role = &w.localRecv
 }
 
@@ -602,11 +601,7 @@ func (w *Window) ArmDet(start uint64, p DetParams, send bool, payload any) {
 	w.role = &w.det.recv
 }
 
-func (w *Window) clearDelivery() {
-	clear(w.heard)
-	w.heard = w.heard[:0]
-	w.got = delivery{}
-}
+func (w *Window) clearDelivery() { w.got = delivery{} }
 
 // Step steps the armed role machine.
 func (w *Window) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
@@ -617,9 +612,4 @@ func (w *Window) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 // nil and false when it delivered none. In LOCAL the message is the one
 // from the lowest-index transmitting neighbor. It is valid once the
 // window has halted, until the Window is armed again.
-func (w *Window) Delivery() (any, bool) {
-	if len(w.heard) > 0 {
-		return w.heard[0], true
-	}
-	return w.got.msg, w.got.ok
-}
+func (w *Window) Delivery() (any, bool) { return w.got.msg, w.got.ok }

@@ -269,9 +269,6 @@ func TestLocalSR(t *testing.T) {
 	if _, err := radio.RunDevices(radio.Config{Graph: g, Model: radio.Local}, radio.Procs(procs)); err != nil {
 		t.Fatal(err)
 	}
-	if len(wins[0].heard) != 3 {
-		t.Fatalf("LOCAL receiver heard %d of 3 messages", len(wins[0].heard))
-	}
 	if m, ok := wins[0].Delivery(); !ok || m != "b" {
 		t.Fatalf("LOCAL receiver delivered %v %v, want the lowest-index sender's \"b\"", m, ok)
 	}

@@ -69,7 +69,6 @@ type Session struct {
 	Rec      *telemetry.Recorder
 	tool     string
 	out      *Outputs
-	manifest string
 	cleanups []func() error
 	stderr   io.Writer
 	exit     func(code int)
@@ -79,8 +78,8 @@ type Session struct {
 // tool name): the recorder when an observability flag asks for it, and
 // the -events log.
 func (o *Outputs) Start(tool string) *Session {
-	s := &Session{tool: tool, out: o, manifest: o.Manifest(), stderr: os.Stderr, exit: os.Exit}
-	if o.Status != "" || o.Progress || s.manifest != "" || o.Events != "" {
+	s := &Session{tool: tool, out: o, stderr: os.Stderr, exit: os.Exit}
+	if o.Status != "" || o.Progress || o.Manifest() != "" || o.Events != "" {
 		s.Rec = telemetry.New()
 	}
 	if o.Events != "" {
@@ -213,8 +212,8 @@ func (s *Session) Finish(rep Report, spec, meta any, workers int, exports ...Exp
 			s.Fatal(err)
 		}
 	}
-	if s.manifest != "" {
-		if err := s.Rec.BuildManifest(s.tool, spec, meta, workers).WriteFile(s.manifest); err != nil {
+	if path := s.out.Manifest(); path != "" {
+		if err := s.Rec.BuildManifest(s.tool, spec, meta, workers).WriteFile(path); err != nil {
 			s.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@
 //	      [-fault kind:rates[:w=window]]... \
 //	      [-seed 1] [-source 0] [-workers 0] [-lean] \
 //	      [-json out.json] [-csv out.csv] [-raw trials.csv] [-progress] \
-//	      [-status :8080] [-manifest run.manifest.json] \
+//	      [-status :8080] [-manifest run.manifest.json] [-events run.jsonl] \
 //	      [-cpuprofile cpu.out] [-memprofile mem.out] [-trace trace.out]
 //
 // # Fault injection
@@ -59,9 +59,9 @@
 // (CRC-framed, fsync'd). The first SIGINT or SIGTERM drains the
 // in-flight batches and exits 130, naming the resume command; after
 // that or a crash, `sweep -resume run.ckpt` continues the run — the
-// journal holds the full experiment
-// definition, so -resume conflicts with every matrix flag — and
-// produces aggregate JSON byte-identical to an uninterrupted run.
+// journal holds the full experiment definition, so -resume conflicts
+// with every matrix flag — and produces aggregate JSON byte-identical
+// to an uninterrupted run.
 // -checkpoint without -ci journals a fixed -trials sweep.
 //
 //	sweep -topo path:128,256 -topo gnp:64 -models nocd,cd \

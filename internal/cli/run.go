@@ -18,9 +18,9 @@ import (
 
 // Outputs holds the report and observability flags both tools share.
 type Outputs struct {
-	JSON, Status, Events string
-	Progress             bool
-	manifest             string
+	JSON, Status, Events string // -json, -status and -events
+	Progress             bool   // -progress
+	manifest             string // -manifest as given; see Manifest
 }
 
 // RegisterOutputs defines -json, -manifest, -status, -progress and

@@ -449,8 +449,8 @@ func BenchmarkSweepWorkers(b *testing.B) {
 
 // BenchmarkSweepTelemetry measures the observability overhead on the
 // sweep hot path: the same fixed matrix with telemetry disabled (nil
-// recorder — every hook is a nil-receiver no-op) versus enabled (shard
-// counters updated once per trial batch). The two trials/s figures
+// recorder — every hook is a nil-receiver no-op) versus enabled (the
+// recorder's counters updated once per trial batch). The two trials/s figures
 // should be indistinguishable; a gap means instrumentation leaked into
 // the per-slot path.
 func BenchmarkSweepTelemetry(b *testing.B) {

@@ -44,9 +44,9 @@
 // run manifest (spec, seed, worker count, counters, per-cell trials and
 // timings, phase timings); with -json but no -manifest, the manifest is
 // derived next to the report as <report>.manifest.json (-manifest none
-// disables the default). Telemetry counters live in per-worker shards
-// updated once per trial batch, so none of this perturbs measurements:
-// the report JSON is byte-identical with and without it.
+// disables the default). The recorder's run counters are updated once
+// per trial batch, so none of this perturbs measurements: the report
+// JSON is byte-identical with and without it.
 //
 // # Adaptive runs and checkpoint/resume
 //
@@ -277,9 +277,10 @@ func runControlled(s *cli.Session, m *cli.Matrix, cfg experiment.Config, workers
 	if j := m.Journal(); j != "" {
 		hint = "completed batches are journaled — continue with: sweep -resume " + j
 	}
-	// MaxTrials per cell is an upper bound — adaptive cells stop early —
-	// so the ETA renders as "<=".
-	rep := cli.Run(s, total, true, hint, run)
+	// MaxTrials per cell is exact for a journaled fixed run and an upper
+	// bound for an adaptive one (cells stop early), where the ETA renders
+	// as "<=".
+	rep := cli.Run(s, total, cfg.TargetRelCI > 0, hint, run)
 	s.Finish(rep, spec, meta, workers)
 }
 

@@ -2,7 +2,7 @@
 // internal/fabric): it owns the experiment — spec, adaptive stopping
 // decisions, checkpoint journal — and leases trial batches over TCP to
 // workers started with `sweep -worker <addr>`. Workers execute batches
-// with positional seeds and stream folded moment state back; the
+// with positional seeds and stream folded batch records back; the
 // coordinator admits results through the same prefix-merge rule the
 // single-machine engine uses, so the report JSON and the manifest's
 // deterministic section are byte-identical to `sweep` run locally with

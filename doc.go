@@ -181,10 +181,13 @@
 // controller, and the fabric without perturbing either results
 // or performance: a nil *telemetry.Recorder no-ops every hook, and a
 // live one is touched once per trial batch (in sweep.Runner.RunBatch) —
-// per-worker padded shards of atomic counters merged only on read,
+// a few atomic adds on the recorder's own run counters (trials, slots,
+// batches in flight, the SimCache hits and misses the batch made),
 // never on the per-slot path
 // (BenchmarkSweepTelemetry pins on/off parity; the simulator hot loop
-// stays 0 allocs/op either way). On top of the counters the recorder
+// stays 0 allocs/op either way). The counters accumulate for the
+// recorder's life, so a recorder spanning several runs (energybench's
+// rows) counts every run. On top of the counters the recorder
 // keeps per-cell convergence traces (relative CI half-width per
 // committed batch of an adaptive run), phase timings, and mergeable
 // power-of-two latency histograms (batch execution, checkpoint fsync,
@@ -225,9 +228,11 @@
 // TCP/JSON protocol to workers started with `sweep -worker addr`.
 // Workers build their own Runner from the handshook spec (seeds are
 // positional, so both sides resolve the identical trial stream), fold
-// executed batches into records (experiment.FoldBatch) with moment
-// state in a stable binary encoding (stats wire codec), and stream
-// them back; the coordinator admits results through the
+// executed batches into experiment.BatchRecords (experiment.FoldBatch)
+// and stream them back as the same JSON the checkpoint journal writes
+// (encoding/json round-trips float64 bit-exactly); the coordinator
+// checks that each record answers a lease its sender holds and passes
+// BatchRecord.Validate, and admits it through the
 // batch-ordered prefix-merge rule of experiment.LeaseController, the
 // lease API local runs drive too with in-process workers. Report JSON
 // and the manifest's deterministic section are byte-identical to a
@@ -243,14 +248,17 @@
 // version (telemetry.CodeVersion) into the handshake and mixed
 // versions are refused — byte-identity across machines is only claimed
 // at one code version. Observability is fleet-wide: each worker runs a
-// process-lifetime Recorder and ships its merged snapshot inside every
-// heartbeat and result frame, and the coordinator folds the shards
+// process-lifetime Recorder and ships its snapshot inside every
+// heartbeat and result frame, and the coordinator folds the snapshots
 // into its own Snapshot (telemetry.WorkerShard) so /status, /metrics
 // (with per-worker lease gauges), the manifest's fleet table — name,
-// resolved address, code version, last shard — and the -events log
-// cover every machine; an evicted worker's last shard is retained and
-// flagged stale, and a re-joining worker's counters resume
-// monotonically. scripts/fabric_smoke.sh runs the whole story in CI:
+// resolved address, code version, last snapshot — and the -events log
+// cover every machine; an evicted worker's last snapshot is retained
+// and flagged stale, and a re-joining worker's counters resume
+// monotonically. FuzzFabricFrame feeds arbitrary bytes through the
+// frame reader and the coordinator's result checks: a malformed frame
+// costs its sender the connection, never the run.
+// scripts/fabric_smoke.sh runs the whole story in CI:
 // coordinator plus two workers, one SIGKILLed mid-run, a live /metrics
 // scrape, event-log and fleet-table validation, report byte-compared
 // against the single-machine reference. sweepd takes its matrix and

@@ -183,7 +183,7 @@ type Report interface {
 func Run[R Report](s *Session, total uint64, upper bool, hint string, run func() (R, error)) R {
 	stop := func() {}
 	if s.out.Progress {
-		stop = s.Rec.StartProgress(s.stderr, time.Second, total, upper)
+		stop = s.Rec.StartProgress(s.stderr, s.tool, time.Second, total, upper)
 	}
 	rep, err := run()
 	stop()

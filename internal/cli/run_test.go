@@ -160,6 +160,25 @@ func (r fakeReport) WriteJSON(w io.Writer) error {
 	return err
 }
 
+// The -progress line names the session's tool, and a fixed total reads
+// exact, with none of the "<=" of an adaptive run's cap.
+func TestRunProgressNamesTool(t *testing.T) {
+	s, stderr, codes := session(t, "-progress")
+	s.tool = "sweepd"
+	rep := Run(s, 8, false, "", func() (fakeReport, error) {
+		s.Rec.StartCells([]string{"c"})
+		s.Rec.CommitTrials(0, 8)
+		return fakeReport("{}"), nil
+	})
+	out := stderr.String()
+	if !strings.Contains(out, "\rsweepd: 8/8 trials") || strings.Contains(out, "<=") {
+		t.Errorf("progress %q, want \"sweepd: 8/8 trials\" with no cap", out)
+	}
+	if rep != "{}" || len(*codes) != 0 {
+		t.Errorf("report %q, exits %v", rep, *codes)
+	}
+}
+
 func TestFinishWritesOutputsThenCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	s, stderr, codes := session(t, "-json", dir+"/r.json")

@@ -96,7 +96,7 @@ type Config struct {
 	// merged batch, carrying each targeted measure's relative CI
 	// half-width). Trace and commit updates happen on the coordinator as
 	// prefixes merge, so they are bit-identical for any worker count —
-	// only the shard counters (trials run, cache traffic) and timings are
+	// only the run counters (trials run, cache traffic) and timings are
 	// scheduling-dependent. nil disables all instrumentation.
 	Telemetry *telemetry.Recorder
 }
@@ -281,21 +281,20 @@ func runLocal(lc *LeaseController) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cfg.Telemetry.Shards(workers)
 	cfg.Telemetry.Phase("trials")
 	leases := make(chan Lease)
 	// One slot per worker: each holds at most one unadmitted result.
 	results := make(chan *BatchRecord, workers)
 	defer close(leases)
-	for w := 0; w < workers; w++ {
-		go func(sh *telemetry.Shard) {
+	for range workers {
+		go func() {
 			sims := &radio.SimCache{}
 			for l := range leases {
 				buf := make([]sweep.Trial, l.Hi-l.Lo)
-				runner.RunBatch(l.Cell, l.Lo, l.Hi, sims, sh, buf)
+				runner.RunBatch(l.Cell, l.Lo, l.Hi, sims, cfg.Telemetry, buf)
 				results <- FoldBatch(lc.tracked[l.Cell], l.Cell, l.Lo, l.Hi, buf)
 			}
-		}(cfg.Telemetry.Shard(w))
+		}()
 	}
 
 	outstanding := 0

@@ -453,35 +453,14 @@ func (co *Coordinator) run() {
 				switch ev.m.Type {
 				case msgHeartbeat:
 				case msgResult:
-					rm := ev.m.Result
-					if rm == nil {
-						evict(w, "result frame without payload")
-						continue
-					}
-					issued, held := w.held[rm.Lease]
-					if !held {
-						evict(w, fmt.Sprintf("result for unheld lease %+v", rm.Lease))
-						continue
-					}
-					rec.LeaseRoundTrip(time.Since(issued))
-					delete(w.held, rm.Lease)
-					br, err := rm.record()
+					why, err := admitResult(lc, rec, w.held, ev.m.Result)
 					if err != nil {
-						// The worker computed garbage: its fault, not the
-						// run's. The lease returns to the pool.
-						lc.Release(rm.Lease)
-						evict(w, fmt.Sprintf("bad batch record: %v", err))
-						continue
-					}
-					if _, err := lc.Admit(br); errors.Is(err, experiment.ErrBadRecord) {
-						// A record that does not fit its cell costs its
-						// sender, not the run: Admit cleared the batch's
-						// in-flight mark, so it is issued again.
-						evict(w, err.Error())
-						continue
-					} else if err != nil {
-						finish(nil, err) // journal write failure: fatal
+						finish(nil, err)
 						return
+					}
+					if why != "" {
+						evict(w, why)
+						continue
 					}
 					if lc.Done() {
 						publish()
@@ -495,6 +474,38 @@ func (co *Coordinator) run() {
 			}
 		}
 	}
+}
+
+// admitResult runs one result frame's record through the coordinator's
+// checks, in order: the record must answer a lease in held (its
+// Cell/Lo/Hi), which it then leaves; it must pass BatchRecord.Validate,
+// or the lease returns to the pool; and Admit must take it. why is the
+// reason to evict the sender ("" to keep it); err is a journal write
+// failure, fatal to the run.
+func admitResult(lc *experiment.LeaseController, rec *telemetry.Recorder, held map[experiment.Lease]time.Time, br *experiment.BatchRecord) (why string, err error) {
+	if br == nil {
+		return "result frame without payload", nil
+	}
+	l := experiment.Lease{Cell: br.Cell, Lo: br.Lo, Hi: br.Hi}
+	issued, ok := held[l]
+	if !ok {
+		return fmt.Sprintf("result for unheld lease %+v", l), nil
+	}
+	rec.LeaseRoundTrip(time.Since(issued))
+	delete(held, l)
+	if err := br.Validate(); err != nil {
+		// The worker computed garbage: its fault, not the run's.
+		lc.Release(l)
+		return fmt.Sprintf("bad batch record: %v", err), nil
+	}
+	_, err = lc.Admit(br)
+	if errors.Is(err, experiment.ErrBadRecord) {
+		// A record that does not fit its cell costs its sender, not the
+		// run: Admit cleared the batch's in-flight mark, so it is issued
+		// again.
+		return err.Error(), nil
+	}
+	return "", err
 }
 
 // send enqueues without blocking the event loop; a worker whose writer

@@ -171,8 +171,8 @@ func TestFabricReportBitIdentical(t *testing.T) {
 }
 
 // A coordinator with a telemetry recorder aggregates the fleet: every
-// worker's shipped shard lands in FleetWorkers with its identity, the
-// fleet totals are exactly the sum of the per-worker shards, and the
+// worker's shipped snapshot lands in FleetWorkers with its identity, the
+// fleet totals are exactly the sum of the per-worker snapshots, and the
 // report stays byte-identical to an uninstrumented single-machine run.
 func TestFabricFleetTelemetry(t *testing.T) {
 	cfg := fixedConfig()
@@ -236,10 +236,10 @@ func TestFabricFleetTelemetry(t *testing.T) {
 		fleetSlots += w.Snapshot.SlotsSimulated
 	}
 	s := rec.Snapshot()
-	// The last result frame carries the shard update for its own batch,
+	// The last result frame carries the counter update for its own batch,
 	// so at run end the aggregate is exactly the per-worker sum.
 	if s.TrialsRun != fleetRun || s.SlotsSimulated != fleetSlots {
-		t.Errorf("fleet totals run/slots = %d/%d, sum of worker shards = %d/%d",
+		t.Errorf("fleet totals run/slots = %d/%d, sum of worker snapshots = %d/%d",
 			s.TrialsRun, s.SlotsSimulated, fleetRun, fleetSlots)
 	}
 	if s.TrialsCommitted != 400 { // 2 cells x 200 fixed trials
@@ -311,7 +311,7 @@ func TestFabricSurvivesWorkerSIGKILL(t *testing.T) {
 		t.Error("report after mid-run SIGKILL differs from single-machine run")
 	}
 
-	// The fleet table keeps the victim: flagged stale, last shard
+	// The fleet table keeps the victim: flagged stale, last snapshot
 	// retained (the trials it ran happened), survivor live.
 	var sawStale, sawLive bool
 	for _, w := range rec.FleetWorkers() {
@@ -327,7 +327,7 @@ func TestFabricSurvivesWorkerSIGKILL(t *testing.T) {
 			t.Errorf("killed worker %s not flagged stale", w.Name)
 		}
 		if w.Snapshot.TrialsRun == 0 {
-			t.Errorf("killed worker %s lost its last shard", w.Name)
+			t.Errorf("killed worker %s lost its last snapshot", w.Name)
 		}
 	}
 	if !sawStale || !sawLive {
@@ -446,8 +446,9 @@ func TestFabricEvictsMalformedResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no lease for the garbling worker: %v", err)
 	}
-	err = writeMsg(conn, &msg{Type: msgResult, Result: &resultMsg{
-		Lease: *m.Lease, Moments: stats.EncodeMoments(make([]stats.Moments, 3))}})
+	l := *m.Lease
+	err = writeMsg(conn, &msg{Type: msgResult, Result: &experiment.BatchRecord{
+		Cell: l.Cell, Lo: l.Lo, Hi: l.Hi, Moments: make([]stats.Moments, 3)}})
 	if err != nil {
 		t.Fatal(err)
 	}

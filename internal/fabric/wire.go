@@ -2,12 +2,13 @@
 // (cmd/sweepd) that owns the adaptive controller — spec, stopping
 // decisions, checkpoint journal — and hands out batch leases over TCP
 // to workers (cmd/sweep -worker) that run the trials and stream back
-// merged moment state.
+// folded batch records.
 //
 // The division of labor keeps every determinism invariant of
 // internal/experiment intact: workers only ever execute (cell, lo, hi)
 // batches with positional seeds and fold them into BatchRecords
-// (experiment.FoldBatch), while the coordinator admits records through
+// (experiment.FoldBatch), sent as the JSON the checkpoint journal
+// writes, while the coordinator admits records through
 // experiment.LeaseController — the same lease API a local run drives
 // with in-process workers. Report JSON, committed trial counts,
 // convergence traces, and the manifest's deterministic section are
@@ -37,7 +38,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/experiment"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
@@ -68,10 +68,12 @@ type msg struct {
 	Hello   *helloMsg         `json:"hello,omitempty"`
 	Welcome *welcomeMsg       `json:"welcome,omitempty"`
 	Lease   *experiment.Lease `json:"lease,omitempty"`
-	Result  *resultMsg        `json:"result,omitempty"`
+	// Result is one executed batch, folded into the record the journal
+	// writes (the same JSON): its Cell/Lo/Hi name the lease it answers.
+	Result *experiment.BatchRecord `json:"result,omitempty"`
 	// Telemetry rides worker → coordinator frames (heartbeat and
-	// result): the worker's merged local telemetry snapshot, which the
-	// coordinator folds into its fleet view (Recorder.WorkerShard).
+	// result): the worker's telemetry snapshot, which the coordinator
+	// folds into its fleet view (Recorder.WorkerShard).
 	// Worker counters are monotonic for the life of the worker process,
 	// so redials resume rather than reset them. Optional — an absent
 	// snapshot just leaves the fleet view where it was.
@@ -102,41 +104,6 @@ type welcomeMsg struct {
 	// HeartbeatMillis is how often an idle worker must send a frame;
 	// the coordinator evicts after several missed intervals.
 	HeartbeatMillis int `json:"heartbeatMillis"`
-}
-
-// resultMsg carries one executed batch back: the lease it answers and
-// the folded record with moment state in the stable binary encoding
-// (stats.EncodeMoments). Slots is the simulated-slot total across the
-// batch's trials — throughput provenance mirrored by the worker's
-// telemetry snapshot on the same frame, deliberately outside the
-// record because it is not part of the deterministic state.
-type resultMsg struct {
-	Lease     experiment.Lease `json:"lease"`
-	Errors    int              `json:"errors"`
-	Completed int              `json:"completed"`
-	Crashes   int              `json:"crashes,omitempty"`
-	Sleeps    int              `json:"sleeps,omitempty"`
-	Erasures  int              `json:"erasures,omitempty"`
-	Moments   []byte           `json:"moments"`
-	Slots     uint64           `json:"slots"`
-}
-
-// record converts the wire form back into the journal/admission form.
-func (rm *resultMsg) record() (*experiment.BatchRecord, error) {
-	moments, err := stats.DecodeMoments(rm.Moments)
-	if err != nil {
-		return nil, err
-	}
-	rec := &experiment.BatchRecord{
-		Cell: rm.Lease.Cell, Lo: rm.Lease.Lo, Hi: rm.Lease.Hi,
-		Errors: rm.Errors, Completed: rm.Completed,
-		Crashes: rm.Crashes, Sleeps: rm.Sleeps, Erasures: rm.Erasures,
-		Moments: moments,
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return rec, nil
 }
 
 // writeMsg frames and writes one message. Safe for one writer per

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/radio"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -75,9 +74,8 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 	// One recorder for the life of the worker process — not per session —
 	// so the counters the coordinator aggregates stay monotonic across
-	// redials: a worker that rejoins resumes its shard, it never resets.
+	// redials: a worker that rejoins resumes its counts, it never resets.
 	rec := telemetry.New()
-	rec.Shards(cfg.Capacity)
 
 	backoff := 100 * time.Millisecond
 	deadline := time.Now().Add(cfg.Patience)
@@ -121,7 +119,7 @@ func RunWorker(cfg WorkerConfig) error {
 // workerSession runs one connection's lifetime: handshake, then
 // executor goroutines folding leases into results until the stream
 // breaks or the coordinator sends done. rec is the process-lifetime
-// recorder whose merged snapshot ships on every outbound frame.
+// recorder whose snapshot ships on every outbound frame.
 func workerSession(conn net.Conn, cfg WorkerConfig, rec *telemetry.Recorder, logf func(string, ...any)) error {
 	hello := &msg{Type: msgHello, Hello: &helloMsg{
 		Name: cfg.Name, Version: telemetry.CodeVersion(), Capacity: cfg.Capacity}}
@@ -169,9 +167,9 @@ func workerSession(conn net.Conn, cfg WorkerConfig, rec *telemetry.Recorder, log
 	leases := make(chan experiment.Lease, cfg.Capacity)
 	results := make(chan *msg, cfg.Capacity)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Capacity; i++ {
+	for range cfg.Capacity {
 		wg.Add(1)
-		go func(sh *telemetry.Shard) {
+		go func() {
 			defer wg.Done()
 			sims := &radio.SimCache{}
 			for {
@@ -182,19 +180,15 @@ func workerSession(conn net.Conn, cfg WorkerConfig, rec *telemetry.Recorder, log
 					return
 				}
 				buf := make([]sweep.Trial, l.Hi-l.Lo)
-				slots := runner.RunBatch(l.Cell, l.Lo, l.Hi, sims, sh, buf)
+				runner.RunBatch(l.Cell, l.Lo, l.Hi, sims, rec, buf)
 				br := experiment.FoldBatch(tracked[l.Cell], l.Cell, l.Lo, l.Hi, buf)
-				rm := &resultMsg{Lease: l,
-					Errors: br.Errors, Completed: br.Completed,
-					Crashes: br.Crashes, Sleeps: br.Sleeps, Erasures: br.Erasures,
-					Moments: stats.EncodeMoments(br.Moments), Slots: slots}
 				select {
-				case results <- &msg{Type: msgResult, Result: rm}:
+				case results <- &msg{Type: msgResult, Result: br}:
 				case <-stop:
 					return
 				}
 			}
-		}(rec.Shard(i))
+		}()
 	}
 
 	// Writer: results and idle heartbeats share the connection.
@@ -217,10 +211,10 @@ func workerSession(conn net.Conn, cfg WorkerConfig, rec *telemetry.Recorder, log
 			case <-stop:
 				return
 			}
-			// Every outbound frame carries the worker's merged telemetry:
+			// Every outbound frame carries the worker's telemetry:
 			// heartbeats keep the coordinator's fleet view fresh while
-			// idle, and result frames make it exact at run end (the shard
-			// update for a batch happens before its result is queued).
+			// idle, and result frames make it exact at run end (a batch's
+			// counters are updated before its result is queued).
 			snap := rec.Snapshot()
 			out.Telemetry = &snap
 			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -192,5 +193,103 @@ func TestRelCIHalfWidth(t *testing.T) {
 	z.Add(1)
 	if rel := z.RelCIHalfWidth(0.95); !math.IsInf(rel, 1) {
 		t.Errorf("zero-mean spread relCI = %v, want +Inf", rel)
+	}
+}
+
+// randMoments builds a reachable Moments state by feeding real samples.
+func randMoments(r *rand.Rand, n int) Moments {
+	var m Moments
+	for i := 0; i < n; i++ {
+		// Mix magnitudes and signs, including exact zeros and negative
+		// values, so min/mean/max exercise their orderings.
+		x := (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(7)-3))
+		if r.Intn(10) == 0 {
+			x = 0
+		}
+		m.Add(x)
+	}
+	return m
+}
+
+// approxEq compares float64s to a relative tolerance — merge order
+// perturbs low-order bits (floating point is not associative), which is
+// exactly why the controller fixes the merge order; the algebraic
+// identity still has to hold to near-machine precision.
+func approxEq(a, b float64) bool {
+	if a == b {
+		return true
+	}
+	diff := math.Abs(a - b)
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	return diff <= 1e-9*scale
+}
+
+func momentsApproxEq(a, b Moments) bool {
+	// Count, min and max are exact under any merge order; mean and M2
+	// accumulate rounding.
+	return a.N == b.N && a.Min == b.Min && a.Max == b.Max &&
+		approxEq(a.Mean, b.Mean) && approxEq(a.M2, b.M2)
+}
+
+// TestMergeCommutativeAssociative is the property batch records depend
+// on: any tree of merges over the same batches yields the same moments
+// (up to float rounding), so a coordinator merging worker results in
+// batch order reproduces what any other grouping would have measured.
+func TestMergeCommutativeAssociative(t *testing.T) {
+	r := rand.New(rand.NewSource(1234))
+	for trial := 0; trial < 200; trial++ {
+		a := randMoments(r, 1+r.Intn(50))
+		b := randMoments(r, r.Intn(50)) // may be empty
+		c := randMoments(r, 1+r.Intn(50))
+
+		ab := a
+		ab.Merge(b)
+		ba := b
+		ba.Merge(a)
+		if !momentsApproxEq(ab, ba) {
+			t.Fatalf("trial %d: merge not commutative: %+v vs %+v", trial, ab, ba)
+		}
+
+		abc1 := ab
+		abc1.Merge(c)
+		bc := b
+		bc.Merge(c)
+		abc2 := a
+		abc2.Merge(bc)
+		if !momentsApproxEq(abc1, abc2) {
+			t.Fatalf("trial %d: merge not associative: %+v vs %+v", trial, abc1, abc2)
+		}
+
+		// The merged state must agree with feeding every sample into one
+		// accumulator: counts and extremes exactly.
+		if abc1.N != a.N+b.N+c.N {
+			t.Fatalf("trial %d: merged count %d, want %d", trial, abc1.N, a.N+b.N+c.N)
+		}
+	}
+}
+
+// TestMergeRoundTripStable pins the journal and fabric invariant end to
+// end: a batch record carries its moments as JSON, and a merge of the
+// decoded states is bit-identical to a merge of the originals.
+func TestMergeRoundTripStable(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		a, b := randMoments(r, 1+r.Intn(100)), randMoments(r, 1+r.Intn(100))
+		direct := a
+		direct.Merge(b)
+
+		raw, err := json.Marshal([]Moments{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded []Moments
+		if err := json.Unmarshal(raw, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		viaJSON := decoded[0]
+		viaJSON.Merge(decoded[1])
+		if direct != viaJSON {
+			t.Fatalf("trial %d: JSON round trip perturbed merge: %+v vs %+v", trial, direct, viaJSON)
+		}
 	}
 }

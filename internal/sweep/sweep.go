@@ -245,10 +245,11 @@ type Options struct {
 	// aggregates — so the export is bit-identical for any worker count.
 	Raw io.Writer
 	// Telemetry, if non-nil, receives run counters, per-cell progress,
-	// and phase timings (see internal/telemetry). Workers update their
-	// own shard once per trial batch — the per-slot hot path is never
-	// instrumented — so enabling it does not perturb measurements or the
-	// engine's zero-alloc steady state. nil disables all instrumentation.
+	// and phase timings (see internal/telemetry). Workers update the
+	// recorder's counters once per trial batch — the per-slot hot path
+	// is never instrumented — so enabling it does not perturb
+	// measurements or the engine's zero-alloc steady state. nil disables
+	// all instrumentation.
 	Telemetry *telemetry.Recorder
 }
 
@@ -350,7 +351,7 @@ func TrialSeed(master uint64, cell, trial int) uint64 {
 // workers alike) is the batch-at-a-time one. A Runner is safe for
 // concurrent RunTrials/RunBatch calls (its state is read-only after
 // construction) as long as each caller goroutine passes its own
-// SimCache and telemetry shard.
+// SimCache.
 type Runner struct {
 	spec   Spec
 	wl     workload.Workload
@@ -432,27 +433,25 @@ func (r *Runner) RunTrials(cell, lo, hi int, sims *radio.SimCache, out []Trial) 
 }
 
 // RunBatch is RunTrials plus the batch's telemetry: it marks the batch
-// in flight on sh, then retires it with its trial count, simulated
-// slots and wall-clock, and publishes sims' cache counters. It is the
-// one execution path of every scheduler — fixed sweeps, local adaptive
-// runs and fabric workers — and returns the batch's total simulated
-// slots. sims and sh belong to the calling goroutine; sh is nil when
-// telemetry is disabled.
-func (r *Runner) RunBatch(cell, lo, hi int, sims *radio.SimCache, sh *telemetry.Shard, out []Trial) (slots uint64) {
-	var t0 time.Time
-	if sh != nil {
-		sh.BatchStart()
-		t0 = time.Now()
+// in flight on rec, then retires it with its trial count, simulated
+// slots, the SimCache hits and misses it made, and its wall-clock. It
+// is the one execution path of every scheduler — fixed sweeps, local
+// adaptive runs and fabric workers. sims belongs to the calling
+// goroutine; rec is shared, and nil when telemetry is disabled.
+func (r *Runner) RunBatch(cell, lo, hi int, sims *radio.SimCache, rec *telemetry.Recorder, out []Trial) {
+	if !rec.Enabled() {
+		r.RunTrials(cell, lo, hi, sims, out)
+		return
 	}
+	rec.BatchStart()
+	t0, c0 := time.Now(), sims.Stats()
 	r.RunTrials(cell, lo, hi, sims, out)
+	var slots uint64
 	for i := range out[:hi-lo] {
 		slots += out[i].Slots
 	}
-	if sh != nil {
-		sh.BatchDone(cell, hi-lo, slots, time.Since(t0))
-		sh.SetCache(telemetry.CacheCounts(sims.Stats()))
-	}
-	return slots
+	c1 := sims.Stats()
+	rec.BatchDone(cell, hi-lo, slots, telemetry.CacheCounts{Hits: c1.Hits - c0.Hits, Misses: c1.Misses - c0.Misses}, time.Since(t0))
 }
 
 // Run executes the matrix on a worker pool and returns the aggregated
@@ -490,11 +489,10 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	for w := range sims {
 		sims[w] = &radio.SimCache{}
 	}
-	rec.Shards(workers)
 	rec.Phase("trials")
 	RunTrials(total, workers, func(w, job int) {
 		ci, ti := job/spec.Trials, job%spec.Trials
-		r.RunBatch(ci, ti, ti+1, sims[w], rec.Shard(w), results[ci][ti:ti+1])
+		r.RunBatch(ci, ti, ti+1, sims[w], rec, results[ci][ti:ti+1])
 		// Every trial of a fixed sweep commits; a cell is done when its
 		// committed count reaches the spec's target. Injected-fault counts
 		// commit alongside: every trial commits exactly once, so the

@@ -60,18 +60,28 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Fixed sweeps commit every trial and mark every cell done; shard
-// counters must agree with the matrix size.
+// Fixed sweeps commit every trial and mark every cell done; the run
+// counters must agree with the matrix size. Two runs on one recorder,
+// as cmd/energybench makes, count both runs' trials, batches (one per
+// trial) and SimCache lookups (one per trial).
 func TestTelemetryCountsFixedSweep(t *testing.T) {
 	rec := telemetry.New()
 	spec := telemetrySpec()
-	if _, err := Run(spec, Options{Workers: 3, Telemetry: rec}); err != nil {
-		t.Fatal(err)
+	for run := 0; run < 2; run++ {
+		if _, err := Run(spec, Options{Workers: 3, Telemetry: rec}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := rec.Snapshot()
-	total := uint64(2 * spec.Trials)
+	total := uint64(2 * 2 * spec.Trials)
 	if s.TrialsCommitted != total || s.TrialsRun != total {
 		t.Fatalf("trials committed/run = %d/%d, want %d", s.TrialsCommitted, s.TrialsRun, total)
+	}
+	if n := s.Latencies[telemetry.LatencyBatch].Count; n != total {
+		t.Fatalf("batch histogram counts %d batches, want %d", n, total)
+	}
+	if n := s.SimCache.Hits + s.SimCache.Misses; n != total {
+		t.Fatalf("simulator-cache hits + misses = %d, want one lookup per trial (%d)", n, total)
 	}
 	if s.SlotsSimulated == 0 {
 		t.Fatal("no slots counted")

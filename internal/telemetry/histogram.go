@@ -81,8 +81,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // HistogramSnapshot is the serializable form of a Histogram. Buckets[i]
 // counts observations in bucket i (see histBuckets); trailing empty
-// buckets are trimmed. Two snapshots — from different shards, processes,
-// or machines — merge losslessly because bucket boundaries are fixed.
+// buckets are trimmed. Two snapshots — from different processes or
+// machines — merge losslessly because bucket boundaries are fixed.
 type HistogramSnapshot struct {
 	Count      uint64   `json:"count"`
 	SumSeconds float64  `json:"sumSeconds"`

@@ -18,11 +18,8 @@ import (
 func TestMetricsExposition(t *testing.T) {
 	r := New()
 	r.StartCells([]string{"a", "b"})
-	r.Shards(2)
-	sh := r.Shard(0)
-	sh.BatchStart()
-	sh.BatchDone(0, 10, 1000, time.Millisecond)
-	sh.SetCache(CacheCounts{Hits: 3, Misses: 2})
+	r.BatchStart()
+	r.BatchDone(0, 10, 1000, CacheCounts{Hits: 3, Misses: 2}, time.Millisecond)
 	r.CommitTrials(0, 42)
 	r.CommitFaults(1, 2, 3)
 	r.JournalFsync(time.Microsecond)

@@ -10,27 +10,30 @@
 //
 // # Fleet aggregation
 //
-// A fabric worker (internal/fabric) runs its own Recorder and ships
-// merged Snapshots to the coordinator inside heartbeat and result
-// frames; the coordinator folds them in via WorkerShard, so its
-// Snapshot — and therefore /status, /metrics, and the manifest — covers
-// the whole fleet. Worker counters are monotonic per worker process, so
-// a re-joining worker's shard resumes where it left off; an evicted
-// worker's last shard is retained and flagged stale (WorkerGone).
+// A fabric worker (internal/fabric) runs its own Recorder and ships its
+// Snapshot to the coordinator inside heartbeat and result frames; the
+// coordinator folds them in via WorkerShard, so its Snapshot — and
+// therefore /status, /metrics, and the manifest — covers the whole
+// fleet. Worker counters are monotonic per worker process, so a
+// re-joining worker's counts resume where they left off; an evicted
+// worker's last snapshot is retained and flagged stale (WorkerGone).
 //
 // # Design
 //
-// Everything on or near the hot path is sharded: each worker goroutine
-// owns one Shard and updates it with uncontended atomic adds once per
-// trial batch — never per slot or per device — so the radio engine's
-// zero-alloc steady state is untouched (the CI gate on
-// BenchmarkSimulatorThroughput holds with telemetry enabled). Readers
-// (the HTTP handler, the progress printer) merge the shards on demand;
-// they never block a worker.
+// The run counters (trials and slots run, batches in flight, simulator-
+// cache traffic) and the batch-latency histogram are atomics on the
+// Recorder itself, updated once per trial batch (BatchStart/BatchDone,
+// from sweep.Runner.RunBatch) — never per slot or per device — so the
+// radio engine's zero-alloc steady state is untouched (the CI gate on
+// BenchmarkSimulatorThroughput holds with telemetry enabled). They
+// accumulate for the recorder's life: a recorder spanning several runs
+// (cmd/energybench's rows) counts every run's batches. Readers (the
+// HTTP handler, the progress printer) load them on demand; they never
+// block a worker.
 //
 // A nil *Recorder is the disabled layer: every method on a nil Recorder
-// or nil Shard is a no-op, so instrumentation sites need no branching
-// beyond what the compiler inlines away.
+// is a no-op, so instrumentation sites need no branching beyond what
+// the compiler inlines away.
 //
 // # Determinism
 //
@@ -60,8 +63,8 @@ type CacheCounts struct {
 	Misses uint64 `json:"misses"`
 }
 
-// Snapshot is one immutable aggregate of the recorder's counters, merged
-// across shards at read time.
+// Snapshot is one immutable aggregate of the recorder's counters (and,
+// on a fabric coordinator, its fleet workers'), taken at read time.
 type Snapshot struct {
 	// ElapsedSeconds is wall-clock since New (a timing, never pinned).
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
@@ -93,7 +96,7 @@ type Snapshot struct {
 	SimCache CacheCounts `json:"simCache"`
 	// Latencies holds the run's latency histograms, keyed by
 	// LatencyBatch / LatencyJournalFsync / LatencyLeaseRoundTrip, merged
-	// across shards and fleet workers. Absent until something records.
+	// across fleet workers. Absent until something records.
 	Latencies map[string]HistogramSnapshot `json:"latencies,omitempty"`
 }
 
@@ -145,56 +148,6 @@ type Phase struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// Shard is one worker's private counter block. Writes are uncontended
-// atomic adds (the owner is the only writer; readers merge on demand),
-// and the trailing pad keeps neighboring shards off one cache line.
-type Shard struct {
-	rec       *Recorder
-	trialsRun atomic.Uint64
-	slots     atomic.Uint64
-	inflight  atomic.Int64
-	// cache holds the owner worker's SimCache counters as absolute
-	// values (Store, not Add): hits, misses.
-	cache [2]atomic.Uint64
-	// batch is the shard-local batch-latency histogram (one Observe per
-	// BatchDone, merged into Snapshot.Latencies[LatencyBatch] on read).
-	batch Histogram
-	_     [56]byte
-}
-
-// BatchStart marks one trial batch as in flight.
-func (s *Shard) BatchStart() {
-	if s == nil {
-		return
-	}
-	s.inflight.Add(1)
-}
-
-// BatchDone retires one executed batch: n trials summing to slots
-// simulated slots, spent d of worker wall-clock on cell.
-func (s *Shard) BatchDone(cell, n int, slots uint64, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.inflight.Add(-1)
-	s.trialsRun.Add(uint64(n))
-	s.slots.Add(slots)
-	s.batch.Observe(d)
-	if cell >= 0 && cell < len(s.rec.cellNanos) {
-		s.rec.cellNanos[cell].Add(int64(d))
-	}
-}
-
-// SetCache publishes the owner worker's simulator-cache counters
-// (absolute values; the snapshot sums shards).
-func (s *Shard) SetCache(c CacheCounts) {
-	if s == nil {
-		return
-	}
-	s.cache[0].Store(c.Hits)
-	s.cache[1].Store(c.Misses)
-}
-
 // Recorder is the run-wide collector. The zero value is unusable; New
 // starts the wall clock. A nil *Recorder is the disabled layer — every
 // method no-ops — so callers thread one pointer unconditionally.
@@ -206,20 +159,23 @@ type Recorder struct {
 	cellsDone atomic.Int64
 	// faults[0..2] hold committed crash/sleep/erasure counts (CommitFaults).
 	faults [3]atomic.Uint64
-	// extraRun/extraSlots back Add, the shard-less convenience counter
-	// for single-goroutine harnesses (cmd/energybench).
-	extraRun   atomic.Uint64
-	extraSlots atomic.Uint64
-	// fsyncLat and leaseLat are the recorder-level latency histograms:
-	// checkpoint fsyncs (JournalFsync) and fabric lease round-trips
-	// (LeaseRoundTrip). Batch latency lives in the shards.
+	// The run counters: trials and slots run (BatchDone and Add),
+	// batches in flight, and the SimCache hits and misses the batches
+	// made.
+	trialsRun atomic.Uint64
+	slots     atomic.Uint64
+	inflight  atomic.Int64
+	cache     [2]atomic.Uint64
+	// batchLat, fsyncLat and leaseLat are the latency histograms: trial
+	// batches (BatchDone), checkpoint fsyncs (JournalFsync) and fabric
+	// lease round-trips (LeaseRoundTrip).
+	batchLat Histogram
 	fsyncLat Histogram
 	leaseLat Histogram
 	// events is the attached structured event log, nil when -events is
 	// off (events.go).
 	events atomic.Pointer[EventLog]
 
-	shards     []Shard
 	cellTrials []atomic.Uint64
 	cellNanos  []atomic.Int64
 
@@ -250,8 +206,8 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 // StartCells installs the matrix: one label per cell, in canonical
 // (seed-derivation) order. It resets any previous per-cell state, so a
-// recorder tracks one matrix at a time. Call before Shards and before
-// any worker runs.
+// recorder tracks one matrix at a time; the run counters carry on.
+// Call before any worker runs.
 func (r *Recorder) StartCells(labels []string) {
 	if r == nil {
 		return
@@ -277,25 +233,30 @@ func (r *Recorder) TraceMeasures(names []string) {
 	r.mu.Unlock()
 }
 
-// Shards allocates n worker shards (replacing any previous set) and is
-// called once per run, before the pool starts.
-func (r *Recorder) Shards(n int) {
+// BatchStart marks one trial batch as in flight.
+func (r *Recorder) BatchStart() {
 	if r == nil {
 		return
 	}
-	r.shards = make([]Shard, n)
-	for i := range r.shards {
-		r.shards[i].rec = r
-	}
+	r.inflight.Add(1)
 }
 
-// Shard returns worker i's shard, nil when telemetry is disabled or i
-// is out of range.
-func (r *Recorder) Shard(i int) *Shard {
-	if r == nil || i < 0 || i >= len(r.shards) {
-		return nil
+// BatchDone retires one executed batch of cell: n trials summing to
+// slots simulated slots, with cache the SimCache traffic the batch
+// made, spent d of worker wall-clock.
+func (r *Recorder) BatchDone(cell, n int, slots uint64, cache CacheCounts, d time.Duration) {
+	if r == nil {
+		return
 	}
-	return &r.shards[i]
+	r.inflight.Add(-1)
+	r.trialsRun.Add(uint64(n))
+	r.slots.Add(slots)
+	r.cache[0].Add(cache.Hits)
+	r.cache[1].Add(cache.Misses)
+	r.batchLat.Observe(d)
+	if cell >= 0 && cell < len(r.cellNanos) {
+		r.cellNanos[cell].Add(int64(d))
+	}
 }
 
 // CommitTrials folds n committed trials into cell's count, returning
@@ -399,15 +360,15 @@ func (r *Recorder) LeaseRoundTrip(d time.Duration) {
 }
 
 // Add folds n finished trials (summing to slots simulated slots) into
-// the recorder without a shard — the single-goroutine convenience for
-// harnesses (cmd/energybench) that have no worker pool of their own.
-// The trials count as both run and committed.
+// the run counters BatchDone feeds, outside any batch — the convenience
+// for harnesses (cmd/energybench) that have no worker pool of their
+// own. The trials count as both run and committed.
 func (r *Recorder) Add(n int, slots uint64) {
 	if r == nil {
 		return
 	}
-	r.extraRun.Add(uint64(n))
-	r.extraSlots.Add(slots)
+	r.trialsRun.Add(uint64(n))
+	r.slots.Add(slots)
 	r.committed.Add(uint64(n))
 }
 
@@ -518,9 +479,9 @@ func (r *Recorder) Phase(name string) {
 	}
 }
 
-// Snapshot merges every shard — and, on a fabric coordinator, every
-// fleet worker's shipped snapshot — into one immutable aggregate.
-// Worker shards contribute their run-side counters (trials run, slots,
+// Snapshot reads the counters — and, on a fabric coordinator, merges
+// every fleet worker's shipped snapshot — into one immutable aggregate.
+// Fleet workers contribute their run-side counters (trials run, slots,
 // cache traffic, latency histograms; in-flight batches only while the
 // worker is live); committed counts, fault totals, cells, and fsyncs
 // are coordinator-side state and never double count.
@@ -531,13 +492,15 @@ func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
 		ElapsedSeconds:  time.Since(r.start).Seconds(),
 		TrialsCommitted: r.committed.Load(),
-		TrialsRun:       r.extraRun.Load(),
-		SlotsSimulated:  r.extraSlots.Load(),
+		TrialsRun:       r.trialsRun.Load(),
+		SlotsSimulated:  r.slots.Load(),
+		BatchesInFlight: r.inflight.Load(),
 		JournalFsyncs:   r.fsyncs.Load(),
 		FaultCrashes:    r.faults[0].Load(),
 		FaultSleeps:     r.faults[1].Load(),
 		FaultErasures:   r.faults[2].Load(),
 		CellsDone:       int(r.cellsDone.Load()),
+		SimCache:        CacheCounts{Hits: r.cache[0].Load(), Misses: r.cache[1].Load()},
 	}
 	lat := map[string]HistogramSnapshot{}
 	addLat := func(key string, h HistogramSnapshot) {
@@ -548,15 +511,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		cur.Merge(h)
 		lat[key] = cur
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		s.TrialsRun += sh.trialsRun.Load()
-		s.SlotsSimulated += sh.slots.Load()
-		s.BatchesInFlight += sh.inflight.Load()
-		s.SimCache.Hits += sh.cache[0].Load()
-		s.SimCache.Misses += sh.cache[1].Load()
-		addLat(LatencyBatch, sh.batch.Snapshot())
-	}
+	addLat(LatencyBatch, r.batchLat.Snapshot())
 	addLat(LatencyJournalFsync, r.fsyncLat.Snapshot())
 	addLat(LatencyLeaseRoundTrip, r.leaseLat.Snapshot())
 	r.mu.Lock()
@@ -614,14 +569,15 @@ func (r *Recorder) StatusDoc() Status {
 }
 
 // StartProgress launches the periodic one-line terminal reporter: every
-// interval it rewrites one \r-anchored line with committed trials, done
-// cells, the trial-commit rate, and an ETA extrapolated from that rate.
+// interval it rewrites one \r-anchored line, prefixed with tool, with
+// committed trials, done cells, the trial-commit rate, and an ETA
+// extrapolated from that rate.
 // totalTrials is the run's expected trial total (0 suppresses the ETA);
 // upperBound marks it as a cap (adaptive runs finish early), rendering
 // the ETA as "<= x". The returned stop function prints the final state
 // and a newline; it must be called before the process's own final
 // output.
-func (r *Recorder) StartProgress(w io.Writer, interval time.Duration, totalTrials uint64, upperBound bool) (stop func()) {
+func (r *Recorder) StartProgress(w io.Writer, tool string, interval time.Duration, totalTrials uint64, upperBound bool) (stop func()) {
 	if r == nil {
 		return func() {}
 	}
@@ -630,7 +586,7 @@ func (r *Recorder) StartProgress(w io.Writer, interval time.Duration, totalTrial
 	}
 	line := func() {
 		s := r.Snapshot()
-		fmt.Fprintf(w, "\rsweep: %d", s.TrialsCommitted)
+		fmt.Fprintf(w, "\r%s: %d", tool, s.TrialsCommitted)
 		if totalTrials > 0 {
 			if upperBound {
 				fmt.Fprintf(w, "/<=%d", totalTrials)

@@ -20,14 +20,8 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 	r.StartCells([]string{"a"})
 	r.TraceMeasures([]string{"slots"})
-	r.Shards(4)
-	if sh := r.Shard(0); sh != nil {
-		t.Fatalf("nil recorder returned shard %v", sh)
-	}
-	var sh *Shard
-	sh.BatchStart()
-	sh.BatchDone(0, 10, 100, time.Millisecond)
-	sh.SetCache(CacheCounts{Hits: 1})
+	r.BatchStart()
+	r.BatchDone(0, 10, 100, CacheCounts{Hits: 1}, time.Millisecond)
 	r.CommitTrials(0, 10)
 	r.CellDone(0, "done")
 	r.Trace(0, 0, 10, []float64{0.5})
@@ -58,26 +52,29 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if cs := r.Cells(); cs != nil {
 		t.Fatalf("nil cells = %v", cs)
 	}
-	stop := r.StartProgress(io.Discard, time.Millisecond, 0, false)
+	stop := r.StartProgress(io.Discard, "sweep", time.Millisecond, 0, false)
 	stop()
 	stop() // idempotent
 }
 
+// Three workers retire batches on one recorder at once; the counters
+// must add up every worker's batches.
 func TestShardMergeAndCells(t *testing.T) {
 	r := New()
 	r.StartCells([]string{"cell-a", "cell-b"})
-	r.Shards(3)
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sh := r.Shard(w)
 			for b := 0; b < 5; b++ {
-				sh.BatchStart()
-				sh.BatchDone(w%2, 10, 1000, time.Millisecond)
+				r.BatchStart()
+				cache := CacheCounts{Hits: 1}
+				if b == 0 {
+					cache = CacheCounts{Hits: 3, Misses: 1}
+				}
+				r.BatchDone(w%2, 10, 1000, cache, time.Millisecond)
 			}
-			sh.SetCache(CacheCounts{Hits: 7, Misses: 1})
 			r.CommitTrials(w%2, 50)
 		}(w)
 	}
@@ -97,6 +94,9 @@ func TestShardMergeAndCells(t *testing.T) {
 	if want := (CacheCounts{Hits: 21, Misses: 3}); s.SimCache != want {
 		t.Fatalf("cache = %+v, want %+v", s.SimCache, want)
 	}
+	if n := s.Latencies[LatencyBatch].Count; n != 15 {
+		t.Fatalf("batch histogram counts %d batches, want 15", n)
+	}
 	if s.CellsTotal != 2 || s.CellsDone != 1 {
 		t.Fatalf("cells %d/%d, want 1/2", s.CellsDone, s.CellsTotal)
 	}
@@ -113,18 +113,13 @@ func TestShardMergeAndCells(t *testing.T) {
 	}
 }
 
-// Shard out-of-range and unknown cells must be safe (the recorder is
-// advisory; a stray index must never panic a run).
+// Unknown cells must be safe (the recorder is advisory; a stray index
+// must never panic a run).
 func TestShardBounds(t *testing.T) {
 	r := New()
 	r.StartCells([]string{"only"})
-	r.Shards(1)
-	if sh := r.Shard(5); sh != nil {
-		t.Fatal("out-of-range shard not nil")
-	}
-	sh := r.Shard(0)
-	sh.BatchStart()
-	sh.BatchDone(7, 1, 1, 0) // cell 7 does not exist
+	r.BatchStart()
+	r.BatchDone(7, 1, 1, CacheCounts{}, 0) // cell 7 does not exist
 	r.CommitTrials(-1, 5)
 	r.CellDone(99, "done")
 	r.Trace(99, 0, 1, nil)
@@ -197,11 +192,8 @@ func TestDeterministicJSONExcludesTimings(t *testing.T) {
 		r := New()
 		r.StartCells([]string{"a"})
 		r.TraceMeasures([]string{"slots"})
-		r.Shards(2)
-		sh := r.Shard(0)
-		sh.BatchStart()
-		sh.BatchDone(0, 10+extraRun, uint64(100*(extraRun+1)), wall)
-		sh.SetCache(CacheCounts{Hits: uint64(extraRun)})
+		r.BatchStart()
+		r.BatchDone(0, 10+extraRun, uint64(100*(extraRun+1)), CacheCounts{Hits: uint64(extraRun)}, wall)
 		r.JournalFsync(wall)
 		r.CommitTrials(0, 10)
 		r.Trace(0, 0, 10, []float64{0.125})
@@ -276,13 +268,17 @@ func TestStartProgressReportsAndStops(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	stop := r.StartProgress(w, 5*time.Millisecond, 1000, true)
-	time.Sleep(20 * time.Millisecond)
-	stop()
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "500/<=1000 trials") {
+	progress := func(tool string, total uint64, upper bool) string {
+		buf.Reset()
+		stop := r.StartProgress(w, tool, 5*time.Millisecond, total, upper)
+		time.Sleep(20 * time.Millisecond)
+		stop()
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.String()
+	}
+	out := progress("sweep", 1000, true)
+	if !strings.Contains(out, "\rsweep: 500/<=1000 trials") {
 		t.Fatalf("progress output %q lacks trial counts", out)
 	}
 	if !strings.Contains(out, "ETA <=") {
@@ -290,6 +286,11 @@ func TestStartProgressReportsAndStops(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatalf("final progress line not newline-terminated: %q", out)
+	}
+	// A fixed total is exact: the line names the tool and shows no cap.
+	out = progress("sweepd", 500, false)
+	if !strings.Contains(out, "\rsweepd: 500/500 trials") || strings.Contains(out, "<=") {
+		t.Fatalf("fixed-total progress output %q, want \"sweepd: 500/500 trials\" with no cap", out)
 	}
 }
 

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # resume_smoke.sh — checkpoint/resume round-trip smoke test.
 #
-# Runs the same adaptive sweep twice: once uninterrupted, once
-# SIGKILLed mid-run and resumed from its journal. The two aggregate
-# JSON exports must be byte-identical — the experiment controller's
-# determinism contract, exercised end to end through the real CLI and a
-# real kill -9 (torn trailing journal records included).
+# Runs one adaptive sweep uninterrupted, then again SIGKILLed mid-run
+# and resumed from its journal. The two aggregate JSON exports must be
+# byte-identical — the experiment controller's determinism contract,
+# exercised end to end through the real CLI and a real kill -9 (torn
+# trailing journal records included). The kill lands once the journal
+# holds a batch past its header, and the killed run must not have
+# written its report.
 #
-# Then a longer spec is stopped gracefully: a journaled `sweep`, and
+# Then the same spec is stopped gracefully: a journaled `sweep`, and
 # `sweepd -checkpoint` with one worker, each get a SIGTERM mid-run and
 # must exit 130 with their resume hint; the sweep's -events log must
 # parse line by line, and each resumed run must export the clean run's
@@ -21,45 +23,9 @@ mkdir -p "$dir"
 bin="$dir/sweep"
 go build -o "$bin" ./cmd/sweep
 
-# A mixed easy/hard matrix under the cheap decay comparator: enough
-# work that the kill lands mid-run, little enough that the smoke stays
-# fast. The spec must be identical in both runs.
-args=(-topo clique:8,12 -topo path:16,24 -algos baseline-decay
-      -ci 0.0015 -ci-measure maxEnergy -min-trials 40 -max-trials 30000
-      -batch 20 -seed 9)
-
-echo "resume_smoke: clean run"
-"$bin" "${args[@]}" -json "$dir/clean.json" >/dev/null
-
-echo "resume_smoke: killed run"
-rm -f "$dir/run.ckpt" # -checkpoint refuses to overwrite an existing journal
-"$bin" "${args[@]}" -checkpoint "$dir/run.ckpt" -json "$dir/unused.json" >/dev/null 2>&1 &
-pid=$!
-# Give the run time to journal a few batches, then kill it dead.
-sleep 1
-kill -9 "$pid" 2>/dev/null || true
-wait "$pid" 2>/dev/null || true
-if [ ! -s "$dir/run.ckpt" ]; then
-  echo "resume_smoke: FAIL — no journal written before the kill" >&2
-  exit 1
-fi
-echo "resume_smoke: journal has $(stat -c %s "$dir/run.ckpt" 2>/dev/null || stat -f %z "$dir/run.ckpt") bytes after SIGKILL"
-
-echo "resume_smoke: resuming"
-"$bin" -resume "$dir/run.ckpt" -json "$dir/resumed.json" >/dev/null
-
-if cmp -s "$dir/clean.json" "$dir/resumed.json"; then
-  echo "resume_smoke: OK — resumed aggregate JSON is byte-identical to the uninterrupted run"
-else
-  echo "resume_smoke: FAIL — resumed aggregate JSON diverges from the uninterrupted run" >&2
-  diff "$dir/clean.json" "$dir/resumed.json" | head -40 >&2 || true
-  exit 1
-fi
-
-# The graceful-stop legs. A first SIGINT/SIGTERM must drain, journal
-# and exit 130 with a resume hint, and the resumed run must again match
-# an uninterrupted one. This spec runs several seconds (~6 s on a
-# 2-vCPU host), so the signal lands mid-run.
+# A mixed easy/hard matrix under the cheap decay comparator. It runs
+# several seconds (~6 s on a 2-vCPU host), so every signal below lands
+# mid-run. The spec must be identical in every run.
 long=(-topo clique:8,12 -topo path:16,24 -algos baseline-decay
       -ci 0.0005 -ci-measure maxEnergy -min-trials 40 -max-trials 60000
       -batch 20 -seed 9)
@@ -79,8 +45,36 @@ wait_grown() {
   return 1
 }
 
-echo "resume_smoke: clean run of the long spec"
+echo "resume_smoke: clean run"
 "$bin" "${long[@]}" -json "$dir/long.json" >/dev/null
+
+echo "resume_smoke: killed run"
+rm -f "$dir/kill.ckpt" "$dir/killed.json" # -checkpoint refuses to overwrite an existing journal
+"$bin" "${long[@]}" -checkpoint "$dir/kill.ckpt" -json "$dir/killed.json" >/dev/null 2>&1 &
+pid=$!
+# Kill the run dead once its journal holds a batch past its header.
+if ! wait_grown "$dir/kill.ckpt" 0 "$pid" ||
+   ! wait_grown "$dir/kill.ckpt" "$(fsize "$dir/kill.ckpt")" "$pid"; then
+  echo "resume_smoke: FAIL — sweep journaled no batch before exiting" >&2
+  exit 1
+fi
+kill -9 "$pid" 2>/dev/null || true
+wait "$pid" 2>/dev/null || true
+if [ -e "$dir/killed.json" ]; then
+  echo "resume_smoke: FAIL — the killed run finished before the kill" >&2
+  exit 1
+fi
+echo "resume_smoke: journal has $(fsize "$dir/kill.ckpt") bytes after SIGKILL"
+
+echo "resume_smoke: resuming"
+"$bin" -resume "$dir/kill.ckpt" -json "$dir/resumed.json" >/dev/null
+if cmp -s "$dir/long.json" "$dir/resumed.json"; then
+  echo "resume_smoke: OK — resumed aggregate JSON is byte-identical to the uninterrupted run"
+else
+  echo "resume_smoke: FAIL — resumed aggregate JSON diverges from the uninterrupted run" >&2
+  diff "$dir/long.json" "$dir/resumed.json" | head -40 >&2 || true
+  exit 1
+fi
 
 echo "resume_smoke: SIGTERMed sweep"
 rm -f "$dir/term.ckpt"

@@ -31,12 +31,16 @@
 // # Checkpoint / resume
 //
 // With Config.Checkpoint set, every completed batch is appended to a
-// CRC-framed, fsync'd journal (see journal.go) before it is merged.
-// Resume replays the journal through the same prefix-merge rule,
-// re-runs only the batches that were in flight when the run died (a
-// torn trailing record is detected and its batch re-run), and
-// continues. No rng state is captured anywhere: positional seeding
-// means a batch's identity is just its trial range.
+// CRC-framed journal (see journal.go) and merged only once its fsync
+// has returned. One writer goroutine group-commits the records queued
+// since its last fsync (one Write and one Sync per group) while the
+// coordinator keeps issuing leases; a record whose cell stops while it
+// waits is journaled but never merged. Resume replays the journal
+// through the same prefix-merge rule, re-runs only the batches that
+// were in flight or not yet written when the run died (a torn trailing
+// record is detected and its batch re-run), and continues. No rng
+// state is captured anywhere: positional seeding means a batch's
+// identity is just its trial range.
 package experiment
 
 import (
@@ -80,13 +84,15 @@ type Config struct {
 	// Workers is the pool size (default GOMAXPROCS). Results are
 	// identical for every value.
 	Workers int
-	// Checkpoint, if non-empty, journals completed batches to this path.
-	// An existing file is refused, never truncated: use Resume to
-	// continue one, or remove it to start fresh.
+	// Checkpoint, if non-empty, journals completed batches to this path,
+	// each fsync'd before it merges. An existing file is refused, never
+	// truncated: use Resume to continue one, or remove it to start
+	// fresh.
 	Checkpoint string
 	// Interrupt, if non-nil, stops the run gracefully when it becomes
 	// receivable: no new batches are issued, in-flight batches are
-	// drained and journaled, and Run returns ErrInterrupted.
+	// drained and journaled, the journal's queued records are synced,
+	// and Run returns ErrInterrupted.
 	Interrupt <-chan struct{}
 	// Progress, if non-nil, is called from the coordinator after each
 	// merged batch.
@@ -110,13 +116,13 @@ type Progress struct {
 }
 
 // ErrInterrupted reports a graceful stop through Config.Interrupt. The
-// journal holds every completed batch; Resume continues the run.
+// journal holds every admitted batch; Resume continues the run.
 var ErrInterrupted = errors.New("experiment: interrupted")
 
 // ErrBadRecord reports a batch record whose shape does not fit its
 // cell: off the batch grid, or tracking the wrong number of measures.
-// Admit returns it before anything is journaled, with the batch no
-// longer in flight, so a fabric coordinator can drop the worker that
+// Admit and Submit return it before anything is journaled, with the
+// batch no longer in flight, so a fabric coordinator can drop the worker that
 // sent it and reissue the batch.
 var ErrBadRecord = errors.New("experiment: bad batch record")
 
@@ -169,7 +175,8 @@ type cellState struct {
 	maxBatches int
 	done       map[int]*BatchRecord // completed, not yet part of the prefix
 	inflight   map[int]bool
-	doneCount  int // batches completed (incl. merged), for fair issuing
+	journaling map[int]bool // submitted, waiting for their journal group
+	doneCount  int          // batches completed (incl. merged), for fair issuing
 
 	// committed prefix.
 	prefix    int // consecutive batches merged
@@ -270,12 +277,17 @@ func Resume(path string, rc ResumeConfig) (*Report, error) {
 
 // runLocal drives a lease controller with Config.Workers in-process
 // workers. The calling goroutine is the coordinator — the only one
-// touching lc, through the same Next/Admit/Done/Report calls a fabric
-// coordinator makes — and each worker executes leases with
+// touching lc, through the same Next/Submit/Commit/Done/Report calls a
+// fabric coordinator makes — and each worker executes leases with
 // Runner.RunBatch and folds them with FoldBatch, exactly as a remote
-// fabric worker does.
-func runLocal(lc *LeaseController) (*Report, error) {
-	defer lc.Close()
+// fabric worker does. Leased batches and journaling records are both
+// outstanding work: the loop ends only when neither is left.
+func runLocal(lc *LeaseController) (rep *Report, err error) {
+	defer func() {
+		if cerr := lc.Close(); cerr != nil && err == nil {
+			rep, err = nil, cerr
+		}
+	}()
 	cfg, runner := lc.Config(), lc.Runner()
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -297,21 +309,22 @@ func runLocal(lc *LeaseController) (*Report, error) {
 		}()
 	}
 
-	outstanding := 0
+	outstanding := 0 // leases at workers
 	interrupted := false
 	var firstErr error
 	intr := cfg.Interrupt
 	pending, havePending := lc.Next()
 	for {
 		draining := interrupted || firstErr != nil
-		if (lc.Done() || draining) && outstanding == 0 {
+		busy := outstanding + lc.Journaling()
+		if (lc.Done() || draining) && busy == 0 {
 			break
 		}
 		var out chan Lease
 		if havePending && !draining {
 			out = leases
 		}
-		if out == nil && outstanding == 0 {
+		if out == nil && busy == 0 {
 			// Nothing issuable and nothing running: cells must be blocked
 			// on stop decisions that will never change. This state is
 			// unreachable while a cell is unstopped — guard anyway.
@@ -323,11 +336,15 @@ func runLocal(lc *LeaseController) (*Report, error) {
 			pending, havePending = lc.Next()
 		case rec := <-results:
 			outstanding--
-			if _, err := lc.Admit(rec); err != nil && firstErr == nil {
+			if _, err := lc.Submit(rec); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			if !havePending {
 				pending, havePending = lc.Next()
+			}
+		case g := <-lc.Synced():
+			if err := lc.Commit(g); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		case <-intr:
 			// A closed Interrupt channel stays receivable; nil it so the

@@ -220,18 +220,11 @@ func TestResumeLegacyBatchWidthHeader(t *testing.T) {
 	if bytes.Equal(legacy, payload) {
 		t.Fatalf("header spec has no Lean field to anchor on: %s", payload)
 	}
-	f, err := os.Create(path)
+	frame, err := appendFrame(nil, json.RawMessage(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jw := &journalWriter{f: f}
-	if err := jw.append(json.RawMessage(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(raw[next:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.close(); err != nil {
+	if err := os.WriteFile(path, append(frame, raw[next:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

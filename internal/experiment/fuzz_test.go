@@ -30,7 +30,7 @@ func journalSeedBytes(tb testing.TB) []byte {
 		Confidence: 0.95,
 		Measures:   []string{"slots"},
 	}
-	jw, err := createJournal(path, h)
+	jw, err := createJournal(path, h, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -41,9 +41,7 @@ func journalSeedBytes(tb testing.TB) []byte {
 			rec.Moments[i].Add(float64(b + i + 1))
 			rec.Moments[i].Add(float64(b + i + 2))
 		}
-		if err := jw.append(rec); err != nil {
-			tb.Fatal(err)
-		}
+		jw.queue(rec)
 	}
 	if err := jw.close(); err != nil {
 		tb.Fatal(err)

@@ -6,13 +6,20 @@ package experiment
 //
 //	uint32 LE payload length | uint32 LE CRC-32C of payload | payload
 //
-// so a SIGKILL mid-write leaves a detectably torn tail: the reader
+// so a crash mid-write leaves a detectably torn tail: the reader
 // stops at the first short or checksum-failing frame and reports how
-// many bytes it trusted, and resume simply re-runs the batch whose
-// record was torn. Payloads are JSON — Go's encoder emits the shortest
-// float64 representation that round-trips bit-exactly, which is what
-// lets a resumed run merge journaled moment state into aggregates
-// byte-identical to an uninterrupted run's.
+// many bytes it trusted, and resume simply re-runs the batches whose
+// records were torn or never written. Payloads are JSON — Go's encoder
+// emits the shortest float64 representation that round-trips
+// bit-exactly, which is what lets a resumed run merge journaled moment
+// state into aggregates byte-identical to an uninterrupted run's.
+//
+// Batch records are group-committed by one writer goroutine: it takes
+// every record queued since its last fsync, writes their frames with
+// one Write and makes them durable with one Sync, then hands the group
+// back to the coordinator, which merges a record only after its
+// group's fsync has returned. The coordinator keeps issuing leases
+// while a group syncs.
 
 import (
 	"encoding/binary"
@@ -22,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -72,22 +80,42 @@ type BatchRecord struct {
 	Moments  []stats.Moments `json:"moments"`
 }
 
-// journalWriter appends framed records to an fsync'd file. Single
-// goroutine use (the controller's coordinator).
-type journalWriter struct {
-	f *os.File
-	// rec counts fsyncs when telemetry is enabled. It is set after
-	// createJournal's header write, so the snapshot's JournalFsyncs is
-	// exactly the number of batch records journaled this process.
-	rec *telemetry.Recorder
+// Group is one group commit of the checkpoint journal: the batch
+// records a single write and fsync covered, handed back on
+// LeaseController.Synced for LeaseController.Commit to merge. A group
+// whose write or fsync failed carries the error, and none of its
+// records merge.
+type Group struct {
+	records []*BatchRecord
+	err     error
 }
 
-// createJournal starts a fresh journal at path and writes the header
-// record. An existing file is refused, never truncated: after a crash
-// the natural retry is the original command line, and silently wiping
-// the fsync'd batches it was about to resume from is exactly the
-// failure the journal exists to prevent.
-func createJournal(path string, h header) (*journalWriter, error) {
+// journalWriter owns an open journal and the goroutine (run) that
+// group-commits its batch records. queue and close are called from the
+// controller's coordinator goroutine only.
+type journalWriter struct {
+	f *os.File
+	// rec counts each group's fsync and records (Recorder.JournalFsync),
+	// so the snapshot's JournalRecords is exactly the number of batch
+	// records journaled this process; the header's fsync is not counted.
+	rec *telemetry.Recorder
+	// synced carries every group back once its fsync has returned; run
+	// closes it when it exits.
+	synced chan Group
+	// wake holds one token while records are queued or close is asked.
+	wake chan struct{}
+
+	mu      sync.Mutex
+	queued  []*BatchRecord
+	closing bool
+}
+
+// createJournal starts a fresh journal at path, writes and fsyncs the
+// header record, and starts its writer. An existing file is refused,
+// never truncated: after a crash the natural retry is the original
+// command line, and silently wiping the fsync'd batches it was about to
+// resume from is exactly the failure the journal exists to prevent.
+func createJournal(path string, h header, rec *telemetry.Recorder) (*journalWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		if os.IsExist(err) {
@@ -95,19 +123,23 @@ func createJournal(path string, h header) (*journalWriter, error) {
 		}
 		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
-	w := &journalWriter{f: f}
-	if err := w.append(h); err != nil {
+	frame, err := appendFrame(nil, h)
+	if err == nil {
+		err = writeSync(f, frame)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return w, nil
+	return startJournal(f, rec), nil
 }
 
 // openJournalAppend reopens an existing journal for appending,
-// positioned after its last intact record. trusted is the byte offset
-// journalRead validated; anything beyond (a torn tail) is truncated
-// away so the next record lands on a clean frame boundary.
-func openJournalAppend(path string, trusted int64) (*journalWriter, error) {
+// positioned after its last intact record, and starts its writer.
+// trusted is the byte offset journalRead validated; anything beyond (a
+// torn tail) is truncated away so the next record lands on a clean
+// frame boundary.
+func openJournalAppend(path string, trusted int64, rec *telemetry.Recorder) (*journalWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
@@ -120,34 +152,113 @@ func openJournalAppend(path string, trusted int64) (*journalWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
-	return &journalWriter{f: f}, nil
+	return startJournal(f, rec), nil
 }
 
-// append frames, writes and fsyncs one record. The fsync per batch is
-// what makes a SIGKILL lose at most the in-flight batches, never a
-// journaled one.
-func (w *journalWriter) append(rec any) error {
-	payload, err := json.Marshal(rec)
+func startJournal(f *os.File, rec *telemetry.Recorder) *journalWriter {
+	w := &journalWriter{f: f, rec: rec, synced: make(chan Group), wake: make(chan struct{}, 1)}
+	go w.run()
+	return w
+}
+
+// appendFrame appends v's frame — payload length, CRC-32C, JSON
+// payload — to dst. The header and every batch record are framed here.
+func appendFrame(dst []byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
 	if err != nil {
+		return dst, fmt.Errorf("experiment: checkpoint: %w", err)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+	return append(dst, payload...), nil
+}
+
+// writeSync writes frames with one Write and makes them durable with
+// one Sync. A frame whose Write has returned survives a crash of the
+// process (SIGKILL included) without the Sync; the Sync is what keeps
+// it through a power loss or a kernel crash, so a record merges only
+// after it.
+func writeSync(f *os.File, frames []byte) error {
+	if _, err := f.Write(frames); err != nil {
 		return fmt.Errorf("experiment: checkpoint: %w", err)
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	if _, err := w.f.Write(frame); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("experiment: checkpoint: %w", err)
 	}
-	t0 := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("experiment: checkpoint: %w", err)
-	}
-	w.rec.JournalFsync(time.Since(t0))
 	return nil
 }
 
+// queue hands one batch record to the writer.
+func (w *journalWriter) queue(rec *BatchRecord) {
+	w.mu.Lock()
+	w.queued = append(w.queued, rec)
+	w.mu.Unlock()
+	w.signal()
+}
+
+func (w *journalWriter) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// run is the writer goroutine: each pass takes every record queued
+// since the last one, writes and fsyncs them as one group, and sends
+// the group back on synced. The first write or fsync error sticks: no
+// later group is written (the file may end in a torn frame), and every
+// later group carries the same error.
+func (w *journalWriter) run() {
+	defer close(w.synced)
+	var buf []byte
+	var err error
+	for {
+		<-w.wake
+		w.mu.Lock()
+		group, closing := w.queued, w.closing
+		w.queued = nil
+		w.mu.Unlock()
+		if len(group) > 0 {
+			if err == nil {
+				buf = buf[:0]
+				for _, rec := range group {
+					if buf, err = appendFrame(buf, rec); err != nil {
+						break
+					}
+				}
+			}
+			if err == nil {
+				t0 := time.Now()
+				if err = writeSync(w.f, buf); err == nil {
+					w.rec.JournalFsync(len(group), time.Since(t0))
+				}
+			}
+			w.synced <- Group{records: group, err: err}
+		}
+		if closing {
+			return
+		}
+	}
+}
+
+// close flushes every queued record, waits for the writer to exit and
+// closes the file. Groups it drains are not merged; their first error,
+// if any, is returned.
 func (w *journalWriter) close() error {
-	return w.f.Close()
+	w.mu.Lock()
+	w.closing = true
+	w.mu.Unlock()
+	w.signal()
+	var err error
+	for g := range w.synced {
+		if err == nil {
+			err = g.err
+		}
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // journalContents is the validated view of an existing journal.

@@ -3,13 +3,14 @@ package experiment
 // The lease controller is the adaptive controller's batch-granular
 // API: a coordinator asks for (cell, lo, hi) leases one at a time, hands
 // them to workers, and feeds the returned batch records back through
-// Admit — the one prefix-merge admission rule. Run and Resume drive it
-// with an in-process worker pool; the distributed sweep fabric
-// (internal/fabric) drives it with remote workers. Both make the same
-// calls, which is what makes the fabric's report, committed trial
-// counts and convergence traces byte-identical to a single-machine run
-// at any worker count, lease reassignment pattern, or coordinator
-// restart.
+// the one prefix-merge admission rule — Submit, then Commit once the
+// record's journal group has synced (Admit does both and waits). Run
+// and Resume drive it with an in-process worker pool; the distributed
+// sweep fabric (internal/fabric) drives it with remote workers. Both
+// make the same calls, which is what makes the fabric's report,
+// committed trial counts and convergence traces byte-identical to a
+// single-machine run at any worker count, lease reassignment pattern,
+// or coordinator restart.
 
 import (
 	"fmt"
@@ -33,7 +34,9 @@ type Lease struct {
 // LeaseController owns one adaptive run and exposes it to a
 // coordinator one lease at a time. All methods must be called from a
 // single goroutine (the coordinator's event loop): the controller has
-// no internal locking.
+// no internal locking. With a checkpoint it also owns the journal's
+// writer goroutine, which group-commits submitted records while the
+// coordinator keeps issuing leases; Close stops it.
 type LeaseController struct {
 	cfg    Config
 	runner *sweep.Runner
@@ -46,6 +49,11 @@ type LeaseController struct {
 	cells []*cellState
 	jw    *journalWriter
 	rec   *telemetry.Recorder
+	// journaling counts submitted records not yet committed.
+	journaling int
+	// relCI is merge's scratch: the committed prefix's relative CI
+	// half-width per targeted measure (ciIdx order).
+	relCI []float64
 }
 
 // NewLeaseController builds a lease controller for a fresh run: the
@@ -74,11 +82,10 @@ func NewLeaseController(cfg Config) (*LeaseController, error) {
 			Confidence:  cfg.Confidence,
 			Measures:    cfg.Measures,
 		}
-		jw, err := createJournal(cfg.Checkpoint, h)
+		jw, err := createJournal(cfg.Checkpoint, h, cfg.Telemetry)
 		if err != nil {
 			return nil, err
 		}
-		jw.rec = cfg.Telemetry
 		lc.jw = jw
 	}
 	return lc, nil
@@ -122,7 +129,9 @@ func ResumeLeaseController(path string, rc ResumeConfig) (*LeaseController, erro
 	// Journal replay goes through the same admission check and
 	// prefix-merge rule as live results, so committed counts and
 	// convergence traces rebuild bit-identically to the uninterrupted
-	// run's.
+	// run's. A record journaled for a batch past its cell's stop point
+	// (its cell stopped while it waited for its fsync) is dropped here
+	// as it was at commit.
 	cfg.Telemetry.Phase("replay")
 	for i := range jc.batches {
 		rec := &jc.batches[i]
@@ -134,11 +143,10 @@ func ResumeLeaseController(path string, rc ResumeConfig) (*LeaseController, erro
 			lc.merge(rec)
 		}
 	}
-	jw, err := openJournalAppend(path, jc.trusted)
+	jw, err := openJournalAppend(path, jc.trusted, cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	jw.rec = cfg.Telemetry
 	lc.jw = jw
 	return lc, nil
 }
@@ -152,18 +160,19 @@ func (lc *LeaseController) Config() Config { return lc.cfg }
 func (lc *LeaseController) Runner() *sweep.Runner { return lc.runner }
 
 // Next issues the next lease: the lowest missing batch of the unstopped
-// cell with the fewest batches done or in flight — which is what
-// reallocates workers from converged cells to the unconverged long
-// tail. ok is false when every outstanding batch is already leased (or
-// every cell has stopped); admitting or releasing can make Next
-// issuable again.
+// cell with the fewest batches done, in flight or journaling — which is
+// what reallocates workers from converged cells to the unconverged long
+// tail. A journaling batch (submitted, not yet committed) is never
+// reissued. ok is false when every outstanding batch is already leased
+// or journaling (or every cell has stopped); admitting or releasing can
+// make Next issuable again.
 func (lc *LeaseController) Next() (l Lease, ok bool) {
 	best, bestCount := -1, 0
 	for i, cs := range lc.cells {
 		if cs.stopped {
 			continue
 		}
-		count := cs.doneCount + len(cs.inflight)
+		count := cs.doneCount + len(cs.inflight) + len(cs.journaling)
 		if count >= cs.maxBatches {
 			continue // everything issued already
 		}
@@ -176,7 +185,7 @@ func (lc *LeaseController) Next() (l Lease, ok bool) {
 	}
 	cs := lc.cells[best]
 	b := cs.prefix
-	for cs.done[b] != nil || cs.inflight[b] {
+	for cs.done[b] != nil || cs.inflight[b] || cs.journaling[b] {
 		b++
 	}
 	if b >= cs.maxBatches {
@@ -190,8 +199,10 @@ func (lc *LeaseController) Next() (l Lease, ok bool) {
 // Release returns an unfinished lease to the issuable pool — the
 // work-stealing primitive: a coordinator releases the leases of a dead
 // or evicted worker and Next hands them to whoever asks next. Releasing
-// a lease whose result later arrives anyway is safe: Admit deduplicates
-// on the batch grid, so a twice-run batch merges exactly once.
+// a lease whose result later arrives anyway is safe: admission
+// deduplicates on the batch grid, so a twice-run batch merges exactly
+// once. Releasing a lease whose batch is journaling leaves it
+// journaling.
 func (lc *LeaseController) Release(l Lease) {
 	if l.Cell < 0 || l.Cell >= len(lc.cells) {
 		return
@@ -201,29 +212,91 @@ func (lc *LeaseController) Release(l Lease) {
 
 // Admit journals and merges one completed batch record through the
 // prefix-merge admission rule, then reports progress to
-// Config.Progress. fresh is false for a record the committed state no
-// longer wants — a duplicate of an admitted batch, a batch past its
-// cell's stop point, or a replay race after a lease was stolen and
-// re-run — which is dropped without touching the journal. An
-// ErrBadRecord is the sender's fault, not the run's: nothing was
+// Config.Progress: Submit, then Commit of every journal group until
+// none is pending, so Admit returns only after the record has been
+// fsync'd and merged. fresh is false for a record the committed state
+// no longer wants — a duplicate of an admitted or journaling batch, a
+// batch past its cell's stop point, or a replay race after a lease was
+// stolen and re-run — which is dropped without touching the journal.
+// An ErrBadRecord is the sender's fault, not the run's: nothing was
 // journaled and the batch is no longer in flight. Any other error is a
-// journal write failure, fatal to the run. A coordinator should also
-// validate worker-supplied records with BatchRecord.Validate before
-// admitting them.
+// journal write failure, fatal to the run; nothing of its group
+// merged. A coordinator should also validate worker-supplied records
+// with BatchRecord.Validate before admitting them.
 func (lc *LeaseController) Admit(rec *BatchRecord) (fresh bool, err error) {
-	if fresh, err = lc.check(rec); !fresh {
+	if fresh, err = lc.Submit(rec); !fresh {
 		return false, err
 	}
-	if lc.jw != nil {
-		if err := lc.jw.append(rec); err != nil {
+	for lc.journaling > 0 {
+		if err := lc.Commit(<-lc.jw.synced); err != nil {
 			return false, err
 		}
 	}
+	return true, nil
+}
+
+// Submit is Admit without the wait, for event loops that keep issuing
+// leases while the journal syncs. It checks rec through the admission
+// rule (fresh and err as for Admit) and, with a checkpoint, queues a
+// fresh record for the journal and marks its batch journaling: in
+// flight for Next and a duplicate for any twin, until Commit takes the
+// record's group from Synced. Without a checkpoint Submit merges the
+// record at once.
+func (lc *LeaseController) Submit(rec *BatchRecord) (fresh bool, err error) {
+	if fresh, err = lc.check(rec); !fresh {
+		return false, err
+	}
+	if lc.jw == nil {
+		lc.admit(rec)
+		return true, nil
+	}
+	lc.cells[rec.Cell].journaling[rec.Lo/lc.cfg.BatchSize] = true
+	lc.journaling++
+	lc.jw.queue(rec)
+	return true, nil
+}
+
+// Synced delivers each journal group once its fsync has returned, for
+// Commit. It is nil without a checkpoint, so a select case on it never
+// fires.
+func (lc *LeaseController) Synced() <-chan Group {
+	if lc.jw == nil {
+		return nil
+	}
+	return lc.jw.synced
+}
+
+// Commit merges the records of a group taken from Synced, in the order
+// they were submitted, and reports progress for each. A record whose
+// cell stopped while it waited for its fsync is dropped, never merged.
+// A group whose write or fsync failed merges nothing and returns its
+// error, which is fatal to the run.
+func (lc *LeaseController) Commit(g Group) error {
+	for _, rec := range g.records {
+		delete(lc.cells[rec.Cell].journaling, rec.Lo/lc.cfg.BatchSize)
+	}
+	lc.journaling -= len(g.records)
+	if g.err != nil {
+		return g.err
+	}
+	for _, rec := range g.records {
+		if !lc.cells[rec.Cell].stopped {
+			lc.admit(rec)
+		}
+	}
+	return nil
+}
+
+// Journaling counts the records submitted to the journal whose group
+// has not been committed yet — outstanding work, like a leased batch.
+func (lc *LeaseController) Journaling() int { return lc.journaling }
+
+// admit merges a checked record and reports progress.
+func (lc *LeaseController) admit(rec *BatchRecord) {
 	lc.merge(rec)
 	if lc.cfg.Progress != nil {
 		lc.cfg.Progress(lc.Progress())
 	}
-	return true, nil
 }
 
 // Done reports whether every cell has stopped (converged or capped) —
@@ -250,7 +323,10 @@ func (lc *LeaseController) Progress() Progress {
 	return p
 }
 
-// Close flushes and closes the checkpoint journal, if any.
+// Close flushes every queued record to the checkpoint journal, if any,
+// waits for its writer goroutine to exit and closes the file. Records
+// still journaling are written but not merged; Close returns the first
+// write error among them.
 func (lc *LeaseController) Close() error {
 	if lc.jw == nil {
 		return nil
@@ -258,11 +334,11 @@ func (lc *LeaseController) Close() error {
 	return lc.jw.close()
 }
 
-// check is the one admission pre-check of live results (Admit) and
+// check is the one admission pre-check of live results (Submit) and
 // journal replay. It clears the batch's in-flight mark and reports
 // whether the committed state still wants the record: fresh is false
-// for a duplicate of an admitted batch or a batch at or past its cell's
-// stop point. A wanted record off the batch grid, or tracking the wrong
+// for a duplicate of an admitted or journaling batch or a batch at or
+// past its cell's stop point. A wanted record off the batch grid, or tracking the wrong
 // number of measures, is an ErrBadRecord.
 func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
 	if rec.Cell < 0 || rec.Cell >= len(lc.cells) {
@@ -271,7 +347,7 @@ func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
 	cs := lc.cells[rec.Cell]
 	b := rec.Lo / lc.cfg.BatchSize
 	delete(cs.inflight, b)
-	if _, dup := cs.done[b]; dup || cs.stopped || b < cs.prefix {
+	if _, dup := cs.done[b]; dup || cs.journaling[b] || cs.stopped || b < cs.prefix {
 		return false, nil
 	}
 	if lo, hi := lc.batchBounds(b); lo != rec.Lo || hi != rec.Hi {
@@ -312,17 +388,25 @@ func (lc *LeaseController) merge(rec *BatchRecord) {
 		// deterministic as the committed trial counts, and journal replay
 		// rebuilds them identically.
 		lc.rec.CommitFaults(uint64(next.Crashes), uint64(next.Sleeps), uint64(next.Erasures))
-		if lc.rec.Enabled() {
-			// One convergence-trace point per merged batch: the committed
-			// prefix's relative CI half-width for each targeted measure.
-			// Pure prefix state — identical for any worker count.
-			relCI := make([]float64, len(lc.ciIdx[cell]))
-			for i, idx := range lc.ciIdx[cell] {
-				relCI[i] = cs.moments[idx].RelCIHalfWidth(lc.cfg.Confidence)
+		// The stop rule and the convergence trace (one point per merged
+		// batch) read the committed prefix's relative CI half-width of
+		// each targeted measure, computed once for both. Untraced, only
+		// the stop rule reads them, up to the first measure off target.
+		// Pure prefix state — identical for any worker count.
+		converged := lc.cfg.TargetRelCI > 0 && cs.trials >= lc.cfg.MinTrials
+		traced := lc.rec.Enabled()
+		lc.relCI = lc.relCI[:0]
+		for _, idx := range lc.ciIdx[cell] {
+			if !converged && !traced {
+				break
 			}
-			lc.rec.Trace(cell, cs.prefix-1, cs.trials, relCI)
+			m := &cs.moments[idx]
+			rel := m.RelCIHalfWidth(lc.cfg.Confidence)
+			lc.relCI = append(lc.relCI, rel)
+			converged = converged && m.N >= 2 && !(rel > lc.cfg.TargetRelCI)
 		}
-		if lc.converged(cell, cs) {
+		lc.rec.Trace(cell, cs.prefix-1, cs.trials, lc.relCI)
+		if converged {
 			cs.stopped, cs.reason = true, "ci"
 		} else if cs.trials >= lc.cfg.MaxTrials {
 			cs.stopped, cs.reason = true, "max-trials"
@@ -337,23 +421,6 @@ func (lc *LeaseController) merge(rec *BatchRecord) {
 			break
 		}
 	}
-}
-
-// converged evaluates the stopping rule on the committed prefix.
-func (lc *LeaseController) converged(cell int, cs *cellState) bool {
-	if lc.cfg.TargetRelCI <= 0 || cs.trials < lc.cfg.MinTrials {
-		return false
-	}
-	for _, idx := range lc.ciIdx[cell] {
-		m := &cs.moments[idx]
-		if m.N < 2 {
-			return false
-		}
-		if m.RelCIHalfWidth(lc.cfg.Confidence) > lc.cfg.TargetRelCI {
-			return false
-		}
-	}
-	return true
 }
 
 // newLeaseController resolves the spec and validates the CI measures
@@ -406,6 +473,7 @@ func newLeaseController(cfg Config) (*LeaseController, error) {
 			maxBatches: maxBatches,
 			done:       map[int]*BatchRecord{},
 			inflight:   map[int]bool{},
+			journaling: map[int]bool{},
 			moments:    make([]stats.Moments, len(tracked)),
 		}
 	}

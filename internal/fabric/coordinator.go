@@ -21,7 +21,10 @@ import (
 type CoordinatorConfig struct {
 	// Controller is the lease controller the coordinator drives. The
 	// coordinator takes ownership: it is the only goroutine that touches
-	// it, and Close is called when the run ends.
+	// it, and Close is called when the run ends. With a checkpoint, a
+	// result is submitted to the journal and merged once its group's
+	// fsync has returned; the coordinator keeps granting leases in the
+	// meantime.
 	Controller *experiment.LeaseController
 	// ListenAddr is the TCP address workers dial (host:port; port 0
 	// picks a free one — Addr returns the resolved address).
@@ -34,13 +37,15 @@ type CoordinatorConfig struct {
 	// Telemetry, if non-nil, receives the fleet view: the per-worker
 	// snapshots workers ship inside heartbeat and result frames
 	// (Recorder.WorkerShard), lease round-trip latencies, lifecycle
-	// events, and per-worker /metrics gauges. Committed counters and
-	// traces flow through the controller's own recorder; pass the same
-	// one here.
+	// events, and per-worker /metrics gauges. The welcome tells workers
+	// whether it is set; without it they ship no snapshots. Committed
+	// counters and traces flow through the controller's own recorder;
+	// pass the same one here.
 	Telemetry *telemetry.Recorder
 	// Interrupt, if non-nil, stops the run gracefully when receivable:
 	// no new leases are issued, workers are dismissed, and Wait returns
-	// experiment.ErrInterrupted. The journal holds every admitted batch.
+	// experiment.ErrInterrupted. The journal holds every admitted batch:
+	// closing the controller syncs the records still queued.
 	Interrupt <-chan struct{}
 	// Log receives worker join/leave/evict lines; nil discards them.
 	Log *log.Logger
@@ -391,6 +396,16 @@ func (co *Coordinator) run() {
 		case <-co.cfg.Interrupt:
 			finish(nil, experiment.ErrInterrupted)
 			return
+		case g := <-lc.Synced():
+			if err := lc.Commit(g); err != nil {
+				finish(nil, err)
+				return
+			}
+			if lc.Done() {
+				publish()
+				finish(lc.Report(), nil)
+				return
+			}
 		case <-tick.C:
 			now := time.Now()
 			for _, w := range workers {
@@ -423,7 +438,8 @@ func (co *Coordinator) run() {
 				workers[w.id] = w
 				hb := int(co.cfg.LeaseTimeout / 3 / time.Millisecond)
 				w.send(&msg{Type: msgWelcome, Welcome: &welcomeMsg{
-					Version: version, Spec: lc.Config().Spec, HeartbeatMillis: max(1, hb)}})
+					Version: version, Spec: lc.Config().Spec, HeartbeatMillis: max(1, hb),
+					Telemetry: rec.Enabled()}})
 				go writerLoop(w.conn, w.out, w.flushed)
 				go co.readerLoop(w.id, w.conn)
 				rec.WorkerSeen(w.name, w.addr, h.Version)
@@ -479,7 +495,8 @@ func (co *Coordinator) run() {
 // admitResult runs one result frame's record through the coordinator's
 // checks, in order: the record must answer a lease in held (its
 // Cell/Lo/Hi), which it then leaves; it must pass BatchRecord.Validate,
-// or the lease returns to the pool; and Admit must take it. why is the
+// or the lease returns to the pool; and Submit must take it (with a
+// checkpoint it merges when its journal group has synced). why is the
 // reason to evict the sender ("" to keep it); err is a journal write
 // failure, fatal to the run.
 func admitResult(lc *experiment.LeaseController, rec *telemetry.Recorder, held map[experiment.Lease]time.Time, br *experiment.BatchRecord) (why string, err error) {
@@ -498,10 +515,10 @@ func admitResult(lc *experiment.LeaseController, rec *telemetry.Recorder, held m
 		lc.Release(l)
 		return fmt.Sprintf("bad batch record: %v", err), nil
 	}
-	_, err = lc.Admit(br)
+	_, err = lc.Submit(br)
 	if errors.Is(err, experiment.ErrBadRecord) {
 		// A record that does not fit its cell costs its sender, not the
-		// run: Admit cleared the batch's in-flight mark, so it is issued
+		// run: Submit cleared the batch's in-flight mark, so it is issued
 		// again.
 		return err.Error(), nil
 	}

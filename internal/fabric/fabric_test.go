@@ -406,6 +406,74 @@ func TestFabricEvictsIdleWorker(t *testing.T) {
 	}
 }
 
+// A coordinator without a recorder welcomes a worker with telemetry
+// off, and the worker then ships no snapshot: neither its result frame
+// nor any heartbeat carries one. The coordinator is hand-rolled, the
+// mirror of TestFabricEvictsIdleWorker's zombie worker.
+func TestWorkerShipsNoSnapshotUnrecorded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(WorkerConfig{
+			Addr: ln.Addr().String(), Name: "plain", Capacity: 1, Patience: 5 * time.Second})
+	}()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if m, err := readMsg(conn); err != nil || m.Type != msgHello {
+		t.Fatalf("handshake: %v %v", m, err)
+	}
+	lc, err := experiment.NewLeaseController(fixedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	l, _ := lc.Next()
+	for _, m := range []*msg{
+		{Type: msgWelcome, Welcome: &welcomeMsg{Version: telemetry.CodeVersion(),
+			Spec: lc.Config().Spec, HeartbeatMillis: 5}},
+		{Type: msgLease, Lease: &l},
+	} {
+		if err := writeMsg(conn, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, beats := 0, 0
+	for results == 0 || beats < 3 {
+		m, err := readMsg(conn)
+		if err != nil {
+			t.Fatalf("after %d results and %d heartbeats: %v", results, beats, err)
+		}
+		if m.Telemetry != nil {
+			t.Fatalf("%s frame carries a snapshot for a coordinator that records none", m.Type)
+		}
+		switch m.Type {
+		case msgResult:
+			if m.Result == nil || m.Result.Cell != l.Cell || m.Result.Lo != l.Lo || m.Result.Hi != l.Hi {
+				t.Fatalf("result %+v does not answer lease %+v", m.Result, l)
+			}
+			results++
+		case msgHeartbeat:
+			beats++
+		default:
+			t.Fatalf("unexpected %q frame", m.Type)
+		}
+	}
+	if err := writeMsg(conn, &msg{Type: msgDone}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+}
+
 // A worker whose result has the wrong shape for its cell — here three
 // moments where the cell tracks four, which decodes and validates but
 // cannot merge — costs that worker its connection, not the run: the

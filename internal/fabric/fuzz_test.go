@@ -69,9 +69,9 @@ func frameSeeds(tb testing.TB) map[string][]byte {
 
 // FuzzFabricFrame feeds arbitrary bytes to the frame reader and sends
 // every result frame it decodes through the coordinator's own checks
-// (admitResult: held lease, Validate, Admit) against the first lease
+// (admitResult: held lease, Validate, Submit) against the first lease
 // of a fresh controller. A malformed frame may cost its sender the
-// connection, never the run: nothing panics, Admit fails only with
+// connection, never the run: nothing panics, Submit fails only with
 // ErrBadRecord (which evicts the sender), and every record it admits
 // passes Validate.
 func FuzzFabricFrame(f *testing.F) {

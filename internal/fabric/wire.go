@@ -72,11 +72,12 @@ type msg struct {
 	// writes (the same JSON): its Cell/Lo/Hi name the lease it answers.
 	Result *experiment.BatchRecord `json:"result,omitempty"`
 	// Telemetry rides worker → coordinator frames (heartbeat and
-	// result): the worker's telemetry snapshot, which the coordinator
-	// folds into its fleet view (Recorder.WorkerShard).
-	// Worker counters are monotonic for the life of the worker process,
-	// so redials resume rather than reset them. Optional — an absent
-	// snapshot just leaves the fleet view where it was.
+	// result) when the welcome asked for it: the worker's telemetry
+	// snapshot, which the coordinator folds into its fleet view
+	// (Recorder.WorkerShard). Worker counters are monotonic for the life
+	// of the worker process, so redials resume rather than reset them.
+	// Optional — an absent snapshot just leaves the fleet view where it
+	// was.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	// Reason explains a reject.
 	Reason string `json:"reason,omitempty"`
@@ -104,6 +105,9 @@ type welcomeMsg struct {
 	// HeartbeatMillis is how often an idle worker must send a frame;
 	// the coordinator evicts after several missed intervals.
 	HeartbeatMillis int `json:"heartbeatMillis"`
+	// Telemetry says whether the coordinator records the fleet view; a
+	// worker attaches its snapshot to its frames only then.
+	Telemetry bool `json:"telemetry,omitempty"`
 }
 
 // writeMsg frames and writes one message. Safe for one writer per

@@ -119,7 +119,8 @@ func RunWorker(cfg WorkerConfig) error {
 // workerSession runs one connection's lifetime: handshake, then
 // executor goroutines folding leases into results until the stream
 // breaks or the coordinator sends done. rec is the process-lifetime
-// recorder whose snapshot ships on every outbound frame.
+// recorder whose snapshot ships on every outbound frame when the
+// coordinator records it.
 func workerSession(conn net.Conn, cfg WorkerConfig, rec *telemetry.Recorder, logf func(string, ...any)) error {
 	hello := &msg{Type: msgHello, Hello: &helloMsg{
 		Name: cfg.Name, Version: telemetry.CodeVersion(), Capacity: cfg.Capacity}}
@@ -211,12 +212,14 @@ func workerSession(conn net.Conn, cfg WorkerConfig, rec *telemetry.Recorder, log
 			case <-stop:
 				return
 			}
-			// Every outbound frame carries the worker's telemetry:
-			// heartbeats keep the coordinator's fleet view fresh while
-			// idle, and result frames make it exact at run end (a batch's
-			// counters are updated before its result is queued).
-			snap := rec.Snapshot()
-			out.Telemetry = &snap
+			// With a recording coordinator every outbound frame carries
+			// the worker's telemetry: heartbeats keep the fleet view fresh
+			// while idle, and result frames make it exact at run end (a
+			// batch's counters are updated before its result is queued).
+			if w.Telemetry {
+				snap := rec.Snapshot()
+				out.Telemetry = &snap
+			}
 			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 			if err := writeMsg(conn, out); err != nil {
 				select {

@@ -57,7 +57,7 @@ func TestEventLogLifecycleKinds(t *testing.T) {
 	r.Phase("trials")
 	r.CommitTrials(0, 10) // first commit => cell-start + batch-commit
 	r.CommitTrials(0, 5)
-	r.JournalFsync(time.Microsecond)
+	r.JournalFsync(3, time.Microsecond)
 	r.CellDone(0, "done")
 	r.CellDone(0, "again") // duplicate: no second cell-stop
 	r.Event("worker-join", map[string]any{"worker": "w1", "addr": "1.2.3.4:5", "version": "v", "capacity": 4})
@@ -91,6 +91,10 @@ func TestEventLogLifecycleKinds(t *testing.T) {
 		case "batch-commit":
 			if d["cell"].(float64) != 0 || d["trials"].(float64) == 0 {
 				t.Fatalf("batch-commit payload = %v", d)
+			}
+		case "checkpoint-fsync":
+			if d["records"].(float64) != 3 {
+				t.Fatalf("checkpoint-fsync payload = %v", d)
 			}
 		case "cell-stop":
 			if d["reason"] != "done" {

@@ -25,7 +25,8 @@ const histBuckets = 65
 const (
 	// LatencyBatch is the wall-clock of one executed trial batch.
 	LatencyBatch = "batch"
-	// LatencyJournalFsync is the fsync of one checkpoint-journal record.
+	// LatencyJournalFsync is the fsync of one checkpoint-journal group
+	// commit (every batch record queued since the previous fsync).
 	LatencyJournalFsync = "journalFsync"
 	// LatencyLeaseRoundTrip is a fabric lease's issue-to-result time.
 	LatencyLeaseRoundTrip = "leaseRoundTrip"

@@ -56,7 +56,9 @@ func (r *Recorder) WriteMetrics(w io.Writer) {
 	writeMetric(w, "sweep_cells_done", "gauge",
 		"Matrix cells finished (converged, capped, or fully run).", float64(s.CellsDone))
 	writeMetric(w, "sweep_journal_fsyncs_total", "counter",
-		"Checkpoint-journal fsyncs (one per journaled record).", float64(s.JournalFsyncs))
+		"Checkpoint-journal fsyncs (one per group commit of queued batch records).", float64(s.JournalFsyncs))
+	writeMetric(w, "sweep_journal_records_total", "counter",
+		"Batch records made durable by checkpoint-journal fsyncs.", float64(s.JournalRecords))
 	writeHeader(w, "sweep_faults_injected_total", "counter",
 		"Faults injected during committed trials, by kind.")
 	writeSample(w, "sweep_faults_injected_total", `kind="crash"`, float64(s.FaultCrashes))

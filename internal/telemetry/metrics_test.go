@@ -22,7 +22,7 @@ func TestMetricsExposition(t *testing.T) {
 	r.BatchDone(0, 10, 1000, CacheCounts{Hits: 3, Misses: 2}, time.Millisecond)
 	r.CommitTrials(0, 42)
 	r.CommitFaults(1, 2, 3)
-	r.JournalFsync(time.Microsecond)
+	r.JournalFsync(3, time.Microsecond)
 	r.LeaseRoundTrip(2 * time.Millisecond)
 	r.CellDone(0, "done")
 	r.AddMetrics(func(w io.Writer) {
@@ -113,6 +113,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if h, m := values["sweep_simcache_hits_total"], values["sweep_simcache_misses_total"]; h != 3 || m != 2 {
 		t.Fatalf("simcache hits/misses = %v/%v, want 3/2", h, m)
+	}
+	if f, n := values["sweep_journal_fsyncs_total"], values["sweep_journal_records_total"]; f != 1 || n != 3 {
+		t.Fatalf("journal fsyncs/records = %v/%v, want 1/3", f, n)
 	}
 	if v := values["sweep_fabric_workers"]; v != 2 {
 		t.Fatalf("appender gauge = %v, want 2", v)

@@ -82,8 +82,11 @@ type Snapshot struct {
 	// (converged, capped, or fully run).
 	CellsTotal int `json:"cellsTotal"`
 	CellsDone  int `json:"cellsDone"`
-	// JournalFsyncs counts checkpoint-journal fsyncs (one per record).
-	JournalFsyncs uint64 `json:"journalFsyncs"`
+	// JournalFsyncs counts checkpoint-journal fsyncs, one per group
+	// commit of the batch records queued since the previous one;
+	// JournalRecords counts the batch records they made durable.
+	JournalFsyncs  uint64 `json:"journalFsyncs"`
+	JournalRecords uint64 `json:"journalRecords"`
 	// FaultCrashes/FaultSleeps/FaultErasures count the faults injected
 	// during committed trials (internal/fault). Like TrialsCommitted they
 	// are deterministic for a fixed spec — faults are positional hashes
@@ -155,7 +158,10 @@ type Recorder struct {
 	start time.Time
 
 	committed atomic.Uint64
+	// fsyncs and journaled count journal group commits and the batch
+	// records they covered (JournalFsync).
 	fsyncs    atomic.Uint64
+	journaled atomic.Uint64
 	cellsDone atomic.Int64
 	// faults[0..2] hold committed crash/sleep/erasure counts (CommitFaults).
 	faults [3]atomic.Uint64
@@ -337,16 +343,18 @@ func (r *Recorder) Trace(cell, batch, trials int, relCI []float64) {
 	r.mu.Unlock()
 }
 
-// JournalFsync counts one checkpoint-journal fsync that took d, feeding
-// the LatencyJournalFsync histogram and the event log.
-func (r *Recorder) JournalFsync(d time.Duration) {
+// JournalFsync counts one checkpoint-journal fsync that took d and made
+// records batch records durable (one group commit), feeding the
+// LatencyJournalFsync histogram and the event log.
+func (r *Recorder) JournalFsync(records int, d time.Duration) {
 	if r == nil {
 		return
 	}
 	r.fsyncs.Add(1)
+	r.journaled.Add(uint64(records))
 	r.fsyncLat.Observe(d)
 	if r.eventsOn() {
-		r.Event("checkpoint-fsync", map[string]any{"seconds": d.Seconds()})
+		r.Event("checkpoint-fsync", map[string]any{"records": records, "seconds": d.Seconds()})
 	}
 }
 
@@ -496,6 +504,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		SlotsSimulated:  r.slots.Load(),
 		BatchesInFlight: r.inflight.Load(),
 		JournalFsyncs:   r.fsyncs.Load(),
+		JournalRecords:  r.journaled.Load(),
 		FaultCrashes:    r.faults[0].Load(),
 		FaultSleeps:     r.faults[1].Load(),
 		FaultErasures:   r.faults[2].Load(),

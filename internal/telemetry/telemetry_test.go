@@ -25,7 +25,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 	r.CommitTrials(0, 10)
 	r.CellDone(0, "done")
 	r.Trace(0, 0, 10, []float64{0.5})
-	r.JournalFsync(time.Millisecond)
+	r.JournalFsync(1, time.Millisecond)
 	r.LeaseRoundTrip(time.Millisecond)
 	r.Add(3, 30)
 	r.Phase("x")
@@ -194,7 +194,7 @@ func TestDeterministicJSONExcludesTimings(t *testing.T) {
 		r.TraceMeasures([]string{"slots"})
 		r.BatchStart()
 		r.BatchDone(0, 10+extraRun, uint64(100*(extraRun+1)), CacheCounts{Hits: uint64(extraRun)}, wall)
-		r.JournalFsync(wall)
+		r.JournalFsync(1+extraRun, wall)
 		r.CommitTrials(0, 10)
 		r.Trace(0, 0, 10, []float64{0.125})
 		r.CellDone(0, "ci")

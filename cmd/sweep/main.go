@@ -56,8 +56,10 @@
 // once every -ci-measure's Student-t relative CI half-width (confidence
 // -ci-conf) is within the -ci target, reallocating workers to the cells
 // that still need trials. -checkpoint journals every completed batch
-// (CRC-framed, fsync'd). The first SIGINT or SIGTERM drains the
-// in-flight batches and exits 130, naming the resume command; after
+// (CRC-framed, fsync'd before it merges; one writer goroutine
+// group-commits the records queued since its last fsync while leases
+// keep going out). The first SIGINT or SIGTERM drains the in-flight
+// batches into the journal and exits 130, naming the resume command; after
 // that or a crash, `sweep -resume run.ckpt` continues the run — the
 // journal holds the full experiment definition, so -resume conflicts
 // with every matrix flag — and produces aggregate JSON byte-identical

@@ -155,15 +155,19 @@
 // prefix merges, so each cell's committed trial count — and the report's
 // serialized bytes — are identical for any worker count. With a
 // checkpoint configured, every completed batch is appended to a
-// CRC-framed, fsync'd journal; positional seeding means a batch's
+// CRC-framed journal and merged only after its fsync has returned: one
+// writer goroutine group-commits the records queued since its last
+// fsync (one write and one fsync per group) while the coordinator
+// keeps handing out leases. Positional seeding means a batch's
 // identity is just its trial range, so resuming after a crash (even a
 // SIGKILL that tears the trailing record) re-runs only unjournaled
 // batches and produces aggregate JSON byte-identical to an
 // uninterrupted run. Local runs are in-process clients of the same
 // lease API the distributed fabric uses (experiment.LeaseController:
-// Next, Admit, Done, Report), and every scheduler — fixed sweeps,
-// local workers, fabric workers — executes batches through one
-// function, sweep.Runner.RunBatch. The CLI spelling is
+// Next, Submit, Synced, Commit, Done, Report; Admit is Submit plus the
+// wait for its group), and every scheduler — fixed sweeps, local
+// workers, fabric workers — executes batches through one function,
+// sweep.Runner.RunBatch. The CLI spelling is
 //
 //	sweep -topo path:128,256 -models nocd,cd \
 //	      -ci 0.01 -ci-measure slots,maxEnergy \
@@ -248,8 +252,9 @@
 // version (telemetry.CodeVersion) into the handshake and mixed
 // versions are refused — byte-identity across machines is only claimed
 // at one code version. Observability is fleet-wide: each worker runs a
-// process-lifetime Recorder and ships its snapshot inside every
-// heartbeat and result frame, and the coordinator folds the snapshots
+// process-lifetime Recorder and, when the coordinator records
+// telemetry (the welcome says so), ships its snapshot inside every
+// heartbeat and result frame; the coordinator folds the snapshots
 // into its own Snapshot (telemetry.WorkerShard) so /status, /metrics
 // (with per-worker lease gauges), the manifest's fleet table — name,
 // resolved address, code version, last snapshot — and the -events log

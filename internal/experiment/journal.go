@@ -125,7 +125,7 @@ func createJournal(path string, h header, rec *telemetry.Recorder) (*journalWrit
 	}
 	frame, err := appendFrame(nil, h)
 	if err == nil {
-		err = writeSync(f, frame)
+		_, err = writeSync(f, frame)
 	}
 	if err != nil {
 		f.Close()
@@ -174,18 +174,19 @@ func appendFrame(dst []byte, v any) ([]byte, error) {
 }
 
 // writeSync writes frames with one Write and makes them durable with
-// one Sync. A frame whose Write has returned survives a crash of the
-// process (SIGKILL included) without the Sync; the Sync is what keeps
-// it through a power loss or a kernel crash, so a record merges only
-// after it.
-func writeSync(f *os.File, frames []byte) error {
+// one Sync, and returns how long the Sync took. A frame whose Write has
+// returned survives a crash of the process (SIGKILL included) without
+// the Sync; the Sync is what keeps it through a power loss or a kernel
+// crash, so a record merges only after it.
+func writeSync(f *os.File, frames []byte) (time.Duration, error) {
 	if _, err := f.Write(frames); err != nil {
-		return fmt.Errorf("experiment: checkpoint: %w", err)
+		return 0, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
+	t0 := time.Now()
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("experiment: checkpoint: %w", err)
+		return 0, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
-	return nil
+	return time.Since(t0), nil
 }
 
 // queue hands one batch record to the writer.
@@ -220,18 +221,7 @@ func (w *journalWriter) run() {
 		w.mu.Unlock()
 		if len(group) > 0 {
 			if err == nil {
-				buf = buf[:0]
-				for _, rec := range group {
-					if buf, err = appendFrame(buf, rec); err != nil {
-						break
-					}
-				}
-			}
-			if err == nil {
-				t0 := time.Now()
-				if err = writeSync(w.f, buf); err == nil {
-					w.rec.JournalFsync(len(group), time.Since(t0))
-				}
+				buf, err = w.write(buf[:0], group)
 			}
 			w.synced <- Group{records: group, err: err}
 		}
@@ -239,6 +229,22 @@ func (w *journalWriter) run() {
 			return
 		}
 	}
+}
+
+// write frames group's records into buf and makes them durable with
+// one Write and one Sync.
+func (w *journalWriter) write(buf []byte, group []*BatchRecord) ([]byte, error) {
+	for _, rec := range group {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return buf, err
+		}
+	}
+	d, err := writeSync(w.f, buf)
+	if err == nil {
+		w.rec.JournalFsync(len(group), d)
+	}
+	return buf, err
 }
 
 // close flushes every queued record, waits for the writer to exit and

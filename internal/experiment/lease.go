@@ -338,8 +338,8 @@ func (lc *LeaseController) Close() error {
 // journal replay. It clears the batch's in-flight mark and reports
 // whether the committed state still wants the record: fresh is false
 // for a duplicate of an admitted or journaling batch or a batch at or
-// past its cell's stop point. A wanted record off the batch grid, or tracking the wrong
-// number of measures, is an ErrBadRecord.
+// past its cell's stop point. A wanted record off the batch grid, or
+// tracking the wrong number of measures, is an ErrBadRecord.
 func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
 	if rec.Cell < 0 || rec.Cell >= len(lc.cells) {
 		return false, fmt.Errorf("experiment: batch record for cell %d of %d", rec.Cell, len(lc.cells))

@@ -122,8 +122,8 @@ var ErrInterrupted = errors.New("experiment: interrupted")
 // ErrBadRecord reports a batch record whose shape does not fit its
 // cell: off the batch grid, or tracking the wrong number of measures.
 // Admit and Submit return it before anything is journaled, with the
-// batch no longer in flight, so a fabric coordinator can drop the worker that
-// sent it and reissue the batch.
+// batch no longer in flight, so a fabric coordinator can drop the
+// worker that sent it and reissue the batch.
 var ErrBadRecord = errors.New("experiment: bad batch record")
 
 // ResumeConfig carries the per-process knobs of a resumed run;

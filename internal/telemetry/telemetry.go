@@ -12,11 +12,12 @@
 //
 // A fabric worker (internal/fabric) runs its own Recorder and, when the
 // coordinator records telemetry, ships its Snapshot inside heartbeat
-// and result frames; the coordinator folds them in via WorkerShard, so its Snapshot — and
-// therefore /status, /metrics, and the manifest — covers the whole
-// fleet. Worker counters are monotonic per worker process, so a
-// re-joining worker's counts resume where they left off; an evicted
-// worker's last snapshot is retained and flagged stale (WorkerGone).
+// and result frames; the coordinator folds them in via WorkerShard, so
+// its Snapshot — and therefore /status, /metrics, and the manifest —
+// covers the whole fleet. Worker counters are monotonic per worker
+// process, so a re-joining worker's counts resume where they left off;
+// an evicted worker's last snapshot is retained and flagged stale
+// (WorkerGone).
 //
 // # Design
 //

@@ -247,7 +247,7 @@ func (lc *LeaseController) Submit(rec *BatchRecord) (fresh bool, err error) {
 		return false, err
 	}
 	if lc.jw == nil {
-		lc.admit(rec)
+		lc.accept(rec)
 		return true, nil
 	}
 	lc.cells[rec.Cell].journaling[rec.Lo/lc.cfg.BatchSize] = true
@@ -281,7 +281,7 @@ func (lc *LeaseController) Commit(g Group) error {
 	}
 	for _, rec := range g.records {
 		if !lc.cells[rec.Cell].stopped {
-			lc.admit(rec)
+			lc.accept(rec)
 		}
 	}
 	return nil
@@ -291,8 +291,8 @@ func (lc *LeaseController) Commit(g Group) error {
 // has not been committed yet — outstanding work, like a leased batch.
 func (lc *LeaseController) Journaling() int { return lc.journaling }
 
-// admit merges a checked record and reports progress.
-func (lc *LeaseController) admit(rec *BatchRecord) {
+// accept merges a checked record and reports progress.
+func (lc *LeaseController) accept(rec *BatchRecord) {
 	lc.merge(rec)
 	if lc.cfg.Progress != nil {
 		lc.cfg.Progress(lc.Progress())

@@ -396,7 +396,7 @@ func (lc *LeaseController) Report() *Report {
 		}
 		for j, m := range lc.tracked[i] {
 			mm := cs.moments[j]
-			rel := mm.RelCIHalfWidth(lc.cfg.Confidence)
+			ci, rel := mm.Interval(lc.crit(mm.N))
 			if rel != rel || rel > 1e300 { // NaN-free JSON: +Inf -> -1 sentinel
 				rel = -1
 			}
@@ -407,7 +407,7 @@ func (lc *LeaseController) Report() *Report {
 				StdDev: mm.StdDev(),
 				Min:    mm.Min,
 				Max:    mm.Max,
-				CI:     mm.CIHalfWidth(lc.cfg.Confidence),
+				CI:     ci,
 				RelCI:  rel,
 			})
 		}

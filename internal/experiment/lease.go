@@ -36,7 +36,12 @@ type Lease struct {
 // single goroutine (the coordinator's event loop): the controller has
 // no internal locking. With a checkpoint it also owns the journal's
 // writer goroutine, which group-commits submitted records while the
-// coordinator keeps issuing leases; Close stops it.
+// coordinator keeps issuing leases; Close stops it. The stop rule runs
+// on that goroutine once per merged batch, so it keeps the Student-t
+// critical values it computes (one per observation count, shared by
+// every cell, trace point and the report) and, untraced, computes one
+// only when a cheap lower bound cannot tell that a measure is still
+// off target.
 type LeaseController struct {
 	cfg    Config
 	runner *sweep.Runner
@@ -54,6 +59,9 @@ type LeaseController struct {
 	// relCI is merge's scratch: the committed prefix's relative CI
 	// half-width per targeted measure (ciIdx order).
 	relCI []float64
+	// crits memoizes the Student-t critical value by observation count
+	// (see crit).
+	crits map[int64]float64
 }
 
 // NewLeaseController builds a lease controller for a fresh run: the
@@ -363,7 +371,10 @@ func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
 // merge stores a checked, fresh batch and advances its cell's committed
 // prefix as far as it now reaches, evaluating the stop rule once per
 // merged batch — the deterministic heart of the controller. Batches
-// completed past a stop point are discarded.
+// completed past a stop point are discarded. Untraced, the stop rule
+// asks onTarget, which settles most merges without a Student-t
+// quantile; traced, every trace point carries each targeted measure's
+// exact relative half-width, from the memoized critical values.
 func (lc *LeaseController) merge(rec *BatchRecord) {
 	cell := rec.Cell
 	cs := lc.cells[cell]
@@ -394,16 +405,21 @@ func (lc *LeaseController) merge(rec *BatchRecord) {
 		// the stop rule reads them, up to the first measure off target.
 		// Pure prefix state — identical for any worker count.
 		converged := lc.cfg.TargetRelCI > 0 && cs.trials >= lc.cfg.MinTrials
-		traced := lc.rec.Enabled()
 		lc.relCI = lc.relCI[:0]
-		for _, idx := range lc.ciIdx[cell] {
-			if !converged && !traced {
-				break
+		if lc.rec.Enabled() {
+			for _, idx := range lc.ciIdx[cell] {
+				m := &cs.moments[idx]
+				_, rel := m.Interval(lc.crit(m.N))
+				lc.relCI = append(lc.relCI, rel)
+				converged = converged && m.N >= 2 && !(rel > lc.cfg.TargetRelCI)
 			}
-			m := &cs.moments[idx]
-			rel := m.RelCIHalfWidth(lc.cfg.Confidence)
-			lc.relCI = append(lc.relCI, rel)
-			converged = converged && m.N >= 2 && !(rel > lc.cfg.TargetRelCI)
+		} else {
+			for _, idx := range lc.ciIdx[cell] {
+				if !converged {
+					break
+				}
+				converged = lc.onTarget(&cs.moments[idx])
+			}
 		}
 		lc.rec.Trace(cell, cs.prefix-1, cs.trials, lc.relCI)
 		if converged {
@@ -423,6 +439,37 @@ func (lc *LeaseController) merge(rec *BatchRecord) {
 	}
 }
 
+// onTarget is the untraced stop rule for one targeted measure: whether
+// its relative CI half-width is within the target. The half-width from
+// stats.TQuantileFloor is a lower bound on the exact one (Interval is
+// monotone in the critical value), so a bound past the target settles
+// "off target" — the common case while a cell converges — and only
+// otherwise is the exact critical value needed. The decision is the
+// exact rule's by construction.
+func (lc *LeaseController) onTarget(m *stats.Moments) bool {
+	if m.N < 2 {
+		return false
+	}
+	if _, low := m.Interval(stats.TQuantileFloor(m.N-1, lc.cfg.Confidence)); low > lc.cfg.TargetRelCI {
+		return false
+	}
+	_, rel := m.Interval(lc.crit(m.N))
+	return !(rel > lc.cfg.TargetRelCI)
+}
+
+// crit returns the Student-t critical value for a CI over n
+// observations, stats.TQuantile at n-1 degrees of freedom and the run's
+// confidence, computing each once: cells and trace points that reach
+// the same count share it.
+func (lc *LeaseController) crit(n int64) float64 {
+	t, ok := lc.crits[n]
+	if !ok {
+		t = stats.TQuantile(n-1, lc.cfg.Confidence)
+		lc.crits[n] = t
+	}
+	return t
+}
+
 // newLeaseController resolves the spec and validates the CI measures
 // against every cell's eligibility metadata.
 func newLeaseController(cfg Config) (*LeaseController, error) {
@@ -438,6 +485,7 @@ func newLeaseController(cfg Config) (*LeaseController, error) {
 		ciIdx:   make([][]int, len(cells)),
 		cells:   make([]*cellState, len(cells)),
 		rec:     cfg.Telemetry,
+		crits:   map[int64]float64{},
 	}
 	lc.rec.StartCells(runner.CellLabels())
 	lc.rec.TraceMeasures(cfg.Measures)

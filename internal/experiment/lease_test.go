@@ -3,10 +3,13 @@ package experiment
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -304,5 +307,124 @@ func TestJournalWriteErrorEndsRun(t *testing.T) {
 	}
 	if p := lc.Progress(); p.CommittedTrials != 0 {
 		t.Fatalf("committed %d trials after a journal write failure", p.CommittedTrials)
+	}
+}
+
+// The untraced stop rule tests a lower bound before the exact critical
+// value; its decision must be the exact rule's — a measure is on target
+// iff it has two observations and its relative half-width is not above
+// the target — on random moment states, at targets placed around the
+// bound and the exact width, and on the edge cases: no, one and two
+// observations, zero spread, zero and negative means, and counts past
+// the bound's range. Memoized critical values equal TQuantile's bit for
+// bit.
+func TestStopRuleMatchesExact(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var states []stats.Moments
+	for range 300 {
+		var m stats.Moments
+		scale := math.Pow(10, float64(r.Intn(9)-4))
+		shift := (r.Float64() - 0.3) * 10 * scale
+		for range 2 + r.Intn(60) {
+			m.Add(shift + r.NormFloat64()*scale)
+		}
+		states = append(states, m)
+	}
+	var one, two, flat, zeroMean stats.Moments
+	one.Add(4)
+	two.Add(4)
+	two.Add(5)
+	for range 10 {
+		flat.Add(7)
+	}
+	zeroMean.Add(-2)
+	zeroMean.Add(2)
+	states = append(states, stats.Moments{}, one, two, flat, zeroMean,
+		stats.Moments{N: 3, Mean: -5, M2: 0.5, Min: -5.5, Max: -4.5},
+		stats.Moments{N: 40, Mean: 100, M2: 0, Min: 100, Max: 100},
+		stats.Moments{N: 1_000_000, Mean: 12, M2: 3e6, Min: 0, Max: 30},
+		stats.Moments{N: 1<<24 + 1, Mean: -12, M2: 5e7, Min: -40, Max: 0},
+		stats.Moments{N: 1 << 24, Mean: 12, M2: 5e7, Min: 0, Max: 40},
+		stats.Moments{N: 1 << 40, Mean: 12, M2: 3e12, Min: 0, Max: 30})
+
+	for _, conf := range []float64{0.5, 0.9, 0.95, 0.99, 0.999, 0.3, 0.99995} {
+		cfg := testConfig()
+		cfg.Confidence = conf
+		lc, err := NewLeaseController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range states {
+			m := &states[i]
+			exact := stats.TQuantile(m.N-1, conf)
+			if got := lc.crit(m.N); math.Float64bits(got) != math.Float64bits(exact) {
+				t.Fatalf("conf %v N %d: memoized critical value %v, TQuantile %v", conf, m.N, got, exact)
+			}
+			if got := lc.crit(m.N); math.Float64bits(got) != math.Float64bits(exact) {
+				t.Fatalf("conf %v N %d: memo hit returned %v, TQuantile %v", conf, m.N, got, exact)
+			}
+			_, rel := m.Interval(exact)
+			_, low := m.Interval(stats.TQuantileFloor(m.N-1, conf))
+			targets := []float64{rel, low, (rel + low) / 2, math.Nextafter(rel, 0),
+				math.Nextafter(rel, math.Inf(1)), math.Nextafter(low, 0), rel * 2, rel / 2, 1e-300, 1e300}
+			for _, target := range targets {
+				if !(target > 0) || math.IsInf(target, 0) {
+					continue
+				}
+				lc.cfg.TargetRelCI = target
+				want := m.N >= 2 && !(rel > target)
+				if got := lc.onTarget(m); got != want {
+					t.Errorf("conf %v target %v %+v: onTarget %v, exact rule %v (rel %v, bound %v)",
+						conf, target, *m, got, want, rel, low)
+				}
+			}
+		}
+	}
+}
+
+// An untraced run of the adaptive-ckpt benchmark spec decides almost
+// every merged batch from the bound alone: it computes a Student-t
+// critical value a few times per cell, not once per merged batch.
+func TestUntracedStopRuleRarelyExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ~30k trials")
+	}
+	cfg := Config{
+		Spec: sweep.Spec{
+			Topologies: []sweep.Topology{
+				{Kind: "clique", N: 8}, {Kind: "clique", N: 12},
+				{Kind: "path", N: 16}, {Kind: "path", N: 24},
+			},
+			Models:     []radio.Model{radio.NoCD},
+			Algorithms: []core.Algorithm{core.AlgoBaselineDecay},
+			MasterSeed: 1,
+		},
+		BatchSize:   20,
+		MinTrials:   40,
+		MaxTrials:   200000,
+		TargetRelCI: 0.001,
+		Measures:    []string{"maxEnergy"},
+		Workers:     2,
+	}
+	lc, err := NewLeaseController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := 0
+	lc.cfg.Progress = func(Progress) { merged++ }
+	rep, err := runLocal(lc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rep.Cells {
+		if c.Stop != "ci" {
+			t.Fatalf("cell %s stopped on %q, want ci", c.Graph, c.Stop)
+		}
+	}
+	cells := len(rep.Cells)
+	t.Logf("%d merged batches, %d critical values computed over %d cells", merged, len(lc.crits), cells)
+	if len(lc.crits) > 3*cells {
+		t.Errorf("computed %d critical values for %d merged batches over %d cells, want at most %d",
+			len(lc.crits), merged, cells, 3*cells)
 	}
 }

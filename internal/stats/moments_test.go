@@ -169,7 +169,8 @@ func TestCIHalfWidthShrinks(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.Add(float64(i % 10))
 		}
-		widths = append(widths, m.CIHalfWidth(0.95))
+		hw, _ := m.Interval(TQuantile(m.N-1, 0.95))
+		widths = append(widths, hw)
 	}
 	if !(widths[0] > widths[1] && widths[1] > widths[2]) {
 		t.Fatalf("CI half-widths not shrinking: %v", widths)
@@ -185,14 +186,76 @@ func TestRelCIHalfWidth(t *testing.T) {
 	m.Add(5)
 	m.Add(5)
 	m.Add(5)
-	if rel := m.RelCIHalfWidth(0.95); rel != 0 {
-		t.Errorf("constant stream relCI = %v, want 0", rel)
+	if hw, rel := m.Interval(TQuantile(m.N-1, 0.95)); hw != 0 || rel != 0 {
+		t.Errorf("constant stream CI = %v, relCI = %v, want 0, 0", hw, rel)
 	}
 	var z Moments
 	z.Add(-1)
 	z.Add(1)
-	if rel := z.RelCIHalfWidth(0.95); !math.IsInf(rel, 1) {
+	if _, rel := z.Interval(TQuantile(z.N-1, 0.95)); !math.IsInf(rel, 1) {
 		t.Errorf("zero-mean spread relCI = %v, want +Inf", rel)
+	}
+	var one Moments
+	one.Add(3)
+	if hw, rel := one.Interval(TQuantile(one.N-1, 0.95)); hw != 0 || rel != 0 {
+		t.Errorf("one observation: CI = %v, relCI = %v, want 0, 0", hw, rel)
+	}
+}
+
+// TQuantileFloor lies below TQuantile as computed wherever it is not the
+// trivial 0: df sampled over 1..10^6 and up to floorMaxDF, at the usual
+// confidences and the ends of its range. Past floorMaxDF, where
+// TQuantile loses digits, and outside the confidence range it is 0.
+func TestTQuantileFloorBelowTQuantile(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	dfs := []int64{1, 2, 3, 10, 39, 40, 99, 1000, 400_000, 1_000_000, floorMaxDF}
+	for range 200 {
+		dfs = append(dfs, 1+r.Int63n(1_000_000))
+	}
+	for range 10 {
+		dfs = append(dfs, 1_000_000+r.Int63n(floorMaxDF-1_000_000))
+	}
+	confs := []float64{0.5, 0.9, 0.95, 0.99, 0.999, 0.9999}
+	for _, conf := range confs {
+		if TQuantileFloor(1, conf) <= 0 {
+			t.Fatalf("TQuantileFloor(1, %v) = %v, want a positive bound", conf, TQuantileFloor(1, conf))
+		}
+		for _, df := range dfs {
+			if lo, q := TQuantileFloor(df, conf), TQuantile(df, conf); !(lo < q) {
+				t.Errorf("TQuantileFloor(%d, %v) = %v, not below TQuantile = %v", df, conf, lo, q)
+			}
+		}
+	}
+	for _, df := range []int64{floorMaxDF + 1, 742_816_916_908_308, math.MaxInt64} {
+		if lo := TQuantileFloor(df, 0.95); lo != 0 {
+			t.Errorf("TQuantileFloor(%d, 0.95) = %v past floorMaxDF, want 0", df, lo)
+		}
+		if q := TQuantile(df, 0.95); !(q > 0) {
+			t.Errorf("TQuantile(%d, 0.95) = %v, want positive", df, q)
+		}
+	}
+	for _, conf := range []float64{1e-4, 0.4999, 0.99991, 1 - 1e-12} {
+		if lo := TQuantileFloor(10, conf); lo != 0 {
+			t.Errorf("TQuantileFloor(10, %v) = %v outside the checked range, want 0", conf, lo)
+		}
+	}
+}
+
+// Interval is monotone in its critical value: the relative width from a
+// smaller critical value is never larger, which is what makes the
+// bound-first stop rule's "off target" exact.
+func TestIntervalMonotoneInCrit(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 2000; trial++ {
+		m := randMoments(r, 1+r.Intn(50))
+		lo := r.Float64() * 3
+		hi := lo * (1 + r.Float64()*1e-5)
+		hwLo, relLo := m.Interval(lo)
+		hwHi, relHi := m.Interval(hi)
+		if hwLo > hwHi || relLo > relHi {
+			t.Fatalf("Interval(%v) = (%v, %v) exceeds Interval(%v) = (%v, %v) for %+v",
+				lo, hwLo, relLo, hi, hwHi, relHi, m)
+		}
 	}
 }
 

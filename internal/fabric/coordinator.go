@@ -51,6 +51,18 @@ type CoordinatorConfig struct {
 	Log *log.Logger
 }
 
+// queuedLeases is how many fresh leases a worker holds beyond its
+// capacity: one waits in the worker's lease buffer while its executors
+// run, so an executor that finishes a batch starts the next at once
+// instead of after a result-to-lease round trip.
+const queuedLeases = 1
+
+// maxCapacity caps the capacity a hello may claim. The capacity is
+// worker-supplied and sizes the worker's outbound queue, so an
+// unclamped one would let a single hello make the coordinator allocate
+// without bound.
+const maxCapacity = 1024
+
 // workerState is the coordinator's view of one connected worker. Owned
 // by the event loop.
 type workerState struct {
@@ -62,6 +74,9 @@ type workerState struct {
 	// held maps each outstanding lease to its issue time.
 	held map[experiment.Lease]time.Time
 	// out feeds the connection's writer goroutine; closing it hangs up.
+	// It holds everything the coordinator can owe the worker at once —
+	// the welcome, capacity+queuedLeases leases and the done frame — so
+	// send never drops a frame.
 	out chan *msg
 	// flushed is closed by the writer goroutine once out is drained, so
 	// the coordinator can wait for the final done frame to reach the
@@ -316,14 +331,16 @@ func (co *Coordinator) run() {
 		return s
 	}
 
-	// topUp fills one worker to capacity: fresh leases first, then — in
-	// the endgame, when nothing fresh is issuable but the run isn't done
-	// — a duplicate of the oldest sufficiently old lease held elsewhere
-	// (work stealing). Admission deduplicates, so the duplicate is pure
-	// insurance against the holder being slow or dead.
+	// topUp fills one worker with fresh leases to its capacity plus
+	// queuedLeases, then — in the endgame, when nothing fresh is
+	// issuable but the run isn't done — up to its capacity with
+	// duplicates of the oldest sufficiently old leases held elsewhere
+	// (work stealing), so a stolen duplicate never waits in the queued
+	// slot. Admission deduplicates, so the duplicate is pure insurance
+	// against the holder being slow or dead.
 	topUp := func(w *workerState) {
 		now := time.Now()
-		for len(w.held) < w.capacity {
+		for len(w.held) < w.capacity+queuedLeases {
 			l, ok := lc.Next()
 			if !ok {
 				break
@@ -430,9 +447,10 @@ func (co *Coordinator) run() {
 					co.logf("fabric: rejected worker %s: version %q (want %q)", h.Name, h.Version, version)
 					continue
 				}
+				capacity := min(max(1, h.Capacity), maxCapacity)
 				w := &workerState{id: nextID, name: h.Name, addr: ev.conn.RemoteAddr().String(),
-					capacity: max(1, h.Capacity), lastSeen: time.Now(),
-					held: map[experiment.Lease]time.Time{}, out: make(chan *msg, 64),
+					capacity: capacity, lastSeen: time.Now(),
+					held: map[experiment.Lease]time.Time{}, out: make(chan *msg, capacity+queuedLeases+2),
 					flushed: make(chan struct{}), conn: ev.conn}
 				nextID++
 				workers[w.id] = w
@@ -525,9 +543,13 @@ func admitResult(lc *experiment.LeaseController, rec *telemetry.Recorder, held m
 	return "", err
 }
 
-// send enqueues without blocking the event loop; a worker whose writer
-// is so far behind that 64 frames queue up is beyond saving, and
-// dropping the frame lets the heartbeat timeout collect it.
+// send enqueues without blocking the event loop. The queue is sized
+// for everything the coordinator can owe a worker (see workerState.out)
+// and a lease leaves held only once its result shows the worker read
+// it, so an honest worker's queue never fills. The default case guards
+// the event loop against a worker that answers leases it has not read:
+// its dropped frame stays held, and the endgame steals it for another
+// worker.
 func (w *workerState) send(m *msg) {
 	select {
 	case w.out <- m:

@@ -661,3 +661,200 @@ func TestFabricCoordinatorRestartResumes(t *testing.T) {
 		t.Error("resumed fabric report differs from uninterrupted single-machine run")
 	}
 }
+
+// handRolledWorker says hello with the given capacity, reads the
+// welcome and returns the connection. It runs nothing on its own.
+func handRolledWorker(t *testing.T, addr, name string, capacity int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = writeMsg(conn, &msg{Type: msgHello, Hello: &helloMsg{
+		Name: name, Version: telemetry.CodeVersion(), Capacity: capacity}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := readMsg(conn); err != nil || m.Type != msgWelcome {
+		t.Fatalf("handshake: %v %v", m, err)
+	}
+	return conn
+}
+
+// readLeases collects the lease frames conn receives until none arrives
+// for quiet.
+func readLeases(t *testing.T, conn net.Conn, quiet time.Duration) []experiment.Lease {
+	t.Helper()
+	var leases []experiment.Lease
+	for {
+		conn.SetReadDeadline(time.Now().Add(quiet))
+		m, err := readMsg(conn)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return leases
+		}
+		if err != nil {
+			t.Fatalf("after %d leases: %v", len(leases), err)
+		}
+		if m.Type != msgLease {
+			t.Fatalf("after %d leases: got a %q frame", len(leases), m.Type)
+		}
+		leases = append(leases, *m.Lease)
+	}
+}
+
+// waitWorkers polls the fabric status until n workers are connected.
+func waitWorkers(t *testing.T, co *Coordinator, n int) {
+	t.Helper()
+	for i := 0; len(co.Status().Workers) != n; i++ {
+		if i == 200 {
+			t.Fatalf("%d workers connected after 5s, want %d", len(co.Status().Workers), n)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// finishWithWorker runs co to completion with one real worker and
+// checks the report against want.
+func finishWithWorker(t *testing.T, co *Coordinator, want []byte) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(WorkerConfig{
+			Addr: co.Addr(), Name: "healthy", Capacity: 2, Patience: 10 * time.Second})
+	}()
+	rep, err := co.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if werr := <-done; werr != nil {
+		t.Fatalf("healthy worker: %v", werr)
+	}
+	if got := reportJSON(t, rep); !bytes.Equal(want, got) {
+		t.Error("report differs from single-machine run")
+	}
+}
+
+// A worker is granted one fresh lease beyond its capacity, so it holds
+// its next batch while it runs one: a capacity-1 worker gets two leases
+// before it returns anything, and no third. Evicting it releases both,
+// so the next worker is granted the same two batches.
+func TestFabricQueuesOneLeasePerWorker(t *testing.T) {
+	cfg := fixedConfig()
+	ref, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := experiment.NewLeaseController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := StartCoordinator(CoordinatorConfig{
+		Controller: lc, ListenAddr: "127.0.0.1:0", LeaseTimeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	first := handRolledWorker(t, co.Addr(), "queued", 1)
+	granted := readLeases(t, first, 300*time.Millisecond)
+	if len(granted) != 1+queuedLeases {
+		t.Fatalf("capacity-1 worker granted %d leases, want %d: %v", len(granted), 1+queuedLeases, granted)
+	}
+	first.Close()
+	waitWorkers(t, co, 0)
+
+	second := handRolledWorker(t, co.Addr(), "heir", 1)
+	regranted := readLeases(t, second, 300*time.Millisecond)
+	second.Close()
+	want := map[experiment.Lease]bool{}
+	for _, l := range granted {
+		want[l] = true
+	}
+	for _, l := range regranted {
+		delete(want, l)
+	}
+	if len(regranted) != len(granted) || len(want) != 0 {
+		t.Errorf("evicted worker's leases %v not reissued: next worker got %v", granted, regranted)
+	}
+	waitWorkers(t, co, 0)
+	finishWithWorker(t, co, reportJSON(t, ref))
+}
+
+// One real worker with a capacity past the old 64-frame outbound queue
+// finishes the run: its queue holds the welcome and every lease it is
+// owed, so no lease frame is dropped while it stays held. Bounded by a
+// deadline, so a hang fails the test instead of stalling it.
+func TestFabricWideWorkerFinishes(t *testing.T) {
+	cfg := adaptiveConfig()
+	ref, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := experiment.NewLeaseController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := StartCoordinator(CoordinatorConfig{
+		Controller: lc, ListenAddr: "127.0.0.1:0", LeaseTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wdone := make(chan error, 1)
+	go func() {
+		wdone <- RunWorker(WorkerConfig{
+			Addr: co.Addr(), Name: "wide", Capacity: 100, Patience: 10 * time.Second})
+	}()
+	type outcome struct {
+		rep *experiment.Report
+		err error
+	}
+	ended := make(chan outcome, 1)
+	go func() {
+		rep, err := co.Wait()
+		ended <- outcome{rep, err}
+	}()
+	select {
+	case o := <-ended:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if got := reportJSON(t, o.rep); !bytes.Equal(reportJSON(t, ref), got) {
+			t.Error("capacity-100 worker's report differs from single-machine run")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("run with one capacity-100 worker did not finish within 60s")
+	}
+	if err := <-wdone; err != nil {
+		t.Fatalf("wide worker: %v", err)
+	}
+}
+
+// A hello's capacity is clamped to maxCapacity: a worker claiming 2^40
+// is served without the coordinator sizing anything by the claim, and
+// is granted at most maxCapacity+queuedLeases leases.
+func TestFabricClampsClaimedCapacity(t *testing.T) {
+	cfg := slowConfig() // 3,000 batches: more than the clamp grants
+	ref, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := experiment.NewLeaseController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := StartCoordinator(CoordinatorConfig{
+		Controller: lc, ListenAddr: "127.0.0.1:0", LeaseTimeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy := handRolledWorker(t, co.Addr(), "greedy", 1<<40)
+	granted := readLeases(t, greedy, 500*time.Millisecond)
+	if len(granted) != maxCapacity+queuedLeases {
+		t.Errorf("worker claiming capacity 2^40 granted %d leases, want %d", len(granted), maxCapacity+queuedLeases)
+	}
+	if ws := co.Status().Workers; len(ws) != 1 || ws[0].Capacity != maxCapacity {
+		t.Errorf("status shows %+v, want one worker of capacity %d", ws, maxCapacity)
+	}
+	greedy.Close()
+	waitWorkers(t, co, 0)
+	finishWithWorker(t, co, reportJSON(t, ref))
+}

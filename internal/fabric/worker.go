@@ -30,7 +30,9 @@ type WorkerConfig struct {
 	// (default host:pid).
 	Name string
 	// Capacity is how many leases run concurrently (default
-	// GOMAXPROCS).
+	// GOMAXPROCS). The coordinator clamps it to 1024 and grants one
+	// lease more than it, which waits in the worker's lease buffer
+	// (Capacity deep) until an executor frees up.
 	Capacity int
 	// Patience bounds how long the worker keeps redialing an
 	// unreachable coordinator before giving up (default 60s). The

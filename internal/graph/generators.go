@@ -10,7 +10,8 @@ import (
 
 // Path returns the path graph v0 - v1 - ... - v(n-1).
 func Path(n int) *Graph {
-	g := New(n)
+	// One neighbor on each side that has one.
+	g := sized(n, func(v int) int { return min(v, 1) + min(n-1-v, 1) })
 	for i := 0; i+1 < n; i++ {
 		g.mustAddEdge(i, i+1)
 	}
@@ -31,7 +32,7 @@ func Cycle(n int) *Graph {
 // Clique returns the complete graph K_n, the single-hop network used for
 // leader-election substrates.
 func Clique(n int) *Graph {
-	g := New(n)
+	g := sized(n, func(int) int { return n - 1 })
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			g.mustAddEdge(i, j)
@@ -43,7 +44,12 @@ func Clique(n int) *Graph {
 
 // Star returns the star K_{1,n-1} with center 0.
 func Star(n int) *Graph {
-	g := New(n)
+	g := sized(n, func(v int) int {
+		if v == 0 {
+			return n - 1
+		}
+		return 1
+	})
 	for i := 1; i < n; i++ {
 		g.mustAddEdge(0, i)
 	}
@@ -56,7 +62,12 @@ func Star(n int) *Graph {
 // vertices 2..k+1 are the middle layer {v_1..v_k} adjacent to both.
 // s and t are NOT adjacent.
 func K2k(k int) *Graph {
-	g := New(k + 2)
+	g := sized(k+2, func(v int) int {
+		if v < 2 {
+			return k
+		}
+		return 2
+	})
 	for i := 0; i < k; i++ {
 		g.mustAddEdge(0, 2+i)
 		g.mustAddEdge(1, 2+i)
@@ -67,7 +78,10 @@ func K2k(k int) *Graph {
 
 // Grid returns the rows x cols grid graph (diameter rows+cols-2, Delta=4).
 func Grid(rows, cols int) *Graph {
-	g := New(rows * cols)
+	g := sized(rows*cols, func(v int) int {
+		r, c := v/cols, v%cols // one neighbor on each side that has one
+		return min(r, 1) + min(rows-1-r, 1) + min(c, 1) + min(cols-1-c, 1)
+	})
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -87,7 +101,7 @@ func Grid(rows, cols int) *Graph {
 // diameter d).
 func Hypercube(d int) *Graph {
 	n := 1 << uint(d)
-	g := New(n)
+	g := sized(n, func(int) int { return d })
 	for v := 0; v < n; v++ {
 		for b := 0; b < d; b++ {
 			w := v ^ (1 << uint(b))
@@ -250,7 +264,12 @@ func RandomBoundedDegree(n, maxDeg int, seed uint64) *Graph {
 // (synchronization along the spine, contention at the legs).
 func Caterpillar(spine, legs int) *Graph {
 	n := spine * (1 + legs)
-	g := New(n)
+	g := sized(n, func(v int) int {
+		if v < spine {
+			return legs + min(v, 1) + min(spine-1-v, 1)
+		}
+		return 1
+	})
 	for i := 0; i+1 < spine; i++ {
 		g.mustAddEdge(i, i+1)
 	}
@@ -269,7 +288,17 @@ func Caterpillar(spine, legs int) *Graph {
 // the classic topology mixing a dense contention region with a long
 // synchronization region.
 func Lollipop(k, tail int) *Graph {
-	g := New(k + tail)
+	g := sized(k+tail, func(v int) int {
+		switch {
+		case v == 0 && tail > 0:
+			return k // the clique and the tail's first vertex
+		case v < k:
+			return k - 1
+		case v < k+tail-1:
+			return 2
+		}
+		return 1
+	})
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			g.mustAddEdge(i, j)

@@ -45,6 +45,26 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]int, n)}
 }
 
+// sized returns a graph with n isolated vertices whose adjacency lists
+// are carved from one backing array, list v with room for deg(v)
+// neighbors, so a generator that knows its degrees adds every edge
+// through AddEdge without growing a list. Each list is capped (a full
+// slice expression): an AddEdge past deg(v) reallocates list v instead
+// of writing into list v+1.
+func sized(n int, deg func(v int) int) *Graph {
+	g := New(n)
+	total := 0
+	for v := range g.adj {
+		total += deg(v)
+	}
+	back := make([]int, total)
+	for v := range g.adj {
+		d := deg(v)
+		g.adj[v], back = back[:0:d], back[d:]
+	}
+	return g
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.adj) }
 

@@ -176,6 +176,39 @@ func TestGeneratorsValidateAndConnect(t *testing.T) {
 	}
 }
 
+// The fixed families are built at their final degree: every list is
+// carved at exactly its degree from one backing array, so none grew, and
+// a later AddEdge (a cycle's closing edge, RandomBoundedDegree's chords
+// on a path) reallocates the list it overflows instead of overwriting
+// its neighbor's.
+func TestFixedFamiliesSizedExactly(t *testing.T) {
+	gs := []*Graph{
+		Path(0), Path(1), Path(2), Path(17), Clique(1), Clique(2), Clique(9),
+		Star(1), Star(2), Star(11), K2k(1), K2k(4), Grid(1, 1), Grid(1, 5),
+		Grid(3, 7), Hypercube(0), Hypercube(5), Caterpillar(1, 0),
+		Caterpillar(1, 3), Caterpillar(8, 3), Lollipop(1, 0), Lollipop(2, 1),
+		Lollipop(6, 0), Lollipop(6, 10),
+	}
+	for _, g := range gs {
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", g.Name(), err)
+		}
+		for v, nb := range g.adj {
+			if cap(nb) != len(nb) {
+				t.Errorf("%s: vertex %d has %d neighbors in a list sized for %d", g.Name(), v, len(nb), cap(nb))
+			}
+		}
+	}
+	for _, g := range []*Graph{Cycle(3), Cycle(12), RandomBoundedDegree(50, 4, 3)} {
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", g.Name(), err)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { Star(1024) }); a > 6 {
+		t.Errorf("Star(1024) makes %v allocations, want at most 6 (one per list would be ~1,000)", a)
+	}
+}
+
 func TestRandomBoundedDegreeRespectsBound(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		g := RandomBoundedDegree(64, 4, seed)

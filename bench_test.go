@@ -477,6 +477,48 @@ func BenchmarkSweepTelemetry(b *testing.B) {
 	b.Run("on", func(b *testing.B) { run(b, telemetry.New()) })
 }
 
+// BenchmarkSweepSetup times sweep.NewRunner, the set-up every sweep,
+// sweepd and fabric worker process does before its first trial, on the
+// adaptive benchmark spec (four small clique and path cells) and on
+// star-1024. The fixed graph families are built at their final degree,
+// one backing array for every adjacency list, so allocs/op does not
+// grow with the number of vertices: one allocation per list read ~1,000
+// more on star:1024.
+func BenchmarkSweepSetup(b *testing.B) {
+	parse := func(b *testing.B, spec sweep.Spec, topos ...string) sweep.Spec {
+		for _, t := range topos {
+			ts, err := sweep.ParseTopology(t)
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec.Topologies = append(spec.Topologies, ts...)
+		}
+		return spec
+	}
+	for _, bc := range []struct {
+		name  string
+		spec  sweep.Spec
+		topos []string
+	}{
+		{"adaptive", sweep.Spec{Models: []radio.Model{radio.NoCD},
+			Algorithms: []core.Algorithm{core.AlgoBaselineDecay}, Trials: 100, MasterSeed: 1},
+			[]string{"clique:8,12", "path:16,24"}},
+		{"star1024", sweep.Spec{Models: []radio.Model{radio.CD},
+			Algorithms: []core.Algorithm{core.AlgoDiamTime}, Lean: true, Trials: 160, MasterSeed: 1},
+			[]string{"star:1024"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			spec := parse(b, bc.spec, bc.topos...)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sweep.NewRunner(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // throughputProc is the substrate-bench device: 100 contended slots.
 type throughputProc struct {
 	s uint64

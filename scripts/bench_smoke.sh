@@ -22,6 +22,10 @@
 # only the steps and phases they act in: detcast's tree passes, cluster
 # rounds, merge iterations and CD ruling-set combines, cdmerge's tree
 # passes and coloring's Section 3 setup.
+# SweepSetup times sweep.NewRunner, the set-up every sweep, sweepd and
+# fabric worker process runs, on the adaptive benchmark spec and on
+# star-1024: its allocs/op shows whether the graph generators still
+# build each adjacency list at its final degree.
 set -euo pipefail
 out="${1:-bench-smoke.json}"
 # The default baseline is the highest-numbered BENCH_prN.json at the
@@ -29,7 +33,7 @@ out="${1:-bench-smoke.json}"
 baseline="${2:-$(ls BENCH_pr*.json 2>/dev/null | sort -V | tail -n 1)}"
 
 go test -run '^$' \
-  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$|BenchmarkNoCDIterClust$|BenchmarkDetLocal$|BenchmarkDetCD$|BenchmarkNoCDBoundedDegree$|BenchmarkCDMerge$' \
+  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$|BenchmarkNoCDIterClust$|BenchmarkDetLocal$|BenchmarkDetCD$|BenchmarkNoCDBoundedDegree$|BenchmarkCDMerge$|BenchmarkSweepSetup$' \
   -benchmem -benchtime=100x . |
   awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     /^Benchmark/ {

@@ -153,7 +153,15 @@
 // of trials release their workers to the long-path cells that need tens
 // of thousands. Stop decisions are evaluated only on batch-ordered
 // prefix merges, so each cell's committed trial count — and the report's
-// serialized bytes — are identical for any worker count. With a
+// serialized bytes — are identical for any worker count. The rule runs
+// on the coordinator once per merged batch, so it first tests a cheap
+// lower bound on each measure's relative half-width
+// (stats.TQuantileFloor, the normal critical value shaded down) and
+// computes the Student-t critical value, memoized per degree of
+// freedom, only when the bound cannot tell that the measure is off
+// target: the decision is the exact rule's, and an untraced run of the
+// benchmark's adaptive spec computes 5 critical values for 1,582
+// merged batches. With a
 // checkpoint configured, every completed batch is appended to a
 // CRC-framed journal and merged only after its fsync has returned: one
 // writer goroutine group-commits the records queued since its last
@@ -268,7 +276,12 @@
 // scrape, event-log and fleet-table validation, report byte-compared
 // against the single-machine reference. sweepd takes its matrix and
 // output flags, and its run session, from the same internal/cli code as
-// sweep, so the same flags give the same report.
+// sweep, so the same flags give the same report. Each worker holds one
+// fresh lease beyond its capacity, queued in its lease buffer, so an
+// executor that finishes a batch starts the next without waiting for a
+// result-to-lease round trip; the coordinator clamps a hello's capacity
+// to 1,024 and sizes each worker's outbound queue for everything it can
+// owe that worker, so no frame is ever dropped.
 //
 // # Workloads
 //

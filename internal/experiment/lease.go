@@ -37,11 +37,8 @@ type Lease struct {
 // no internal locking. With a checkpoint it also owns the journal's
 // writer goroutine, which group-commits submitted records while the
 // coordinator keeps issuing leases; Close stops it. The stop rule runs
-// on that goroutine once per merged batch, so it keeps the Student-t
-// critical values it computes (one per observation count, shared by
-// every cell, trace point and the report) and, untraced, computes one
-// only when a cheap lower bound cannot tell that a measure is still
-// off target.
+// on that goroutine once per merged batch, so it avoids Student-t
+// quantiles where it can (see merge).
 type LeaseController struct {
 	cfg    Config
 	runner *sweep.Runner
@@ -372,9 +369,9 @@ func (lc *LeaseController) check(rec *BatchRecord) (fresh bool, err error) {
 // prefix as far as it now reaches, evaluating the stop rule once per
 // merged batch — the deterministic heart of the controller. Batches
 // completed past a stop point are discarded. Untraced, the stop rule
-// asks onTarget, which settles most merges without a Student-t
-// quantile; traced, every trace point carries each targeted measure's
-// exact relative half-width, from the memoized critical values.
+// is onTarget, which settles most merges without a Student-t quantile;
+// traced, every trace point needs each targeted measure's exact
+// relative half-width, from the memoized critical values (crit).
 func (lc *LeaseController) merge(rec *BatchRecord) {
 	cell := rec.Cell
 	cs := lc.cells[cell]
@@ -440,12 +437,12 @@ func (lc *LeaseController) merge(rec *BatchRecord) {
 }
 
 // onTarget is the untraced stop rule for one targeted measure: whether
-// its relative CI half-width is within the target. The half-width from
+// its relative CI half-width is within the target. The width from
 // stats.TQuantileFloor is a lower bound on the exact one (Interval is
 // monotone in the critical value), so a bound past the target settles
-// "off target" — the common case while a cell converges — and only
-// otherwise is the exact critical value needed. The decision is the
-// exact rule's by construction.
+// "off target", the common case while a cell converges; only otherwise
+// is the exact critical value needed. The decision is the exact rule's
+// by construction.
 func (lc *LeaseController) onTarget(m *stats.Moments) bool {
 	if m.N < 2 {
 		return false

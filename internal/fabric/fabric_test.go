@@ -756,8 +756,8 @@ func TestFabricQueuesOneLeasePerWorker(t *testing.T) {
 
 	first := handRolledWorker(t, co.Addr(), "queued", 1)
 	granted := readLeases(t, first, 300*time.Millisecond)
-	if len(granted) != 1+queuedLeases {
-		t.Fatalf("capacity-1 worker granted %d leases, want %d: %v", len(granted), 1+queuedLeases, granted)
+	if len(granted) != 2 {
+		t.Fatalf("capacity-1 worker granted %d leases, want 2: %v", len(granted), granted)
 	}
 	first.Close()
 	waitWorkers(t, co, 0)
@@ -774,6 +774,70 @@ func TestFabricQueuesOneLeasePerWorker(t *testing.T) {
 	}
 	if len(regranted) != len(granted) || len(want) != 0 {
 		t.Errorf("evicted worker's leases %v not reissued: next worker got %v", granted, regranted)
+	}
+	waitWorkers(t, co, 0)
+	finishWithWorker(t, co, reportJSON(t, ref))
+}
+
+// heartbeat keeps a hand-rolled worker alive until stop is closed.
+func heartbeat(conn net.Conn, stop <-chan struct{}) {
+	t := time.NewTicker(50 * time.Millisecond)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			if writeMsg(conn, &msg{Type: msgHeartbeat}) != nil {
+				return
+			}
+		}
+	}
+}
+
+// Work stealing fills a worker only to its capacity, never into the
+// queued slot: once every fresh lease is out, an idle worker short of
+// its capacity steals just enough old leases to reach it.
+func TestFabricStealsOnlyToCapacity(t *testing.T) {
+	cfg := fixedConfig() // 20 batches
+	ref, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := experiment.NewLeaseController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := StartCoordinator(CoordinatorConfig{
+		Controller: lc, ListenAddr: "127.0.0.1:0", LeaseTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	hoarder := handRolledWorker(t, co.Addr(), "hoarder", 10)
+	go heartbeat(hoarder, stop)
+	hoarded := readLeases(t, hoarder, 200*time.Millisecond)
+	thief := handRolledWorker(t, co.Addr(), "thief", 10)
+	go heartbeat(thief, stop)
+	// The thief gets the 9 fresh leases left, then, once the hoarder's
+	// are past the steal age (half the lease timeout), one duplicate.
+	taken := readLeases(t, thief, 1500*time.Millisecond)
+	close(stop)
+	hoarder.Close()
+	thief.Close()
+	held := map[experiment.Lease]bool{}
+	for _, l := range hoarded {
+		held[l] = true
+	}
+	stolen := 0
+	for _, l := range taken {
+		if held[l] {
+			stolen++
+		}
+	}
+	if len(hoarded) != 11 || len(taken) != 10 || stolen != 1 {
+		t.Errorf("hoarder granted %d leases (want 11), thief %d (want 10) of which %d stolen (want 1)",
+			len(hoarded), len(taken), stolen)
 	}
 	waitWorkers(t, co, 0)
 	finishWithWorker(t, co, reportJSON(t, ref))

@@ -190,13 +190,12 @@ func TQuantile(df int64, confidence float64) float64 {
 	return (lo + hi) / 2
 }
 
-// floorMaxDF and the confidence range [0.5, 0.9999] are where
-// TQuantileFloor's bound was checked against TQuantile as computed. Past
-// about 1e8 degrees of freedom the incomplete-beta evaluation loses
-// digits and TQuantile falls below the normal quantile it converges to
-// (by 87% near df 7e14); at df 1.6e7 it already does by 6% at confidence
-// 1e-4 and by 3.5e-6 relative at 1-1e-12, against 4e-9 at worst inside
-// the range.
+// floorMaxDF and the confidence range [0.5, 0.9999] bound where
+// TQuantileFloor was checked against TQuantile as computed. Past about
+// 1e8 degrees of freedom TQuantile's incomplete-beta evaluation loses
+// digits and falls below the normal quantile (by 87% near df 7e14), and
+// near df 1.6e7 it already does by 6% at confidence 1e-4, against at
+// most 4e-9 relative inside the range.
 const floorMaxDF = 1 << 24
 
 // TQuantileFloor returns a lower bound on TQuantile(df, confidence) that

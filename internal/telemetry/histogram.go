@@ -29,6 +29,8 @@ const (
 	// commit (every batch record queued since the previous fsync).
 	LatencyJournalFsync = "journalFsync"
 	// LatencyLeaseRoundTrip is a fabric lease's issue-to-result time.
+	// A coordinator keeps one lease queued at each worker beyond its
+	// capacity, so this includes the batch a lease waited behind.
 	LatencyLeaseRoundTrip = "leaseRoundTrip"
 )
 

@@ -360,7 +360,9 @@ func (r *Recorder) JournalFsync(records int, d time.Duration) {
 }
 
 // LeaseRoundTrip records one fabric lease's issue-to-result latency
-// into the LatencyLeaseRoundTrip histogram.
+// into the LatencyLeaseRoundTrip histogram: the time from the grant to
+// the result, including any time the lease waited queued at its worker
+// behind a running batch.
 func (r *Recorder) LeaseRoundTrip(d time.Duration) {
 	if r == nil {
 		return

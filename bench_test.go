@@ -485,33 +485,27 @@ func BenchmarkSweepTelemetry(b *testing.B) {
 // grow with the number of vertices: one allocation per list read ~1,000
 // more on star:1024.
 func BenchmarkSweepSetup(b *testing.B) {
-	parse := func(b *testing.B, spec sweep.Spec, topos ...string) sweep.Spec {
-		for _, t := range topos {
+	for _, bc := range []struct {
+		name  string
+		topos []string
+		spec  sweep.Spec
+	}{
+		{"adaptive", []string{"clique:8,12", "path:16,24"}, sweep.Spec{Models: []radio.Model{radio.NoCD},
+			Algorithms: []core.Algorithm{core.AlgoBaselineDecay}, Trials: 100, MasterSeed: 1}},
+		{"star1024", []string{"star:1024"}, sweep.Spec{Models: []radio.Model{radio.CD},
+			Algorithms: []core.Algorithm{core.AlgoDiamTime}, Lean: true, Trials: 160, MasterSeed: 1}},
+	} {
+		for _, t := range bc.topos {
 			ts, err := sweep.ParseTopology(t)
 			if err != nil {
 				b.Fatal(err)
 			}
-			spec.Topologies = append(spec.Topologies, ts...)
+			bc.spec.Topologies = append(bc.spec.Topologies, ts...)
 		}
-		return spec
-	}
-	for _, bc := range []struct {
-		name  string
-		spec  sweep.Spec
-		topos []string
-	}{
-		{"adaptive", sweep.Spec{Models: []radio.Model{radio.NoCD},
-			Algorithms: []core.Algorithm{core.AlgoBaselineDecay}, Trials: 100, MasterSeed: 1},
-			[]string{"clique:8,12", "path:16,24"}},
-		{"star1024", sweep.Spec{Models: []radio.Model{radio.CD},
-			Algorithms: []core.Algorithm{core.AlgoDiamTime}, Lean: true, Trials: 160, MasterSeed: 1},
-			[]string{"star:1024"}},
-	} {
 		b.Run(bc.name, func(b *testing.B) {
-			spec := parse(b, bc.spec, bc.topos...)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sweep.NewRunner(spec); err != nil {
+				if _, err := sweep.NewRunner(bc.spec); err != nil {
 					b.Fatal(err)
 				}
 			}

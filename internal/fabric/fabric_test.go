@@ -843,10 +843,10 @@ func TestFabricStealsOnlyToCapacity(t *testing.T) {
 	finishWithWorker(t, co, reportJSON(t, ref))
 }
 
-// One real worker with a capacity past the old 64-frame outbound queue
-// finishes the run: its queue holds the welcome and every lease it is
-// owed, so no lease frame is dropped while it stays held. Bounded by a
-// deadline, so a hang fails the test instead of stalling it.
+// One real worker of capacity 100 finishes the run: its outbound queue
+// holds the welcome and every lease it is owed, so no lease frame is
+// dropped while it stays held. Bounded by a deadline, so a hang fails
+// the test instead of stalling it.
 func TestFabricWideWorkerFinishes(t *testing.T) {
 	cfg := adaptiveConfig()
 	ref, err := experiment.Run(cfg)

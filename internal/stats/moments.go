@@ -94,17 +94,14 @@ func (m *Moments) StdErr() float64 {
 }
 
 // Interval returns the half-width crit·StdErr of the confidence
-// interval for the mean whose critical value is crit, and that
-// half-width relative to |mean| — the precision the adaptive stopping
-// rule targets. For the two-sided Student-t interval at confidence c,
-// crit is TQuantile(N-1, c). Both are 0 for fewer than two
-// observations. A zero mean with a nonzero half-width has relative
-// width +Inf (never converged); a zero half-width has relative width 0
-// (a constant measure is exactly resolved).
-//
-// Rounding is monotone in crit: for a smaller critical value both
-// results are no larger, which is what lets a caller decide "wider
-// than the target" from a lower bound (TQuantileFloor) alone.
+// interval for the mean with critical value crit (TQuantile(N-1, c) for
+// the two-sided Student-t interval at confidence c), and that
+// half-width relative to |mean|, the precision the adaptive stopping
+// rule targets. Both are 0 for fewer than two observations or no
+// spread (exactly resolved); a zero mean with a nonzero half-width is
+// +Inf relative (never converged). Both results are monotone in crit,
+// so a relative width from a lower bound on crit (TQuantileFloor) that
+// exceeds a target proves the exact one does too.
 func (m *Moments) Interval(crit float64) (hw, rel float64) {
 	hw = crit * m.StdErr()
 	if hw == 0 {
@@ -190,23 +187,20 @@ func TQuantile(df int64, confidence float64) float64 {
 	return (lo + hi) / 2
 }
 
-// floorMaxDF and the confidence range [0.5, 0.9999] bound where
-// TQuantileFloor was checked against TQuantile as computed. Past about
-// 1e8 degrees of freedom TQuantile's incomplete-beta evaluation loses
-// digits and falls below the normal quantile (by 87% near df 7e14), and
-// near df 1.6e7 it already does by 6% at confidence 1e-4, against at
-// most 4e-9 relative inside the range.
+// floorMaxDF bounds the degrees of freedom at which TQuantileFloor was
+// checked against TQuantile as computed. Past about 1e8 df TQuantile's
+// incomplete-beta evaluation loses digits and falls below the normal
+// quantile (by 87% near df 7e14); outside confidence [0.5, 0.9999] it
+// does so sooner (by 6% at confidence 1e-4 near df 1.6e7).
 const floorMaxDF = 1 << 24
 
 // TQuantileFloor returns a lower bound on TQuantile(df, confidence) that
 // costs one Erfinv instead of a bisection: the two-sided normal critical
 // value √2·erfinv(confidence), which the Student-t critical value
-// exceeds at every df, shaded down by a relative 1e-6 to cover
-// TQuantile's own rounding. Outside the range where that was checked
-// (df up to floorMaxDF, confidence in [0.5, 0.9999]) it returns 0, the
-// trivial bound. Moments.Interval is monotone in its critical value, so
-// a relative width computed from the floor that already exceeds a
-// target proves the exact one does too.
+// exceeds at every df, shaded down by a relative 1e-6 for TQuantile's
+// own rounding (at most 4e-9 in the checked range). Outside that range,
+// df up to floorMaxDF and confidence in [0.5, 0.9999], it returns the
+// trivial bound 0.
 func TQuantileFloor(df int64, confidence float64) float64 {
 	if df > floorMaxDF || confidence < 0.5 || confidence > 0.9999 {
 		return 0

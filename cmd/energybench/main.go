@@ -5,28 +5,38 @@
 // fitted growth shapes. bench/README.md documents the repository's
 // recorded benchmark.
 //
+// Every row that core.Broadcast or a registered workload measures is a
+// sweep.Spec that sweep.Run runs with master seed 1 and -seeds trials
+// per cell, so `sweep` reproduces its table: the iterclust row's is
+// `sweep -topo gnp:16,32,64,128:seed=11 -models local,nocd -algos
+// iterclust -trials 3 -seed 1`'s. No workload measures the Theorem 21
+// row's maximum receive slot or the Partition(beta) row's cut fraction,
+// so those two rows run radio.Run directly on sweep.CollectTrials, with
+// seeds 1..k.
+//
 // Usage:
 //
 //	energybench [-quick] [-seeds k] [-workers n] [-manifest run.manifest.json]
 //
 // -manifest writes a run manifest (see internal/telemetry): trial
-// counts, simulated-slot totals, and one timed phase per suite row, so
-// a recorded evaluation carries its own provenance.
+// counts, simulated-slot totals, and one timed phase per suite row,
+// followed by the engine's resolve, trials and aggregate phases of each
+// sweep the row runs, so a recorded evaluation carries its own
+// provenance.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
+	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dtime"
 	"repro/internal/graph"
-	"repro/internal/leader"
 	"repro/internal/partition"
 	"repro/internal/pathcast"
 	"repro/internal/radio"
+	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
@@ -88,111 +98,97 @@ func sizes(full []int, quickSizes []int) []int {
 	return full
 }
 
-// measure runs fn over the seeds on the sweep engine's worker pool and
-// returns mean slots and mean max energy (failing runs are skipped; at
-// least one must succeed). Trials execute in parallel but samples are
-// aggregated in seed order, so the output is identical to the old
-// sequential loop.
-func measure(fn func(seed uint64) (uint64, int, bool)) (float64, float64) {
-	type sample struct{ slots, maxE float64 }
-	out := sweep.CollectTrials(*seeds, *workers, func(i int) (sample, bool) {
-		slots, maxE, ok := fn(uint64(i + 1))
-		return sample{float64(slots), float64(maxE)}, ok
-	})
-	if len(out) == 0 {
-		return 0, 0
+// topos lists one topology of kind per size, with generator seed seed
+// and, for gnp, edge probability pn/n (pn = 0 keeps the engine's 8/n).
+func topos(kind string, ns []int, pn float64, seed uint64) []sweep.Topology {
+	out := make([]sweep.Topology, len(ns))
+	for i, n := range ns {
+		out[i] = sweep.Topology{Kind: kind, N: n, P: pn / float64(n), Seed: seed}
 	}
-	ts := make([]float64, len(out))
-	es := make([]float64, len(out))
-	var slotSum float64
-	for i, s := range out {
-		ts[i], es[i] = s.slots, s.maxE
-		slotSum += s.slots
-	}
-	rec.Add(len(out), uint64(slotSum))
-	return stats.Mean(ts), stats.Mean(es)
+	return out
 }
 
-// broadcastTrial returns a measure trial: core.Broadcast from vertex 0
-// under opts, on the trial's seed. A run that fails or leaves some
-// device uninformed is skipped.
-func broadcastTrial(g *graph.Graph, opts ...core.Option) func(seed uint64) (uint64, int, bool) {
-	return func(seed uint64) (uint64, int, bool) {
-		res, err := core.Broadcast(g, 0, append([]core.Option{core.WithSeed(seed)}, opts...)...)
-		if err != nil || !res.AllInformed() {
-			return 0, 0, false
+// run runs one row's spec on the sweep engine, with master seed 1,
+// -seeds trials per cell and the suite's recorder, and prints its
+// table. The engine counts the trials on the recorder; the recorder's
+// cell table ends up reflecting the last sweep run.
+func run(spec sweep.Spec) *sweep.Report {
+	spec.Trials, spec.MasterSeed = *seeds, 1
+	rep, err := sweep.Run(spec, sweep.Options{Workers: *workers, Telemetry: rec})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "energybench:", err)
+		os.Exit(1)
+	}
+	fmt.Print(rep.Table())
+	return rep
+}
+
+// modelCells lists the report's cells run under model m.
+func modelCells(rep *sweep.Report, m radio.Model) []sweep.CellReport {
+	var out []sweep.CellReport
+	for _, c := range rep.Cells {
+		if c.Model == m.String() {
+			out = append(out, c)
 		}
-		return res.Slots, res.MaxEnergy(), true
 	}
+	return out
 }
 
-// iterclustOpts select Theorem 11 iterative clustering under model.
-func iterclustOpts(model radio.Model) []core.Option {
-	return []core.Option{core.WithModel(model), core.WithAlgorithm(core.AlgoIterClust)}
-}
-
-// pathOpts select the Section 8 path algorithm.
-var pathOpts = []core.Option{core.WithModel(radio.Local), core.WithAlgorithm(core.AlgoPath)}
-
-func fitNote(ns, slot, energy []float64) string {
+// fitNote fits the growth in n of the cells' mean slots and mean max
+// energy.
+func fitNote(cells []sweep.CellReport) string {
+	var ns, ts, es []float64
+	for _, c := range cells {
+		ns = append(ns, float64(c.N))
+		ts = append(ts, c.Slots.Mean)
+		es = append(es, c.MaxEnergy.Mean)
+	}
 	return fmt.Sprintf("growth: time ~ n^%.2f, energy ~ n^%.2f",
-		stats.LogLogSlope(ns, slot), stats.LogLogSlope(ns, energy))
+		stats.LogLogSlope(ns, ts), stats.LogLogSlope(ns, es))
 }
+
+var (
+	cd    = []radio.Model{radio.CD}
+	noCD  = []radio.Model{radio.NoCD}
+	local = []radio.Model{radio.Local}
+)
 
 func rowIterClust() {
 	fmt.Println("== T1-R1 / T1-R8: randomized iterative clustering (Theorem 11) ==")
 	fmt.Println("   paper: LOCAL O(n log n) time / O(log n) energy;")
 	fmt.Println("          No-CD O(n logD log^2 n) time / O(logD log^2 n) energy")
-	tbl := &stats.Table{Header: []string{"model", "graph", "n", "slots", "maxE"}}
-	var ns, tl, el, tn, en []float64
-	for _, n := range sizes([]int{16, 32, 64, 128}, []int{16, 32}) {
-		g := graph.GNP(n, 4.0/float64(n)*2, 11)
-		for _, model := range []radio.Model{radio.Local, radio.NoCD} {
-			slots, maxE := measure(broadcastTrial(g, iterclustOpts(model)...))
-			tbl.Add(model.String(), g.Name(), n, slots, maxE)
-			if model == radio.Local {
-				ns = append(ns, float64(n))
-				tl, el = append(tl, slots), append(el, maxE)
-			} else {
-				tn, en = append(tn, slots), append(en, maxE)
-			}
-		}
-	}
-	fmt.Print(tbl)
-	fmt.Println("   LOCAL " + fitNote(ns, tl, el))
-	fmt.Println("   No-CD " + fitNote(ns, tn, en))
+	rep := run(sweep.Spec{
+		Topologies: topos("gnp", sizes([]int{16, 32, 64, 128}, []int{16, 32}), 0, 11),
+		Models:     []radio.Model{radio.Local, radio.NoCD},
+		Algorithms: []core.Algorithm{core.AlgoIterClust},
+	})
+	fmt.Println("   LOCAL " + fitNote(modelCells(rep, radio.Local)))
+	fmt.Println("   No-CD " + fitNote(modelCells(rep, radio.NoCD)))
 	fmt.Println()
 }
 
 func rowTheorem12() {
 	fmt.Println("== T1-R5: CD iterative clustering (Theorem 12) ==")
 	fmt.Println("   paper: O(n logD log^{2+eps} n/(eps loglog n)) time, O(log^2 n/(eps loglog n)) energy")
-	tbl := &stats.Table{Header: []string{"graph", "n", "slots", "maxE"}}
-	var ns, ts, es []float64
-	for _, n := range sizes([]int{16, 32, 64, 128}, []int{16, 32}) {
-		g := graph.GNP(n, 8.0/float64(n), 13)
-		slots, maxE := measure(broadcastTrial(g, core.WithModel(radio.CD), core.WithAlgorithm(core.AlgoTheorem12)))
-		tbl.Add(g.Name(), n, slots, maxE)
-		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
-	}
-	fmt.Print(tbl)
-	fmt.Println("   " + fitNote(ns, ts, es))
+	rep := run(sweep.Spec{
+		Topologies: topos("gnp", sizes([]int{16, 32, 64, 128}, []int{16, 32}), 0, 13),
+		Models:     cd,
+		Algorithms: []core.Algorithm{core.AlgoTheorem12},
+	})
+	fmt.Println("   " + fitNote(rep.Cells))
 	fmt.Println()
 }
 
 func rowCDMerge() {
 	fmt.Println("== T1-R6: CD merge algorithm (Theorem 20) ==")
 	fmt.Println("   paper: O(Delta n^{1+xi}) time, O(log n(loglogD+1/xi)/logloglogD) energy")
-	tbl := &stats.Table{Header: []string{"graph", "n", "slots", "maxE"}}
-	var ns, ts, es []float64
-	for _, n := range sizes([]int{12, 16, 24, 32}, []int{12, 16}) {
-		g := graph.GNP(n, 6.0/float64(n), 17)
-		slots, maxE := measure(broadcastTrial(g, core.WithAlgorithm(core.AlgoCDMerge), core.WithLeanScale()))
-		tbl.Add(g.Name(), n, slots, maxE)
-		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
-	}
-	fmt.Print(tbl)
-	fmt.Println("   " + fitNote(ns, ts, es))
+	rep := run(sweep.Spec{
+		Topologies: topos("gnp", sizes([]int{12, 16, 24, 32}, []int{12, 16}), 6, 17),
+		Models:     cd,
+		Algorithms: []core.Algorithm{core.AlgoCDMerge},
+		Lean:       true,
+	})
+	fmt.Println("   " + fitNote(rep.Cells))
 	fmt.Println("   (time is super-linear by design; energy stays polylog)")
 	fmt.Println()
 }
@@ -200,51 +196,25 @@ func rowCDMerge() {
 func rowDiamTime() {
 	fmt.Println("== T1-R2: near-diameter time (Theorem 16) ==")
 	fmt.Println("   paper: O(D^{1+eps} polylog n) time, O(polylog n) energy")
-	fmt.Println("   shape check: on constant-diameter stars, time should grow far")
+	fmt.Println("   shape check: on stars (D = 2), dtime's time should grow far")
 	fmt.Println("   slower than the Theta(n polylog) of iterative clustering.")
-	tbl := &stats.Table{Header: []string{"graph", "n", "D", "dtime slots", "dtime maxE", "iterclust slots"}}
-	for _, n := range sizes([]int{16, 32, 64}, []int{16, 32}) {
-		g := graph.Star(n)
-		p, err := dtime.NewParams(radio.CD, g.N(), g.MaxDegree(), 2, 0.5)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			continue
-		}
-		// One partition iteration, which core's lean scale does not run.
-		p = p.Tune(g.N(), 10, 6, 10, 1)
-		slots, maxE := measure(func(seed uint64) (uint64, int, bool) {
-			res, devs, err := radio.Run(radio.Config{Graph: g, Model: radio.CD, MaxSlots: 1 << 62, Seed: seed},
-				func(v int, o *dtime.DeviceResult) radio.Proc { return dtime.Proc(p, v == 0, "m", o) })
-			if err != nil {
-				return 0, 0, false
-			}
-			for _, d := range devs {
-				if !d.Informed {
-					return 0, 0, false
-				}
-			}
-			return res.Slots, res.MaxEnergy(), true
-		})
-		icSlots, _ := measure(broadcastTrial(g, iterclustOpts(radio.CD)...))
-		tbl.Add(g.Name(), n, 2, slots, maxE, icSlots)
-	}
-	fmt.Print(tbl)
+	run(sweep.Spec{
+		Topologies: topos("star", sizes([]int{16, 32, 64}, []int{16, 32}), 0, 0),
+		Models:     cd,
+		Algorithms: []core.Algorithm{core.AlgoDiamTime, core.AlgoIterClust},
+	})
 	fmt.Println()
 }
 
 func rowBoundedDegree() {
 	fmt.Println("== T1-R3: bounded degree No-CD via LOCAL simulation (Corollary 13) ==")
 	fmt.Println("   paper: O(n log n) time, O(log n) energy for Delta = O(1)")
-	tbl := &stats.Table{Header: []string{"graph", "n", "slots", "maxE"}}
-	var ns, ts, es []float64
-	for _, n := range sizes([]int{12, 16, 24, 32}, []int{12, 16}) {
-		g := graph.Cycle(n)
-		slots, maxE := measure(broadcastTrial(g, core.WithAlgorithm(core.AlgoBoundedDegree)))
-		tbl.Add(g.Name(), n, slots, maxE)
-		ns, ts, es = append(ns, float64(n)), append(ts, slots), append(es, maxE)
-	}
-	fmt.Print(tbl)
-	fmt.Println("   " + fitNote(ns, ts, es))
+	rep := run(sweep.Spec{
+		Topologies: topos("cycle", sizes([]int{12, 16, 24, 32}, []int{12, 16}), 0, 0),
+		Models:     noCD,
+		Algorithms: []core.Algorithm{core.AlgoBoundedDegree},
+	})
+	fmt.Println("   " + fitNote(rep.Cells))
 	fmt.Println()
 }
 
@@ -294,20 +264,11 @@ func rowDeterministic() {
 	fmt.Println("== T1-R11 / T1-R12: deterministic algorithms (Theorems 25, 27) ==")
 	fmt.Println("   paper: LOCAL O(n log n logN) time / O(log n logN) energy;")
 	fmt.Println("          CD O(N^2 n log n logN) time / O(log^3 N log n) energy")
-	tbl := &stats.Table{Header: []string{"model", "graph", "n", "slots", "maxE"}}
-	for _, n := range sizes([]int{8, 12, 16, 24}, []int{8, 12}) {
-		g := graph.GNP(n, 6.0/float64(n), 23)
-		for _, model := range []radio.Model{radio.Local, radio.CD} {
-			res, err := core.Broadcast(g, 0, core.WithModel(model),
-				core.WithAlgorithm(core.AlgoDeterministic))
-			if err != nil || !res.AllInformed() {
-				tbl.Add(model.String(), g.Name(), n, "failed", "-")
-				continue
-			}
-			tbl.Add(model.String(), g.Name(), n, res.Slots, res.MaxEnergy())
-		}
-	}
-	fmt.Print(tbl)
+	run(sweep.Spec{
+		Topologies: topos("gnp", sizes([]int{8, 12, 16, 24}, []int{8, 12}), 6, 23),
+		Models:     []radio.Model{radio.Local, radio.CD},
+		Algorithms: []core.Algorithm{core.AlgoDeterministic},
+	})
 	fmt.Println()
 }
 
@@ -315,51 +276,45 @@ func rowLowerBounds() {
 	fmt.Println("== T1-R4/R7/R9: lower-bound experiments ==")
 	fmt.Println("   Theorem 2: Broadcast energy on K_{2,k} is at least half the")
 	fmt.Println("   single-hop LeaderElection time; Theorem 1: Omega(log n) on paths.")
-	tbl := &stats.Table{Header: []string{"experiment", "param", "measured", "bound side"}}
-	for _, k := range sizes([]int{4, 8, 16, 32}, []int{4, 16}) {
-		g := graph.K2k(k)
-		_, maxE := measure(broadcastTrial(g, iterclustOpts(radio.CD)...))
-		// Single-hop CD leader election time on a k-clique for reference.
-		le := measureLE(k)
-		tbl.Add("K2k CD energy vs LE time", k, maxE, le)
-	}
+	ks := sizes([]int{4, 8, 16, 32}, []int{4, 16})
+	k2k := run(sweep.Spec{
+		Topologies: topos("k2k", ks, 0, 0),
+		Models:     cd,
+		Algorithms: []core.Algorithm{core.AlgoIterClust},
+	})
+	// Single-hop CD leader election on a k-clique for reference.
+	le := run(sweep.Spec{
+		Topologies:     topos("clique", ks, 0, 0),
+		Models:         cd,
+		Workload:       "leader",
+		WorkloadParams: map[string]string{"maxslots": "4000"},
+	})
 	// Theorem 1 on paths: worst-vertex energy of the best path algorithm.
-	for _, n := range sizes([]int{64, 256, 1024}, []int{64, 256}) {
-		g := graph.Path(n)
-		_, maxE := measure(broadcastTrial(g, pathOpts...))
-		tbl.Add("path worst-vertex energy", n, maxE, fmt.Sprintf("Omega(log n)=%d/5", logi(n)))
+	paths := run(sweep.Spec{
+		Topologies: topos("path", sizes([]int{64, 256, 1024}, []int{64, 256}), 0, 0),
+		Models:     local,
+		Algorithms: []core.Algorithm{core.AlgoPath},
+	})
+	tbl := &stats.Table{Header: []string{"experiment", "param", "measured", "bound side"}}
+	for i, c := range k2k.Cells {
+		tbl.Add("K2k CD energy vs LE time", ks[i], c.MaxEnergy.Mean, electSlot(le.Cells[i]))
+	}
+	for _, c := range paths.Cells {
+		tbl.Add("path worst-vertex energy", c.N, c.MaxEnergy.Mean, fmt.Sprintf("Omega(log n)=%d/5", rng.Log2Ceil(c.N)))
 	}
 	fmt.Print(tbl)
 	fmt.Println()
 }
 
-func logi(n int) int {
-	l := 0
-	for v := 1; v < n; v *= 2 {
-		l++
-	}
-	return l
-}
-
-// simCaches hands each concurrent trial a private simulator cache so
-// same-topology trials reuse one preallocated engine (the pool is
-// per-P, so caches never cross goroutines mid-trial).
-var simCaches = sync.Pool{New: func() any { return &radio.SimCache{} }}
-
-func measureLE(k int) float64 {
-	g := graph.Clique(k) // shared read-only across trials
-	ts := sweep.CollectTrials(*seeds, *workers, func(i int) (float64, bool) {
-		sims := simCaches.Get().(*radio.SimCache)
-		defer simCaches.Put(sims)
-		_, outs, err := radio.Run(radio.Config{Graph: g, Model: radio.CD, Seed: uint64(i + 1), Sims: sims},
-			func(_ int, o *leader.Outcome) radio.Proc { return leader.ElectCDProc(1, true, k, 4000, o) })
-		if err != nil {
-			return 0, false
+// electSlot is a leader cell's mean election slot, or "-" if no
+// election in it succeeded.
+func electSlot(c sweep.CellReport) any {
+	for _, e := range c.Extra {
+		if e.Name == "electSlot" {
+			return e.Mean
 		}
-		return float64(outs[0].Slot), true
-	})
-	rec.Add(len(ts), 0)
-	return stats.Mean(ts)
+	}
+	return "-"
 }
 
 func rowPartition() {
@@ -415,37 +370,25 @@ func rowWorkloadSweeps() {
 	fmt.Println("== Workload sweeps: leader election, time/energy dial, k-source ==")
 	fmt.Println("   paper: single-hop election is the broadcast subroutine (Lemma 8);")
 	fmt.Println("   Theorem 16's beta trades time for energy on one frontier.")
-	runSweep := func(spec sweep.Spec) {
-		spec.Trials = *seeds
-		spec.MasterSeed = 1
-		// The engine's own instrumentation counts these trials; the
-		// recorder's cell table ends up reflecting the last sweep run.
-		rep, err := sweep.Run(spec, sweep.Options{Workers: *workers, Telemetry: rec})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		fmt.Print(rep.Table())
-	}
 	cliques := []sweep.Topology{{Kind: "clique", N: 16}, {Kind: "clique", N: 64}}
 	if *quick {
 		cliques = cliques[:1]
 	}
-	runSweep(sweep.Spec{
+	run(sweep.Spec{
 		Topologies:     cliques,
 		Models:         []radio.Model{radio.CD, radio.NoCD},
 		Workload:       "leader",
 		WorkloadParams: map[string]string{"proto": "rand,det"},
 	})
-	runSweep(sweep.Spec{
+	run(sweep.Spec{
 		Topologies: []sweep.Topology{{Kind: "star", N: 24}},
-		Models:     []radio.Model{radio.CD},
+		Models:     cd,
 		Workload:   "tradeoff",
 		Lean:       true,
 	})
-	runSweep(sweep.Spec{
+	run(sweep.Spec{
 		Topologies:     []sweep.Topology{{Kind: "cycle", N: 32}},
-		Models:         []radio.Model{radio.Local},
+		Models:         local,
 		Workload:       "msrc",
 		WorkloadParams: map[string]string{"k": "2,4"},
 	})
@@ -456,13 +399,21 @@ func rowBaselineComparison() {
 	fmt.Println("== Baseline: BGI decay broadcast vs the paper's algorithms ==")
 	fmt.Println("   shape: decay wins on time, loses on energy, with the energy gap")
 	fmt.Println("   growing with n.")
-	tbl := &stats.Table{Header: []string{"graph", "n", "decay slots", "decay maxE", "paper slots", "paper maxE"}}
-	for _, n := range sizes([]int{32, 64, 128}, []int{32, 64}) {
-		g := graph.Path(n)
-		bSlots, bE := measure(broadcastTrial(g, core.WithAlgorithm(core.AlgoBaselineDecay)))
-		pSlots, pE := measure(broadcastTrial(g, pathOpts...))
-		tbl.Add(g.Name(), n, bSlots, bE, pSlots, pE)
+	ns := sizes([]int{32, 64, 128}, []int{32, 64})
+	decay := run(sweep.Spec{
+		Topologies: topos("path", ns, 0, 0),
+		Models:     noCD,
+		Algorithms: []core.Algorithm{core.AlgoBaselineDecay},
+	})
+	paper := run(sweep.Spec{
+		Topologies: topos("path", ns, 0, 0),
+		Models:     local,
+		Algorithms: []core.Algorithm{core.AlgoPath},
+	})
+	gaps := make([]string, len(ns))
+	for i, n := range ns {
+		gaps[i] = fmt.Sprintf("n=%d %.1fx", n, decay.Cells[i].MaxEnergy.Mean/paper.Cells[i].MaxEnergy.Mean)
 	}
-	fmt.Print(tbl)
+	fmt.Println("   energy gap (decay maxE / path maxE): " + strings.Join(gaps, ", "))
 	fmt.Println()
 }

@@ -101,7 +101,13 @@
 // Topology syntax: kind:size1,size2,...[:key=value,...] with kinds
 // path, cycle, star, clique, grid (cols=...), k2k, hypercube, tree
 // (seed=...), gnp (p=..., seed=...), rgg (r=..., seed=...), lollipop
-// (tail=...).
+// (tail=...), bdeg (maximum degree 4, seed=...) and caterpillar (a
+// spine of size vertices with 3 legs each).
+//
+// Three algorithms run one model each: -algos path needs -models local,
+// cdmerge needs cd and bounded-degree nocd. Under any other model every
+// trial of the cell errors, so no cell reports a run of a model other
+// than its own.
 //
 // Workloads (see internal/workload): broadcast (default), msrc (k-source
 // broadcast, -wparam k=2,4), leader (single-hop election, -wparam

@@ -329,9 +329,10 @@
 //     the sweep matrix's fault axis;
 //   - internal/telemetry: the zero-overhead-when-disabled run
 //     instrumentation behind -status, -progress and run manifests;
-//   - cmd/energybench, cmd/sweep, cmd/pathtrace, cmd/broadcastcli: the
-//     evaluation suite, the matrix sweep CLI, the Figure 1 regenerator,
-//     and a one-shot CLI;
+//   - cmd/energybench, cmd/sweep, cmd/sweepd, cmd/pathtrace: the
+//     evaluation suite (its rows are sweep specs), the matrix sweep CLI
+//     (one trial of one cell is a one-shot run), the fabric coordinator,
+//     and the Figure 1 regenerator;
 //   - bench_test.go: testing.B benchmarks, one per experiment, plus
 //     scheduler and sweep-scaling microbenchmarks.
 //

@@ -76,26 +76,32 @@ func (a Algorithm) String() string {
 
 // config collects the options.
 type config struct {
-	model   radio.Model
-	algo    Algorithm
-	seed    uint64
-	msg     any
-	eps     float64
-	xi      float64
-	epsSet  bool // WithEpsilon was used: validate the value
-	xiSet   bool // WithXi was used: validate the value
-	trace   func(radio.Event)
-	lean    bool
-	sources []int
-	sims    *radio.SimCache
-	fault   fault.Spec
+	model    radio.Model
+	algo     Algorithm
+	seed     uint64
+	msg      any
+	eps      float64
+	xi       float64
+	modelSet bool // WithModel was used: an algorithm tied to one model checks it
+	epsSet   bool // WithEpsilon was used: validate the value
+	xiSet    bool // WithXi was used: validate the value
+	trace    func(radio.Event)
+	lean     bool
+	sources  []int
+	sims     *radio.SimCache
+	fault    fault.Spec
 }
 
 // Option configures Broadcast.
 type Option func(*config)
 
-// WithModel selects the collision model (default No-CD).
-func WithModel(m radio.Model) Option { return func(c *config) { c.model = m } }
+// WithModel selects the collision model (default No-CD). cdmerge, path
+// and bounded-degree each run one model (CD, LOCAL and No-CD); Broadcast
+// rejects any other model set for them instead of silently running its
+// own.
+func WithModel(m radio.Model) Option {
+	return func(c *config) { c.model, c.modelSet = m, true }
+}
 
 // WithAlgorithm forces a specific algorithm (default AlgoAuto).
 func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algo = a } }

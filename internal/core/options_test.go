@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -96,4 +97,39 @@ func TestOptionValidationGraphs(t *testing.T) {
 	wantErr(t, "disconnected", disc, 0, WithSources(0, 2))
 	// Positional source out of range.
 	wantErr(t, "out of range", graph.Path(4), 9)
+}
+
+// TestOptionValidationModel rejects a model set with WithModel that an
+// algorithm tied to one model does not run, naming both models, and
+// keeps the call without WithModel (and with the matching model)
+// running that algorithm's own model.
+func TestOptionValidationModel(t *testing.T) {
+	models := []radio.Model{radio.NoCD, radio.CD, radio.CDStar, radio.Local}
+	cases := []struct {
+		algo Algorithm
+		g    *graph.Graph
+		runs radio.Model
+	}{
+		{AlgoCDMerge, graph.Path(6), radio.CD},
+		{AlgoPath, graph.Path(6), radio.Local},
+		{AlgoBoundedDegree, graph.Cycle(6), radio.NoCD},
+	}
+	for _, c := range cases {
+		for _, m := range models {
+			if m == c.runs {
+				continue
+			}
+			wantErr(t, fmt.Sprintf("runs the %v model, not %v", c.runs, m), c.g, 0,
+				WithModel(m), WithAlgorithm(c.algo), WithLeanScale())
+		}
+		for _, opts := range [][]Option{nil, {WithModel(c.runs)}} {
+			res, err := Broadcast(c.g, 0, append(opts, WithAlgorithm(c.algo), WithLeanScale())...)
+			if err != nil {
+				t.Fatalf("%v with %d options: %v", c.algo, len(opts), err)
+			}
+			if res.Model != c.runs || !res.AllInformed() {
+				t.Errorf("%v: ran %v, informed all %v; want %v and true", c.algo, res.Model, res.AllInformed(), c.runs)
+			}
+		}
+	}
 }

@@ -127,15 +127,38 @@ type simulated struct {
 	col coloring.ColoringResult
 }
 
+// fixedModel is the one model an algorithm runs whatever the call's
+// model: cdmerge is a CD algorithm, path a LOCAL one, and bounded-degree
+// simulates LOCAL on a physical No-CD network.
+func fixedModel(algo Algorithm) (radio.Model, bool) {
+	switch algo {
+	case AlgoCDMerge:
+		return radio.CD, true
+	case AlgoPath:
+		return radio.Local, true
+	case AlgoBoundedDegree:
+		return radio.NoCD, true
+	}
+	return 0, false
+}
+
 // buildPlan states each algorithm's protocol constants and radio.Config
 // once, for any number of sources. Path and the deterministic
-// constructions schedule a single source and reject k >= 2.
+// constructions schedule a single source and reject k >= 2. An
+// algorithm tied to one model runs it, and rejects a different model
+// set with WithModel.
 func buildPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan, error) {
 	n, delta := g.N(), g.MaxDegree()
 	if len(sources) > 1 && (algo == AlgoPath || algo == AlgoDeterministic) {
 		return nil, fmt.Errorf("core: algorithm %v does not support multiple sources", algo)
 	}
 	rcfg := radio.Config{Graph: g, Model: cfg.model, Trace: cfg.trace, Sims: cfg.sims, Fault: cfg.fault}
+	if m, ok := fixedModel(algo); ok {
+		if cfg.modelSet && cfg.model != m {
+			return nil, fmt.Errorf("core: algorithm %v runs the %v model, not %v", algo, m, cfg.model)
+		}
+		rcfg.Model = m
+	}
 	switch algo {
 	case AlgoIterClust, AlgoTheorem12:
 		var p iterclust.Params
@@ -180,7 +203,7 @@ func buildPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan,
 		if cfg.lean {
 			p = p.Tune(10, 3, n)
 		}
-		rcfg.Model, rcfg.MaxSlots = radio.CD, 1<<62
+		rcfg.MaxSlots = 1 << 62
 		return newPlan(algo, rcfg, sources, cfg.msg,
 			func(_ int, src bool, m any, o *cdmerge.DeviceResult) radio.Proc {
 				return cdmerge.Proc(p, src, m, o)
@@ -191,7 +214,6 @@ func buildPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan,
 		if err := pathcast.Validate(g, sources[0]); err != nil {
 			return nil, err
 		}
-		rcfg.Model = radio.Local
 		return newPlan(algo, rcfg, sources, cfg.msg,
 			func(v int, src bool, m any, o *pathcast.DeviceResult) radio.Proc {
 				return pathcast.Proc(pathcast.Params{}, g.Neighbors(v), src, m, o)
@@ -201,7 +223,7 @@ func buildPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan,
 	case AlgoBoundedDegree:
 		cp := coloring.NewParams(n, delta)
 		ip := iterclust.NewParams(radio.Local, n, delta)
-		rcfg.Model, rcfg.MaxSlots = radio.NoCD, 1<<62
+		rcfg.MaxSlots = 1 << 62
 		return newPlan(algo, rcfg, sources, cfg.msg,
 			func(_ int, src bool, m any, o *simulated) radio.Proc {
 				return coloring.SimulateProc(1, cp, iterclust.Proc(ip, src, m, &o.dev), &o.col)

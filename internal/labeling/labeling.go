@@ -27,12 +27,6 @@ const Bottom = -1
 // Bottom during intermediate states.
 type Labeling []int
 
-// AllZero returns the trivial good labeling that starts every algorithm
-// (every vertex is a singleton cluster root).
-func AllZero(n int) Labeling {
-	return make(Labeling, n)
-}
-
 // Validate checks the good-labeling property against g: every label is a
 // non-negative layer below n, and every positive-layer vertex has a
 // neighbor exactly one layer down.

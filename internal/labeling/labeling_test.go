@@ -6,9 +6,11 @@ import (
 	"repro/internal/graph"
 )
 
+// The all-zero labeling, every vertex a singleton cluster root, is the
+// good labeling every algorithm starts from.
 func TestAllZeroIsGood(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(5), graph.Clique(4), graph.Star(6)} {
-		l := AllZero(g.N())
+		l := make(Labeling, g.N())
 		if err := l.Validate(g); err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
 		}

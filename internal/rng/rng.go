@@ -132,19 +132,6 @@ func Log2Ceil(x int) int {
 	return k
 }
 
-// Log2Floor returns floor(log2(x)) for x >= 1, and 0 for x <= 1.
-func Log2Floor(x int) int {
-	if x <= 1 {
-		return 0
-	}
-	k := 0
-	for x > 1 {
-		x >>= 1
-		k++
-	}
-	return k
-}
-
 // NextPow2 returns the smallest power of two >= x (and 1 for x <= 1).
 func NextPow2(x int) int {
 	return 1 << uint(Log2Ceil(x))

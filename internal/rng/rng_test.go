@@ -187,47 +187,39 @@ func TestBlockingTimeSmallN(t *testing.T) {
 
 func TestLog2Helpers(t *testing.T) {
 	cases := []struct {
-		x           int
-		ceil, floor int
-		nextPow2    int
+		x        int
+		ceil     int
+		nextPow2 int
 	}{
-		{1, 0, 0, 1},
-		{2, 1, 1, 2},
-		{3, 2, 1, 4},
-		{4, 2, 2, 4},
-		{5, 3, 2, 8},
-		{8, 3, 3, 8},
-		{9, 4, 3, 16},
-		{1024, 10, 10, 1024},
-		{1025, 11, 10, 2048},
+		{1, 0, 1},
+		{2, 1, 2},
+		{3, 2, 4},
+		{4, 2, 4},
+		{5, 3, 8},
+		{8, 3, 8},
+		{9, 4, 16},
+		{1024, 10, 1024},
+		{1025, 11, 2048},
 	}
 	for _, c := range cases {
 		if got := Log2Ceil(c.x); got != c.ceil {
 			t.Errorf("Log2Ceil(%d) = %d, want %d", c.x, got, c.ceil)
 		}
-		if got := Log2Floor(c.x); got != c.floor {
-			t.Errorf("Log2Floor(%d) = %d, want %d", c.x, got, c.floor)
-		}
 		if got := NextPow2(c.x); got != c.nextPow2 {
 			t.Errorf("NextPow2(%d) = %d, want %d", c.x, got, c.nextPow2)
 		}
 	}
-	if Log2Ceil(0) != 0 || Log2Floor(0) != 0 || NextPow2(0) != 1 {
+	if Log2Ceil(0) != 0 || NextPow2(0) != 1 {
 		t.Error("log2 helpers mishandle x <= 1")
 	}
 }
 
 func TestLog2Property(t *testing.T) {
+	// Log2Ceil(x) is the least c with 2^c >= x.
 	f := func(raw uint16) bool {
 		x := int(raw)%100000 + 1
-		c, fl := Log2Ceil(x), Log2Floor(x)
-		if 1<<uint(fl) > x || (fl > 0 && 1<<uint(fl) > x) {
-			return false
-		}
-		if 1<<uint(c) < x {
-			return false
-		}
-		return c-fl <= 1 || (c == fl)
+		c := Log2Ceil(x)
+		return 1<<uint(c) >= x && (c == 0 || 1<<uint(c-1) < x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -203,17 +203,17 @@ func TestRelCIHalfWidth(t *testing.T) {
 }
 
 // TQuantileFloor lies below TQuantile as computed wherever it is not the
-// trivial 0: df sampled over 1..10^6 and up to floorMaxDF, at the usual
-// confidences and the ends of its range. Past floorMaxDF, where
-// TQuantile loses digits, and outside the confidence range it is 0.
+// trivial 0: df sampled over 1..10^6 and up to 2^24, at the usual
+// confidences and the ends of its range, and at df far past 2^24, where
+// TQuantile is its series. Outside the confidence range it is 0.
 func TestTQuantileFloorBelowTQuantile(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	dfs := []int64{1, 2, 3, 10, 39, 40, 99, 1000, 400_000, 1_000_000, floorMaxDF}
+	dfs := []int64{1, 2, 3, 10, 39, 40, 99, 1000, 400_000, 1_000_000, 1 << 24}
 	for range 200 {
 		dfs = append(dfs, 1+r.Int63n(1_000_000))
 	}
 	for range 10 {
-		dfs = append(dfs, 1_000_000+r.Int63n(floorMaxDF-1_000_000))
+		dfs = append(dfs, 1_000_000+r.Int63n(1<<24-1_000_000))
 	}
 	confs := []float64{0.5, 0.9, 0.95, 0.99, 0.999, 0.9999}
 	for _, conf := range confs {
@@ -226,17 +226,82 @@ func TestTQuantileFloorBelowTQuantile(t *testing.T) {
 			}
 		}
 	}
-	for _, df := range []int64{floorMaxDF + 1, 742_816_916_908_308, math.MaxInt64} {
-		if lo := TQuantileFloor(df, 0.95); lo != 0 {
-			t.Errorf("TQuantileFloor(%d, 0.95) = %v past floorMaxDF, want 0", df, lo)
-		}
-		if q := TQuantile(df, 0.95); !(q > 0) {
-			t.Errorf("TQuantile(%d, 0.95) = %v, want positive", df, q)
+	for _, df := range []int64{1<<24 + 1, 742_816_916_908_308, math.MaxInt64} {
+		if lo, q := TQuantileFloor(df, 0.95), TQuantile(df, 0.95); !(lo > 0 && lo < q) {
+			t.Errorf("df %d: TQuantileFloor = %v, TQuantile = %v; want 0 < floor < TQuantile", df, lo, q)
 		}
 	}
 	for _, conf := range []float64{1e-4, 0.4999, 0.99991, 1 - 1e-12} {
 		if lo := TQuantileFloor(10, conf); lo != 0 {
 			t.Errorf("TQuantileFloor(10, %v) = %v outside the checked range, want 0", conf, lo)
+		}
+	}
+}
+
+// TQuantile never falls below the normal critical value √2·erfinv(conf),
+// which every Student-t critical value exceeds, at log-spaced df up to
+// 1e15. The bisection alone fell below it from about df 1e8.
+func TestTQuantileAboveNormal(t *testing.T) {
+	for _, conf := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
+		z := math.Sqrt2 * math.Erfinv(conf)
+		for k := 0; k <= 60; k++ {
+			df := int64(math.Round(math.Pow(10, float64(k)/4)))
+			if q := TQuantile(df, conf); !(q >= z) {
+				t.Errorf("TQuantile(%d, %v) = %v, below the normal value %v", df, conf, q, z)
+			}
+		}
+	}
+}
+
+// Up to df 2^18, where it switches to the series, TQuantile is the
+// bisection, pinned here bit for bit: an adaptive run capped below that
+// computes these critical values, and its report and journal bytes
+// depend on them.
+func TestTQuantileBisectionUnchanged(t *testing.T) {
+	cases := []struct {
+		df   int64
+		conf float64
+		bits uint64
+	}{
+		{1, 0.5, 0x3feffffffffffffc},
+		{39, 0.5, 0x3fe5c9615b8fe7c4},
+		{1000, 0.5, 0x3fe5976e332e6196},
+		{13999, 0.5, 0x3fe59590484c9ae2},
+		{199999, 0.5, 0x3fe5956e19d74442},
+		{262144, 0.5, 0x3fe5956d7dd08b58},
+		{1, 0.95, 0x40296993aacc4d10},
+		{39, 0.95, 0x40002e7893bbcad4},
+		{1000, 0.95, 0x3fff65bda9fcfb60},
+		{13999, 0.95, 0x3fff5cb4e6e2974c},
+		{199999, 0.95, 0x3fff5c0fa1fda258},
+		{262144, 0.95, 0x3fff5c0caf2392c4},
+		{1, 0.999, 0x4083e4f438b2cde2},
+		{39, 0.999, 0x400c7707a9448504},
+		{1000, 0.999, 0x400a66fa96d44aca},
+		{13999, 0.999, 0x400a546c25206a7e},
+		{199999, 0.999, 0x400a53192f75e890},
+		{262144, 0.999, 0x400a5313237e441e},
+	}
+	for _, c := range cases {
+		if got := TQuantile(c.df, c.conf); math.Float64bits(got) != c.bits {
+			t.Errorf("TQuantile(%d, %v) = %v (%#016x), want %v", c.df, c.conf, got,
+				math.Float64bits(got), math.Float64frombits(c.bits))
+		}
+	}
+}
+
+// The series and the bisection agree closely where TQuantile switches
+// from one to the other.
+func TestTQuantileSeriesMatchesBisection(t *testing.T) {
+	for _, conf := range []float64{0.5, 0.9, 0.95, 0.99, 0.999, 0.9999} {
+		for _, df := range []int64{100_000, seriesMinDF} {
+			b, s := TQuantile(df, conf), tQuantileSeries(df, conf)
+			if rel := math.Abs(s-b) / b; rel > 1e-9 {
+				t.Errorf("df %d conf %v: series %v, bisection %v (relative %.2g)", df, conf, s, b, rel)
+			}
+		}
+		if got, want := TQuantile(seriesMinDF+1, conf), tQuantileSeries(seriesMinDF+1, conf); got != want {
+			t.Errorf("TQuantile(%d, %v) = %v, want the series %v", seriesMinDF+1, conf, got, want)
 		}
 	}
 }

@@ -49,6 +49,50 @@ func TestParseTopologyRGG(t *testing.T) {
 	}
 }
 
+// TestEveryTopologyKindBuilds parses every kind from "kind:8" and
+// builds it: each yields a connected graph that passes graph.Validate.
+// bdeg keeps every degree at 4 or less, and a caterpillar of spine n has
+// 4n vertices.
+func TestEveryTopologyKindBuilds(t *testing.T) {
+	for _, kind := range TopologyKinds() {
+		ts, err := ParseTopology(kind + ":8")
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(ts) != 1 {
+			t.Fatalf("%s: parsed %d topologies, want 1", kind, len(ts))
+		}
+		g, err := ts[0].Build()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", kind, err)
+		}
+		if !g.IsConnected() {
+			t.Errorf("%s: %s is disconnected", kind, g.Name())
+		}
+	}
+	for _, seed := range []uint64{0, 1, 2, 3} {
+		g, err := Topology{Kind: "bdeg", N: 64, Seed: seed}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := g.MaxDegree(); d > 4 {
+			t.Errorf("bdeg:64:seed=%d has maximum degree %d, want at most 4", seed, d)
+		}
+	}
+	for _, n := range []int{1, 2, 8, 16} {
+		g, err := Topology{Kind: "caterpillar", N: n}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.N() != 4*n {
+			t.Errorf("caterpillar:%d has %d vertices, want %d", n, g.N(), 4*n)
+		}
+	}
+}
+
 // TestUnknownNamesListValidOnes is the CLI contract: unknown topology
 // kinds, models, algorithms and workload parameters fail with an error
 // enumerating the valid names.

@@ -50,10 +50,12 @@ import (
 // Topology declares one network in the matrix.
 type Topology struct {
 	// Kind selects the generator: path, cycle, star, clique, grid, k2k,
-	// hypercube, tree, gnp, rgg, lollipop.
+	// hypercube, tree, gnp, rgg, lollipop, bdeg (random, maximum degree
+	// 4), caterpillar (3 legs per spine vertex).
 	Kind string
 	// N is the primary size parameter (vertices; k for k2k; dimension
-	// for hypercube; clique size for lollipop).
+	// for hypercube; clique size for lollipop; spine length for
+	// caterpillar).
 	N int
 	// M is the secondary size parameter: columns for grid (N = rows),
 	// tail length for lollipop. Ignored elsewhere.
@@ -65,7 +67,8 @@ type Topology struct {
 	// R is the rgg connection radius. Zero means the generator's
 	// above-connectivity-threshold default.
 	R float64
-	// Seed is the generator seed for the random kinds (tree, gnp, rgg).
+	// Seed is the generator seed for the random kinds (tree, gnp, rgg,
+	// bdeg).
 	Seed uint64
 }
 
@@ -73,7 +76,7 @@ type Topology struct {
 // them.
 func TopologyKinds() []string {
 	return []string{"path", "cycle", "star", "clique", "grid", "k2k",
-		"hypercube", "tree", "gnp", "rgg", "lollipop"}
+		"hypercube", "tree", "gnp", "rgg", "lollipop", "bdeg", "caterpillar"}
 }
 
 // Build constructs the declared graph.
@@ -119,6 +122,10 @@ func (t Topology) Build() (*graph.Graph, error) {
 			tail = t.N
 		}
 		return graph.Lollipop(t.N, tail), nil
+	case "bdeg":
+		return graph.RandomBoundedDegree(t.N, 4, t.Seed), nil
+	case "caterpillar":
+		return graph.Caterpillar(t.N, 3), nil
 	default:
 		return nil, fmt.Errorf("sweep: unknown topology kind %q (valid: %s)",
 			t.Kind, strings.Join(TopologyKinds(), ", "))
@@ -753,9 +760,10 @@ func (r *Report) Table() string {
 
 // CollectTrials runs fn(trial) for every trial index on the worker pool
 // and returns the successful samples in trial order — the deterministic
-// parallel-map used by harnesses (cmd/energybench) whose per-trial work
-// doesn't fit the Spec matrix. fn must be safe to call concurrently;
-// trials whose fn returns ok=false are dropped from the result.
+// parallel-map behind cmd/energybench's Theorem 21 and Partition(beta)
+// rows, whose quantities (maximum receive slot, cut fraction) no
+// workload measures. fn must be safe to call concurrently; trials whose
+// fn returns ok=false are dropped from the result.
 func CollectTrials[T any](trials, workers int, fn func(trial int) (T, bool)) []T {
 	type slot struct {
 		v  T
@@ -775,9 +783,9 @@ func CollectTrials[T any](trials, workers int, fn func(trial int) (T, bool)) []T
 	return out
 }
 
-// RunTrials is the engine's generic worker pool — Run's, and exposed for
-// harnesses (cmd/energybench) whose per-trial work doesn't fit the Spec
-// matrix: it invokes fn(worker, trial) for every trial index on
+// RunTrials is the engine's generic worker pool — Run's, and
+// CollectTrials' for cmd/energybench's Theorem 21 and Partition(beta)
+// rows: it invokes fn(worker, trial) for every trial index on
 // poolSize(trials, workers) goroutines (default GOMAXPROCS), worker
 // being the goroutine's index in [0, poolSize) for per-worker state.
 // fn writes into caller-owned, trial-indexed storage, preserving the

@@ -109,6 +109,40 @@ func TestTrialErrorsAreRecordedNotFatal(t *testing.T) {
 	}
 }
 
+// TestCellRunsItsLabelledModel: cdmerge runs only CD and bounded-degree
+// only No-CD, so of their six cells under No-CD, CD and LOCAL the two
+// whose label names the model run complete and the other four error in
+// every trial, rather than reporting a run of another model under their
+// label.
+func TestCellRunsItsLabelledModel(t *testing.T) {
+	spec := Spec{
+		Topologies: []Topology{{Kind: "gnp", N: 24, Seed: 3}},
+		Models:     []radio.Model{radio.NoCD, radio.CD, radio.Local},
+		Algorithms: []core.Algorithm{core.AlgoCDMerge, core.AlgoBoundedDegree},
+		Trials:     1,
+		MasterSeed: 1,
+		Lean:       true,
+	}
+	rep, err := Run(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 6 {
+		t.Fatalf("%d cells, want 6", len(rep.Cells))
+	}
+	ran := map[string]string{"cdmerge": "CD", "bounded-degree": "No-CD"}
+	for _, c := range rep.Cells {
+		if ran[c.Algorithm] == c.Model {
+			if c.Completed != c.Trials || c.Errors != 0 {
+				t.Errorf("%s under %s: %d/%d completed, %d errors; want all completed",
+					c.Algorithm, c.Model, c.Completed, c.Trials, c.Errors)
+			}
+		} else if c.Errors != c.Trials {
+			t.Errorf("%s under %s: %d of %d trials errored, want all", c.Algorithm, c.Model, c.Errors, c.Trials)
+		}
+	}
+}
+
 func TestSpecValidation(t *testing.T) {
 	if _, err := Run(Spec{Trials: 1}, Options{}); err == nil {
 		t.Error("empty topology list accepted")

@@ -44,8 +44,8 @@ var codeVersion = sync.OnceValue(func() string {
 // the run manifest and the fabric handshake: determinism across
 // machines is only meaningful at one code version, so a coordinator
 // refuses workers whose CodeVersion differs from its own
-// (internal/fabric), and a result cache would key on it (ROADMAP item
-// 5). Binaries built without VCS metadata (go test binaries, vendored
-// builds) still agree as long as they come from the same build of the
-// same module.
+// (internal/fabric), and a result cache would key on it (a result
+// store is on the ROADMAP's parked list). Binaries built without VCS
+// metadata (go test binaries, vendored builds) still agree as long as
+// they come from the same build of the same module.
 func CodeVersion() string { return codeVersion() }

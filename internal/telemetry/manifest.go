@@ -9,10 +9,10 @@ import (
 // Manifest is the provenance record written next to every report: what
 // was run (spec, seed, worker count), what it cost (counters,
 // phase and per-cell timings), and how each cell stopped. It is the
-// record a content-addressable result store would key on (ROADMAP item
-// 5): DeterministicJSON extracts the subset that is a pure function of
-// the spec, while the full document adds the timing/scheduling
-// provenance of this particular execution.
+// record a content-addressable result store would key on (parked on
+// the ROADMAP): DeterministicJSON extracts the subset that is a pure
+// function of the spec, while the full document adds the
+// timing/scheduling provenance of this particular execution.
 type Manifest struct {
 	Tool    string `json:"tool"`
 	Started string `json:"started,omitempty"`

@@ -371,9 +371,10 @@ func (r *Recorder) LeaseRoundTrip(d time.Duration) {
 }
 
 // Add folds n finished trials (summing to slots simulated slots) into
-// the run counters BatchDone feeds, outside any batch — the convenience
-// for harnesses (cmd/energybench) that have no worker pool of their
-// own. The trials count as both run and committed.
+// the run counters BatchDone feeds, outside any batch — how
+// cmd/energybench counts its Theorem 21 and Partition(beta) rows, which
+// run on sweep.CollectTrials rather than sweep.Run. The trials count as
+// both run and committed.
 func (r *Recorder) Add(n int, slots uint64) {
 	if r == nil {
 		return
